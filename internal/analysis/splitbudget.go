@@ -39,7 +39,7 @@ import (
 // the facade — is visible at the outermost call site. The Split test is
 // lenient on purpose: an identifier qualifies if any assignment in the
 // enclosing function draws it from Split, so a documented escape hatch
-// that re-assigns the budget (the fleet Uncapped knob) stays clean
+// that re-assigns the budget (the UncappedKnob fixture) stays clean
 // without a suppression.
 var Splitbudget = &Analyzer{
 	Name: "splitbudget",

@@ -79,7 +79,7 @@ func ThreadedBudget(c config, workers, n int) {
 	})
 }
 
-// UncappedKnob mirrors the fleet escape hatch: the ident once drew from
+// UncappedKnob mirrors a budget escape hatch: the ident once drew from
 // Split, so a documented re-assignment does not need a suppression.
 func UncappedKnob(c config, workers, n int, uncapped bool) {
 	inner := Split(workers, n)

@@ -56,12 +56,11 @@ type Config struct {
 	// of the window outside the display see black (overscan: the camera
 	// films the monitor plus the dark room behind it).
 	CropX0, CropY0, CropW, CropH int
-	// Workers bounds the capture worker pool: rolling-shutter row synthesis
-	// within one capture and whole captures within CaptureSequence fan out
-	// across this many goroutines. 0 means GOMAXPROCS; 1 forces the
-	// sequential path. Captures are bit-identical at any worker count: rows
-	// write disjoint spans and the noise RNG is seeded from the capture
-	// index, never from worker identity.
+	// Workers bounds the rolling-shutter row synthesis within one capture:
+	// rows fan out across this many goroutines. 0 means GOMAXPROCS; 1
+	// forces the sequential path. Captures are bit-identical at any worker
+	// count: rows write disjoint spans and the noise RNG is seeded from the
+	// capture index, never from worker identity.
 	Workers int
 	// Pool supplies the capture working buffers (display-resolution
 	// integration plane, blur scratch, crop window) and the returned
@@ -162,14 +161,6 @@ func (c *Camera) FramePeriod() float64 { return 1 / c.cfg.FPS }
 // drawn from the camera's pool; the caller owns it and may Put it back to
 // that pool when done with it.
 func (c *Camera) Capture(d *display.Display, t0 float64, index int) *frame.Frame {
-	return c.captureWith(d, t0, index, c.cfg.Workers)
-}
-
-// captureWith is Capture with an explicit worker budget for the row
-// sweep, so callers that are themselves inside a parallel region
-// (CaptureSequence) can thread a Split share instead of handing every
-// capture the full worker count.
-func (c *Camera) captureWith(d *display.Display, t0 float64, index, rowWorkers int) *frame.Frame {
 	dw, dh := d.Size()
 	if dw == 0 || dh == 0 {
 		panic("camera: display has no frames")
@@ -186,7 +177,7 @@ func (c *Camera) captureWith(d *display.Display, t0 float64, index, rowWorkers i
 	if c.cfg.H > 1 {
 		rowDt = c.cfg.ReadoutTime / float64(c.cfg.H)
 	}
-	parallel.ForChunked(rowWorkers, dh, func(lo, hi int) {
+	parallel.ForChunked(c.cfg.Workers, dh, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			sensorRow := y * c.cfg.H / dh
 			a := t0 + float64(sensorRow)*rowDt
@@ -237,29 +228,4 @@ func (c *Camera) addNoise(f *frame.Frame, index int) {
 	for i := range f.Pix {
 		f.Pix[i] += float32(rng.NormFloat64() * sigma)
 	}
-}
-
-// CaptureSequence captures n frames starting at time start, spaced by the
-// camera frame period, and returns them with their exposure start times.
-// Captures are independent (the display is read-only and each capture's
-// noise stream is keyed by its index), so they fan out across the
-// configured workers with results merged by position — bit-identical to a
-// sequential run.
-func (c *Camera) CaptureSequence(d *display.Display, start float64, n int) ([]*frame.Frame, []float64) {
-	frames := make([]*frame.Frame, n)
-	times := make([]float64, n)
-	period := c.FramePeriod()
-	// Split the budget between the capture fan-out and each capture's row
-	// sweep: n captures × full-worker sweeps oversubscribes the pool W-fold.
-	outer := parallel.Resolve(c.cfg.Workers)
-	if outer > n {
-		outer = n
-	}
-	inner := parallel.Split(c.cfg.Workers, outer)
-	parallel.For(c.cfg.Workers, n, func(i int) {
-		t := start + float64(i)*period
-		frames[i] = c.captureWith(d, t, i, inner)
-		times[i] = t
-	})
-	return frames, times
 }

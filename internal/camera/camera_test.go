@@ -203,21 +203,6 @@ func TestExposureSpanningPairFusesData(t *testing.T) {
 	_ = d
 }
 
-func TestCaptureSequenceSpacing(t *testing.T) {
-	d := testDisplay(t, frame.NewFilled(8, 8, 100))
-	cam, _ := New(quietConfig(8, 8))
-	frames, times := cam.CaptureSequence(d, 0.5, 3)
-	if len(frames) != 3 || len(times) != 3 {
-		t.Fatalf("got %d frames, %d times", len(frames), len(times))
-	}
-	if math.Abs(times[1]-times[0]-cam.FramePeriod()) > 1e-12 {
-		t.Fatalf("spacing %v, want %v", times[1]-times[0], cam.FramePeriod())
-	}
-	if times[0] != 0.5 {
-		t.Fatalf("start %v, want 0.5", times[0])
-	}
-}
-
 func TestBlurSoftensEdges(t *testing.T) {
 	f := frame.New(32, 32)
 	for y := 0; y < 32; y++ {

@@ -6,14 +6,12 @@ package channel
 
 import (
 	"fmt"
-	"math"
 
 	"inframe/internal/camera"
 	"inframe/internal/core"
 	"inframe/internal/display"
 	"inframe/internal/frame"
 	"inframe/internal/impair"
-	"inframe/internal/parallel"
 )
 
 // Config describes one end-to-end link.
@@ -41,12 +39,12 @@ type Config struct {
 	//     beyond the displayed duration leave no room for a capture and
 	//     Simulate reports the "too short" error.
 	CameraStart float64
-	// Workers bounds Simulate's pipeline pool: display frame k+1 renders
-	// while captures whose exposure windows are already covered run behind
-	// it. 0 means GOMAXPROCS; 1 forces the sequential render-then-capture
-	// path. Results are bit-identical at any worker count — a capture is
-	// dispatched only once every display frame its exposure window touches
-	// has been pushed, and captures merge by index.
+	// Workers bounds the capture pool of Simulate and CaptureAll: in
+	// Simulate, display frame k+1 renders while captures whose exposure
+	// windows are already covered run behind it. 0 means GOMAXPROCS; 1 runs
+	// every capture inline. Results are bit-identical at any worker count —
+	// a capture is dispatched only once every display frame its exposure
+	// window touches has been pushed, and captures merge by index.
 	Workers int
 	// Pool supplies the frame buffers of the capture side (see
 	// camera.Config.Pool); it is copied into the camera configuration when
@@ -58,9 +56,8 @@ type Config struct {
 	// Impair optionally corrupts the link with a seeded, deterministic
 	// fault stack — clock drift, exposure jitter, capture drop and
 	// duplication, lighting and sensor faults (see internal/impair). Nil
-	// or an all-zero config leaves the clean path untouched: Simulate
-	// routes through exactly the same code as a config without the field,
-	// so clean results stay bit-identical.
+	// or an all-zero config builds the identity stack (see Schedule), so
+	// clean results stay bit-identical.
 	Impair *impair.Config
 }
 
@@ -118,18 +115,17 @@ func (l *Link) Transmit(frames []*frame.Frame) error {
 	return nil
 }
 
-// CaptureAll captures as many camera frames as fit inside the displayed
-// duration, starting at CameraStart, returning frames and exposure start
-// times.
+// CaptureAll captures every capture of the link's Schedule from the frames
+// already on the monitor — starting at CameraStart, under Config.Impair —
+// on a pool of Config.Workers, returning the delivered frames and their
+// exposure start times. An empty display yields none.
 func (l *Link) CaptureAll() ([]*frame.Frame, []float64) {
-	dur := l.Display.Duration()
-	period := l.Camera.FramePeriod()
-	exposureSpan := l.cfg.Camera.Exposure + l.cfg.Camera.ReadoutTime
-	n := int((dur - l.cfg.CameraStart - exposureSpan) / period)
-	if n <= 0 {
-		return nil, nil
-	}
-	return l.Camera.CaptureSequence(l.Display, l.cfg.CameraStart, n)
+	return l.schedule(l.Display.Duration()).Start(l.Camera, l.Display, l.cfg.Workers).Finish()
+}
+
+// schedule is the link's capture timetable for a dur-second transmission.
+func (l *Link) schedule(dur float64) *Schedule {
+	return NewSchedule(dur, l.cfg.CameraStart, l.cfg.Camera, l.cfg.Impair)
 }
 
 // Result bundles a one-shot simulation's outputs.
@@ -154,158 +150,33 @@ func (r *Result) Recycle(p *frame.Pool) {
 // Simulate runs a multiplexer for nDisplayFrames through the link and
 // captures the whole sequence: the standard experiment entry point.
 //
-// With Workers resolving above 1 the stages pipeline: the renderer keeps
-// pushing display frames while capture workers integrate the frames already
-// pushed (capture i is dispatched the moment the last display frame its
-// exposure + readout window touches is on the monitor). The captured
-// sequence is bit-identical to the sequential path — see Config.Workers.
+// Rendering and capture overlap: each display frame is rendered, pushed and
+// recycled, and the link's Capturer dispatches every capture whose exposure
+// + readout window the monitor now covers onto a pool of Config.Workers
+// while the next frame renders. The captured sequence is bit-identical at
+// any worker count — see Config.Workers.
 func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, error) {
 	link, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Impair.Enabled() {
-		return simulateImpaired(m, nDisplayFrames, cfg, link)
-	}
-	if parallel.Resolve(cfg.Workers) <= 1 {
-		if err := m.PushTo(link.Display, nDisplayFrames); err != nil {
-			return nil, err
-		}
-		caps, times := link.CaptureAll()
-		if len(caps) == 0 {
-			return nil, fmt.Errorf("channel: displayed duration too short for any capture")
-		}
-		return &Result{Captures: caps, Times: times, Exposure: cfg.Camera.Exposure}, nil
-	}
-	return simulatePipelined(m, nDisplayFrames, cfg, link)
-}
-
-// simulatePipelined overlaps display rendering with camera capture. The
-// capture count and exposure times replicate CaptureAll's arithmetic
-// exactly (same expressions, same float order) so both paths agree to the
-// last bit.
-func simulatePipelined(m *core.Multiplexer, nDisplayFrames int, cfg Config, link *Link) (*Result, error) {
-	dur := float64(nDisplayFrames) / cfg.Display.RefreshHz
-	period := link.Camera.FramePeriod()
-	exposureSpan := cfg.Camera.Exposure + cfg.Camera.ReadoutTime
-	nCaps := int((dur - cfg.CameraStart - exposureSpan) / period)
-	if nCaps <= 0 {
-		// Render anyway so the error mirrors the sequential path's state.
-		if err := m.PushTo(link.Display, nDisplayFrames); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("channel: displayed duration too short for any capture")
-	}
-	caps := make([]*frame.Frame, nCaps)
-	times := make([]float64, nCaps)
-	pool := parallel.NewPool(cfg.Workers)
-	frameT := 1 / cfg.Display.RefreshHz
-	next := 0
-	dispatch := func(i int) {
-		t := cfg.CameraStart + float64(i)*period
-		times[i] = t
-		pool.Go(func() {
-			caps[i] = link.Camera.Capture(link.Display, t, i)
-		})
-	}
+	sched := link.schedule(float64(nDisplayFrames) / cfg.Display.RefreshHz)
+	c := sched.Start(link.Camera, link.Display, cfg.Workers)
 	for k := 0; k < nDisplayFrames; k++ {
 		f := m.Frame(k)
-		if err := link.Display.Push(f); err != nil {
-			// The display rejected the frame, so nothing holds the buffer:
-			// hand it back before unwinding.
-			m.Recycle(f)
-			pool.Wait()
+		err := link.Display.Push(f)
+		// The display has copied the frame into its drive history (or
+		// rejected it); either way the buffer goes back for the next render.
+		m.Recycle(f)
+		if err != nil {
+			c.Abort()
 			return nil, fmt.Errorf("channel: frame %d: %w", k, err)
 		}
-		// The display has copied the frame into its drive history; hand
-		// the buffer back so the next render reuses it.
-		m.Recycle(f)
-		for next < nCaps {
-			t := cfg.CameraStart + float64(next)*period
-			// Capture windows integrate display rows over
-			// [t, t+exposure+readout); frames 0..ceil(end/T)-1 must be on
-			// the monitor before the capture may run.
-			if need := int(math.Ceil((t + exposureSpan) / frameT)); need > k+1 {
-				break
-			}
-			dispatch(next)
-			next++
-		}
+		c.Displayed(k + 1)
 	}
-	// Float-boundary stragglers: everything is pushed now, so any capture
-	// still pending is safe to run.
-	for ; next < nCaps; next++ {
-		dispatch(next)
+	caps, times := c.Finish()
+	if len(sched.Times) == 0 {
+		return nil, fmt.Errorf("channel: displayed duration too short for any capture")
 	}
-	pool.Wait()
 	return &Result{Captures: caps, Times: times, Exposure: cfg.Camera.Exposure}, nil
-}
-
-// simulateImpaired is the fault-injected counterpart of simulatePipelined:
-// capture times follow the drift-skewed, jittered schedule, every finished
-// capture runs through the pixel-domain impairment stages, and the delivery
-// stages (drop/duplicate) rewrite the final sequence. One code path serves
-// every worker count — the worker pool degrades to inline execution at 1 —
-// and all randomness is keyed by capture index, so results are bit-identical
-// at any worker count.
-func simulateImpaired(m *core.Multiplexer, nDisplayFrames int, cfg Config, link *Link) (*Result, error) {
-	st := impair.New(*cfg.Impair)
-	dur := float64(nDisplayFrames) / cfg.Display.RefreshHz
-	period := st.Period(link.Camera.FramePeriod())
-	exposureSpan := cfg.Camera.Exposure + cfg.Camera.ReadoutTime
-	// Jitter may push an exposure later by up to StartJitter; budget for it
-	// so every scheduled capture fits inside the displayed duration even at
-	// the jitter extreme.
-	nCaps := int((dur - cfg.CameraStart - exposureSpan - cfg.Impair.StartJitter) / period)
-	if nCaps <= 0 {
-		if err := m.PushTo(link.Display, nDisplayFrames); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("channel: displayed duration too short for any capture")
-	}
-	caps := make([]*frame.Frame, nCaps)
-	times := make([]float64, nCaps)
-	for i := range times {
-		times[i] = st.CaptureTime(i, cfg.CameraStart, period)
-	}
-	pool := parallel.NewPool(cfg.Workers)
-	frameT := 1 / cfg.Display.RefreshHz
-	next := 0
-	dispatch := func(i int) {
-		t := times[i]
-		pool.Go(func() {
-			f := link.Camera.Capture(link.Display, t, i)
-			st.ApplyFrame(f, i, t, cfg.Camera.Exposure)
-			caps[i] = f
-		})
-	}
-	for k := 0; k < nDisplayFrames; k++ {
-		f := m.Frame(k)
-		if err := link.Display.Push(f); err != nil {
-			// The display rejected the frame; recycle before unwinding.
-			m.Recycle(f)
-			pool.Wait()
-			return nil, fmt.Errorf("channel: frame %d: %w", k, err)
-		}
-		m.Recycle(f)
-		for next < nCaps {
-			// Dispatch in index order using each capture's own (jittered)
-			// window; a not-yet-coverable capture blocks later ones only
-			// until the straggler sweep below.
-			if need := int(math.Ceil((times[next] + exposureSpan) / frameT)); need > k+1 {
-				break
-			}
-			dispatch(next)
-			next++
-		}
-	}
-	for ; next < nCaps; next++ {
-		dispatch(next)
-	}
-	pool.Wait()
-	// Delivery-pipeline stages run on the assembled sequence. Dropped
-	// captures go back to the pool the camera drew them from; duplicates
-	// are drawn from it.
-	outCaps, outTimes := st.ApplySequence(caps, times, period, link.cfg.Camera.Pool)
-	return &Result{Captures: outCaps, Times: outTimes, Exposure: cfg.Camera.Exposure}, nil
 }

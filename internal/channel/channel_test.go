@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"inframe/internal/camera"
@@ -260,6 +261,56 @@ func TestCameraStartEdgeCases(t *testing.T) {
 	})
 }
 
+// TestScheduleSpacing: a clean schedule starts at the camera start, spaces
+// captures by exactly the camera frame period, fits as many as the budget
+// formula allows, and drives each capture at its scheduled time.
+func TestScheduleSpacing(t *testing.T) {
+	cfg := quietChannel(8, 8)
+	cam := cfg.Camera
+	period := 1 / cam.FPS
+	dur := 0.5 + cam.Exposure + 3.5*period // room for exactly 3 captures from t=0.5
+	s := NewSchedule(dur, 0.5, cam, nil)
+	if len(s.Times) != 3 {
+		t.Fatalf("got %d captures, want 3", len(s.Times))
+	}
+	if s.Times[0] != 0.5 {
+		t.Fatalf("start %v, want 0.5", s.Times[0])
+	}
+	for i := 1; i < len(s.Times); i++ {
+		if math.Abs(s.Times[i]-s.Times[i-1]-period) > 1e-12 {
+			t.Fatalf("spacing %v, want %v", s.Times[i]-s.Times[i-1], period)
+		}
+	}
+	if math.Abs(s.Period-period) > 0 || len(s.stack.Names()) != 0 {
+		t.Fatalf("clean schedule has period %v and stages %v, want %v and none", s.Period, s.stack.Names(), period)
+	}
+	// A zero impairment config is the identity stack: the same timetable.
+	if z := NewSchedule(dur, 0.5, cam, &impair.Config{}); !slices.Equal(z.Times, s.Times) {
+		t.Fatalf("zero impairment config moved the schedule: %v vs %v", z.Times, s.Times)
+	}
+
+	link, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([]*frame.Frame, int(dur*cfg.Display.RefreshHz)+1)
+	for i := range frames {
+		frames[i] = frame.NewFilled(8, 8, 100)
+	}
+	if err := link.Transmit(frames); err != nil {
+		t.Fatal(err)
+	}
+	caps, times := s.Start(link.Camera, link.Display, 2).Finish()
+	if len(caps) != 3 || !slices.Equal(times, s.Times) {
+		t.Fatalf("driver delivered %d captures at %v, want 3 at %v", len(caps), times, s.Times)
+	}
+	for i, c := range caps {
+		if !c.Equal(link.Camera.Capture(link.Display, s.Times[i], i)) {
+			t.Fatalf("capture %d differs from a direct capture at its scheduled time", i)
+		}
+	}
+}
+
 // impairedConfig is a moderately hostile stack used by the channel-level
 // impairment tests.
 func impairedConfig() *impair.Config {
@@ -314,6 +365,46 @@ func TestImpairedSimulateWorkerInvariance(t *testing.T) {
 				t.Fatalf("workers=%d: capture %d not bit-identical", w, i)
 			}
 		}
+	}
+}
+
+// TestCaptureAllAppliesImpair: CaptureAll on an impaired link runs the
+// same schedule, pixel stages and delivery stages as Simulate, so capturing
+// an already pushed display matches a simulated run bit for bit — and
+// departs from the clean timetable.
+func TestCaptureAllAppliesImpair(t *testing.T) {
+	p := testParams()
+	cfg := quietChannel(48, 32)
+	cfg.Impair = impairedConfig()
+	mux := func() *core.Multiplexer {
+		m, err := core.NewMultiplexer(p, video.Gray(48, 32), core.NewRandomStream(p.Layout, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want, err := Simulate(mux(), 120, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mux().PushTo(link.Display, 120); err != nil {
+		t.Fatal(err)
+	}
+	caps, times := link.CaptureAll()
+	if len(caps) != len(want.Captures) {
+		t.Fatalf("CaptureAll delivered %d captures, Simulate %d", len(caps), len(want.Captures))
+	}
+	for i, c := range caps {
+		if math.Abs(times[i]-want.Times[i]) > 0 || !c.Equal(want.Captures[i]) {
+			t.Fatalf("capture %d at %v differs from Simulate's at %v", i, times[i], want.Times[i])
+		}
+	}
+	if clean := NewSchedule(1, cfg.CameraStart, cfg.Camera, nil); slices.Equal(times, clean.Times) {
+		t.Fatal("CaptureAll ignored Config.Impair: times match the clean schedule")
 	}
 }
 

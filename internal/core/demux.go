@@ -123,21 +123,17 @@ type ReceiverConfig struct {
 	SmoothRadius int
 	// Detector selects the bit detector.
 	Detector Detector
-	// Calib maps display coordinates into capture coordinates. Nil means
-	// the capture frames the display exactly (the paper's fixed tripod
-	// setup); a registration pass (internal/register) supplies a mapping
-	// when the camera is offset or zoomed.
-	Calib *CaptureMapping
-	// Pose is the projective display→capture map of an off-axis camera
-	// (tilt, rotation, distance), as solved by the projective registration
-	// pass (register.CalibrateProjective). Nil keeps the rigid axis-aligned
-	// path. An exactly axis-aligned Pose collapses to a CaptureMapping and
-	// takes the pre-homography decode path bit-identically — the frontal
-	// fast path; anything else makes every measurement rectify its capture
-	// through the pose's inverse warp (pool-borrowed plane) and decode the
+	// Pose is the display→capture geometry, the receiver's only one. Nil
+	// means the capture frames the display exactly (the paper's fixed
+	// tripod setup). An exactly axis-aligned Pose — an offset or zoomed
+	// camera, as register.Calibrate solves it and AxisAlignedHomography
+	// lifts it — collapses to a CaptureMapping and takes the rigid decode
+	// path bit-identically. Any other Pose is the projective map of an
+	// off-axis camera (tilt, rotation, distance), as solved by
+	// register.CalibrateProjective: every measurement rectifies its capture
+	// through the pose's inverse warp (pool-borrowed plane) and decodes the
 	// rectified view with spatially aggregated, center-weighted Block
-	// statistics. When both Pose and Calib are set, Pose wins: the
-	// projective solve already subsumes translation and zoom.
+	// statistics.
 	Pose *frame.Homography
 	// Workers bounds the decode worker pool: per-capture energy
 	// measurement, per-Block calibration and per-frame decision stages fan
@@ -272,10 +268,9 @@ type Receiver struct {
 	cfg  ReceiverConfig
 	pool *frame.Pool
 	// calib is the effective axis-aligned display→capture mapping: the
-	// configured Calib (or full-frame), or the collapsed form of an
-	// axis-aligned Pose. In projective mode it maps display coordinates
-	// into the *rectified* plane instead, which is the same coordinate
-	// system by construction.
+	// full frame, or the collapsed form of an axis-aligned Pose. In
+	// projective mode it maps display coordinates into the *rectified*
+	// plane instead, which is the same coordinate system by construction.
 	calib CaptureMapping
 	// rectify, when non-nil, is the rectified→capture homography
 	// Pose ∘ calib⁻¹: every measurement inverse-warps its capture through
@@ -327,12 +322,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	}
 	l := cfg.Layout
 	calib := FullFrame(l, cfg.CaptureW, cfg.CaptureH)
-	if cfg.Calib != nil {
-		if err := cfg.Calib.Validate(); err != nil {
-			return nil, err
-		}
-		calib = *cfg.Calib
-	}
 	var rectify *frame.Homography
 	if cfg.Pose != nil {
 		if err := cfg.Pose.Validate(); err != nil {
@@ -1221,25 +1210,28 @@ func (r *Receiver) calibrateLevels(rows [][]float64) (lo, hi []float64) {
 				continue
 			}
 			sort.Float64s(sv)
-			lo[j] = sv[int(0.1*float64(len(sv)-1))]
-			hi[j] = sv[int(math.Ceil(0.9*float64(len(sv)-1)))]
+			lo[j], hi[j] = levelPercentiles(sv)
 		}
 	})
 	return lo, hi
 }
 
+// levelPercentiles picks a Block's bit-0 and bit-1 levels from its sorted,
+// non-empty energy series: the 10th and 90th percentiles.
+func levelPercentiles(sorted []float64) (lo, hi float64) {
+	n := float64(len(sorted) - 1)
+	return sorted[int(0.1*n)], sorted[int(math.Ceil(0.9*n))]
+}
+
 // decodePerBlock implements the adaptive per-Block decision stage: each
-// Block's bit levels are its own extremes across the calibration span, its
-// threshold the midpoint, and its hysteresis band the larger of the relative
-// band and the absolute MinConfidence floor (widened for shutter-degraded
-// measurements). With RecalibrateEvery set, the run is calibrated in
+// Block's bit levels are its own percentiles across the calibration span
+// (calibrateLevels), and every frame is decided against them by
+// decideFrame. With RecalibrateEvery set, the run is calibrated in
 // independent windows so the thresholds track slow lighting and gain drift.
 func (r *Receiver) decodePerBlock(agg, qual [][]float64, counts []int) []*FrameDecode {
 	if len(agg) == 0 {
 		return make([]*FrameDecode, 0)
 	}
-	l := r.cfg.Layout
-	nBlocks := l.NumBlocks()
 	win := r.cfg.RecalibrateEvery
 	if win <= 0 || win > len(agg) {
 		win = len(agg)
@@ -1273,44 +1265,57 @@ func (r *Receiver) decodePerBlock(agg, qual [][]float64, counts []int) []*FrameD
 		if wi >= len(wins) {
 			wi = len(wins) - 1
 		}
-		lo, hi := wins[wi].lo, wins[wi].hi
-		fd := &FrameDecode{
-			Index:       d,
-			Captures:    counts[d],
-			Bits:        NewDataFrame(l),
-			Decided:     make([]bool, nBlocks),
-			BlockCauses: make([]ErasureCause, nBlocks),
-		}
-		for j, s := range row {
-			if math.IsNaN(s) || math.IsInf(lo[j], 1) {
-				fd.BlockCauses[j] = CauseNoSignal
-				continue
-			}
-			gap := hi[j] - lo[j]
-			// !(gap > 0) also catches NaN levels: an all-equal or unusable
-			// series means no swing, never a zero-width "confident" band.
-			if !(gap > 0) || gap < r.minGap {
-				fd.BlockCauses[j] = CauseNoSwing
-				continue // no usable swing: saturated or constant payload
-			}
-			thr := (lo[j] + hi[j]) / 2
-			band := r.cfg.AdaptiveBand * gap
-			if band < r.minConf {
-				band = r.minConf
-			}
-			if qual[d] != nil && qual[d][j] > 0 && qual[d][j] < 1 {
-				band /= math.Sqrt(qual[d][j])
-			}
-			fd.Bits.Bits[j] = s > thr
-			fd.Decided[j] = math.Abs(s-thr) >= band
-			if !fd.Decided[j] {
-				fd.BlockCauses[j] = CauseLowConfidence
-			}
-		}
-		buildGOBs(fd, l)
-		out[d] = fd
+		out[d] = r.decideFrame(d, counts[d], row, qual[d], wins[wi].lo, wins[wi].hi)
 	})
 	return out
+}
+
+// decideFrame is the adaptive per-Block decision of data frame d, shared by
+// the batch and the streaming decoder so both apply the same effective
+// (pose-attenuated) floors. Each Block's threshold is the midpoint of its
+// calibrated levels lo, hi and its hysteresis band the larger of the
+// relative band and the confidence floor, widened by 1/√q for a
+// shutter-degraded measurement of link quality q; quality may be nil
+// (no widening). A Block without a finite score or levels, or whose level
+// gap falls below the swing floor, is an erasure.
+func (r *Receiver) decideFrame(d, captures int, scores, quality, lo, hi []float64) *FrameDecode {
+	l := r.cfg.Layout
+	nBlocks := l.NumBlocks()
+	fd := &FrameDecode{
+		Index:       d,
+		Captures:    captures,
+		Bits:        NewDataFrame(l),
+		Decided:     make([]bool, nBlocks),
+		BlockCauses: make([]ErasureCause, nBlocks),
+	}
+	for j, s := range scores {
+		if math.IsNaN(s) || math.IsInf(lo[j], 1) {
+			fd.BlockCauses[j] = CauseNoSignal
+			continue
+		}
+		gap := hi[j] - lo[j]
+		// !(gap > 0) also catches NaN levels: an all-equal or unusable
+		// series means no swing, never a zero-width "confident" band.
+		if !(gap > 0) || gap < r.minGap {
+			fd.BlockCauses[j] = CauseNoSwing
+			continue // no usable swing: saturated or constant payload
+		}
+		thr := (lo[j] + hi[j]) / 2
+		band := r.cfg.AdaptiveBand * gap
+		if band < r.minConf {
+			band = r.minConf
+		}
+		if quality != nil && quality[j] > 0 && quality[j] < 1 {
+			band /= math.Sqrt(quality[j])
+		}
+		fd.Bits.Bits[j] = s > thr
+		fd.Decided[j] = math.Abs(s-thr) >= band
+		if !fd.Decided[j] {
+			fd.BlockCauses[j] = CauseLowConfidence
+		}
+	}
+	buildGOBs(fd, l)
+	return fd
 }
 
 // normalize converts aggregated raw energies into decision scores in place,

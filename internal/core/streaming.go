@@ -96,8 +96,7 @@ func (s *StreamingReceiver) finalize(d int) *FrameDecode {
 	if a == nil || a.captures == 0 {
 		return s.rcv.emptyDecode(d)
 	}
-	l := s.rcv.cfg.Layout
-	nBlocks := l.NumBlocks()
+	nBlocks := s.rcv.cfg.Layout.NumBlocks()
 	scores := make([]float64, nBlocks)
 	quality := make([]float64, nBlocks)
 	for j := 0; j < nBlocks; j++ {
@@ -126,42 +125,9 @@ func (s *StreamingReceiver) finalize(d int) *FrameDecode {
 			continue
 		}
 		sort.Float64s(series)
-		lo[j] = series[int(0.1*float64(len(series)-1))]
-		hi[j] = series[int(math.Ceil(0.9*float64(len(series)-1)))]
+		lo[j], hi[j] = levelPercentiles(series)
 	}
-
-	fd := &FrameDecode{
-		Index:       d,
-		Captures:    a.captures,
-		Bits:        NewDataFrame(l),
-		Decided:     make([]bool, nBlocks),
-		BlockCauses: make([]ErasureCause, nBlocks),
-	}
-	for j, sc := range scores {
-		if math.IsNaN(sc) || math.IsInf(lo[j], 1) {
-			fd.BlockCauses[j] = CauseNoSignal
-			continue
-		}
-		gap := hi[j] - lo[j]
-		if gap < s.rcv.cfg.MinGap {
-			fd.BlockCauses[j] = CauseNoSwing
-			continue
-		}
-		thr := (lo[j] + hi[j]) / 2
-		band := s.rcv.cfg.AdaptiveBand * gap
-		if band < s.rcv.cfg.MinConfidence {
-			band = s.rcv.cfg.MinConfidence
-		}
-		if quality[j] > 0 && quality[j] < 1 {
-			band /= math.Sqrt(quality[j])
-		}
-		fd.Bits.Bits[j] = sc > thr
-		fd.Decided[j] = math.Abs(sc-thr) >= band
-		if !fd.Decided[j] {
-			fd.BlockCauses[j] = CauseLowConfidence
-		}
-	}
-	buildGOBs(fd, l)
+	fd := s.rcv.decideFrame(d, a.captures, scores, quality, lo, hi)
 	// Garbage-collect aggregates older than any future window.
 	delete(s.agg, d-s.window)
 	return fd

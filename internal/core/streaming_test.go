@@ -187,3 +187,77 @@ func (s *switchSource) Frame(i int) *frame.Frame {
 }
 func (s *switchSource) Size() (int, int) { return s.flat.W, s.flat.H }
 func (s *switchSource) FPS() float64     { return 30 }
+
+// TestStreamingDecisionMatchesBatchUnderPose: a projective Pose scales the
+// receiver's decision floors by the predicted warp attenuation, and the
+// streaming decoder must decide with those same floors as the batch one.
+// Every Block's level gap sits between the attenuated swing floor and the
+// configured MinGap, so a streaming decoder that read the raw MinGap would
+// erase Blocks the batch decoder decides.
+func TestStreamingDecisionMatchesBatchUnderPose(t *testing.T) {
+	p := smallParams()
+	l := p.Layout
+	cfg := DefaultReceiverConfig(p, l.FrameW, l.FrameH)
+	pose := frame.Homography{M: [9]float64{1, 0.02, 0, 0, 1, 0, 1e-4, 0, 1}}
+	cfg.Pose = &pose
+	const window = 8
+	sr, err := NewStreamingReceiver(cfg, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sr.Receiver()
+	if !(r.minGap < cfg.MinGap) {
+		t.Fatalf("projective pose did not attenuate the swing floor: %v vs MinGap %v", r.minGap, cfg.MinGap)
+	}
+	gap := (r.minGap + cfg.MinGap) / 2
+
+	// One capture per data frame: Blocks alternate between two levels gap
+	// apart, and every third Block has a degraded link quality, which widens
+	// its band.
+	nBlocks := l.NumBlocks()
+	agg := make([][]float64, window)
+	qual := make([][]float64, window)
+	counts := make([]int, window)
+	for d := range agg {
+		agg[d] = make([]float64, nBlocks)
+		qual[d] = make([]float64, nBlocks)
+		ones := make([]int, nBlocks)
+		for j := range agg[d] {
+			agg[d][j] = 10
+			if (d+j)%2 == 1 {
+				agg[d][j] += gap
+			}
+			qual[d][j] = 1
+			if j%3 == 0 {
+				qual[d][j] = 0.2
+			}
+			ones[j] = 1
+		}
+		counts[d] = 1
+		sr.agg[d] = &streamAgg{
+			sum:      append([]float64(nil), agg[d]...),
+			qual:     append([]float64(nil), qual[d]...),
+			n:        ones,
+			captures: 1,
+		}
+	}
+
+	d := window - 1 // its trailing window spans every frame, like the batch calibration
+	want := r.decodePerBlock(agg, qual, counts)[d]
+	got := sr.finalize(d)
+	decided := 0
+	for j := 0; j < nBlocks; j++ {
+		if got.BlockCauses[j] != want.BlockCauses[j] || got.Decided[j] != want.Decided[j] ||
+			got.Bits.Bits[j] != want.Bits.Bits[j] {
+			t.Fatalf("Block %d: streaming cause %v decided %v bit %v, batch cause %v decided %v bit %v",
+				j, got.BlockCauses[j], got.Decided[j], got.Bits.Bits[j],
+				want.BlockCauses[j], want.Decided[j], want.Bits.Bits[j])
+		}
+		if want.Decided[j] {
+			decided++
+		}
+	}
+	if decided == 0 {
+		t.Fatal("batch decided no Block; the gap does not exercise the attenuated floor")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"inframe/internal/camera"
 	"inframe/internal/channel"
 	"inframe/internal/core"
+	"inframe/internal/frame"
 	"inframe/internal/metrics"
 	"inframe/internal/register"
 )
@@ -74,11 +75,11 @@ func Registration(s Setup) ([]RegistrationRow, error) {
 			return nil, err
 		}
 		nData := nDisplay / p.Tau
-		evaluate := func(calib *core.CaptureMapping) (float64, error) {
+		evaluate := func(pose *frame.Homography) (float64, error) {
 			rcfg := core.DefaultReceiverConfig(p, capW, capH)
 			rcfg.Exposure = cfg.Camera.Exposure
 			rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-			rcfg.Calib = calib
+			rcfg.Pose = pose
 			rcv, err := core.NewReceiver(rcfg)
 			if err != nil {
 				return 0, err
@@ -102,7 +103,8 @@ func Registration(s Setup) ([]RegistrationRow, error) {
 		calib, err := register.Calibrate(l, res.Captures[:min(6, len(res.Captures))])
 		calibCorrect := 0.0
 		if err == nil {
-			calibCorrect, err = evaluate(&calib)
+			h := core.AxisAlignedHomography(calib)
+			calibCorrect, err = evaluate(&h)
 			if err != nil {
 				return nil, err
 			}

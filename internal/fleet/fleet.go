@@ -5,10 +5,10 @@ import (
 	"math"
 
 	"inframe/internal/camera"
+	"inframe/internal/channel"
 	"inframe/internal/core"
 	"inframe/internal/display"
 	"inframe/internal/frame"
-	"inframe/internal/impair"
 	"inframe/internal/metrics"
 	"inframe/internal/parallel"
 	"inframe/internal/video"
@@ -51,12 +51,6 @@ type Config struct {
 	// graceful-degradation decode (see core.ReceiverConfig).
 	MinCaptureQuality float64
 	RecalibrateEvery  int
-	// Uncapped disables the nested-parallelism budget: every receiver's
-	// inner stages resolve Workers=0 to GOMAXPROCS, reproducing the
-	// oversubscribed fan-out the budget fixes. Decode output is
-	// bit-identical either way (the regression test proves it); only
-	// scheduling pressure differs. Benchmark knob, not a production mode.
-	Uncapped bool
 }
 
 // DefaultConfig returns a fleet run over the standard experiment link: the
@@ -210,17 +204,12 @@ func Run(cfg Config) (*Result, error) {
 	// The worker budget: receivers take min(Resolve(Workers), N) outer
 	// slots and each receiver's capture/decode stages share the remainder,
 	// so the fleet never runs more than one resolved budget of goroutines.
-	// (Uncapped reproduces the pre-budget oversubscription for the
-	// regression test and benchmark comparison.)
 	n := cfg.Pop.N
 	outer := parallel.Resolve(cfg.Workers)
 	if outer > n {
 		outer = n
 	}
 	inner := parallel.Split(cfg.Workers, outer)
-	if cfg.Uncapped {
-		inner = 0
-	}
 
 	recvs := make([]ReceiverResult, n)
 	stats := make([]metrics.DegradationStats, n)
@@ -266,65 +255,12 @@ func Run(cfg Config) (*Result, error) {
 // runReceiver captures and decodes one fleet member against the already
 // rendered display. Everything it does is keyed by the receiver index: the
 // sampled spec, the camera noise, the impairment streams. inner is this
-// receiver's worker share from the fleet budget (0 = legacy uncapped).
+// receiver's worker share from the fleet budget.
 func (cfg *Config) runReceiver(i int, d *display.Display, pool *frame.Pool, oracle []*core.DataFrame, inner int) (ReceiverResult, metrics.DegradationStats, error) {
-	base := cfg.Camera
-	base.Pool = pool
-	base.Workers = 1 // rows stay sequential; parallelism lives at capture granularity
-	spec := cfg.Pop.Spec(i, base)
-	cam, err := camera.New(spec.Camera)
+	spec, caps, times, err := cfg.capture(i, d, pool, inner)
 	if err != nil {
 		return ReceiverResult{}, metrics.DegradationStats{}, err
 	}
-
-	// Capture-count arithmetic replicates channel.CaptureAll and
-	// simulateImpaired exactly (same expressions, same float order), so a
-	// fleet member decodes bit-identically to a standalone channel run
-	// with the same spec.
-	dur := d.Duration()
-	period := cam.FramePeriod()
-	exposureSpan := spec.Camera.Exposure + spec.Camera.ReadoutTime
-	var st *impair.Stack
-	if spec.Impair.Enabled() {
-		if err := spec.Impair.Validate(); err != nil {
-			return ReceiverResult{}, metrics.DegradationStats{}, err
-		}
-		st = impair.New(*spec.Impair)
-		period = st.Period(period)
-	}
-	budget := dur - spec.Start - exposureSpan
-	if st != nil {
-		budget -= spec.Impair.StartJitter
-	}
-	nCaps := int(budget / period)
-
-	// A receiver whose start offset leaves no room for a single capture
-	// decodes an empty sequence: every data frame comes back an
-	// all-CauseNoCapture erasure, never a panic.
-	var caps []*frame.Frame
-	var times []float64
-	if nCaps > 0 {
-		caps = make([]*frame.Frame, nCaps)
-		times = make([]float64, nCaps)
-		for j := range times {
-			if st != nil {
-				times[j] = st.CaptureTime(j, spec.Start, period)
-			} else {
-				times[j] = spec.Start + float64(j)*period
-			}
-		}
-		parallel.For(inner, nCaps, func(j int) {
-			f := cam.Capture(d, times[j], j)
-			if st != nil {
-				st.ApplyFrame(f, j, times[j], spec.Camera.Exposure)
-			}
-			caps[j] = f
-		})
-		if st != nil {
-			caps, times = st.ApplySequence(caps, times, period, pool)
-		}
-	}
-
 	rcfg := core.DefaultReceiverConfig(cfg.Params, spec.Camera.W, spec.Camera.H)
 	rcfg.RefreshHz = cfg.Display.RefreshHz
 	rcfg.Exposure = spec.Camera.Exposure
@@ -360,6 +296,27 @@ func (cfg *Config) runReceiver(i int, d *display.Display, pool *frame.Pool, orac
 	var deg metrics.DegradationStats
 	deg.AddReport(rep)
 	return rr, deg, nil
+}
+
+// capture samples receiver i's spec and takes its captures from the already
+// rendered display through the channel's own schedule and capture driver,
+// on a pool of inner workers: a fleet member captures exactly what a
+// standalone channel.Simulate with the same camera, start and impairments
+// would (Pop.Validate has vetted every impairment profile). A start that
+// leaves no room for a single capture yields an empty sequence, which
+// decodes to all-CauseNoCapture erasures, never a panic.
+func (cfg *Config) capture(i int, d *display.Display, pool *frame.Pool, inner int) (ReceiverSpec, []*frame.Frame, []float64, error) {
+	base := cfg.Camera
+	base.Pool = pool
+	base.Workers = 1 // rows stay sequential; parallelism lives at capture granularity
+	spec := cfg.Pop.Spec(i, base)
+	cam, err := camera.New(spec.Camera)
+	if err != nil {
+		return spec, nil, nil, err
+	}
+	capturer := channel.NewSchedule(d.Duration(), spec.Start, spec.Camera, spec.Impair).Start(cam, d, inner)
+	caps, times := capturer.Finish()
+	return spec, caps, times, nil
 }
 
 // score tallies availability over all data frames (gap frames count as

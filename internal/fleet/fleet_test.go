@@ -69,30 +69,6 @@ func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFleetBudgetMatchesUncapped is the oversubscription-bugfix regression:
-// threading the worker budget through the nested fan-out (outer receivers ×
-// inner capture/decode workers) must not change a single decoded bit
-// relative to the legacy path where every receiver resolves Workers=0 to
-// GOMAXPROCS.
-func TestFleetBudgetMatchesUncapped(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full fleet runs; the verify.sh fleet stage covers them")
-	}
-	capped, err := fleet.Run(testConfig(4, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncfg := testConfig(4, 0)
-	uncfg.Uncapped = true
-	uncapped, err := fleet.Run(uncfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := aggregate(uncapped), aggregate(capped); !reflect.DeepEqual(got, want) {
-		t.Fatalf("uncapped aggregate diverges from budgeted:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestFleetRenderOncePoolMissesFrozen proves the render-once architecture
 // through the shared pool: with one capture geometry and aligned starts,
 // every allocation after the first receiver's warmup is a pool hit, so

@@ -164,11 +164,11 @@ func TestMisregisteredEndToEnd(t *testing.T) {
 		t.Fatal("no captures")
 	}
 
-	availability := func(calib *core.CaptureMapping) float64 {
+	availability := func(pose *frame.Homography) float64 {
 		rcfg := core.DefaultReceiverConfig(p, capW, capH)
 		rcfg.Exposure = ccfg.Exposure
 		rcfg.ReadoutTime = ccfg.ReadoutTime
-		rcfg.Calib = calib
+		rcfg.Pose = pose
 		rcv, err := core.NewReceiver(rcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +187,8 @@ func TestMisregisteredEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCalib := availability(&calib)
+	h := core.AxisAlignedHomography(calib)
+	withCalib := availability(&h)
 	naive := availability(nil)
 	if withCalib < 0.8 {
 		t.Fatalf("calibrated oracle-correct ratio %.2f, want >= 0.8", withCalib)

@@ -2,7 +2,8 @@
 # Tier-1 verification gate (see README.md § Testing). Every change must pass
 # this before it lands: static checks (gofmt, go vet, and the repo's own
 # inframe-lint invariant suite with per-analyzer timings), a full build,
-# the complete test suite
+# vet and short tests of the separately moduled cmd/inframe-perf benchmark
+# (which `go build ./...` never compiles), the complete test suite
 # under the race detector (the worker pools in internal/parallel make data
 # races a correctness class, not a theoretical one), a coverage floor on
 # internal/analysis (the lint gate's own engine), the steady-state
@@ -74,6 +75,16 @@ run_lint() {
 	# the shared module-summary fixpoint as its own row) to stderr, so a
 	# slow analyzer is visible in the gate log, not just the stage total.
 	go run ./cmd/inframe-lint -timings ./...
+}
+
+run_perf_module() {
+	# cmd/inframe-perf is its own module (its go.mod replaces inframe with
+	# the repository root), so `go build ./...` and `go test ./...` skip it
+	# although it imports the library's internal packages. Vet it and run
+	# its short tests — including the traced-vs-untraced bit-identity check
+	# against its own copy of the capture schedule — offline.
+	GOFLAGS=-mod=readonly go -C cmd/inframe-perf vet ./...
+	GOFLAGS=-mod=readonly go -C cmd/inframe-perf test -short ./...
 }
 
 run_tests() {
@@ -190,6 +201,7 @@ stage "gofmt" check_gofmt
 stage "go vet ./..." go vet ./...
 stage "go build ./..." go build ./...
 stage "inframe-lint ./..." run_lint
+stage "cmd/inframe-perf vet + short tests" run_perf_module
 stage "go test -race $short ./..." run_tests
 stage "internal/analysis coverage floor" run_analysis_cover
 stage "internal/register coverage floor" run_register_cover
