@@ -5,6 +5,7 @@ import (
 
 	"inframe/internal/core"
 	"inframe/internal/frame"
+	"inframe/internal/parallel"
 )
 
 // Quad is the four detected grid corners in capture coordinates, ordered
@@ -35,29 +36,35 @@ func GridCorners(l core.Layout) Quad {
 // pushes the detected corners a few pixels outward; CalibrateProjective's
 // polish step pulls them back onto the grid.
 func DetectQuad(caps []*frame.Frame) (Quad, error) {
-	q, _, err := detectQuad(caps)
-	return q, err
-}
-
-// detectQuad is DetectQuad plus the gated energy plane it thresholded, which
-// the per-edge refinement reuses.
-func detectQuad(caps []*frame.Frame) (Quad, *frame.Frame, error) {
 	acc, err := TemporalEnergy(caps)
 	if err != nil {
-		return Quad{}, nil, err
+		return Quad{}, err
 	}
-	// Gate the energy map by lit level: a posed capture is surrounded by
-	// black overscan where the camera's gamma curve amplifies sensor noise
-	// into temporal variance comparable to the modulation's. The data grid
-	// can only live on the lit screen, so dark pixels are masked out before
-	// any thresholding.
-	mean := frame.New(acc.W, acc.H)
+	return detectQuad(acc, temporalMean(caps))
+}
+
+// temporalMean is the per-pixel mean of the captures, summed in capture
+// order. Callers validate the capture sizes first (TemporalEnergy does).
+func temporalMean(caps []*frame.Frame) *frame.Frame {
+	mean := frame.New(caps[0].W, caps[0].H)
 	inv := 1 / float32(len(caps))
 	for _, c := range caps {
 		for i, v := range c.Pix {
 			mean.Pix[i] += v * inv
 		}
 	}
+	return mean
+}
+
+// detectQuad is DetectQuad on a precomputed energy plane acc and temporal
+// mean. It gates acc in place, and the per-edge refinement reuses the gated
+// plane.
+func detectQuad(acc, mean *frame.Frame) (Quad, error) {
+	// Gate the energy map by lit level: a posed capture is surrounded by
+	// black overscan where the camera's gamma curve amplifies sensor noise
+	// into temporal variance comparable to the modulation's. The data grid
+	// can only live on the lit screen, so dark pixels are masked out before
+	// any thresholding.
 	const minLitLevel = 24
 	for i, v := range mean.Pix {
 		if v < minLitLevel {
@@ -73,7 +80,7 @@ func detectQuad(caps []*frame.Frame) (Quad, *frame.Frame, error) {
 	if !(peak > 0.3) {
 		// No modulation anywhere: the same "no real contrast" floor
 		// profileSpan applies to its 1-D profiles.
-		return Quad{}, nil, ErrNoRegion
+		return Quad{}, ErrNoRegion
 	}
 	thr := 0.18 * peak
 	var (
@@ -110,9 +117,9 @@ func detectQuad(caps []*frame.Frame) (Quad, *frame.Frame, error) {
 		}
 	}
 	if count < 64 || maxSum-minSum < 16 || maxDiff-minDiff < 16 {
-		return Quad{}, nil, ErrNoRegion
+		return Quad{}, ErrNoRegion
 	}
-	return q, acc, nil
+	return q, nil
 }
 
 // refineQuad relocates each edge of a detected quad on the energy plane and
@@ -318,33 +325,46 @@ func refineQuad(acc *frame.Frame, q Quad) Quad {
 	return out
 }
 
-// diffIntegrals prepares the matched filter's inputs: signed integral
-// images of each capture's deviation from the temporal mean. Averaging over
+// mfPlanes caps the capture planes the matched filter sums.
+const mfPlanes = 6
+
+// mfTable is the matched filter's input: one interleaved summed-area table
+// over the mean-subtracted planes of the first n ≤ mfPlanes captures. Entry
+// (y·(w+1)+x)·n+i is plane i's sum over [0,x)×[0,y), so the four nodes a
+// bilinear lookup reads hold every plane side by side and one resolved box
+// corner serves all planes.
+type mfTable struct {
+	w, h, n int
+	sum     []float64
+}
+
+// diffIntegrals prepares the matched filter's inputs: the signed integral
+// table of each capture's deviation from the temporal mean. Averaging over
 // captures cancels the static video and the margins; what remains on
 // chessboard-on Pixel cells is the signed modulation amplitude (one global
-// sign per capture), zero on off cells, plus noise.
-func diffIntegrals(caps []*frame.Frame) []*integralImage {
-	w, h := caps[0].W, caps[0].H
-	mean := frame.New(w, h)
-	inv := 1 / float32(len(caps))
-	for _, c := range caps {
-		for i, v := range c.Pix {
-			mean.Pix[i] += v * inv
+// sign per capture), zero on off cells, plus noise. The mean spans every
+// capture; the table holds the first mfPlanes. Each plane accumulates
+// exactly as a standalone integralImage would, so every node is bit-equal
+// to the per-plane table's.
+func diffIntegrals(caps []*frame.Frame, mean *frame.Frame) *mfTable {
+	w, h := mean.W, mean.H
+	n := min(len(caps), mfPlanes)
+	t := &mfTable{w: w, h: h, n: n, sum: make([]float64, (w+1)*(h+1)*n)}
+	rs := (w + 1) * n
+	for y := 0; y < h; y++ {
+		above := t.sum[y*rs : (y+1)*rs]
+		row := t.sum[(y+1)*rs : (y+2)*rs]
+		m := mean.Pix[y*w : (y+1)*w]
+		var rowSum [mfPlanes]float64
+		for x, mv := range m {
+			k := (x + 1) * n
+			for i := 0; i < n; i++ {
+				rowSum[i] += float64(caps[i].Pix[y*w+x] - mv)
+				row[k+i] = above[k+i] + rowSum[i]
+			}
 		}
 	}
-	n := len(caps)
-	if n > 6 {
-		n = 6
-	}
-	iis := make([]*integralImage, n)
-	diff := frame.New(w, h)
-	for i := 0; i < n; i++ {
-		for j, v := range caps[i].Pix {
-			diff.Pix[j] = v - mean.Pix[j]
-		}
-		iis[i] = newIntegral(diff)
-	}
-	return iis
+	return t
 }
 
 // mfScore is the projective alignment objective: a chessboard matched
@@ -358,40 +378,103 @@ func diffIntegrals(caps []*frame.Frame) []*integralImage {
 // noise floor. Unlike a parity-pass score, the matched filter cannot be
 // gamed by spatially smooth energy fields, which is what a misaligned
 // frontal hypothesis produces on real camera captures.
-func mfScore(l core.Layout, iis []*integralImage, h frame.Homography) float64 {
-	return mfScoreStride(l, iis, h, 1)
+func mfScore(l core.Layout, t *mfTable, h frame.Homography) float64 {
+	return mfScoreStride(l, t, h, 1)
+}
+
+// warpedPt is one display point mapped through a homography; ok is false
+// on the horizon line.
+type warpedPt struct {
+	x, y float64
+	ok   bool
 }
 
 // mfScoreStride is mfScore sampled on every stride-th Block in each axis — a
 // proportionally cheaper estimate used to rank candidate alignments before
-// the full-resolution score decides. The warped cell footprint is computed
-// once per cell and shared by every capture plane.
-func mfScoreStride(l core.Layout, iis []*integralImage, h frame.Homography, stride int) float64 {
+// the full-resolution score decides.
+//
+// Each cell's footprint is the bounding box of its four warped corners,
+// averaged at sub-pixel resolution (the rectMeanFrac arithmetic): cells are
+// only a couple of pixels across, so integer boxes would quantize the
+// polish objective into a staircase, while the fractional mean keeps it
+// smooth in sub-pixel corner moves. A Block's cell corners are warped once
+// as one lattice, since neighbouring cells share corners at the same
+// integer display coordinates. Per cell, each box corner's node and
+// fraction are resolved once and every plane is read from the same table
+// rows. A cell with a corner on the horizon line (impossible for validated
+// poses, reachable for fuzzed homographies) contributes nothing, and so
+// does a box that clips to nothing.
+//
+//hot:the blind pose solve spends nearly all its time in this objective
+func mfScoreStride(l core.Layout, t *mfTable, h frame.Homography, stride int) float64 {
 	ps := l.PixelSize
-	n := len(iis)
-	if n > 6 {
-		n = 6
-	}
-	var accs [6]float64
+	n, sum := t.n, t.sum
+	fw, fh := float64(t.w), float64(t.h)
+	rs := (t.w + 1) * n // table stride between node rows
+	nc := l.BlockSize   // cells per Block side
+	lat := make([]warpedPt, (nc+1)*(nc+1))
+	var accs [mfPlanes]float64
 	for by := 0; by < l.BlocksY; by += stride {
 		for bx := 0; bx < l.BlocksX; bx += stride {
-			x0, y0, w, hh := l.BlockRect(bx, by)
+			x0, y0, _, _ := l.BlockRect(bx, by)
+			for cj := 0; cj <= nc; cj++ {
+				cy := float64(y0 + cj*ps)
+				row := lat[cj*(nc+1) : (cj+1)*(nc+1)]
+				for ci := range row {
+					fx, fy, ok := h.Apply(float64(x0+ci*ps), cy)
+					row[ci] = warpedPt{fx, fy, ok}
+				}
+			}
 			pi0, pj0 := x0/ps, y0/ps
-			for cj := 0; cj*ps < hh; cj++ {
-				cy0 := float64(y0 + cj*ps)
-				for ci := 0; ci*ps < w; ci++ {
-					cx0 := float64(x0 + ci*ps)
-					minX, minY, maxX, maxY, ok := warpedBox(h, cx0, cy0, cx0+float64(ps), cy0+float64(ps))
-					if !ok {
+			for cj := 0; cj < nc; cj++ {
+				top := lat[cj*(nc+1) : (cj+1)*(nc+1)]
+				bot := lat[(cj+1)*(nc+1) : (cj+2)*(nc+1)]
+				for ci := 0; ci < nc; ci++ {
+					// The cell's corners in display order (x0,y0), (x1,y0),
+					// (x1,y1), (x0,y1).
+					p0, p1, p2, p3 := &top[ci], &top[ci+1], &bot[ci+1], &bot[ci]
+					if !p0.ok || !p1.ok || !p2.ok || !p3.ok {
 						continue
 					}
-					if core.ChessOn(pi0+ci, pj0+cj) {
-						for i := 0; i < n; i++ {
-							accs[i] += iis[i].rectMeanFrac(minX, minY, maxX, maxY)
-						}
-					} else {
-						for i := 0; i < n; i++ {
-							accs[i] -= iis[i].rectMeanFrac(minX, minY, maxX, maxY)
+					minX, maxX := span4(p0.x, p1.x, p2.x, p3.x)
+					minY, maxY := span4(p0.y, p1.y, p2.y, p3.y)
+					if minX < 0 {
+						minX = 0
+					}
+					if minY < 0 {
+						minY = 0
+					}
+					if maxX > fw {
+						maxX = fw
+					}
+					if maxY > fh {
+						maxY = fh
+					}
+					if maxX <= minX || maxY <= minY {
+						continue
+					}
+					ix0, fx0 := nodeFrac(minX, t.w)
+					ix1, fx1 := nodeFrac(maxX, t.w)
+					iy0, fy0 := nodeFrac(minY, t.h)
+					iy1, fy1 := nodeFrac(maxY, t.h)
+					// Node offsets of the four box corners S(x1,y1), S(x0,y1),
+					// S(x1,y0), S(x0,y0), combined as a − b − c + d.
+					pa := iy1*rs + ix1*n
+					pb := iy1*rs + ix0*n
+					pc := iy0*rs + ix1*n
+					pd := iy0*rs + ix0*n
+					area := (maxX - minX) * (maxY - minY)
+					on := core.ChessOn(pi0+ci, pj0+cj)
+					for i := 0; i < n; i++ {
+						a := bilerp(sum, pa+i, n, rs, fx1, fy1)
+						b := bilerp(sum, pb+i, n, rs, fx0, fy1)
+						c := bilerp(sum, pc+i, n, rs, fx1, fy0)
+						d := bilerp(sum, pd+i, n, rs, fx0, fy0)
+						s := a - b - c + d
+						if on {
+							accs[i] += s / area
+						} else {
+							accs[i] -= s / area
 						}
 					}
 				}
@@ -405,36 +488,54 @@ func mfScoreStride(l core.Layout, iis []*integralImage, h frame.Homography, stri
 	return total / float64(n)
 }
 
-// warpedBox maps a display rectangle's corners through h and returns the
-// warped footprint's bounding box, which the caller averages at sub-pixel
-// resolution (rectMeanFrac). Pixel-cell footprints are only a couple of
-// pixels across, so integer box coordinates would quantize the polish
-// objective into a staircase; the fractional mean keeps it smooth in
-// sub-pixel corner moves. Corners on the horizon line (impossible for
-// validated poses, reachable for fuzzed homographies) report ok=false and
-// the cell contributes nothing.
-func warpedBox(h frame.Homography, x0, y0, x1, y1 float64) (minX, minY, maxX, maxY float64, ok bool) {
-	n := 0
-	for _, c := range [4][2]float64{{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}} {
-		fx, fy, applied := h.Apply(c[0], c[1])
-		if !applied {
-			return 0, 0, 0, 0, false
-		}
-		if n == 0 || fx < minX {
-			minX = fx
-		}
-		if n == 0 || fx > maxX {
-			maxX = fx
-		}
-		if n == 0 || fy < minY {
-			minY = fy
-		}
-		if n == 0 || fy > maxY {
-			maxY = fy
-		}
-		n++
+// span4 returns the least and greatest of a, b, c, d, compared in that
+// order.
+func span4(a, b, c, d float64) (lo, hi float64) {
+	lo, hi = a, a
+	if b < lo {
+		lo = b
 	}
-	return minX, minY, maxX, maxY, true
+	if b > hi {
+		hi = b
+	}
+	if c < lo {
+		lo = c
+	}
+	if c > hi {
+		hi = c
+	}
+	if d < lo {
+		lo = d
+	}
+	if d > hi {
+		hi = d
+	}
+	return lo, hi
+}
+
+// nodeFrac splits a coordinate v ∈ [0, size] into the summed-area node at
+// or left of it (the last cell's node at the far edge) and the fraction
+// past that node, as integralImage.sumAt does.
+func nodeFrac(v float64, size int) (int, float64) {
+	i := int(v)
+	if i >= size {
+		i = size - 1
+	}
+	return i, v - float64(i)
+}
+
+// bilerp interpolates one plane of an interleaved table at node offset p,
+// fraction (fx, fy) toward the next node in x (n entries on) and the next
+// node row (rs entries on) in y: integralImage.sumAt's arithmetic in the
+// same order.
+func bilerp(sum []float64, p, n, rs int, fx, fy float64) float64 {
+	s00 := sum[p]
+	s01 := sum[p+n]
+	s10 := sum[p+rs]
+	s11 := sum[p+rs+n]
+	top := s00 + (s01-s00)*fx
+	bot := s10 + (s11-s10)*fx
+	return top + (bot-top)*fy
 }
 
 // polishSteps is the corner polish's search schedule in units of the
@@ -456,12 +557,12 @@ var polishSteps = [4]float64{1, 0.5, 0.5, 0.25}
 // immediately. The iteration count is fixed (rounds × corners × axes × 2
 // candidate offsets), never data-dependent. Returns the descended quad, its
 // homography and score; ok is false when no corner configuration solved.
-func descendQuad(l core.Layout, iis []*integralImage, src, start Quad, pitch float64, steps []float64, stride int) (Quad, frame.Homography, float64, bool) {
+func descendQuad(l core.Layout, t *mfTable, src, start Quad, pitch float64, steps []float64, stride int) (Quad, frame.Homography, float64, bool) {
 	h, err := frame.SolveHomography(src, start)
 	if err != nil {
 		return start, frame.Homography{}, 0, false
 	}
-	score := mfScoreStride(l, iis, h, stride)
+	score := mfScoreStride(l, t, h, stride)
 	for _, step := range steps {
 		for c := 0; c < 4; c++ {
 			for axis := 0; axis < 2; axis++ {
@@ -472,7 +573,7 @@ func descendQuad(l core.Layout, iis []*integralImage, src, start Quad, pitch flo
 					if err != nil {
 						continue
 					}
-					if s := mfScoreStride(l, iis, hc, stride); s > score {
+					if s := mfScoreStride(l, t, hc, stride); s > score {
 						score = s
 						h = hc
 						start = cand
@@ -497,13 +598,13 @@ func descendQuad(l core.Layout, iis []*integralImage, src, start Quad, pitch flo
 // tilts the edge and gains almost nothing. Two rounds over the four edges,
 // argmax on the stride-2 score; the evaluation count is fixed by the window
 // and step, never data-dependent.
-func scanEdges(l core.Layout, iis []*integralImage, src, start Quad, pitch, spanPx float64) (Quad, float64, bool) {
+func scanEdges(l core.Layout, t *mfTable, src, start Quad, pitch, spanPx float64) (Quad, float64, bool) {
 	q := start
 	h, err := frame.SolveHomography(src, q)
 	if err != nil {
 		return q, 0, false
 	}
-	best := mfScoreStride(l, iis, h, 2)
+	best := mfScoreStride(l, t, h, 2)
 	step := pitch / 3
 	span := int(math.Ceil(spanPx / step))
 	for round := 0; round < 2; round++ {
@@ -530,7 +631,7 @@ func scanEdges(l core.Layout, iis []*integralImage, src, start Quad, pitch, span
 				if err != nil {
 					continue
 				}
-				if s := mfScoreStride(l, iis, hc, 2); s > best {
+				if s := mfScoreStride(l, t, hc, 2); s > best {
 					best = s
 					bestOff = d
 				}
@@ -548,13 +649,13 @@ func scanEdges(l core.Layout, iis []*integralImage, src, start Quad, pitch, span
 // is phase-locked, each corner coordinate is swept independently over a
 // small ±spanPx window to absorb the residual shear and perspective the
 // per-edge translations cannot express.
-func scanCorners(l core.Layout, iis []*integralImage, src, start Quad, pitch, spanPx float64) (Quad, float64, bool) {
+func scanCorners(l core.Layout, t *mfTable, src, start Quad, pitch, spanPx float64) (Quad, float64, bool) {
 	q := start
 	h, err := frame.SolveHomography(src, q)
 	if err != nil {
 		return q, 0, false
 	}
-	best := mfScoreStride(l, iis, h, 2)
+	best := mfScoreStride(l, t, h, 2)
 	step := pitch / 3
 	span := int(math.Ceil(spanPx / step))
 	for round := 0; round < 2; round++ {
@@ -572,7 +673,7 @@ func scanCorners(l core.Layout, iis []*integralImage, src, start Quad, pitch, sp
 					if err != nil {
 						continue
 					}
-					if s := mfScoreStride(l, iis, hc, 2); s > best {
+					if s := mfScoreStride(l, t, hc, 2); s > best {
 						best = s
 						bestOff = float64(o) * step
 					}
@@ -593,18 +694,32 @@ func scanCorners(l core.Layout, iis []*integralImage, src, start Quad, pitch, sp
 // competes on the same score and wins near-ties, so an already-aligned
 // camera yields an exactly axis-aligned homography — which the receiver
 // then routes through the pre-homography decode path bit-identically.
+//
+// The six candidate chains run concurrently on GOMAXPROCS workers; the
+// result is bit-identical at any worker count.
 func CalibrateProjective(l core.Layout, caps []*frame.Frame) (frame.Homography, error) {
+	return calibrateProjective(l, caps, 0)
+}
+
+// calibrateProjective is CalibrateProjective on an explicit worker budget
+// (parallel.Resolve semantics).
+func calibrateProjective(l core.Layout, caps []*frame.Frame, workers int) (frame.Homography, error) {
 	if len(caps) == 0 {
 		return frame.Homography{}, ErrNoRegion
 	}
 	ff := core.FullFrame(l, caps[0].W, caps[0].H)
 	hff := frame.AxisAlignedHomography(ff.ScaleX, ff.ScaleY, ff.OffX, ff.OffY)
-	quad, energy, err := detectQuad(caps)
+	energy, err := TemporalEnergy(caps)
+	if err != nil {
+		return frame.Homography{}, err
+	}
+	mean := temporalMean(caps)
+	quad, err := detectQuad(energy, mean)
 	if err != nil {
 		return frame.Homography{}, err
 	}
 	src := GridCorners(l)
-	iis := diffIntegrals(caps)
+	t := diffIntegrals(caps, mean)
 	// Cell pitch in capture pixels, estimated from the detected quad's mean
 	// horizontal extent against the display grid's width. It sets the polish
 	// step sizes.
@@ -629,33 +744,49 @@ func CalibrateProjective(l core.Layout, caps []*frame.Frame) (frame.Homography, 
 		frontal[i][0] = ff.OffX + c[0]*ff.ScaleX
 		frontal[i][1] = ff.OffY + c[1]*ff.ScaleY
 	}
+	starts := [3]Quad{refineQuad(energy, quad), quad, frontal}
+	// Chain 2k descends start k directly; chain 2k+1 scans it first. The
+	// chains share only the read-only table and each writes its own slot.
+	type chain struct {
+		h     frame.Homography
+		score float64
+		ok    bool
+	}
+	var chains [2 * len(starts)]chain
+	parallel.For(workers, len(chains), func(k int) {
+		start := starts[k/2]
+		if k%2 == 1 {
+			// Scan bridge for the biased-detection regime: coherent
+			// per-edge offsets first, then per-corner shear, then the same
+			// leashed descent.
+			q, _, ok := scanEdges(l, t, src, start, pitch, 9)
+			if !ok {
+				return
+			}
+			if start, _, ok = scanCorners(l, t, src, q, pitch, 3); !ok {
+				return
+			}
+		}
+		// Leashed descent: straight from the coarse quad, it is the winning
+		// strategy when detection landed within a couple of pixels, where
+		// any longer-range move risks hopping onto an aliased comb tooth.
+		_, h, s, ok := descendQuad(l, t, src, start, pitch, polishSteps[:], 1)
+		chains[k] = chain{h, s, ok}
+	})
+	// All six final candidates are scored by the identical full-resolution
+	// descended matched filter, so the regimes compete on equal terms. The
+	// reduction runs in chain order with a strict >, so ties resolve the
+	// same way at any worker count.
 	var (
 		best      frame.Homography
 		bestScore = math.Inf(-1)
 		solved    bool
 	)
-	consider := func(start Quad) {
-		_, h, s, ok := descendQuad(l, iis, src, start, pitch, polishSteps[:], 1)
-		if ok && s > bestScore {
-			bestScore = s
-			best = h
+	for _, c := range chains {
+		if c.ok && c.score > bestScore {
+			bestScore = c.score
+			best = c.h
 			solved = true
-		}
-	}
-	for _, cand := range [3]Quad{refineQuad(energy, quad), quad, frontal} {
-		// Leashed descent straight from the coarse quad: the winning
-		// strategy when detection landed within a couple of pixels, where
-		// any longer-range move risks hopping onto an aliased comb tooth.
-		consider(cand)
-		// Scan bridge for the biased-detection regime: coherent per-edge
-		// offsets first, then per-corner shear, then the same leashed
-		// descent. All six final candidates are scored by the identical
-		// full-resolution descended matched filter, so the regimes compete
-		// on equal terms.
-		if q, _, ok := scanEdges(l, iis, src, cand, pitch, 9); ok {
-			if q, _, ok = scanCorners(l, iis, src, q, pitch, 3); ok {
-				consider(q)
-			}
 		}
 	}
 	if !solved {
@@ -668,7 +799,7 @@ func CalibrateProjective(l core.Layout, caps []*frame.Frame) (frame.Homography, 
 	// spurious sub-pixel wiggle. The margin is relative because the filter's
 	// scale tracks the (layout- and channel-dependent) modulation amplitude;
 	// a real pose costs the frontal grid far more than 10% of its coherence.
-	if mfScore(l, iis, hff) >= 0.9*bestScore {
+	if mfScore(l, t, hff) >= 0.9*bestScore {
 		return hff, nil
 	}
 	return best, nil

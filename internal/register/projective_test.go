@@ -12,7 +12,7 @@ import (
 
 // posedCaptures warps ideal rendered captures through a pinhole camera pose,
 // the same geometry model the impair stack applies.
-func posedCaptures(t *testing.T, l core.Layout, tiltDeg, rollDeg, dist float64, n int) ([]*frame.Frame, frame.Homography) {
+func posedCaptures(t testing.TB, l core.Layout, tiltDeg, rollDeg, dist float64, n int) ([]*frame.Frame, frame.Homography) {
 	t.Helper()
 	caps := renderedCaptures(t, l, nil, n)
 	pose := impair.PoseHomography(l.FrameW, l.FrameH, tiltDeg, rollDeg, dist)
@@ -165,4 +165,223 @@ func FuzzRegister(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceDiffIntegrals is the matched filter's input as one integralImage
+// per mean-subtracted plane, built through an intermediate difference frame:
+// the formulation diffIntegrals' interleaved table must reproduce node for
+// node.
+func referenceDiffIntegrals(caps []*frame.Frame) []*integralImage {
+	w, h := caps[0].W, caps[0].H
+	mean := frame.New(w, h)
+	inv := 1 / float32(len(caps))
+	for _, c := range caps {
+		for i, v := range c.Pix {
+			mean.Pix[i] += v * inv
+		}
+	}
+	n := len(caps)
+	if n > 6 {
+		n = 6
+	}
+	iis := make([]*integralImage, n)
+	diff := frame.New(w, h)
+	for i := 0; i < n; i++ {
+		for j, v := range caps[i].Pix {
+			diff.Pix[j] = v - mean.Pix[j]
+		}
+		iis[i] = newIntegral(diff)
+	}
+	return iis
+}
+
+// referenceMFScoreStride is the matched filter evaluated plane by plane:
+// four homography applications per cell and one rectMeanFrac per cell and
+// plane. mfScoreStride must equal it bit for bit.
+func referenceMFScoreStride(l core.Layout, iis []*integralImage, h frame.Homography, stride int) float64 {
+	ps := l.PixelSize
+	n := len(iis)
+	if n > 6 {
+		n = 6
+	}
+	var accs [6]float64
+	for by := 0; by < l.BlocksY; by += stride {
+		for bx := 0; bx < l.BlocksX; bx += stride {
+			x0, y0, w, hh := l.BlockRect(bx, by)
+			pi0, pj0 := x0/ps, y0/ps
+			for cj := 0; cj*ps < hh; cj++ {
+				cy0 := float64(y0 + cj*ps)
+				for ci := 0; ci*ps < w; ci++ {
+					cx0 := float64(x0 + ci*ps)
+					minX, minY, maxX, maxY, ok := referenceWarpedBox(h, cx0, cy0, cx0+float64(ps), cy0+float64(ps))
+					if !ok {
+						continue
+					}
+					if core.ChessOn(pi0+ci, pj0+cj) {
+						for i := 0; i < n; i++ {
+							accs[i] += iis[i].rectMeanFrac(minX, minY, maxX, maxY)
+						}
+					} else {
+						for i := 0; i < n; i++ {
+							accs[i] -= iis[i].rectMeanFrac(minX, minY, maxX, maxY)
+						}
+					}
+				}
+			}
+		}
+	}
+	var total float64
+	for i := 0; i < n; i++ {
+		total += math.Abs(accs[i])
+	}
+	return total / float64(n)
+}
+
+// referenceWarpedBox maps a display rectangle's corners through h and
+// returns the warped footprint's bounding box; a corner on the horizon line
+// reports ok=false.
+func referenceWarpedBox(h frame.Homography, x0, y0, x1, y1 float64) (minX, minY, maxX, maxY float64, ok bool) {
+	n := 0
+	for _, c := range [4][2]float64{{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}} {
+		fx, fy, applied := h.Apply(c[0], c[1])
+		if !applied {
+			return 0, 0, 0, 0, false
+		}
+		if n == 0 || fx < minX {
+			minX = fx
+		}
+		if n == 0 || fx > maxX {
+			maxX = fx
+		}
+		if n == 0 || fy < minY {
+			minY = fy
+		}
+		if n == 0 || fy > maxY {
+			maxY = fy
+		}
+		n++
+	}
+	return minX, minY, maxX, maxY, true
+}
+
+// sameHomography reports whether two homographies are equal bit for bit.
+func sameHomography(a, b frame.Homography) bool {
+	for i := range a.M {
+		if math.Float64bits(a.M[i]) != math.Float64bits(b.M[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMFScoreMatchesReference pins the fused matched filter to the
+// per-plane reference under bit equality: the interleaved table must hold
+// each plane's integral node for node, and the score must match at strides
+// 1 and 2 for every plane count, across posed captures and under
+// homographies that clip boxes at all four plane borders or put lattice
+// corners on the horizon line.
+func TestMFScoreMatchesReference(t *testing.T) {
+	l := testLayout()
+	// A 1.6× zoom about the panel centre pushes the grid past all four
+	// capture borders: boxes clip on every side and some clip to nothing.
+	zoom := frame.AxisAlignedHomography(1.6, 1.6, 56-1.6*56, 36-1.6*36)
+	// w = 1 − x/128 − y/64 vanishes exactly on lattice corners such as
+	// (64, 32) and (96, 16); cells beyond that line warp through negative w.
+	horizon := frame.Homography{M: [9]float64{1, 0, 0, 0, 1, 0, -1.0 / 128, -1.0 / 64, 1}}
+	if _, _, ok := horizon.Apply(64, 32); ok {
+		t.Fatal("horizon homography does not reach the !ok path")
+	}
+	for _, c := range GridCorners(l) {
+		if x, y, _ := zoom.Apply(c[0], c[1]); x > 0 && x < float64(l.FrameW) && y > 0 && y < float64(l.FrameH) {
+			t.Fatalf("zoom keeps grid corner (%v,%v) inside the capture", c[0], c[1])
+		}
+	}
+	shift := frame.AxisAlignedHomography(1, 1, 0.37, -0.61)
+	for _, pc := range []struct{ tilt, roll, dist float64 }{
+		{0, 0, 1}, {10, -4, 1}, {20, 5, 1.1}, {30, -8, 1.2}, {45, 10, 1}, {60, 3, 1.3},
+	} {
+		for ncaps := 1; ncaps <= 10; ncaps++ {
+			caps, pose := posedCaptures(t, l, pc.tilt, pc.roll, pc.dist, ncaps)
+			// Fractional offsets keep the float32 deviations from being
+			// exact by accident, as they are on 8-bit captures.
+			for i, c := range caps {
+				for j := range c.Pix {
+					c.Pix[j] += float32((j*7919+i*104729)%1000) / 997
+				}
+			}
+			tab := diffIntegrals(caps, temporalMean(caps))
+			iis := referenceDiffIntegrals(caps)
+			if tab.n != len(iis) {
+				t.Fatalf("%d captures: %d planes, reference %d", ncaps, tab.n, len(iis))
+			}
+			for i, ii := range iis {
+				for k, v := range ii.sum {
+					if math.Float64bits(tab.sum[k*tab.n+i]) != math.Float64bits(v) {
+						t.Fatalf("%d captures, plane %d node %d: %v, reference %v", ncaps, i, k, tab.sum[k*tab.n+i], v)
+					}
+				}
+			}
+			for hi, h := range []frame.Homography{pose, shift.Mul(pose), zoom, zoom.Mul(pose), horizon, horizon.Mul(pose)} {
+				for _, stride := range []int{1, 2} {
+					got := mfScoreStride(l, tab, h, stride)
+					want := referenceMFScoreStride(l, iis, h, stride)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("tilt %v roll %v, %d captures, homography %d, stride %d: score %v, reference %v",
+							pc.tilt, pc.roll, ncaps, hi, stride, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCalibrateProjectiveWorkerInvariance: the six candidate chains run
+// concurrently, and the solve must not depend on how many workers run them.
+func TestCalibrateProjectiveWorkerInvariance(t *testing.T) {
+	l := testLayout()
+	frontal := renderedCaptures(t, l, nil, 10)
+	tilt20, _ := posedCaptures(t, l, 20, 0, 1, 10)
+	far, _ := posedCaptures(t, l, 25, 5, 1.3, 10)
+	for _, tc := range []struct {
+		name string
+		caps []*frame.Frame
+	}{
+		{"frontal", frontal},
+		{"tilt-20", tilt20},
+		{"tilt-25-roll-5-far", far},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := calibrateProjective(l, tc.caps, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{2, 8} {
+				got, err := calibrateProjective(l, tc.caps, w)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if !sameHomography(got, want) {
+					t.Fatalf("workers=%d solved %v, workers=1 %v", w, got.M, want.M)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCalibrateProjective times one blind solve on posed 30° captures
+// of the half-scale paper layout. Run it with -benchtime 1x -benchmem; -cpu 1
+// measures the matched-filter kernel alone, -cpu 2 adds the concurrent
+// candidate chains.
+func BenchmarkCalibrateProjective(b *testing.B) {
+	l, err := core.ScaledPaperLayout(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	caps, _ := posedCaptures(b, l, 30, 0, 1, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CalibrateProjective(l, caps); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -4,9 +4,11 @@
 // the display→capture coordinate mapping the receiver needs.
 //
 // The paper's experiments fix the camera on a desk at 50 cm, implying known
-// registration; this package removes that assumption for translation and
-// zoom (a hand-held camera roughly facing the screen). Perspective and
-// rotation are out of scope.
+// registration; this package removes that assumption. Calibrate solves
+// translation and zoom (a hand-held camera roughly facing the screen) as an
+// axis-aligned core.CaptureMapping; CalibrateProjective solves the full
+// display→capture homography of a tilted and rolled camera (perspective
+// and rotation) from the captures alone.
 package register
 
 import (

@@ -43,7 +43,7 @@ func TestEnergyMapHighlightsChessboard(t *testing.T) {
 
 // renderedCaptures produces ideal captures of a multiplexed stream with an
 // optional crop window (misregistration).
-func renderedCaptures(t *testing.T, l core.Layout, crop *Rect, n int) []*frame.Frame {
+func renderedCaptures(t testing.TB, l core.Layout, crop *Rect, n int) []*frame.Frame {
 	t.Helper()
 	p := core.DefaultParams(l)
 	p.Tau = 8

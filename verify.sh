@@ -3,7 +3,8 @@
 # this before it lands: static checks (gofmt, go vet, and the repo's own
 # inframe-lint invariant suite with per-analyzer timings), a full build,
 # vet and short tests of the separately moduled cmd/inframe-perf benchmark
-# (which `go build ./...` never compiles), the complete test suite
+# (which `go build ./...` never compiles) plus its bit-identity check of the
+# blind pose solve on the benchmark's own captures, the complete test suite
 # under the race detector (the worker pools in internal/parallel make data
 # races a correctness class, not a theoretical one), a coverage floor on
 # internal/analysis (the lint gate's own engine), the steady-state
@@ -13,7 +14,8 @@
 # kernels and the fused renderer, DESIGN.md §5j), the fault-injection robustness
 # matrix under -race plus a short fuzz smoke of the decode entry points,
 # the camera-pose gate under -race (blind projective calibration rows,
-# frontal bit-identity, a coverage floor on internal/register and fuzz
+# frontal bit-identity, worker invariance of the solve's concurrent
+# candidate chains, a coverage floor on internal/register and fuzz
 # smokes of the DLT solve and the inverse warp),
 # the broadcast-fleet determinism suite under -race (N concurrent
 # receivers sharing one pool and one display), one iteration of the
@@ -82,9 +84,13 @@ run_perf_module() {
 	# the repository root), so `go build ./...` and `go test ./...` skip it
 	# although it imports the library's internal packages. Vet it and run
 	# its short tests — including the traced-vs-untraced bit-identity check
-	# against its own copy of the capture schedule — offline.
+	# against its own copy of the capture schedule — offline. Then run the
+	# one check -short skips: the blind pose solve on the benchmark's own
+	# 1280x720 calibration captures must reproduce the pinned homography
+	# bit for bit (a few seconds).
 	GOFLAGS=-mod=readonly go -C cmd/inframe-perf vet ./...
 	GOFLAGS=-mod=readonly go -C cmd/inframe-perf test -short ./...
+	GOFLAGS=-mod=readonly go -C cmd/inframe-perf test -count=1 -run '^TestPoseFixtureIsTheSolve$' ./...
 }
 
 run_tests() {
@@ -170,11 +176,13 @@ run_pose() {
 	# matrix (blind projective calibration + rectified decode, pinned
 	# availability windows and BER ceilings, worker invariance at 1/2/8)
 	# and the frontal bit-identity contract, all under the race detector,
-	# then short coverage-guided shakes of the two geometry entry points —
-	# the DLT solve on fuzzed correspondences and the inverse warp on
-	# fuzzed homographies.
+	# the blind solve's concurrent candidate chains repeated under the race
+	# detector at 1/2/8 workers, then short coverage-guided shakes of the
+	# two geometry entry points — the DLT solve on fuzzed correspondences
+	# and the inverse warp on fuzzed homographies.
 	go test -race -count=1 -run 'TestRobustnessMatrix/pose|TestFrontalPoseIsCleanPath' .
 	go test -race -count=1 ./internal/register/
+	go test -race -count=10 -run TestCalibrateProjectiveWorkerInvariance ./internal/register/
 	go test -run '^$' -fuzz '^FuzzRegister$' -fuzztime 10s ./internal/register
 	go test -run '^$' -fuzz '^FuzzWarpInto$' -fuzztime 10s ./internal/frame
 }
