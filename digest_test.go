@@ -1,0 +1,178 @@
+package inframe
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+)
+
+// decodeDigest is an FNV-64a hash over everything a decode emits: every
+// frame's index, capture count, bits, decisions and Block/GOB causes, plus —
+// when rep is non-nil — the report's gap/resync/exclusion counts and its
+// per-capture quality timeline. Equal digests mean bit-identical decodes.
+func decodeDigest(frames []*FrameDecode, rep *DecodeReport) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	flag := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	put(uint64(len(frames)))
+	for _, fd := range frames {
+		put(uint64(fd.Index))
+		put(uint64(fd.Captures))
+		for j, b := range fd.Bits.Bits {
+			put(flag(b))
+			put(flag(fd.Decided[j]))
+			put(uint64(fd.BlockCauses[j]))
+		}
+		for _, g := range fd.GOBs {
+			put(uint64(g.GX))
+			put(uint64(g.GY))
+			put(flag(g.Available))
+			put(flag(g.ParityOK))
+			put(uint64(g.Cause))
+		}
+	}
+	if rep != nil {
+		put(uint64(rep.GapFrames))
+		put(uint64(rep.Resyncs))
+		put(uint64(rep.ExcludedCaptures))
+		for _, q := range rep.Quality {
+			put(uint64(q.Index))
+			put(math.Float64bits(q.Time))
+			put(math.Float64bits(q.Quality))
+			put(flag(q.Scored))
+			put(flag(q.Used))
+			put(flag(q.Excluded))
+		}
+	}
+	return h.Sum64()
+}
+
+// pinnedDecodeDigests holds, per robustness scenario, the decodeDigest of the
+// batch DecodeCapturesReport output at one worker and of the online
+// StreamingReceiver fed the same captures one Push at a time, at trailing
+// windows 8 and 12 and capture-quality gates 0 and 0.1 (the registered rows
+// stream through the pose the batch run solved). A refactor of either driver
+// must reproduce them exactly; a deliberate behaviour change re-pins them and
+// says which entries moved and why.
+var pinnedDecodeDigests = map[string]uint64{
+	"clean/batch":                          0x7aba2abdb959c0a4,
+	"clean/stream-w8-q0":                   0x6ffa5a11dc56ec86,
+	"clean/stream-w8-q0.1":                 0x6ffa5a11dc56ec86,
+	"clean/stream-w12-q0":                  0x2c0e69967f039027,
+	"clean/stream-w12-q0.1":                0x2c0e69967f039027,
+	"clock-drift/batch":                    0x083bc22adeecab5c,
+	"clock-drift/stream-w8-q0":             0x6ffa5a11dc56ec86,
+	"clock-drift/stream-w8-q0.1":           0x6ffa5a11dc56ec86,
+	"clock-drift/stream-w12-q0":            0x2c0e69967f039027,
+	"clock-drift/stream-w12-q0.1":          0x2c0e69967f039027,
+	"start-jitter/batch":                   0xc8a72c226c92db4c,
+	"start-jitter/stream-w8-q0":            0xae43cc38bb010604,
+	"start-jitter/stream-w8-q0.1":          0xae43cc38bb010604,
+	"start-jitter/stream-w12-q0":           0x388e61ab413b30a6,
+	"start-jitter/stream-w12-q0.1":         0x388e61ab413b30a6,
+	"capture-drop/batch":                   0xb97db4221f5e1a5c,
+	"capture-drop/stream-w8-q0":            0x50cf272d108a41a5,
+	"capture-drop/stream-w8-q0.1":          0x50cf272d108a41a5,
+	"capture-drop/stream-w12-q0":           0x0e1a458a0da266c7,
+	"capture-drop/stream-w12-q0.1":         0x0e1a458a0da266c7,
+	"capture-dup/batch":                    0x23b749388c1d1f33,
+	"capture-dup/stream-w8-q0":             0xb482fdad213b2ce6,
+	"capture-dup/stream-w8-q0.1":           0xb482fdad213b2ce6,
+	"capture-dup/stream-w12-q0":            0xa249d8296db9ba24,
+	"capture-dup/stream-w12-q0.1":          0xa249d8296db9ba24,
+	"ambient-ramp/batch":                   0x7aba2abdb959c0a4,
+	"ambient-ramp/stream-w8-q0":            0x6ffa5a11dc56ec86,
+	"ambient-ramp/stream-w8-q0.1":          0x6ffa5a11dc56ec86,
+	"ambient-ramp/stream-w12-q0":           0x2c0e69967f039027,
+	"ambient-ramp/stream-w12-q0.1":         0x2c0e69967f039027,
+	"mains-flicker/batch":                  0x7aba2abdb959c0a4,
+	"mains-flicker/stream-w8-q0":           0x6ffa5a11dc56ec86,
+	"mains-flicker/stream-w8-q0.1":         0x6ffa5a11dc56ec86,
+	"mains-flicker/stream-w12-q0":          0x2c0e69967f039027,
+	"mains-flicker/stream-w12-q0.1":        0x2c0e69967f039027,
+	"gain-drift/batch":                     0x7aba2abdb959c0a4,
+	"gain-drift/stream-w8-q0":              0xf84adaf31717ff06,
+	"gain-drift/stream-w8-q0.1":            0xf84adaf31717ff06,
+	"gain-drift/stream-w12-q0":             0xdcbb3f00b82d7a86,
+	"gain-drift/stream-w12-q0.1":           0xdcbb3f00b82d7a86,
+	"noise-burst/batch":                    0xf6bdb79605d0a14e,
+	"noise-burst/stream-w8-q0":             0xff8c9b1681b3da06,
+	"noise-burst/stream-w8-q0.1":           0xff8c9b1681b3da06,
+	"noise-burst/stream-w12-q0":            0x80de9b01e0537d64,
+	"noise-burst/stream-w12-q0.1":          0x80de9b01e0537d64,
+	"occlusion/batch":                      0xd41cdad36961f7a1,
+	"occlusion/stream-w8-q0":               0xc8df2fea4a581325,
+	"occlusion/stream-w8-q0.1":             0xc8df2fea4a581325,
+	"occlusion/stream-w12-q0":              0x737b562dc7bef247,
+	"occlusion/stream-w12-q0.1":            0x737b562dc7bef247,
+	"kitchen-sink/batch":                   0x504f3f02eb62b52f,
+	"kitchen-sink/stream-w8-q0":            0x207304890ad62dc7,
+	"kitchen-sink/stream-w8-q0.1":          0x207304890ad62dc7,
+	"kitchen-sink/stream-w12-q0":           0xede2bf3b9d13e346,
+	"kitchen-sink/stream-w12-q0.1":         0xede2bf3b9d13e346,
+	"pose-mild-tilt/batch":                 0xfc447d7c2a2326e1,
+	"pose-mild-tilt/stream-w8-q0":          0xeccc37dc4df5b187,
+	"pose-mild-tilt/stream-w8-q0.1":        0xeccc37dc4df5b187,
+	"pose-mild-tilt/stream-w12-q0":         0x4424a22f9aca3ae6,
+	"pose-mild-tilt/stream-w12-q0.1":       0x4424a22f9aca3ae6,
+	"pose-strong-tilt/batch":               0x4c3b913927257599,
+	"pose-strong-tilt/stream-w8-q0":        0xa6f8584b3a982627,
+	"pose-strong-tilt/stream-w8-q0.1":      0xa6f8584b3a982627,
+	"pose-strong-tilt/stream-w12-q0":       0xc39fe3db403277e5,
+	"pose-strong-tilt/stream-w12-q0.1":     0xc39fe3db403277e5,
+	"pose-rotate-distance/batch":           0x1a3889253d683a1d,
+	"pose-rotate-distance/stream-w8-q0":    0x8e7676a3c5a01924,
+	"pose-rotate-distance/stream-w8-q0.1":  0x8e7676a3c5a01924,
+	"pose-rotate-distance/stream-w12-q0":   0x9dedc9d6cdb2f1a6,
+	"pose-rotate-distance/stream-w12-q0.1": 0x9dedc9d6cdb2f1a6,
+}
+
+// TestDecodeDigestsPinned is the cross-commit bit-identity guard of both
+// decode drivers. TestRobustnessMatrix pins availability windows and
+// worker invariance; this pins the exact decode. pose-grazing is left out:
+// its confident bits sit at chance (the matrix row pins only graceful
+// degradation), so its digest would pin solver noise, not decoder behaviour.
+func TestDecodeDigestsPinned(t *testing.T) {
+	for _, tc := range robustnessMatrix {
+		if tc.name == "pose-grazing" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			res, decoded, rep, _, rcfg := posePipeline(t, 1, tc.imp, tc.registered)
+			check := func(key string, got uint64) {
+				t.Helper()
+				want, ok := pinnedDecodeDigests[key]
+				if !ok || got != want {
+					t.Errorf("%s: digest %#016x, want %#016x", key, got, want)
+				}
+			}
+			check(tc.name+"/batch", decodeDigest(decoded, rep))
+			for _, window := range []int{8, 12} {
+				for _, gate := range []float64{0, 0.1} {
+					cfg := rcfg
+					cfg.MinCaptureQuality = gate
+					sr, err := NewStreamingReceiver(cfg, window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var out []*FrameDecode
+					for i, c := range res.Captures {
+						out = append(out, sr.Push(c, res.Times[i], res.Exposure)...)
+					}
+					check(fmt.Sprintf("%s/stream-w%d-q%g", tc.name, window, gate), decodeDigest(out, nil))
+				}
+			}
+		})
+	}
+}

@@ -36,38 +36,6 @@ func (d Detector) String() string {
 	}
 }
 
-// Normalize selects the texture-normalization strategy of the receiver.
-type Normalize int
-
-const (
-	// NormalizeBlockBaseline (default) removes a per-Block temporal
-	// baseline: the minimum aggregated energy the Block showed across the
-	// decoded data frames. Static video texture contributes the same
-	// energy whether the Block carries a 0 or a 1, while the chessboard
-	// toggles with the payload, so the minimum estimates the texture
-	// floor — background subtraction for the §3.3 "high-texture areas"
-	// workaround. Requires payloads that vary across frames (the paper
-	// uses pseudo-random data).
-	NormalizeBlockBaseline Normalize = iota
-	// NormalizeFrameMean removes only the frame-wide mean energy — the
-	// most literal reading of the paper's "remove the mean absolute
-	// difference". Kept for the ablation; it confuses strongly textured
-	// content with data.
-	NormalizeFrameMean
-)
-
-// String implements fmt.Stringer.
-func (n Normalize) String() string {
-	switch n {
-	case NormalizeBlockBaseline:
-		return "block-baseline"
-	case NormalizeFrameMean:
-		return "frame-mean"
-	default:
-		return fmt.Sprintf("Normalize(%d)", int(n))
-	}
-}
-
 // ReceiverConfig describes the InFrame receiver.
 type ReceiverConfig struct {
 	// Layout is the transmitter's data frame geometry in display pixels.
@@ -79,38 +47,29 @@ type ReceiverConfig struct {
 	// Tau and RefreshHz recover the data frame timing.
 	Tau       int
 	RefreshHz float64
-	// Threshold is T: a Block reads 1 when its normalized noise score
-	// exceeds it (scores are frame-mean-removed, so T is near 0).
-	Threshold float64
-	// MinConfidence is the absolute hysteresis half-width (in energy
-	// units): Blocks whose score lies within ±MinConfidence of the
-	// threshold are "undecoded", making their GOB unavailable. Under the
-	// adaptive stage it acts as the floor of the relative band, which is
-	// what makes larger amplitudes decode more Blocks.
+	// MinConfidence is the absolute floor (in energy units) of each Block's
+	// hysteresis half-width: a Block whose score lies within the band of
+	// its threshold is "undecoded", making its GOB unavailable. The band is
+	// the larger of this floor and the relative AdaptiveBand, which is what
+	// makes larger amplitudes decode more Blocks.
 	MinConfidence float64
-	// Adaptive switches the decision stage to per-Block temporal
-	// self-calibration: across the decoded run, each Block's bit-0 and
-	// bit-1 energy levels are estimated as its own minimum and maximum
-	// aggregated energy, and the threshold sits midway between them. The
-	// scheme is invariant to static texture, vignetting and per-region
+	// AdaptiveBand is the relative hysteresis half-width, as a fraction of
+	// each Block's calibrated bit-0/bit-1 level gap. The decision stage is
+	// per-Block temporal self-calibration: across the calibration span,
+	// each Block's bit-0 and bit-1 energy levels are estimated from its own
+	// aggregated energy series, and its threshold sits midway between them.
+	// The scheme is invariant to static texture, vignetting and per-region
 	// attenuation, and Blocks that never show a usable swing (saturated
-	// areas, constant payload bits) come back undecided rather than
-	// wrong. Threshold is ignored when set; MinConfidence becomes the
-	// absolute band floor. Requires payloads that vary across frames
-	// (the paper uses pseudo-random data).
-	Adaptive bool
-	// AdaptiveBand is the hysteresis half-width as a fraction of the
-	// cluster gap (used when Adaptive is set).
+	// areas, constant payload bits) come back undecided rather than wrong.
+	// It requires payloads that vary across frames (the paper uses
+	// pseudo-random data).
 	AdaptiveBand float64
 	// MinGap is the smallest per-Block bit-0/bit-1 level separation (in
-	// energy units) the adaptive stage accepts as a live signal; Blocks
+	// energy units) the decision stage accepts as a live signal; Blocks
 	// below it are undecodable (saturated areas where the clipping
 	// adjustment crushed the chessboard, or captures whose exposure
 	// integrated a full complementary pair).
 	MinGap float64
-	// Normalize selects how raw per-Block noise energies are normalized
-	// before the decision stage (§3.3's high-texture workaround).
-	Normalize Normalize
 	// Exposure and ReadoutTime describe the camera's per-row timing (in
 	// seconds). When both are known (> 0 exposure), the receiver applies
 	// the §3.3 rolling-shutter counter-measure: rows whose exposure is
@@ -215,9 +174,7 @@ func DefaultReceiverConfig(p Params, capW, capH int) ReceiverConfig {
 		CaptureH:      capH,
 		Tau:           p.Tau,
 		RefreshHz:     120,
-		Threshold:     0,
 		MinConfidence: 0.3,
-		Adaptive:      true,
 		AdaptiveBand:  0.1,
 		MinGap:        0.6,
 		SmoothRadius:  1,
@@ -242,7 +199,7 @@ func (c ReceiverConfig) Validate() error {
 	if c.MinConfidence < 0 {
 		return fmt.Errorf("core: MinConfidence must be non-negative")
 	}
-	if c.Adaptive && (c.AdaptiveBand <= 0 || c.AdaptiveBand >= 0.5) {
+	if c.AdaptiveBand <= 0 || c.AdaptiveBand >= 0.5 {
 		return fmt.Errorf("core: AdaptiveBand must be in (0,0.5), got %v", c.AdaptiveBand)
 	}
 	if c.MinGap < 0 {
@@ -706,18 +663,6 @@ func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64
 	return scores, quality
 }
 
-// BlockDecision is the tri-state outcome of a Block detector.
-type BlockDecision int8
-
-const (
-	// BlockUndecided means the score fell inside the hysteresis band.
-	BlockUndecided BlockDecision = iota
-	// BlockZero is a confidently decoded 0.
-	BlockZero
-	// BlockOne is a confidently decoded 1.
-	BlockOne
-)
-
 // GOBResult summarizes one Group of Blocks of one decoded data frame.
 type GOBResult struct {
 	GX, GY int
@@ -772,96 +717,9 @@ func (fd *FrameDecode) ErroneousGOBs() int {
 	return n
 }
 
-// cluster2 estimates the bit-0 and bit-1 score levels robustly as the 20th
-// and 80th percentiles of the finite score distribution. With roughly
-// balanced random payloads the percentiles land inside the two clusters,
-// and — unlike k-means — the estimate is immune to a minority tail of
-// strongly textured outlier blocks. Degenerate inputs (no finite scores,
-// all-equal scores) return equal levels; callers must treat a non-positive
-// gap as "nothing decodable", never as a usable threshold.
-func cluster2(scores []float64) (c0, c1 float64) {
-	clean := make([]float64, 0, len(scores))
-	for _, s := range scores {
-		if !math.IsNaN(s) && !math.IsInf(s, 0) {
-			clean = append(clean, s)
-		}
-	}
-	if len(clean) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(clean)
-	pct := func(q float64) float64 {
-		return clean[int(q*float64(len(clean)-1))]
-	}
-	return pct(0.20), pct(0.80)
-}
-
-// DecodeScores converts accumulated per-Block scores into a FrameDecode,
-// applying the decision stage (fixed threshold+hysteresis, or adaptive
-// cluster-relative decision) and per-GOB parity.
-// DecodeScores converts per-Block scores into a FrameDecode. quality may be
-// nil (all blocks at full quality); low-quality blocks get a proportionally
-// wider hysteresis band, since their estimates carry more noise.
-func (r *Receiver) DecodeScores(index int, scores []float64, quality []float64, captures int) *FrameDecode {
-	l := r.cfg.Layout
-	fd := &FrameDecode{
-		Index:       index,
-		Captures:    captures,
-		Bits:        NewDataFrame(l),
-		Decided:     make([]bool, l.NumBlocks()),
-		BlockCauses: make([]ErasureCause, l.NumBlocks()),
-	}
-	threshold := r.cfg.Threshold
-	band := r.minConf
-	if r.cfg.Adaptive && len(scores) > 1 {
-		c0, c1 := cluster2(scores)
-		gap := c1 - c0
-		threshold = (c0 + c1) / 2
-		band = r.cfg.AdaptiveBand * gap
-		if band < r.minConf {
-			band = r.minConf
-		}
-		// !(gap > 0) also catches NaN: a degenerate frame (all-equal or
-		// all-unusable scores — e.g. a black video whose δ the clipping
-		// adjustment crushed to nothing) must come back all-unavailable,
-		// not as a zero-width threshold that "confidently" decodes noise.
-		if !(gap > 0) || gap < r.minGap {
-			band = math.Inf(1) // degenerate frame: nothing decodable
-		}
-		if math.IsNaN(threshold) {
-			threshold = 0
-			band = math.Inf(1)
-		}
-	}
-	for i, s := range scores {
-		if math.IsNaN(s) {
-			fd.Bits.Bits[i] = false
-			fd.Decided[i] = false
-			fd.BlockCauses[i] = CauseNoSignal
-			continue
-		}
-		blockBand := band
-		if quality != nil && quality[i] > 0 && quality[i] < 1 {
-			blockBand = band / math.Sqrt(quality[i])
-		}
-		fd.Bits.Bits[i] = s > threshold
-		fd.Decided[i] = math.Abs(s-threshold) >= blockBand
-		if !fd.Decided[i] {
-			if math.IsInf(blockBand, 1) {
-				// The degenerate-frame sentinel: no usable swing anywhere.
-				fd.BlockCauses[i] = CauseNoSwing
-			} else {
-				fd.BlockCauses[i] = CauseLowConfidence
-			}
-		}
-	}
-	buildGOBs(fd, l)
-	return fd
-}
-
 // buildGOBs derives the per-GOB availability, parity and erasure-cause
 // summary from a frame's Block decisions — the single GOB aggregation every
-// decode path (batch, adaptive, streaming, empty) runs through. An erased
+// decode path (decided or empty, batch or streaming) runs through. An erased
 // GOB reports the worst cause among its undecided Blocks; an available GOB
 // failing parity reports CauseParity.
 func buildGOBs(fd *FrameDecode, l Layout) {
@@ -913,20 +771,73 @@ func (r *Receiver) steadyWindow(d int, exposure float64) (t0, t1 float64) {
 	return start + lo, start + hi
 }
 
+// frameOf returns the data frame whose steady window holds the
+// mid-exposure of a capture started at t — the one capture selection rule of
+// both decode drivers. The window test is inclusive and written with
+// positive comparisons, so non-finite timing never passes it; a non-finite
+// start time and a non-finite or negative exposure (whose windows would
+// overlap) are rejected outright. The candidate frame ⌊mid/period⌋ is
+// checked together with its successor, because the division can round just
+// below an integer for a capture that sits on a window's opening edge.
+func (r *Receiver) frameOf(t, exposure float64) (d int, ok bool) {
+	if math.IsNaN(t) || math.IsInf(t, 0) || !(exposure >= 0) || math.IsInf(exposure, 1) {
+		return 0, false
+	}
+	mid := t + exposure/2
+	q := math.Floor(mid / r.DataFramePeriod())
+	// math.MaxInt32 keeps int(q)+1 representable on every platform.
+	if !(q >= -1 && q < math.MaxInt32) {
+		return 0, false
+	}
+	for d = max(int(q), 0); d <= int(q)+1; d++ {
+		if t0, t1 := r.steadyWindow(d, exposure); mid >= t0 && mid <= t1 {
+			return d, true
+		}
+	}
+	return 0, false
+}
+
+// observation is one scheduled capture as the decode drivers see it: its
+// per-Block energies and shutter qualities, its link quality (scored only
+// when the gate or a report needs it), and the gate's verdict.
+type observation struct {
+	scores, quality []float64
+	link            float64
+	excluded        bool
+}
+
+// observe measures one scheduled capture taken at t and applies the
+// MinCaptureQuality gate — the one measurement-and-gate step of both decode
+// drivers. Link quality is a pure observation, computed only when the gate
+// is on or wantQuality asks for it, so the ungated decode is untouched.
+func (r *Receiver) observe(f *frame.Frame, t float64, wantQuality bool) observation {
+	var o observation
+	o.scores, o.quality = r.MeasureCaptureAt(f, t)
+	gating := r.cfg.MinCaptureQuality > 0
+	if gating || wantQuality {
+		o.link = r.linkQuality(f, o.scores, o.quality)
+	}
+	o.excluded = gating && o.link < r.cfg.MinCaptureQuality
+	return o
+}
+
 // DecodeCaptures demultiplexes a captured sequence (frames plus exposure
 // start times) into data frames 0..nFrames-1, using the receiver's timing
 // model to select the captures whose mid-exposure falls in each data
 // frame's steady window. Data frames observed by no capture yield a
-// FrameDecode with zero captures and no available GOBs.
+// FrameDecode with zero captures and no available GOBs. Captures with a
+// non-finite start time, and every capture under a non-finite or negative
+// exposure, fall in no window.
 //
 // Decoding is two-pass: raw per-Block energies are first aggregated per
-// data frame, then normalized across frames (per-Block temporal baseline or
-// frame mean, per the configuration) before the per-frame decision stage.
+// data frame, then each Block's bit levels are calibrated from its own
+// aggregated series (per RecalibrateEvery window) before the per-frame
+// decision stage.
 //
 // The expensive stages fan out across the configured workers — energy
-// measurement per capture, then decision per data frame — with every
-// intermediate merged by index, so the result is bit-identical to a
-// sequential decode.
+// measurement per capture, level calibration per Block, then decision per
+// data frame — with every intermediate merged by index, so the result is
+// bit-identical to a sequential decode.
 func (r *Receiver) DecodeCaptures(caps []*frame.Frame, times []float64, exposure float64, nFrames int) []*FrameDecode {
 	dec, _ := r.decodeCaptures(caps, times, exposure, nFrames, false)
 	return dec
@@ -947,123 +858,49 @@ func (r *Receiver) decodeCaptures(caps []*frame.Frame, times []float64, exposure
 	if len(caps) != len(times) {
 		panic("core: captures and times length mismatch")
 	}
-	nBlocks := r.cfg.Layout.NumBlocks()
-	// Selection pass (cheap, pure timing): which captures contribute to
-	// which data frame.
-	selected := make([][]int, nFrames)
-	neededSet := make([]bool, len(caps))
-	for d := 0; d < nFrames; d++ {
-		t0, t1 := r.steadyWindow(d, exposure)
-		for i, t := range times {
-			mid := t + exposure/2
-			if mid < t0 || mid > t1 {
-				continue
-			}
-			selected[d] = append(selected[d], i)
-			neededSet[i] = true
-		}
-	}
-	needed := make([]int, 0, len(caps))
-	for i, n := range neededSet {
-		if n {
-			needed = append(needed, i)
+	// Selection pass (cheap, pure timing): each capture's data frame, or -1.
+	frameIdx := make([]int, len(caps))
+	for i, t := range times {
+		frameIdx[i] = -1
+		if d, ok := r.frameOf(t, exposure); ok && d < nFrames {
+			frameIdx[i] = d
 		}
 	}
 	// Measurement pass: per-capture Block energy scans are independent, so
-	// they fan out; each worker writes only its capture's slot. Link
-	// quality rides along when the gate or a report needs it — a pure
-	// observation, so the clean path's decode is untouched by it.
-	measured := make([][]float64, len(caps))
-	qualities := make([][]float64, len(caps))
-	gating := r.cfg.MinCaptureQuality > 0
-	var capQuality []float64
-	if wantReport || gating {
-		capQuality = make([]float64, len(caps))
-	}
-	parallel.For(r.cfg.Workers, len(needed), func(j int) {
-		i := needed[j]
-		measured[i], qualities[i] = r.MeasureCaptureAt(caps[i], times[i])
-		if capQuality != nil {
-			capQuality[i] = r.linkQuality(caps[i], measured[i], qualities[i])
+	// they fan out; each worker writes only its capture's slot.
+	obs := make([]observation, len(caps))
+	parallel.For(r.cfg.Workers, len(caps), func(i int) {
+		if frameIdx[i] >= 0 {
+			obs[i] = r.observe(caps[i], times[i], wantReport)
 		}
 	})
-	var excluded []bool
-	if gating {
-		excluded = make([]bool, len(caps))
-		for _, i := range needed {
-			excluded[i] = capQuality[i] < r.cfg.MinCaptureQuality
+	// Aggregation pass in ascending capture index, so each frame's float
+	// accumulation order is fixed at any worker count.
+	nBlocks := r.cfg.Layout.NumBlocks()
+	accs := make([]*frameAcc, nFrames)
+	for i, d := range frameIdx {
+		if d < 0 || obs[i].excluded {
+			continue
 		}
+		if accs[d] == nil {
+			accs[d] = newFrameAcc(nBlocks)
+		}
+		accs[d].add(obs[i].scores, obs[i].quality)
 	}
-	// Aggregation pass: same capture order per frame as the sequential
-	// code, so float accumulation is bit-identical.
-	agg := make([][]float64, nFrames)
-	qual := make([][]float64, nFrames)
-	counts := make([]int, nFrames)
-	blockN := make([]float64, nBlocks)
-	for d := 0; d < nFrames; d++ {
-		var acc []float64
-		for j := range blockN {
-			blockN[j] = 0
-		}
-		for _, i := range selected[d] {
-			if excluded != nil && excluded[i] {
-				continue
-			}
-			if acc == nil {
-				acc = make([]float64, nBlocks)
-				qual[d] = make([]float64, nBlocks)
-			}
-			for j, s := range measured[i] {
-				if math.IsNaN(s) {
-					continue // block fully inside a dropped row band
-				}
-				acc[j] += s
-				qual[d][j] += qualities[i][j]
-				blockN[j]++
-			}
-			counts[d]++
-		}
-		if acc != nil {
-			for j := range acc {
-				if blockN[j] > 0 {
-					acc[j] /= blockN[j]
-					qual[d][j] /= blockN[j]
-				} else {
-					acc[j] = math.NaN()
-				}
-			}
-		}
-		agg[d] = acc
-	}
-
-	var out []*FrameDecode
-	if r.cfg.Adaptive {
-		out = r.decodePerBlock(agg, qual, counts)
-	} else {
-		r.normalize(agg)
-		out = make([]*FrameDecode, nFrames)
-		parallel.For(r.cfg.Workers, nFrames, func(d int) {
-			if counts[d] == 0 {
-				out[d] = r.emptyDecode(d)
-				return
-			}
-			out[d] = r.DecodeScores(d, agg[d], qual[d], counts[d])
-		})
-	}
+	out := r.decodePerBlock(accs)
 	if !wantReport {
 		return out, nil
 	}
 	rep := &DecodeReport{Frames: out, Quality: make([]CaptureQuality, len(caps)), Registration: r.registration()}
 	for i := range caps {
 		q := CaptureQuality{Index: i, Time: times[i]}
-		if neededSet[i] {
+		if frameIdx[i] >= 0 {
 			q.Scored = true
-			q.Quality = capQuality[i]
-			if excluded != nil && excluded[i] {
-				q.Excluded = true
+			q.Quality = obs[i].link
+			q.Excluded = obs[i].excluded
+			q.Used = !q.Excluded
+			if q.Excluded {
 				rep.ExcludedCaptures++
-			} else {
-				q.Used = true
 			}
 		}
 		rep.Quality[i] = q
@@ -1178,39 +1015,77 @@ func (r *Receiver) emptyDecode(d int) *FrameDecode {
 	return fd
 }
 
-// calibrateLevels estimates each Block's bit-0 and bit-1 energy levels over
-// the given aggregated frames: the 10th/90th percentiles of the Block's own
-// finite energy time series. Percentiles rather than extremes keep a single
-// texture spike from inflating the Block's band forever, while still letting
-// genuine content fluctuations produce the (realistic) occasional confident
-// error. Blocks with no finite samples come back (+Inf, −Inf). The per-Block
-// work is independent and each slot written exactly once, so the fan-out
-// merges by index.
-func (r *Receiver) calibrateLevels(rows [][]float64) (lo, hi []float64) {
-	nBlocks := r.cfg.Layout.NumBlocks()
-	series := make([][]float64, nBlocks)
-	for _, row := range rows {
-		if row == nil {
+// frameAcc accumulates one data frame's per-Block energies and shutter
+// qualities over the captures selected for it — the one aggregation of both
+// decode drivers. n counts contributing captures per Block as an integer,
+// so the no-contribution test stays exact (no float equality).
+type frameAcc struct {
+	sum, qual []float64
+	n         []int
+	captures  int
+}
+
+func newFrameAcc(nBlocks int) *frameAcc {
+	return &frameAcc{sum: make([]float64, nBlocks), qual: make([]float64, nBlocks), n: make([]int, nBlocks)}
+}
+
+// add folds one capture's measurement into the frame. Blocks the capture
+// could not measure (NaN: fully inside a dropped row band, or out of view)
+// contribute nothing; the capture still counts toward the frame.
+func (a *frameAcc) add(scores, quality []float64) {
+	for j, s := range scores {
+		if math.IsNaN(s) {
 			continue
 		}
-		for j, s := range row {
-			if !math.IsNaN(s) {
-				series[j] = append(series[j], s)
-			}
-		}
+		a.sum[j] += s
+		a.qual[j] += quality[j]
+		a.n[j]++
 	}
+	a.captures++
+}
+
+// mean returns Block j's aggregated energy and shutter quality: the means
+// over the captures that measured it, or (NaN, 0) when none did.
+func (a *frameAcc) mean(j int) (score, quality float64) {
+	if a.n[j] == 0 {
+		return math.NaN(), 0
+	}
+	n := float64(a.n[j])
+	return a.sum[j] / n, a.qual[j] / n
+}
+
+// calibrateLevels estimates each Block's bit-0 and bit-1 energy levels over
+// the given frames (nil for frames no capture reached): the 10th/90th
+// percentiles of the Block's own finite aggregated-energy series.
+// Percentiles rather than extremes keep a single texture spike from
+// inflating the Block's band forever, while still letting genuine content
+// fluctuations produce the (realistic) occasional confident error. Blocks
+// with no finite samples come back (+Inf, −Inf). The per-Block work fans out
+// across workers in chunks, each reusing one series scratch, and every slot
+// is written exactly once, so the result merges by index.
+func (r *Receiver) calibrateLevels(accs []*frameAcc, workers int) (lo, hi []float64) {
+	nBlocks := r.cfg.Layout.NumBlocks()
 	lo = make([]float64, nBlocks)
 	hi = make([]float64, nBlocks)
-	parallel.ForChunked(r.cfg.Workers, nBlocks, func(jlo, jhi int) {
+	parallel.ForChunked(workers, nBlocks, func(jlo, jhi int) {
+		series := make([]float64, 0, len(accs))
 		for j := jlo; j < jhi; j++ {
-			sv := series[j]
-			if len(sv) == 0 {
+			series = series[:0]
+			for _, a := range accs {
+				if a == nil {
+					continue
+				}
+				if s, _ := a.mean(j); !math.IsNaN(s) {
+					series = append(series, s)
+				}
+			}
+			if len(series) == 0 {
 				lo[j] = math.Inf(1)
 				hi[j] = math.Inf(-1)
 				continue
 			}
-			sort.Float64s(sv)
-			lo[j], hi[j] = levelPercentiles(sv)
+			sort.Float64s(series)
+			lo[j], hi[j] = levelPercentiles(series)
 		}
 	})
 	return lo, hi
@@ -1223,72 +1098,65 @@ func levelPercentiles(sorted []float64) (lo, hi float64) {
 	return sorted[int(0.1*n)], sorted[int(math.Ceil(0.9*n))]
 }
 
-// decodePerBlock implements the adaptive per-Block decision stage: each
-// Block's bit levels are its own percentiles across the calibration span
-// (calibrateLevels), and every frame is decided against them by
-// decideFrame. With RecalibrateEvery set, the run is calibrated in
-// independent windows so the thresholds track slow lighting and gain drift.
-func (r *Receiver) decodePerBlock(agg, qual [][]float64, counts []int) []*FrameDecode {
-	if len(agg) == 0 {
+// decodePerBlock is the batch decision stage: each Block's bit levels are
+// its own percentiles across the calibration span (calibrateLevels), and
+// every frame is decided against them by decideFrame. With RecalibrateEvery
+// set, the run is calibrated in independent windows so the thresholds track
+// slow lighting and gain drift.
+func (r *Receiver) decodePerBlock(accs []*frameAcc) []*FrameDecode {
+	if len(accs) == 0 {
 		return make([]*FrameDecode, 0)
 	}
 	win := r.cfg.RecalibrateEvery
-	if win <= 0 || win > len(agg) {
-		win = len(agg)
+	if win <= 0 || win > len(accs) {
+		win = len(accs)
 	}
 	type levels struct{ lo, hi []float64 }
 	// The trailing remainder joins the final window: a runt window of a few
 	// frames starves the percentile estimates far worse than a slightly
 	// longer final window smears them.
-	nWins := len(agg) / win
-	if nWins == 0 {
-		nWins = 1
-	}
+	nWins := len(accs) / win
 	wins := make([]levels, 0, nWins)
 	for w := 0; w < nWins; w++ {
 		w0 := w * win
 		w1 := w0 + win
 		if w == nWins-1 {
-			w1 = len(agg)
+			w1 = len(accs)
 		}
-		lo, hi := r.calibrateLevels(agg[w0:w1])
+		lo, hi := r.calibrateLevels(accs[w0:w1], r.cfg.Workers)
 		wins = append(wins, levels{lo: lo, hi: hi})
 	}
-	out := make([]*FrameDecode, len(agg))
-	parallel.For(r.cfg.Workers, len(agg), func(d int) {
-		row := agg[d]
-		if counts[d] == 0 || row == nil {
-			out[d] = r.emptyDecode(d)
-			return
-		}
-		wi := d / win
-		if wi >= len(wins) {
-			wi = len(wins) - 1
-		}
-		out[d] = r.decideFrame(d, counts[d], row, qual[d], wins[wi].lo, wins[wi].hi)
+	out := make([]*FrameDecode, len(accs))
+	parallel.For(r.cfg.Workers, len(accs), func(d int) {
+		wi := min(d/win, len(wins)-1)
+		out[d] = r.decideFrame(d, accs[d], wins[wi].lo, wins[wi].hi)
 	})
 	return out
 }
 
-// decideFrame is the adaptive per-Block decision of data frame d, shared by
-// the batch and the streaming decoder so both apply the same effective
-// (pose-attenuated) floors. Each Block's threshold is the midpoint of its
+// decideFrame is the per-Block decision of data frame d from its
+// accumulator a, shared by the batch and the streaming driver so both apply
+// the same effective (pose-attenuated) floors. A frame no capture reached
+// (nil a) is a timing gap. Each Block's threshold is the midpoint of its
 // calibrated levels lo, hi and its hysteresis band the larger of the
 // relative band and the confidence floor, widened by 1/√q for a
-// shutter-degraded measurement of link quality q; quality may be nil
-// (no widening). A Block without a finite score or levels, or whose level
-// gap falls below the swing floor, is an erasure.
-func (r *Receiver) decideFrame(d, captures int, scores, quality, lo, hi []float64) *FrameDecode {
+// shutter-degraded measurement of quality q. A Block without a finite score
+// or levels, or whose level gap falls below the swing floor, is an erasure.
+func (r *Receiver) decideFrame(d int, a *frameAcc, lo, hi []float64) *FrameDecode {
+	if a == nil {
+		return r.emptyDecode(d)
+	}
 	l := r.cfg.Layout
 	nBlocks := l.NumBlocks()
 	fd := &FrameDecode{
 		Index:       d,
-		Captures:    captures,
+		Captures:    a.captures,
 		Bits:        NewDataFrame(l),
 		Decided:     make([]bool, nBlocks),
 		BlockCauses: make([]ErasureCause, nBlocks),
 	}
-	for j, s := range scores {
+	for j := 0; j < nBlocks; j++ {
+		s, q := a.mean(j)
 		if math.IsNaN(s) || math.IsInf(lo[j], 1) {
 			fd.BlockCauses[j] = CauseNoSignal
 			continue
@@ -1305,8 +1173,8 @@ func (r *Receiver) decideFrame(d, captures int, scores, quality, lo, hi []float6
 		if band < r.minConf {
 			band = r.minConf
 		}
-		if quality != nil && quality[j] > 0 && quality[j] < 1 {
-			band /= math.Sqrt(quality[j])
+		if q > 0 && q < 1 {
+			band /= math.Sqrt(q)
 		}
 		fd.Bits.Bits[j] = s > thr
 		fd.Decided[j] = math.Abs(s-thr) >= band
@@ -1316,69 +1184,4 @@ func (r *Receiver) decideFrame(d, captures int, scores, quality, lo, hi []float6
 	}
 	buildGOBs(fd, l)
 	return fd
-}
-
-// normalize converts aggregated raw energies into decision scores in place,
-// per the configured strategy. Frames without captures (nil rows) are
-// skipped.
-func (r *Receiver) normalize(agg [][]float64) {
-	switch r.cfg.Normalize {
-	case NormalizeFrameMean:
-		for _, row := range agg {
-			if row == nil {
-				continue
-			}
-			var mean float64
-			var n int
-			for _, s := range row {
-				if math.IsNaN(s) {
-					continue
-				}
-				mean += s
-				n++
-			}
-			if n == 0 {
-				continue
-			}
-			mean /= float64(n)
-			for j := range row {
-				row[j] -= mean
-			}
-		}
-	case NormalizeBlockBaseline:
-		nBlocks := r.cfg.Layout.NumBlocks()
-		baseline := make([]float64, nBlocks)
-		for j := range baseline {
-			baseline[j] = math.Inf(1)
-		}
-		seen := false
-		for _, row := range agg {
-			if row == nil {
-				continue
-			}
-			seen = true
-			for j, s := range row {
-				if !math.IsNaN(s) && s < baseline[j] {
-					baseline[j] = s
-				}
-			}
-		}
-		if !seen {
-			return
-		}
-		for _, row := range agg {
-			if row == nil {
-				continue
-			}
-			for j := range row {
-				if math.IsInf(baseline[j], 1) {
-					row[j] = math.NaN()
-					continue
-				}
-				row[j] -= baseline[j]
-			}
-		}
-	default:
-		panic(fmt.Sprintf("core: unknown normalization %v", r.cfg.Normalize))
-	}
 }

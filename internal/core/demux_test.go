@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"inframe/internal/frame"
@@ -98,53 +99,35 @@ func TestMeasureCaptureSizeMismatchPanics(t *testing.T) {
 	r.MeasureCapture(frame.New(10, 10))
 }
 
-func TestDecodeScoresHysteresis(t *testing.T) {
-	p := smallParams()
-	cfg := DefaultReceiverConfig(p, p.Layout.FrameW, p.Layout.FrameH)
-	cfg.Adaptive = false // fixed-threshold semantics under test
-	r, err := NewReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := p.Layout
-	scores := make([]float64, l.NumBlocks())
-	for i := range scores {
-		scores[i] = 2 // confident ones
-	}
-	scores[0] = 0.1 // inside the ±0.35 band → undecided
-	fd := r.DecodeScores(0, scores, nil, 1)
-	if fd.Decided[0] {
-		t.Fatal("score inside hysteresis band decided")
-	}
-	if !fd.Decided[1] {
-		t.Fatal("confident score undecided")
-	}
-	// GOB containing block 0 unavailable, others available.
-	if fd.GOBs[0].Available {
-		t.Fatal("GOB with undecided block marked available")
-	}
-	avail := fd.AvailableGOBs()
-	if avail != l.NumGOBs()-1 {
-		t.Fatalf("available GOBs = %d, want %d", avail, l.NumGOBs()-1)
-	}
-}
-
-func TestDecodeScoresParity(t *testing.T) {
+// TestDecideFrameParity: a legal data frame decided against per-Block levels
+// leaves every GOB available and parity-clean; flipping one Block's energy
+// to the other level makes exactly one GOB erroneous.
+func TestDecideFrameParity(t *testing.T) {
 	p := smallParams()
 	r := smallReceiver(t, p)
 	l := p.Layout
-	// Encode a legal data frame, convert to scores, decode: all GOBs
-	// available and parity-clean.
-	df := NewRandomStream(l, 3).DataFrame(0)
-	scores := make([]float64, l.NumBlocks())
-	for i, b := range df.Bits {
-		if b {
-			scores[i] = 2
-		} else {
-			scores[i] = -2
-		}
+	n := l.NumBlocks()
+	lo := make([]float64, n)
+	hi := make([]float64, n)
+	for j := range lo {
+		lo[j], hi[j] = 1, 5
 	}
-	fd := r.DecodeScores(0, scores, nil, 1)
+	df := NewRandomStream(l, 3).DataFrame(0)
+	scores := make([]float64, n)
+	quality := make([]float64, n)
+	for i, b := range df.Bits {
+		scores[i] = lo[i]
+		if b {
+			scores[i] = hi[i]
+		}
+		quality[i] = 1
+	}
+	decide := func() *FrameDecode {
+		a := newFrameAcc(n)
+		a.add(scores, quality)
+		return r.decideFrame(0, a, lo, hi)
+	}
+	fd := decide()
 	if fd.AvailableGOBs() != l.NumGOBs() {
 		t.Fatalf("available = %d, want all %d", fd.AvailableGOBs(), l.NumGOBs())
 	}
@@ -154,11 +137,10 @@ func TestDecodeScoresParity(t *testing.T) {
 	if !fd.Bits.Equal(df) {
 		t.Fatal("decoded bits differ from encoded")
 	}
-	// Flip one block's score: its GOB becomes erroneous.
-	scores[0] = -scores[0]
-	fd2 := r.DecodeScores(0, scores, nil, 1)
-	if fd2.ErroneousGOBs() != 1 {
-		t.Fatalf("erroneous after flip = %d, want 1", fd2.ErroneousGOBs())
+	// Flip one block's energy to the other level: its GOB becomes erroneous.
+	scores[0] = lo[0] + hi[0] - scores[0]
+	if got := decide().ErroneousGOBs(); got != 1 {
+		t.Fatalf("erroneous after flip = %d, want 1", got)
 	}
 }
 
@@ -197,7 +179,7 @@ func TestEndToEndIdealChannel(t *testing.T) {
 
 // TestEndToEndTexturedVideo: on strongly textured content the energy
 // detector still recovers most blocks on an ideal channel, because the
-// frame-mean normalization removes the common texture level; accuracy is
+// per-Block calibration removes the static texture level; accuracy is
 // allowed to dip but not collapse.
 func TestEndToEndTexturedVideo(t *testing.T) {
 	p := smallParams()
@@ -336,5 +318,79 @@ func TestDetectorString(t *testing.T) {
 	}
 	if Detector(7).String() != "Detector(7)" {
 		t.Fatal("unknown detector name wrong")
+	}
+}
+
+// TestNonFiniteTimingIsUnscheduled: timing the receiver cannot place selects
+// nothing, in both decode drivers. A capture stamped NaN or ±Inf is left
+// unscored and the decode equals the decode without it — in particular a
+// push at t = +Inf returns nil at once instead of emitting empty decodes
+// forever, and the next finite push emits from the same index. Under a NaN,
+// +Inf or negative exposure (whose steady windows would be undefined or
+// overlap) no capture is scored and every frame is an empty decode.
+func TestNonFiniteTimingIsUnscheduled(t *testing.T) {
+	p := smallParams()
+	l := p.Layout
+	m := newMux(t, p, video.Gray(l.FrameW, l.FrameH), NewRandomStream(l, 5))
+	nData := 10
+	caps, times, exp := idealCaptures(m, nData*p.Tau)
+	r := smallReceiver(t, p)
+	stream := func(caps []*frame.Frame, times []float64, exposure float64) []*FrameDecode {
+		sr, err := NewStreamingReceiver(r.Config(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*FrameDecode
+		for i := range caps {
+			got := sr.Push(caps[i], times[i], exposure)
+			if got != nil && (math.IsNaN(times[i]) || math.IsInf(times[i], 0)) {
+				t.Fatalf("push at t=%v emitted %d frames, want nil", times[i], len(got))
+			}
+			out = append(out, got...)
+		}
+		return out
+	}
+
+	k := 5*p.Tau + 1 // a capture inside frame 5's steady window
+	without := func(s []float64) []float64 { return append(append([]float64{}, s[:k]...), s[k+1:]...) }
+	capsWithout := append(append([]*frame.Frame{}, caps[:k]...), caps[k+1:]...)
+	wantBatch, _ := r.DecodeCapturesReport(capsWithout, without(times), exp, nData)
+	wantStream := stream(capsWithout, without(times), exp)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bt := append([]float64{}, times...)
+		bt[k] = bad
+		got, rep := r.DecodeCapturesReport(caps, bt, exp, nData)
+		if rep.Quality[k].Scored {
+			t.Fatalf("capture at t=%v scored", bad)
+		}
+		if !reflect.DeepEqual(got, wantBatch) {
+			t.Fatalf("batch: a capture at t=%v changed the decode", bad)
+		}
+		if !reflect.DeepEqual(stream(caps, bt, exp), wantStream) {
+			t.Fatalf("streaming: a capture at t=%v changed the decode", bad)
+		}
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -exp} {
+		got, rep := r.DecodeCapturesReport(caps, times, bad, nData)
+		for i, q := range rep.Quality {
+			if q.Scored {
+				t.Fatalf("exposure %v: capture %d scored", bad, i)
+			}
+		}
+		for d, fd := range got {
+			if !reflect.DeepEqual(fd, r.emptyDecode(d)) {
+				t.Fatalf("exposure %v: batch frame %d is not an empty decode (%d captures)", bad, d, fd.Captures)
+			}
+		}
+		out := stream(caps, times, bad)
+		if len(out) == 0 {
+			t.Fatalf("exposure %v: the stream emitted nothing", bad)
+		}
+		for i, fd := range out {
+			if fd.Index != i || !reflect.DeepEqual(fd, r.emptyDecode(i)) {
+				t.Fatalf("exposure %v: stream frame %d (index %d) is not an empty decode (%d captures)", bad, i, fd.Index, fd.Captures)
+			}
+		}
 	}
 }

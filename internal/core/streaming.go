@@ -3,15 +3,17 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"inframe/internal/frame"
 )
 
-// StreamingReceiver is the online counterpart of Receiver.DecodeCaptures:
-// captures are pushed as they arrive and data frames are emitted as soon as
-// their steady window has passed, with the per-Block level calibration
-// computed causally over a trailing window of frames.
+// StreamingReceiver is the online driver of the receiver's decoder: captures
+// are pushed as they arrive and data frames are emitted as soon as their
+// steady window has passed. It runs the batch decoder's own capture
+// selection (frameOf), measurement and quality gate (observe), aggregation
+// (frameAcc) and per-frame decision (decideFrame). Only the level
+// calibration differs: it is computed causally over a trailing window of
+// frames rather than over RecalibrateEvery tiles of the whole run.
 //
 // Besides enabling live operation, the sliding window lets the calibration
 // track content drift: a Block whose texture changes (a moving edge passes
@@ -20,18 +22,8 @@ type StreamingReceiver struct {
 	rcv    *Receiver
 	window int
 
-	// per pending/recent data frame: aggregated energies and quality
-	agg     map[int]*streamAgg
-	emitted int // next data frame index to emit
-}
-
-type streamAgg struct {
-	sum  []float64
-	qual []float64
-	// n counts contributing captures per Block; an integer so the
-	// no-contribution test stays exact (no float equality).
-	n        []int
-	captures int
+	acc     map[int]*frameAcc // pending and recent data frames' aggregates
+	emitted int               // next data frame index to emit
 }
 
 // NewStreamingReceiver wraps a receiver configuration with a trailing
@@ -45,41 +37,33 @@ func NewStreamingReceiver(cfg ReceiverConfig, window int) (*StreamingReceiver, e
 	if err != nil {
 		return nil, err
 	}
-	return &StreamingReceiver{rcv: rcv, window: window, agg: make(map[int]*streamAgg)}, nil
+	return &StreamingReceiver{rcv: rcv, window: window, acc: make(map[int]*frameAcc)}, nil
 }
 
 // Receiver exposes the wrapped physical-layer receiver.
 func (s *StreamingReceiver) Receiver() *Receiver { return s.rcv }
 
 // Push ingests one capture taken at time t (exposure start) and returns any
-// data frames that became decodable. Frames are emitted in order; a frame
-// no capture observed is emitted with zero captures.
+// data frames that became decodable: every frame whose steady window ends
+// before t, in order. A frame no capture observed — or whose every capture
+// the MinCaptureQuality gate excluded — is emitted with zero captures, so by
+// contract a forward jump in t emits one empty decode per skipped frame. A
+// non-finite t neither feeds nor advances the stream.
 func (s *StreamingReceiver) Push(capture *frame.Frame, t, exposure float64) []*FrameDecode {
-	period := s.rcv.DataFramePeriod()
-	mid := t + exposure/2
-	d := int(mid / period)
-	if d >= 0 {
-		t0, t1 := s.rcv.steadyWindow(d, exposure)
-		if mid >= t0 && mid <= t1 {
-			scores, quality := s.rcv.MeasureCaptureAt(capture, t)
-			a := s.agg[d]
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return nil
+	}
+	if d, ok := s.rcv.frameOf(t, exposure); ok {
+		if o := s.rcv.observe(capture, t, false); !o.excluded {
+			a := s.acc[d]
 			if a == nil {
-				n := s.rcv.cfg.Layout.NumBlocks()
-				a = &streamAgg{sum: make([]float64, n), qual: make([]float64, n), n: make([]int, n)}
-				s.agg[d] = a
+				a = newFrameAcc(s.rcv.cfg.Layout.NumBlocks())
+				s.acc[d] = a
 			}
-			for j, sc := range scores {
-				if math.IsNaN(sc) {
-					continue
-				}
-				a.sum[j] += sc
-				a.qual[j] += quality[j]
-				a.n[j]++
-			}
-			a.captures++
+			a.add(o.scores, o.quality)
 		}
 	}
-	// Emit every frame whose steady window has fully passed.
+	period := s.rcv.DataFramePeriod()
 	var out []*FrameDecode
 	for float64(s.emitted)*period+period/2 < t {
 		//lint:ignore preallocate the emit window yields 0–1 frames per push; a hint would overshoot
@@ -89,46 +73,22 @@ func (s *StreamingReceiver) Push(capture *frame.Frame, t, exposure float64) []*F
 	return out
 }
 
-// finalize decodes data frame d against the trailing-window calibration and
-// drops aggregates that fell out of every future window.
+// finalize decodes data frame d against the levels calibrated over its
+// trailing window, after dropping the aggregate that fell out of every
+// future window.
 func (s *StreamingReceiver) finalize(d int) *FrameDecode {
-	a := s.agg[d]
-	if a == nil || a.captures == 0 {
+	delete(s.acc, d-s.window)
+	a := s.acc[d]
+	if a == nil {
 		return s.rcv.emptyDecode(d)
 	}
-	nBlocks := s.rcv.cfg.Layout.NumBlocks()
-	scores := make([]float64, nBlocks)
-	quality := make([]float64, nBlocks)
-	for j := 0; j < nBlocks; j++ {
-		if a.n[j] == 0 {
-			scores[j] = math.NaN()
-			continue
-		}
-		scores[j] = a.sum[j] / float64(a.n[j])
-		quality[j] = a.qual[j] / float64(a.n[j])
+	win := make([]*frameAcc, 0, s.window)
+	for w := max(d-s.window+1, 0); w <= d; w++ {
+		win = append(win, s.acc[w])
 	}
-
-	// Trailing-window per-Block levels.
-	lo := make([]float64, nBlocks)
-	hi := make([]float64, nBlocks)
-	series := make([]float64, 0, s.window)
-	for j := 0; j < nBlocks; j++ {
-		series = series[:0]
-		for w := d; w > d-s.window && w >= 0; w-- {
-			if wa := s.agg[w]; wa != nil && wa.n[j] > 0 {
-				series = append(series, wa.sum[j]/float64(wa.n[j]))
-			}
-		}
-		if len(series) == 0 {
-			lo[j] = math.Inf(1)
-			hi[j] = math.Inf(-1)
-			continue
-		}
-		sort.Float64s(series)
-		lo[j], hi[j] = levelPercentiles(series)
-	}
-	fd := s.rcv.decideFrame(d, a.captures, scores, quality, lo, hi)
-	// Garbage-collect aggregates older than any future window.
-	delete(s.agg, d-s.window)
-	return fd
+	// One worker: the window is a few frames deep, and a fan-out per
+	// streamed frame would move work across goroutines, which also makes
+	// the measurement's per-P sync.Pool integer scratch miss.
+	lo, hi := s.rcv.calibrateLevels(win, 1)
+	return s.rcv.decideFrame(d, a, lo, hi)
 }

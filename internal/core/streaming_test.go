@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"inframe/internal/frame"
@@ -215,35 +216,27 @@ func TestStreamingDecisionMatchesBatchUnderPose(t *testing.T) {
 	// apart, and every third Block has a degraded link quality, which widens
 	// its band.
 	nBlocks := l.NumBlocks()
-	agg := make([][]float64, window)
-	qual := make([][]float64, window)
-	counts := make([]int, window)
-	for d := range agg {
-		agg[d] = make([]float64, nBlocks)
-		qual[d] = make([]float64, nBlocks)
-		ones := make([]int, nBlocks)
-		for j := range agg[d] {
-			agg[d][j] = 10
+	accs := make([]*frameAcc, window)
+	for d := range accs {
+		scores := make([]float64, nBlocks)
+		quality := make([]float64, nBlocks)
+		for j := range scores {
+			scores[j] = 10
 			if (d+j)%2 == 1 {
-				agg[d][j] += gap
+				scores[j] += gap
 			}
-			qual[d][j] = 1
+			quality[j] = 1
 			if j%3 == 0 {
-				qual[d][j] = 0.2
+				quality[j] = 0.2
 			}
-			ones[j] = 1
 		}
-		counts[d] = 1
-		sr.agg[d] = &streamAgg{
-			sum:      append([]float64(nil), agg[d]...),
-			qual:     append([]float64(nil), qual[d]...),
-			n:        ones,
-			captures: 1,
-		}
+		accs[d] = newFrameAcc(nBlocks)
+		accs[d].add(scores, quality)
+		sr.acc[d] = accs[d]
 	}
 
 	d := window - 1 // its trailing window spans every frame, like the batch calibration
-	want := r.decodePerBlock(agg, qual, counts)[d]
+	want := r.decodePerBlock(accs)[d]
 	got := sr.finalize(d)
 	decided := 0
 	for j := 0; j < nBlocks; j++ {
@@ -259,5 +252,43 @@ func TestStreamingDecisionMatchesBatchUnderPose(t *testing.T) {
 	}
 	if decided == 0 {
 		t.Fatal("batch decided no Block; the gap does not exercise the attenuated floor")
+	}
+}
+
+// TestStreamingMinCaptureQualityGating: the online driver honours the same
+// capture-quality gate as the batch one. The all-black capture that
+// TestMinCaptureQualityGating splices into data frame 7 is pushed right after
+// that frame's genuine captures; gated at 0.2 the emitted frames equal the
+// clean stream's, ungated the garbage pollutes them.
+func TestStreamingMinCaptureQualityGating(t *testing.T) {
+	p := smallParams()
+	l := p.Layout
+	m := newMux(t, p, video.Gray(l.FrameW, l.FrameH), NewRandomStream(l, 11))
+	nData := 24
+	caps, times, exp := idealCaptures(m, nData*p.Tau)
+	at := 7*p.Tau + p.Tau/2 // first capture past frame 7's steady window
+	garbage := frame.NewFilled(l.FrameW, l.FrameH, 0)
+	polluted := append(append(append([]*frame.Frame{}, caps[:at]...), garbage), caps[at:]...)
+	pollutedTimes := append(append(append([]float64{}, times[:at]...), times[7*p.Tau]+exp/4), times[at:]...)
+
+	run := func(gate float64, caps []*frame.Frame, times []float64) []*FrameDecode {
+		cfg := DefaultReceiverConfig(p, l.FrameW, l.FrameH)
+		cfg.MinCaptureQuality = gate
+		sr, err := NewStreamingReceiver(cfg, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*FrameDecode
+		for i := range caps {
+			out = append(out, sr.Push(caps[i], times[i], exp)...)
+		}
+		return out
+	}
+	want := run(0, caps, times)
+	if got := run(0.2, polluted, pollutedTimes); !reflect.DeepEqual(got, want) {
+		t.Fatal("gated stream of the polluted sequence differs from the clean stream")
+	}
+	if got := run(0, polluted, pollutedTimes); reflect.DeepEqual(got, want) {
+		t.Fatal("ungated garbage capture left the stream unchanged; the gate test exercises nothing")
 	}
 }

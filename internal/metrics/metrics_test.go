@@ -17,38 +17,45 @@ func testLayout() core.Layout {
 }
 
 // fakeDecode builds a FrameDecode with the given number of available GOBs,
-// of which errs fail parity, against an all-zero transmission.
+// of which errs fail parity, against an all-zero transmission. The first
+// Block of each unavailable GOB is undecided (low confidence); the first
+// Block of each erroneous GOB is a confident wrong 1.
 func fakeDecode(t *testing.T, l core.Layout, avail, errs int) (*core.FrameDecode, *core.DataFrame) {
 	t.Helper()
 	sent := core.NewDataFrame(l) // all zero: parity holds trivially
-	scores := make([]float64, l.NumBlocks())
-	for i := range scores {
-		scores[i] = -2 // confident zeros
+	fd := &core.FrameDecode{
+		Captures:    1,
+		Bits:        core.NewDataFrame(l),
+		Decided:     make([]bool, l.NumBlocks()),
+		BlockCauses: make([]core.ErasureCause, l.NumBlocks()),
 	}
-	cfg := core.DefaultReceiverConfig(core.DefaultParams(l), l.FrameW, l.FrameH)
-	cfg.Adaptive = false // deterministic fixed-threshold decisions
-	r, err := core.NewReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for i := range fd.Decided {
+		fd.Decided[i] = true
 	}
-	// Make (NumGOBs - avail) GOBs unavailable by zeroing one block score
-	// (inside the hysteresis band), and errs GOBs erroneous by flipping one
-	// block to a confident 1.
 	g := 0
 	for gy := 0; gy < l.GOBsY(); gy++ {
 		for gx := 0; gx < l.GOBsX(); gx++ {
 			blk := l.GOBBlocks(gx, gy)[0]
 			idx := blk[1]*l.BlocksX + blk[0]
+			res := core.GOBResult{GX: gx, GY: gy, Available: true, ParityOK: true}
 			switch {
 			case g >= avail:
-				scores[idx] = 0 // undecided
+				fd.Decided[idx] = false
+				fd.BlockCauses[idx] = core.CauseLowConfidence
+				res = core.GOBResult{GX: gx, GY: gy, Cause: core.CauseLowConfidence}
 			case g < errs:
-				scores[idx] = 2 // wrong bit → parity failure
+				fd.Bits.Bits[idx] = true
+				res.ParityOK = false
+				res.Cause = core.CauseParity
 			}
+			if res.Available && res.ParityOK != fd.Bits.ParityOK(gx, gy) {
+				t.Fatalf("GOB (%d,%d): parity flag disagrees with the bits", gx, gy)
+			}
+			fd.GOBs = append(fd.GOBs, res)
 			g++
 		}
 	}
-	return r.DecodeScores(0, scores, nil, 1), sent
+	return fd, sent
 }
 
 func TestGOBStatsCounts(t *testing.T) {

@@ -12,14 +12,16 @@ import (
 // Every knob is pinned so the matrix below can assert numeric bounds.
 func robustnessPipeline(t *testing.T, workers int, imp *ImpairConfig) (*ChannelResult, []*FrameDecode, *DecodeReport, *RandomStreamOracle) {
 	t.Helper()
-	return posePipeline(t, workers, imp, false)
+	res, decoded, rep, oracle, _ := posePipeline(t, workers, imp, false)
+	return res, decoded, rep, oracle
 }
 
 // posePipeline is robustnessPipeline with an optional registration step:
 // when registered is true the receiver first solves the projective
 // display→capture homography blindly from the captures (exactly what a real
-// receiver would do) and decodes through the rectifying warp.
-func posePipeline(t *testing.T, workers int, imp *ImpairConfig, registered bool) (*ChannelResult, []*FrameDecode, *DecodeReport, *RandomStreamOracle) {
+// receiver would do) and decodes through the rectifying warp. The receiver
+// configuration it decoded with, solved pose included, comes back last.
+func posePipeline(t *testing.T, workers int, imp *ImpairConfig, registered bool) (*ChannelResult, []*FrameDecode, *DecodeReport, *RandomStreamOracle, ReceiverConfig) {
 	t.Helper()
 	l := testLayout()
 	p := DefaultParams(l)
@@ -61,7 +63,7 @@ func posePipeline(t *testing.T, workers int, imp *ImpairConfig, registered bool)
 		t.Fatal(err)
 	}
 	decoded, rep := rx.DecodeCapturesReport(res.Captures, res.Times, res.Exposure, nDisplay/p.Tau)
-	return res, decoded, rep, &RandomStreamOracle{stream: stream}
+	return res, decoded, rep, &RandomStreamOracle{stream: stream}, rcfg
 }
 
 // RandomStreamOracle scores decoded frames against the transmitted payload.
@@ -156,7 +158,7 @@ var robustnessMatrix = []struct {
 func TestRobustnessMatrix(t *testing.T) {
 	for _, tc := range robustnessMatrix {
 		t.Run(tc.name, func(t *testing.T) {
-			res1, dec1, rep1, oracle := posePipeline(t, 1, tc.imp, tc.registered)
+			res1, dec1, rep1, oracle, _ := posePipeline(t, 1, tc.imp, tc.registered)
 			avail, ber := oracle.Score(dec1)
 			t.Logf("%s: avail=%.3f ber=%.4f gaps=%d resyncs=%d excluded=%d",
 				tc.name, avail, ber, rep1.GapFrames, rep1.Resyncs, rep1.ExcludedCaptures)
@@ -173,7 +175,7 @@ func TestRobustnessMatrix(t *testing.T) {
 				t.Error("expected resyncs, saw none")
 			}
 			for _, w := range []int{2, 8} {
-				resW, decW, repW, _ := posePipeline(t, w, tc.imp, tc.registered)
+				resW, decW, repW, _, _ := posePipeline(t, w, tc.imp, tc.registered)
 				if !reflect.DeepEqual(resW.Times, res1.Times) {
 					t.Fatalf("workers=%d: capture times diverge", w)
 				}
@@ -221,8 +223,8 @@ func TestZeroImpairConfigIsCleanPath(t *testing.T) {
 // bit-identical to the pre-homography receiver — the registration layer adds
 // no silent resampling when the camera is head-on.
 func TestFrontalPoseIsCleanPath(t *testing.T) {
-	resNil, decNil, repNil, _ := posePipeline(t, 2, nil, false)
-	resReg, decReg, repReg, _ := posePipeline(t, 2, nil, true)
+	resNil, decNil, repNil, _, _ := posePipeline(t, 2, nil, false)
+	resReg, decReg, repReg, _, _ := posePipeline(t, 2, nil, true)
 	for i, c := range resReg.Captures {
 		if !c.Equal(resNil.Captures[i]) {
 			t.Fatalf("registration changed capture %d", i)

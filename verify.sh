@@ -147,10 +147,12 @@ run_robustness() {
 	# The fault-injection gate in isolation: the deterministic impairment
 	# matrix (pinned availability/BER bounds, worker invariance, clean-path
 	# bit-identity) rerun under the race detector, then a short
-	# coverage-guided shake of the two decode entry points. The fuzz smokes
+	# coverage-guided shake of the decode entry points: the batch decoder,
+	# the online driver's Push and the GOB parity code. The fuzz smokes
 	# extend the committed corpora, they do not replace a long fuzz run.
 	go test -race -count=1 -run 'TestRobustnessMatrix|TestZeroImpairConfigIsCleanPath|TestImpairedDegradationAccounting' .
 	go test -run '^$' -fuzz '^FuzzDecodeCaptures$' -fuzztime 10s ./internal/core
+	go test -run '^$' -fuzz '^FuzzStreamingPush$' -fuzztime 10s ./internal/core
 	go test -run '^$' -fuzz '^FuzzGOBParity$' -fuzztime 10s ./internal/core
 }
 
