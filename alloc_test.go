@@ -137,6 +137,61 @@ func TestMultiplexerRenderAllocs(t *testing.T) {
 	}
 }
 
+// TestSimulateDisplayMemoryFlat: Simulate retires every display frame no
+// pending capture can read and renders straight into the freed drive
+// slots, so its heap traffic must not grow with the run's duration. A
+// display that kept its history would allocate one second of drive frames
+// (120·W·H bytes) per simulated second — and four times that again in
+// response states at ResponseTime 2 ms; the bound is a tenth of that figure
+// per extra simulated second, between a 6 s and a 60 s run at a tiny
+// noise-free capture (whose own frames stay small). It measures heap
+// traffic, so it runs uninstrumented (verify.sh's alloc stage, CI's allocs
+// job) and skips under the race detector, where the 60 s runs take minutes;
+// TestSimulateMatchesTransmitCaptureAll races the same retire path.
+func TestSimulateDisplayMemoryFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap-traffic gate: runs uninstrumented in the alloc stage")
+	}
+	l, err := ScaledPaperLayout(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams(l)
+	heapPerRun := func(seconds, response float64) uint64 {
+		m, err := NewMultiplexer(p, GrayVideo(l.FrameW, l.FrameH), NewRandomStream(l, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultChannelConfig(32, 18)
+		cfg.Camera.NoiseSigma = 0
+		cfg.Camera.BlurRadius = 0
+		cfg.Display.ResponseTime = response
+		cfg.Workers = 2
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Simulate(m, int(seconds*cfg.Display.RefreshHz), cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Captures) == 0 {
+			t.Fatal("no captures")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	history := 120 * float64(l.FrameW*l.FrameH) // one second of drive frames, bytes
+	for _, response := range []float64{0, 0.002} {
+		short, long := heapPerRun(6, response), heapPerRun(60, response)
+		perSecond := (float64(long) - float64(short)) / 54
+		t.Logf("ResponseTime %v: 6 s run %.1f MB, 60 s run %.1f MB, %.0f B per extra simulated second (%.1f%% of one second of drive history)",
+			response, float64(short)/1e6, float64(long)/1e6, perSecond, 100*perSecond/history)
+		if perSecond > history/10 {
+			t.Errorf("ResponseTime %v: Simulate allocates %.0f B per extra simulated second, want < %.0f (a tenth of the %.0f B drive history of one second)",
+				response, perSecond, history/10, history)
+		}
+	}
+}
+
 // TestReceiverMeasureAllocs pins the receive side's scratch reuse: capture
 // measurement borrows its smoothing buffers from the pool, so repeated
 // measurement of the same capture must stop missing after the first call.

@@ -18,6 +18,7 @@ package camera
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"inframe/internal/display"
 	"inframe/internal/fixed"
@@ -135,6 +136,11 @@ type Camera struct {
 	// built once per camera: the per-pixel math.Pow it replaces was the
 	// single largest EndToEnd profile entry (see DESIGN.md §5j).
 	gamma *fixed.Gamma
+	// rs is the area-resample table from the last source size (display or
+	// crop window) to the sensor, built on first use and shared read-only
+	// by concurrent captures; rsMu guards the swap when the size changes.
+	rsMu sync.Mutex
+	rs   *frame.Resampler
 }
 
 // New returns a camera for the given configuration.
@@ -199,12 +205,26 @@ func (c *Camera) Capture(d *display.Display, t0 float64, index int) *frame.Frame
 		lin = window
 	}
 	out := c.pool.Get(c.cfg.W, c.cfg.H)
-	frame.ResampleInto(lin, out)
+	c.resampler(lin.W, lin.H).Into(lin, out)
 	c.pool.Put(lin)
 	c.encode(out)
 	c.addNoise(out, index)
 	out.Quantize()
 	return out
+}
+
+// resampler returns the resampler from a w×h source to the sensor, building
+// it only when the source size differs from the last capture's.
+func (c *Camera) resampler(w, h int) *frame.Resampler {
+	c.rsMu.Lock()
+	defer c.rsMu.Unlock()
+	if c.rs != nil {
+		if sw, sh := c.rs.Source(); sw == w && sh == h {
+			return c.rs
+		}
+	}
+	c.rs = frame.NewResampler(w, h, c.cfg.W, c.cfg.H)
+	return c.rs
 }
 
 // encode converts linear luminance (0..255 scale) to gamma-encoded 8-bit

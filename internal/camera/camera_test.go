@@ -6,6 +6,7 @@ import (
 
 	"inframe/internal/display"
 	"inframe/internal/frame"
+	"inframe/internal/parallel"
 )
 
 func testDisplay(t *testing.T, frames ...*frame.Frame) *display.Display {
@@ -247,4 +248,48 @@ func TestCapturePanicsOnEmptyDisplay(t *testing.T) {
 		}
 	}()
 	cam.Capture(d, 0, 0)
+}
+
+// TestSharedResamplerWorkerInvariance: concurrent captures through one
+// camera share its cached resample table; they must equal captures from a
+// fresh camera each, whole-panel and cropped, at any pool width.
+func TestSharedResamplerWorkerInvariance(t *testing.T) {
+	src := frame.New(96, 54)
+	for i := range src.Pix {
+		src.Pix[i] = float32((i * 37) % 251)
+	}
+	d := testDisplay(t, src, frame.NewFilled(96, 54, 90))
+	for _, crop := range []bool{false, true} {
+		cfg := DefaultConfig(64, 36)
+		cfg.Workers = 1
+		if crop {
+			cfg.CropX0, cfg.CropY0, cfg.CropW, cfg.CropH = 7, 5, 71, 41
+		}
+		const n = 12
+		want := make([]*frame.Frame, n)
+		for i := range want {
+			cam, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = cam.Capture(d, float64(i)*0.0013, i)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			cam, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]*frame.Frame, n)
+			parallel.For(workers, n, func(i int) {
+				got[i] = cam.Capture(d, float64(i)*0.0013, i)
+			})
+			for i := range want {
+				for j, v := range want[i].Pix {
+					if math.Float32bits(got[i].Pix[j]) != math.Float32bits(v) {
+						t.Fatalf("crop=%v workers=%d capture %d pixel %d: shared %v, fresh %v", crop, workers, i, j, got[i].Pix[j], v)
+					}
+				}
+			}
+		}
+	}
 }

@@ -6,6 +6,7 @@ package channel
 
 import (
 	"fmt"
+	"math"
 
 	"inframe/internal/camera"
 	"inframe/internal/core"
@@ -23,7 +24,8 @@ type Config struct {
 	// CameraStart offsets the first exposure relative to the first
 	// displayed frame, modelling free-running clocks (0 = aligned).
 	//
-	// Any finite offset is defined, not just [0, frame period):
+	// Any finite offset is defined, not just [0, frame period); New
+	// rejects NaN and ±Inf:
 	//
 	//   - A negative offset starts exposures before the first display
 	//     frame. The display clamps: windows before t=0 integrate the
@@ -89,6 +91,9 @@ func New(cfg Config) (*Link, error) {
 	if err != nil {
 		return nil, fmt.Errorf("channel: %w", err)
 	}
+	if math.IsNaN(cfg.CameraStart) || math.IsInf(cfg.CameraStart, 0) {
+		return nil, fmt.Errorf("channel: CameraStart must be finite, got %v", cfg.CameraStart)
+	}
 	if cfg.Pool != nil && cfg.Camera.Pool == nil {
 		cfg.Camera.Pool = cfg.Pool
 	}
@@ -150,11 +155,20 @@ func (r *Result) Recycle(p *frame.Pool) {
 // Simulate runs a multiplexer for nDisplayFrames through the link and
 // captures the whole sequence: the standard experiment entry point.
 //
-// Rendering and capture overlap: each display frame is rendered, pushed and
-// recycled, and the link's Capturer dispatches every capture whose exposure
-// + readout window the monitor now covers onto a pool of Config.Workers
-// while the next frame renders. The captured sequence is bit-identical at
-// any worker count — see Config.Workers.
+// Rendering and capture overlap: each display frame is rendered straight
+// into the monitor's next 8-bit drive slot (Multiplexer.PushFrame — no
+// float render frame exists on this path), and the link's Capturer
+// dispatches every capture whose exposure + readout window the monitor now
+// covers onto a pool of Config.Workers while the next frame renders. The
+// captured sequence is bit-identical at any worker count — see
+// Config.Workers — and to rendering the whole sequence first
+// (Link.Transmit) and capturing afterwards (Link.CaptureAll).
+//
+// Memory follows the exposure window, not the run: after each push the
+// monitor retires every frame older than the earliest exposure start of a
+// capture not yet finished (Capturer.Horizon), reusing its drive slot for a
+// later frame. The link is private, so nothing else can read a retired
+// frame.
 func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, error) {
 	link, err := New(cfg)
 	if err != nil {
@@ -163,16 +177,12 @@ func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, err
 	sched := link.schedule(float64(nDisplayFrames) / cfg.Display.RefreshHz)
 	c := sched.Start(link.Camera, link.Display, cfg.Workers)
 	for k := 0; k < nDisplayFrames; k++ {
-		f := m.Frame(k)
-		err := link.Display.Push(f)
-		// The display has copied the frame into its drive history (or
-		// rejected it); either way the buffer goes back for the next render.
-		m.Recycle(f)
-		if err != nil {
+		if err := m.PushFrame(link.Display, k); err != nil {
 			c.Abort()
 			return nil, fmt.Errorf("channel: frame %d: %w", k, err)
 		}
 		c.Displayed(k + 1)
+		link.Display.Retire(c.Horizon())
 	}
 	caps, times := c.Finish()
 	if len(sched.Times) == 0 {

@@ -247,6 +247,16 @@ func TestCameraStartEdgeCases(t *testing.T) {
 		}
 	})
 
+	t.Run("non-finite offsets are rejected", func(t *testing.T) {
+		for _, start := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := base
+			cfg.CameraStart = start
+			if _, err := New(cfg); err == nil {
+				t.Errorf("New accepted CameraStart %v", start)
+			}
+		}
+	})
+
 	t.Run("offset beyond the transmission fails cleanly", func(t *testing.T) {
 		p := testParams()
 		m, err := core.NewMultiplexer(p, video.Gray(48, 32), core.NewRandomStream(p.Layout, 1))
@@ -365,6 +375,75 @@ func TestImpairedSimulateWorkerInvariance(t *testing.T) {
 				t.Fatalf("workers=%d: capture %d not bit-identical", w, i)
 			}
 		}
+	}
+}
+
+// TestSimulateMatchesTransmitCaptureAll: the bounded, fused Simulate —
+// rendering into drive slots and retiring frames behind the earliest
+// unfinished capture — must deliver exactly the captures of the unbounded
+// public path: render everything, Transmit, then CaptureAll. The cases
+// cover jittered non-monotone capture times with drops and duplicates, a
+// negative camera start, pixel response (whose states retire with their
+// frames) and a strobed backlight, at several pool widths.
+func TestSimulateMatchesTransmitCaptureAll(t *testing.T) {
+	p := testParams()
+	const n = 240 // 2 s at 120 Hz
+	kitchen := impairedConfig()
+	kitchen.StartJitter = 0.03 // wider than half the capture period: times cross
+	cases := map[string]func(*Config){
+		"clean":        func(*Config) {},
+		"kitchen-sink": func(c *Config) { c.Impair = kitchen },
+		"start-0.02":   func(c *Config) { c.CameraStart = -0.02 },
+		"response-2ms": func(c *Config) { c.Display.ResponseTime = 0.002 },
+		"strobe-0.5":   func(c *Config) { c.Display.StrobeDuty = 0.5 },
+	}
+	nonMonotone := false
+	for name, set := range cases {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := quietChannel(40, 24)
+			cfg.Camera.ReadoutTime = 0.008
+			cfg.Workers = workers
+			cfg.Camera.Workers = workers
+			set(&cfg)
+			mux := func() *core.Multiplexer {
+				m, err := core.NewMultiplexer(p, video.NewSunRise(48, 32, 3), core.NewRandomStream(p.Layout, 5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			got, err := Simulate(mux(), n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			link, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := link.Transmit(mux().Render(n)); err != nil {
+				t.Fatal(err)
+			}
+			caps, times := link.CaptureAll()
+			if len(got.Captures) != len(caps) || len(caps) == 0 {
+				t.Fatalf("%s workers=%d: Simulate delivered %d captures, CaptureAll %d", name, workers, len(got.Captures), len(caps))
+			}
+			for i, c := range caps {
+				if math.Float64bits(got.Times[i]) != math.Float64bits(times[i]) {
+					t.Fatalf("%s workers=%d: capture %d at %v, CaptureAll's at %v", name, workers, i, got.Times[i], times[i])
+				}
+				for j, v := range c.Pix {
+					if math.Float32bits(got.Captures[i].Pix[j]) != math.Float32bits(v) {
+						t.Fatalf("%s workers=%d: capture %d pixel %d is %v, CaptureAll's %v", name, workers, i, j, got.Captures[i].Pix[j], v)
+					}
+				}
+				if i > 0 && times[i] < times[i-1] {
+					nonMonotone = true
+				}
+			}
+		}
+	}
+	if !nonMonotone {
+		t.Fatal("no case produced non-monotone capture times; the horizon's suffix minima went untested")
 	}
 }
 

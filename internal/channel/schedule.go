@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"sync/atomic"
 
 	"inframe/internal/camera"
 	"inframe/internal/display"
@@ -71,7 +72,8 @@ func NewSchedule(dur, start float64, cam camera.Config, ic *impair.Config) *Sche
 // behind it. Each capture runs Camera.Capture at the camera's own Workers
 // and then the schedule's per-capture impairments. Captures land in
 // index-addressed slots and every random stream is keyed by capture index,
-// so the output is bit-identical at any pool width.
+// so the output is bit-identical at any pool width. Horizon tells the
+// caller how far back the display must still reach.
 type Capturer struct {
 	s      *Schedule
 	cam    *camera.Camera
@@ -84,6 +86,15 @@ type Capturer struct {
 	out      *frame.Pool
 	caps     []*frame.Frame
 	next     int
+	// earliest[i] is the earliest exposure start among captures i..n−1
+	// (suffix minima: start jitter makes Times non-monotone), with a +Inf
+	// sentinel at n. done[i] is set once capture i has finished, and low
+	// is the low-water mark below which every capture has finished;
+	// captures finish out of order on the pool, so Horizon advances low
+	// past the finished prefix.
+	earliest []float64
+	done     []atomic.Bool
+	low      int
 }
 
 // Start returns a capturer that runs the schedule's captures of cam
@@ -91,6 +102,12 @@ type Capturer struct {
 // capture inline).
 func (s *Schedule) Start(cam *camera.Camera, d *display.Display, workers int) *Capturer {
 	ccfg := cam.Config()
+	n := len(s.Times)
+	earliest := make([]float64, n+1)
+	earliest[n] = math.Inf(1)
+	for i := n - 1; i >= 0; i-- {
+		earliest[i] = math.Min(s.Times[i], earliest[i+1])
+	}
 	return &Capturer{
 		s:        s,
 		cam:      cam,
@@ -99,7 +116,9 @@ func (s *Schedule) Start(cam *camera.Camera, d *display.Display, workers int) *C
 		frameT:   1 / d.Config().RefreshHz,
 		exposure: ccfg.Exposure,
 		out:      ccfg.Pool,
-		caps:     make([]*frame.Frame, len(s.Times)),
+		caps:     make([]*frame.Frame, n),
+		earliest: earliest,
+		done:     make([]atomic.Bool, n),
 	}
 }
 
@@ -125,7 +144,21 @@ func (c *Capturer) dispatch(i int) {
 		f := c.cam.Capture(c.d, t, i)
 		c.s.stack.ApplyFrame(f, i, t, c.exposure)
 		c.caps[i] = f
+		c.done[i].Store(true)
 	})
+}
+
+// Horizon returns the earliest exposure start of any capture not yet
+// finished, running or still pending, or +Inf once every capture has
+// finished. Every row of a capture starting at t integrates a window
+// starting at or after t, and no impairment reads the display, so
+// Display.Retire(Horizon()) never releases a frame a capture still needs.
+// Call it from the goroutine that drives Displayed.
+func (c *Capturer) Horizon() float64 {
+	for c.low < len(c.done) && c.done[c.low].Load() {
+		c.low++
+	}
+	return c.earliest[c.low]
 }
 
 // Finish runs every capture still pending — the display holds all it will

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"inframe/internal/display"
 	"inframe/internal/frame"
 	"inframe/internal/video"
 )
@@ -118,6 +119,59 @@ func TestFusedRenderMatchesReference(t *testing.T) {
 				}
 			}
 			m.Recycle(got)
+		}
+	}
+}
+
+// TestPushFrameMatchesPush: rendering straight into the display's drive
+// slots must store exactly the codes Push(Frame(k)) quantizes — on flat
+// gray, on the textured sun-rise clip (fractional video, clipped headroom)
+// and on the adversarial clamp-edge clip, for two data cycles, at every
+// worker count. With gamma 1 the luminance table is injective, so equal
+// luminance bits mean equal drive codes.
+func TestPushFrameMatchesPush(t *testing.T) {
+	p0 := smallParams()
+	l := p0.Layout
+	sources := map[string]func() video.Source{
+		"gray":        func() video.Source { return video.Gray(l.FrameW, l.FrameH) },
+		"sun-rise":    func() video.Source { return video.NewSunRise(l.FrameW, l.FrameH, 4) },
+		"adversarial": func() video.Source { return adversarialVideo(l, float32(p0.Delta)) },
+	}
+	dcfg := display.Config{RefreshHz: 120, Brightness: 1, Gamma: 1}
+	for name, src := range sources {
+		for _, workers := range []int{1, 2, 8} {
+			p := p0
+			p.Workers = workers
+			fused := newMux(t, p, src(), NewRandomStream(l, 9))
+			ref := newMux(t, p, src(), NewRandomStream(l, 9))
+			got, err := display.New(dcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := display.New(dcfg)
+			n := 2 * p.Tau
+			if err := fused.PushTo(got, n); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < n; k++ {
+				f := ref.Frame(k)
+				if err := want.Push(f); err != nil {
+					t.Fatal(err)
+				}
+				ref.Recycle(f)
+			}
+			for k := 0; k < n; k++ {
+				g, w := got.Luminance(k), want.Luminance(k)
+				for i := range w.Pix {
+					if math.Float32bits(g.Pix[i]) != math.Float32bits(w.Pix[i]) {
+						t.Fatalf("%s workers=%d frame %d pixel %d: PushFrame drives %v, Push(Frame) %v",
+							name, workers, k, i, g.Pix[i], w.Pix[i])
+					}
+				}
+			}
+			if fused.RenderStats() != ref.RenderStats() {
+				t.Fatalf("%s workers=%d: render stats %+v, want %+v", name, workers, fused.RenderStats(), ref.RenderStats())
+			}
 		}
 	}
 }

@@ -31,13 +31,14 @@ type Params struct {
 	// goroutines. 0 means GOMAXPROCS; 1 forces the sequential path. Output
 	// is bit-identical at any worker count (see internal/parallel).
 	Workers int
-	// Pool supplies and recycles the rendered frame buffers. Frame Gets
-	// every output frame from it, and Recycle (called by PushTo and the
-	// channel simulator once a frame is on the display) Puts it back, so a
-	// steady-state render loop reuses the same buffers forever. Nil means
-	// a private pool: the public API is unchanged and callers that keep
-	// every rendered frame (Render) simply never recycle. Share one pool
-	// across mux, camera and receiver to share buffers end to end.
+	// Pool supplies the multiplexer's frame buffers: the persistent video
+	// buffer and cached delta plane, and every float frame Frame returns,
+	// which Recycle Puts back so a Frame+Recycle loop reuses the same
+	// buffers forever. PushTo and the channel simulator render straight
+	// into the display's 8-bit drive slots (PushFrame) and take no output
+	// frame at all. Nil means a private pool: callers that keep every
+	// rendered frame (Render) simply never recycle. Share one pool across
+	// mux, camera and receiver to share buffers end to end.
 	Pool *frame.Pool
 }
 
@@ -387,30 +388,10 @@ func renderDelta(p Params, cur, next *DataFrame, k int, headroom, deltaAmp []flo
 // DESIGN.md §5j for the argument and TestFixedPointBitIdentity for the
 // adversarial check.
 func (m *Multiplexer) Frame(k int) *frame.Frame {
-	if k < 0 {
-		panic("core: negative display frame index")
-	}
-	m.refreshVideo(k)
-	l := m.p.Layout
-	m.ensureScratch()
-	sign := float32(1)
-	if k%2 == 1 {
-		sign = -1
-	}
-	// Resolve the two data frames once: workers must not touch the Stream
-	// (implementations may cache or whiten per call).
-	cur := m.data.DataFrame(k / m.p.Tau)
-	next := m.data.DataFrame(k/m.p.Tau + 1)
-	// Delta refresh. A Block row covers a disjoint band of delta pixel rows
-	// and a disjoint span of deltaAmp, so rows fan out with no overlap and
-	// the result is bit-identical at any worker count.
-	renderDelta(m.p, cur, next, k, m.headroom, m.deltaAmp, m.delta, m.rowBlocks, m.rowSkips)
-	for by := 0; by < l.BlocksY; by++ {
-		m.stats.Blocks += m.rowBlocks[by]
-		m.stats.BlocksSkipped += m.rowSkips[by]
-	}
+	sign := m.prepare(k)
 	// Fused output pass: clone, signed add and clamp in one sweep. Pixel
 	// rows are disjoint, so the fan-out is again an ordered merge.
+	l := m.p.Layout
 	out := m.pool.Get(l.FrameW, l.FrameH)
 	vp, dp, op := m.vframe.Pix, m.delta.Pix, out.Pix
 	w := l.FrameW
@@ -429,6 +410,56 @@ func (m *Multiplexer) Frame(k int) *frame.Frame {
 	return out
 }
 
+// PushFrame renders display frame k straight into d's next drive slot:
+// the fused pass writes frame.Quant8(V + sign·D) as 8-bit drive codes, so
+// no float frame is materialized and no separate quantize sweep runs. The
+// codes are bit-identical to d.Push(m.Frame(k)) — same delta refresh, same
+// float32 sum, same quantizer; Frame's clamp is subsumed because Quant8
+// saturates to [0,255] and maps NaN to 0 (DESIGN.md §5l).
+func (m *Multiplexer) PushFrame(d *display.Display, k int) error {
+	sign := m.prepare(k)
+	l := m.p.Layout
+	vp, dp := m.vframe.Pix, m.delta.Pix
+	w := l.FrameW
+	return d.PushDrive(l.FrameW, l.FrameH, func(dst []uint8) {
+		parallel.For(m.p.Workers, l.FrameH, func(y int) {
+			base := y * w
+			for i := base; i < base+w; i++ {
+				dst[i] = frame.Quant8(vp[i] + sign*dp[i])
+			}
+		})
+	})
+}
+
+// prepare is the shared first half of Frame and PushFrame: it refreshes the
+// video frame, headroom table and cached delta plane for display frame k,
+// folds the work counters into the stats, and returns k's complementary
+// sign (+1 on even frames, −1 on odd).
+func (m *Multiplexer) prepare(k int) float32 {
+	if k < 0 {
+		panic("core: negative display frame index")
+	}
+	m.refreshVideo(k)
+	l := m.p.Layout
+	m.ensureScratch()
+	// Resolve the two data frames once: workers must not touch the Stream
+	// (implementations may cache or whiten per call).
+	cur := m.data.DataFrame(k / m.p.Tau)
+	next := m.data.DataFrame(k/m.p.Tau + 1)
+	// Delta refresh. A Block row covers a disjoint band of delta pixel rows
+	// and a disjoint span of deltaAmp, so rows fan out with no overlap and
+	// the result is bit-identical at any worker count.
+	renderDelta(m.p, cur, next, k, m.headroom, m.deltaAmp, m.delta, m.rowBlocks, m.rowSkips)
+	for by := 0; by < l.BlocksY; by++ {
+		m.stats.Blocks += m.rowBlocks[by]
+		m.stats.BlocksSkipped += m.rowSkips[by]
+	}
+	if k%2 == 1 {
+		return -1
+	}
+	return 1
+}
+
 // Recycle returns a frame obtained from Frame to the multiplexer's pool
 // for reuse by a later render. Call it once the frame's contents have been
 // consumed (e.g. pushed onto a display, which copies them into its drive
@@ -436,8 +467,9 @@ func (m *Multiplexer) Frame(k int) *frame.Frame {
 func (m *Multiplexer) Recycle(f *frame.Frame) { m.pool.Put(f) }
 
 // Render produces display frames [0, n) in order. The caller owns every
-// returned frame (they are never recycled), so Render allocates n buffers;
-// use PushTo or the channel simulator for allocation-free steady state.
+// returned frame (they are never recycled), so Render allocates n float
+// buffers; PushTo and the channel simulator render straight into the
+// display's 8-bit drive slots instead.
 func (m *Multiplexer) Render(n int) []*frame.Frame {
 	frames := make([]*frame.Frame, n)
 	for k := 0; k < n; k++ {
@@ -446,20 +478,14 @@ func (m *Multiplexer) Render(n int) []*frame.Frame {
 	return frames
 }
 
-// PushTo renders n display frames straight onto a display simulator,
-// recycling each frame once the display has copied it into its drive
-// history — the steady-state loop reuses one buffer for the whole run.
+// PushTo renders n display frames straight into a display simulator's
+// drive slots with PushFrame: no float render frame exists on this path.
 func (m *Multiplexer) PushTo(d *display.Display, n int) error {
 	for k := 0; k < n; k++ {
-		f := m.Frame(k)
-		if err := d.Push(f); err != nil {
-			// The display rejected the frame without consuming it; hand it
-			// back before surfacing the error or the pool leaks a buffer.
-			m.Recycle(f)
+		if err := m.PushFrame(d, k); err != nil {
 			//lint:ignore hotalloc error path runs at most once, then the loop exits
 			return fmt.Errorf("core: pushing frame %d: %w", k, err)
 		}
-		m.Recycle(f)
 	}
 	return nil
 }

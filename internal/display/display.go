@@ -19,8 +19,13 @@
 //     other at 120 Hz.
 //
 // Drive frames are stored as bytes (the cable carries 8-bit values) and
-// mapped to luminance through a 256-entry lookup table, keeping hour-long
-// simulations within memory and avoiding per-pixel pow() in the hot path.
+// mapped to luminance through a 256-entry lookup table, avoiding per-pixel
+// pow() in the hot path. A display keeps every pushed frame until its owner
+// calls Retire, which hands the drive slots (and response states) that no
+// later read can touch back for reuse: a caller that retires behind its
+// readers, as channel.Simulate does behind its pending captures, holds
+// memory in proportion to the read window, not to the run's length, so
+// hour-long simulations fit in memory.
 package display
 
 import (
@@ -41,8 +46,9 @@ type Config struct {
 	Gamma float64
 	// ResponseTime is the exponential gray-to-gray time constant in
 	// seconds (0 = ideal instant pixels; fast gaming LCD ≈ 2 ms).
-	// Nonzero response keeps one float32 state frame per refresh in
-	// memory; prefer 0 for long throughput runs.
+	// Nonzero response keeps one float32 state frame per live refresh;
+	// Retire releases states together with their drive frames, so the
+	// memory stays bounded for callers that retire.
 	ResponseTime float64
 	// StrobeDuty enables a strobed backlight (the FG2421's "Turbo 240"
 	// black-frame insertion): light is emitted only during the final
@@ -78,34 +84,45 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// maxInterval bounds |t/T| for a window end RowAverage integrates: below
+// 2⁵³ every interval index is an exact float64 integer, so the interval
+// loop's bounds convert to int without implementation-defined overflow.
+const maxInterval = 1 << 53
+
 // Display holds the pushed drive frames and the derived light field state.
 // Luminance is expressed on a 0..255 linear scale (255 = peak white at
 // Brightness 1.0) so it composes naturally with 8-bit pixel arithmetic.
 //
 // A Display is safe for concurrent use by one pusher and any number of
-// readers: Push takes the write lock, every light-field query takes the
-// read lock. That is exactly the shape of the pipelined channel simulator,
-// where capture workers integrate frames the renderer has already pushed
-// while it keeps pushing new ones.
+// readers: every light-field query takes the read lock, while a push fills
+// its drive slot outside any lock and takes the write lock only to append
+// it (the slot is invisible to readers until then). That is exactly the
+// shape of the pipelined channel simulator, where capture workers
+// integrate frames the renderer has already pushed while it keeps pushing
+// new ones.
 type Display struct {
 	cfg  Config
 	w, h int
 
-	// mu orders Push (writer) against the light-field readers.
+	// mu orders pushes and Retire (writers) against the light-field
+	// readers.
 	mu sync.RWMutex
-	// drive[k] is the quantized 8-bit drive frame of interval k.
+	// base is the index of the first live frame: Retire released every
+	// frame below it. drive[k-base] is the quantized 8-bit drive frame of
+	// interval k, for base ≤ k < base+len(drive).
+	base  int
 	drive [][]uint8
-	// arena backs drive rows in multi-frame chunks, so a Push costs an
-	// amortized slice carve instead of a per-frame allocation. Exhausted
-	// chunks stay alive through the drive slices that point into them (the
-	// drive history IS the light field, so nothing is ever freed anyway).
-	arena []uint8
 	// lut maps a drive value to linear luminance.
 	lut [256]float32
-	// state[k] is the actual luminance at the *start* of interval k when
-	// ResponseTime > 0, accounting for the exponential response; extended
-	// eagerly at Push so readers never mutate.
+	// state[k-base] is the actual luminance at the *start* of interval k
+	// when ResponseTime > 0, accounting for the exponential response;
+	// extended eagerly at push time so readers never mutate.
 	state []*frame.Frame
+	// freeDrive and freeState hold retired buffers for later pushes to
+	// overwrite, so a retiring caller reaches a steady state with no
+	// allocation per push.
+	freeDrive [][]uint8
+	freeState []*frame.Frame
 }
 
 // New returns a display with the given config; frame dimensions are fixed by
@@ -131,14 +148,14 @@ func (d *Display) FrameDuration() float64 { return 1 / d.cfg.RefreshHz }
 func (d *Display) NumFrames() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.drive)
+	return d.base + len(d.drive)
 }
 
 // Duration returns the total displayed time in seconds.
 func (d *Display) Duration() float64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return float64(len(d.drive)) / d.cfg.RefreshHz
+	return float64(d.base+len(d.drive)) / d.cfg.RefreshHz
 }
 
 // Size returns the panel resolution (0,0 before the first Push).
@@ -151,30 +168,87 @@ func (d *Display) Size() (int, int) {
 // Push appends one drive frame for the next refresh interval. Drive values
 // are clamped to [0,255] and quantized (the cable carries 8-bit values).
 func (d *Display) Push(f *frame.Frame) error {
+	return d.PushDrive(f.W, f.H, func(dst []uint8) {
+		for i, v := range f.Pix {
+			dst[i] = frame.Quant8(v)
+		}
+	})
+}
+
+// PushDrive appends one w×h drive frame for the next refresh interval,
+// letting fill write the 8-bit drive codes straight into the display's
+// slot: a renderer that produces drive codes needs no intermediate frame.
+// fill must write every element of dst (w·h codes, row-major); a slot
+// reused after Retire still holds an old frame's codes. fill runs outside
+// the display's lock — the slot is invisible to readers until PushDrive
+// appends it — so captures keep integrating earlier frames meanwhile. A
+// size that does not match the panel is rejected before fill runs.
+func (d *Display) PushDrive(w, h int, fill func(dst []uint8)) error {
+	d.mu.Lock()
+	if d.w != 0 && (w != d.w || h != d.h) {
+		d.mu.Unlock()
+		return fmt.Errorf("display: frame %dx%d does not match panel %dx%d", w, h, d.w, d.h)
+	}
+	var dr []uint8
+	if n := len(d.freeDrive); n > 0 {
+		dr = d.freeDrive[n-1]
+		d.freeDrive = d.freeDrive[:n-1]
+	} else {
+		dr = make([]uint8, w*h)
+	}
+	d.mu.Unlock()
+	fill(dr)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.w == 0 {
-		d.w, d.h = f.W, f.H
-	} else if f.W != d.w || f.H != d.h {
-		return fmt.Errorf("display: frame %dx%d does not match panel %dx%d", f.W, f.H, d.w, d.h)
-	}
-	n := len(f.Pix)
-	if cap(d.arena)-len(d.arena) < n {
-		// Carve drive frames from 16-frame chunks: same retained memory
-		// as per-frame allocation (the history is kept forever either
-		// way), 1/16th the allocations.
-		d.arena = make([]uint8, 0, 16*n)
-	}
-	dr := d.arena[len(d.arena) : len(d.arena)+n : len(d.arena)+n]
-	d.arena = d.arena[:len(d.arena)+n]
-	for i, v := range f.Pix {
-		dr[i] = frame.Quant8(v)
-	}
+	d.w, d.h = w, h
 	d.drive = append(d.drive, dr)
 	if d.cfg.ResponseTime > 0 {
 		d.extendState()
 	}
 	return nil
+}
+
+// Retire releases every drive frame (and response state) of an interval
+// k < ⌊t/T⌋, T the refresh interval, for reuse by later pushes. ⌊t/T⌋ is
+// the first interval RowAverage reads for a window starting at t, so every
+// window starting at or after t reads only live frames; reading a released
+// frame panics with its index. The last pushed frame is never released —
+// reads past the end hold it. Retire(NaN) and Retire(−Inf) release
+// nothing; Retire(+Inf) keeps only the last frame.
+func (d *Display) Retire(t float64) {
+	if math.IsNaN(t) || math.IsInf(t, -1) {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	keep := d.base + len(d.drive) - 1
+	if !math.IsInf(t, 1) {
+		k := math.Floor(t / d.FrameDuration())
+		if k <= float64(d.base) {
+			return
+		}
+		if k < float64(keep) {
+			keep = int(k) // base < k < keep: the conversion is exact
+		}
+	}
+	r := keep - d.base
+	if r <= 0 {
+		return
+	}
+	d.drive, d.freeDrive = release(d.drive, d.freeDrive, r)
+	if len(d.state) > 0 {
+		d.state, d.freeState = release(d.state, d.freeState, r)
+	}
+	d.base = keep
+}
+
+// release moves the first r entries of live onto free and rebases live in
+// place, so its length and capacity follow the live window, not the run.
+func release[T any](live, free []T, r int) ([]T, []T) {
+	free = append(free, live[:r]...)
+	n := copy(live, live[r:])
+	clear(live[n:])
+	return live[:n], free
 }
 
 // clampFrame returns the drive frame index clamped to the pushed range: the
@@ -183,14 +257,31 @@ func (d *Display) clampFrame(k int) int {
 	if k < 0 {
 		return 0
 	}
-	if k >= len(d.drive) {
-		return len(d.drive) - 1
+	if n := d.base + len(d.drive); k >= n {
+		return n - 1
 	}
 	return k
 }
 
+// driveFrame returns the drive codes of interval k clamped to the pushed
+// range, panicking if Retire has released that frame. Callers hold mu.
+func (d *Display) driveFrame(k int) []uint8 {
+	k = d.clampFrame(k)
+	if k < d.base {
+		panicRetired(k, d.base)
+	}
+	return d.drive[k-d.base]
+}
+
+// panicRetired reports a read of a released frame: a caller retired ahead
+// of one of its readers, which would otherwise integrate stale codes.
+func panicRetired(k, base int) {
+	panic(fmt.Sprintf("display: frame %d read after Retire released frames below %d", k, base))
+}
+
 // Luminance returns the steady-state linear luminance frame of drive frame
-// k (clamped to the pushed range) as a freshly materialized frame.
+// k (clamped to the pushed range) as a freshly materialized frame. A frame
+// released by Retire panics.
 func (d *Display) Luminance(k int) *frame.Frame {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -202,28 +293,45 @@ func (d *Display) luminance(k int) *frame.Frame {
 	if len(d.drive) == 0 {
 		panic("display: no frames pushed")
 	}
-	dr := d.drive[d.clampFrame(k)]
 	out := frame.New(d.w, d.h)
-	for i, v := range dr {
-		out.Pix[i] = d.lut[v]
-	}
+	d.luminanceInto(d.driveFrame(k), out)
 	return out
 }
 
+// luminanceInto maps drive codes dr to linear luminance in out.
+func (d *Display) luminanceInto(dr []uint8, out *frame.Frame) {
+	for i, v := range dr {
+		out.Pix[i] = d.lut[v]
+	}
+}
+
+// newState returns a state buffer for the response chain: a retired one
+// when available (the caller overwrites every pixel), else a fresh frame.
+func (d *Display) newState() *frame.Frame {
+	if n := len(d.freeState); n > 0 {
+		f := d.freeState[n-1]
+		d.freeState = d.freeState[:n-1]
+		return f
+	}
+	return frame.New(d.w, d.h)
+}
+
 // extendState advances the response-state chain to cover every pushed frame
-// (state[k] exists for k ≤ len(drive)), so the read paths never mutate.
-// state[0] assumes the panel settled on frame 0 before t=0. Called from Push
-// with the write lock held.
+// (state[k-base] exists for k ≤ base+len(drive)), so the read paths never
+// mutate. state[0] assumes the panel settled on frame 0 before t=0. Called
+// at push time with the write lock held.
 func (d *Display) extendState() {
 	if len(d.state) == 0 {
-		d.state = append(d.state, d.luminance(0))
+		s0 := d.newState()
+		d.luminanceInto(d.drive[0], s0)
+		d.state = append(d.state, s0)
 	}
 	alpha := float32(math.Exp(-d.FrameDuration() / d.cfg.ResponseTime))
 	for len(d.state) <= len(d.drive) {
-		j := len(d.state) - 1 // completed interval
+		j := len(d.state) - 1 // completed interval, relative to base
 		prev := d.state[j]
-		target := d.drive[d.clampFrame(j)]
-		next := frame.New(d.w, d.h)
+		target := d.drive[j]
+		next := d.newState()
 		for i := range next.Pix {
 			tg := d.lut[target[i]]
 			next.Pix[i] = tg + (prev.Pix[i]-tg)*alpha
@@ -235,7 +343,9 @@ func (d *Display) extendState() {
 // RowAverage computes, for every pixel of row y, the mean linear luminance
 // over the time window [t0, t1) and stores it into dst (length ≥ panel
 // width). Windows extending before 0 or past the last frame see the first /
-// last frame held steady.
+// last frame held steady. An empty window panics, and so does a window end
+// that is NaN, infinite or beyond ±2⁵³ refresh intervals (about 2.4 million
+// years at 120 Hz), whose interval loop could never finish.
 //
 //hot:the camera synthesizes every captured row through this path
 func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
@@ -250,11 +360,14 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 	if y < 0 || y >= d.h {
 		panic(fmt.Sprintf("display: row %d out of range", y))
 	}
+	T := d.FrameDuration()
+	if !(math.Abs(t0/T) < maxInterval && math.Abs(t1/T) < maxInterval) {
+		panic(fmt.Sprintf("display: window [%v,%v) is not a finite span of refresh intervals", t0, t1))
+	}
 	w := d.w
 	for x := 0; x < w; x++ {
 		dst[x] = 0
 	}
-	T := d.FrameDuration()
 	k0 := int(math.Floor(t0 / T))
 	k1 := int(math.Ceil(t1 / T))
 	if k1 <= k0 {
@@ -273,7 +386,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 			if b <= a {
 				continue
 			}
-			target := d.drive[d.clampFrame(k)][y*w : y*w+w]
+			target := d.driveFrame(k)[y*w : y*w+w]
 			wgt := float32((b-a)/total) * boost
 			for x := 0; x < w; x++ {
 				dst[x] += d.lut[target[x]] * wgt
@@ -281,18 +394,19 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		}
 		return
 	}
-	// The response-state chain is maintained at Push time, so the read path
-	// needs no mutation: state[k] exists for every k < len(drive).
+	// The response-state chain is maintained at push time, so the read path
+	// needs no mutation: state[k-base] exists for every pushed k ≥ base.
 	useResp := d.cfg.ResponseTime > 0
 	tauR := d.cfg.ResponseTime
+	n := d.base + len(d.drive)
 	for k := k0; k < k1; k++ {
 		a := math.Max(t0, float64(k)*T)
 		b := math.Min(t1, float64(k+1)*T)
 		if b <= a {
 			continue
 		}
-		target := d.drive[d.clampFrame(k)][y*w : y*w+w]
-		if !useResp || k < 0 || k >= len(d.drive) {
+		target := d.driveFrame(k)[y*w : y*w+w]
+		if !useResp || k < 0 || k >= n {
 			// Settled (held) frame or ideal pixels: constant luminance.
 			wgt := float32((b - a) / total)
 			for x := 0; x < w; x++ {
@@ -307,7 +421,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		eb := math.Exp(-(b - tk) / tauR)
 		cLin := float32((b - a) / total)
 		cExp := float32(tauR * (ea - eb) / total)
-		st := d.state[k].Pix[y*w : y*w+w]
+		st := d.state[k-d.base].Pix[y*w : y*w+w]
 		for x := 0; x < w; x++ {
 			tg := d.lut[target[x]]
 			dst[x] += tg*cLin + (st[x]-tg)*cExp

@@ -2,7 +2,9 @@ package display
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"inframe/internal/frame"
 )
@@ -264,23 +266,149 @@ func TestEncodeLuminanceInverse(t *testing.T) {
 	}
 }
 
+// TestRowAveragePanics: empty windows, bad rows and windows whose ends are
+// NaN, infinite or too far out to index a refresh interval must panic. Each
+// case runs in its own goroutine under a deadline, so a window that loops
+// instead of panicking fails the test rather than hanging the suite.
 func TestRowAveragePanics(t *testing.T) {
 	d := mustNew(t, idealConfig())
 	d.Push(frame.NewFilled(2, 2, 1))
-	row := make([]float32, 2)
-	for name, fn := range map[string]func(){
-		"empty window": func() { d.RowAverage(0, 1, 1, row) },
-		"bad row":      func() { d.RowAverage(5, 0, 0.01, row) },
+	for _, c := range []struct {
+		name   string
+		y      int
+		t0, t1 float64
+	}{
+		{"empty window", 0, 1, 1},
+		{"bad row", 5, 0, 0.01},
+		{"NaN start", 0, math.NaN(), 0.01},
+		{"-Inf start", 0, math.Inf(-1), 0.01},
+		{"-1e300 start", 0, -1e300, 0.01},
+		{"NaN end", 0, 0, math.NaN()},
+		{"+Inf end", 0, 0, math.Inf(1)},
+		{"1e300 end", 0, 0, 1e300},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
+		panicked := make(chan bool, 1)
+		go func() {
+			defer func() { panicked <- recover() != nil }()
+			d.RowAverage(c.y, c.t0, c.t1, make([]float32, 2))
 		}()
+		select {
+		case ok := <-panicked:
+			if !ok {
+				t.Errorf("%s [%v,%v) did not panic", c.name, c.t0, c.t1)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s [%v,%v) still running after 5s", c.name, c.t0, c.t1)
+		}
 	}
+	// A far but in-range pre-start window still integrates the held frame.
+	row := make([]float32, 2)
+	d.RowAverage(0, -1e6, -1e6+0.01, row)
+	if row[0] != 1 {
+		t.Fatalf("pre-start hold at t=-1e6 reads %v, want 1", row[0])
+	}
+}
+
+// TestRetire: released frames panic with their index when read, live ones
+// and reads past the end keep working, and non-finite horizons are handled
+// without converting them to int.
+func TestRetire(t *testing.T) {
+	for _, resp := range []float64{0, 0.002} {
+		cfg := idealConfig()
+		cfg.ResponseTime = resp
+		d := mustNew(t, cfg)
+		T := d.FrameDuration()
+		for k := 0; k < 10; k++ {
+			d.Push(frame.NewFilled(2, 2, float32(10*k)))
+		}
+		d.Retire(math.NaN())
+		d.Retire(math.Inf(-1))
+		d.Retire(-3 * T)
+		if got := d.Luminance(0).At(0, 0); got != 0 {
+			t.Fatalf("resp=%v: frame 0 after no-op retires reads %v", resp, got)
+		}
+		want := d.WindowAverage(4.5*T, 6*T)
+		d.Retire(4.5 * T) // releases frames 0..3
+		if d.NumFrames() != 10 {
+			t.Fatalf("resp=%v: NumFrames = %d after Retire, want 10", resp, d.NumFrames())
+		}
+		// A window starting at the horizon reads only live frames.
+		if got := d.WindowAverage(4.5*T, 6*T); !got.Equal(want) {
+			t.Fatalf("resp=%v: window at the horizon changed across Retire", resp)
+		}
+		mustPanic(t, "frame 3", func() { d.RowAverage(0, 3.5*T, 4.5*T, make([]float32, 2)) })
+		mustPanic(t, "frame 0", func() { d.Luminance(-1) })
+		d.Retire(math.Inf(1)) // keeps only frame 9
+		mustPanic(t, "frame 8", func() { d.Luminance(8) })
+		row := make([]float32, 2)
+		d.RowAverage(0, 20*T, 21*T, row)
+		if row[0] != 90 {
+			t.Fatalf("resp=%v: read past the end gives %v, want the held last frame 90", resp, row[0])
+		}
+		// Retired slots are reused: pushes after a retire overwrite them.
+		for k := 10; k < 14; k++ {
+			d.Push(frame.NewFilled(2, 2, float32(10*k)))
+		}
+		if got := d.Luminance(13).At(1, 1); got != 130 {
+			t.Fatalf("resp=%v: reused slot reads %v, want 130", resp, got)
+		}
+		if d.NumFrames() != 14 {
+			t.Fatalf("resp=%v: NumFrames = %d, want 14", resp, d.NumFrames())
+		}
+	}
+	// Retire on an empty display is a no-op at every horizon.
+	d := mustNew(t, idealConfig())
+	for _, h := range []float64{math.Inf(1), 1, 0, -1} {
+		d.Retire(h)
+	}
+	if d.NumFrames() != 0 {
+		t.Fatal("Retire on an empty display changed it")
+	}
+}
+
+// TestRetireMatchesUnretired: a display that retires behind a sliding
+// window integrates exactly what a display keeping every frame does, with
+// and without pixel response and strobing.
+func TestRetireMatchesUnretired(t *testing.T) {
+	for _, cfg := range []Config{idealConfig(), DefaultConfig(), {RefreshHz: 120, Brightness: 1, Gamma: 2.2, StrobeDuty: 0.5}} {
+		full, bounded := mustNew(t, cfg), mustNew(t, cfg)
+		T := full.FrameDuration()
+		got, want := make([]float32, 3), make([]float32, 3)
+		for k := 0; k < 40; k++ {
+			f := frame.New(3, 2)
+			for i := range f.Pix {
+				f.Pix[i] = float32((37*k + 11*i) % 256)
+			}
+			full.Push(f)
+			bounded.Push(f)
+			t0 := (float64(k) - 1.7) * T
+			bounded.Retire(t0)
+			for y := 0; y < 2; y++ {
+				full.RowAverage(y, t0, t0+1.3*T, want)
+				bounded.RowAverage(y, t0, t0+1.3*T, got)
+				for x := range want {
+					if math.Float32bits(got[x]) != math.Float32bits(want[x]) {
+						t.Fatalf("%+v frame %d row %d px %d: bounded %v, full %v", cfg, k, y, x, got[x], want[x])
+					}
+				}
+			}
+		}
+	}
+}
+
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic; want one naming %q", want)
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name %q", r, want)
+		}
+	}()
+	fn()
 }
 
 func TestLuminanceBeforePushPanics(t *testing.T) {

@@ -23,8 +23,9 @@ type ResponseRow struct {
 // also models black-frame-insertion strobing, which hides the response from
 // the *viewer*; filming a strobed panel with a short rolling-shutter
 // exposure instead produces banding, so the camera-facing fix is fast
-// pixels, not strobing.) Runs shortened because the response model keeps
-// one state frame per refresh in memory.
+// pixels, not strobing.) Runs are capped at one second, the length the
+// EXPERIMENTS.md A12 table was measured at; Simulate retires response
+// states with their frames, so the cap is not a memory limit.
 func ResponseAblation(s Setup) ([]ResponseRow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

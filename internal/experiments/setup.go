@@ -88,7 +88,9 @@ func (s Setup) poseCaptureSize() (int, int) { return 1280, 720 }
 func (s Setup) channelConfig() channel.Config {
 	capW, capH := s.captureSize()
 	dcfg := display.DefaultConfig()
-	dcfg.ResponseTime = 0 // keep long runs in memory; see display docs
+	// Instant pixels: the FG2421 is a fast-GtG panel, and an un-strobed
+	// response smears each complementary pair into the next (A12).
+	dcfg.ResponseTime = 0
 	ccfg := camera.DefaultConfig(capW, capH)
 	ccfg.BlurRadius = 0
 	ccfg.Seed = s.Seed

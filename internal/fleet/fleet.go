@@ -59,7 +59,11 @@ type Config struct {
 // the given capture geometry.
 func DefaultConfig(l core.Layout, capW, capH, n int, seed int64) Config {
 	dcfg := display.DefaultConfig()
-	dcfg.ResponseTime = 0 // keep long renders in memory; see display docs
+	// Instant pixels, as experiments.Setup models the FG2421 (A12). The
+	// fleet renders its whole transmission before any receiver captures
+	// and never retires, so a response state per refresh would also stay
+	// in memory for the run.
+	dcfg.ResponseTime = 0
 	ccfg := camera.DefaultConfig(capW, capH)
 	ccfg.BlurRadius = 0
 	return Config{
@@ -170,9 +174,11 @@ func Run(cfg Config) (*Result, error) {
 		pool.SetMaxPerSize(cfg.PoolCap)
 	}
 
-	// Render the multiplexed stream exactly once. The display keeps the
-	// full drive history and is safe for any number of concurrent
-	// light-field readers, so N receivers capture from it directly.
+	// Render the multiplexed stream exactly once, straight into the
+	// display's drive slots. The display keeps the full drive history (the
+	// fleet never retires: its receivers capture only after the render)
+	// and is safe for any number of concurrent light-field readers, so N
+	// receivers capture from it directly.
 	p := cfg.Params
 	p.Pool = pool
 	p.Workers = cfg.Workers

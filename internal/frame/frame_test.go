@@ -334,6 +334,83 @@ func TestResampleIdentity(t *testing.T) {
 	}
 }
 
+// refAreaResample is the area resampler written out directly: for every
+// output pixel, the overlap of every input pixel its footprint touches,
+// visited in row-major order. Resampler's hoisted tap tables must
+// reproduce it bit for bit.
+func refAreaResample(f *Frame, w, h int) *Frame {
+	out := New(w, h)
+	sx := float64(f.W) / float64(w)
+	sy := float64(f.H) / float64(h)
+	for oy := 0; oy < h; oy++ {
+		by0 := float64(oy) * sy
+		by1 := by0 + sy
+		for ox := 0; ox < w; ox++ {
+			bx0 := float64(ox) * sx
+			bx1 := bx0 + sx
+			var sum, area float64
+			for iy := int(by0); iy < int(math.Ceil(by1)) && iy < f.H; iy++ {
+				fy := overlap(float64(iy), float64(iy+1), by0, by1)
+				if fy <= 0 {
+					continue
+				}
+				for ix := int(bx0); ix < int(math.Ceil(bx1)) && ix < f.W; ix++ {
+					fx := overlap(float64(ix), float64(ix+1), bx0, bx1)
+					if fx <= 0 {
+						continue
+					}
+					wgt := fx * fy
+					sum += wgt * float64(f.Pix[iy*f.W+ix])
+					area += wgt
+				}
+			}
+			if area > 0 {
+				out.Pix[oy*w+ox] = float32(sum / area)
+			}
+		}
+	}
+	return out
+}
+
+// TestResamplerMatchesReference: one Resampler reused across frames equals
+// the direct area-averaging reference bit for bit at the fleet's three
+// capture geometries from the half-scale panel and from a crop window, and
+// ResampleInto equals the reused Resampler.
+func TestResamplerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct{ sw, sh, dw, dh int }{
+		{960, 540, 640, 360},
+		{960, 540, 480, 270},
+		{960, 540, 320, 180},
+		{701, 397, 640, 360}, // crop window onto the sensor
+	} {
+		r := NewResampler(c.sw, c.sh, c.dw, c.dh)
+		for rep := 0; rep < 2; rep++ {
+			f := New(c.sw, c.sh)
+			for i := range f.Pix {
+				f.Pix[i] = rng.Float32() * 255
+			}
+			got, once := New(c.dw, c.dh), New(c.dw, c.dh)
+			r.Into(f, got)
+			ResampleInto(f, once)
+			want := refAreaResample(f, c.dw, c.dh)
+			for i := range want.Pix {
+				if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) ||
+					math.Float32bits(once.Pix[i]) != math.Float32bits(want.Pix[i]) {
+					t.Fatalf("%dx%d→%dx%d pixel %d: resampler %v, ResampleInto %v, reference %v",
+						c.sw, c.sh, c.dw, c.dh, i, got.Pix[i], once.Pix[i], want.Pix[i])
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a resampler accepted a source of the wrong size")
+		}
+	}()
+	NewResampler(8, 8, 4, 4).Into(New(8, 6), New(4, 4))
+}
+
 func TestMetrics(t *testing.T) {
 	a := NewFilled(4, 4, 100)
 	b := NewFilled(4, 4, 104)

@@ -1,6 +1,9 @@
 package frame
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // BoxBlur returns a copy of f blurred with a (2r+1)×(2r+1) box filter.
 // Edges are handled by clamping coordinates (replicate padding). r <= 0
@@ -93,17 +96,53 @@ func Resample(f *Frame, w, h int) *Frame {
 // ResampleInto resamples f into dst, whose dimensions select the target
 // size: area averaging for reduction, bilinear interpolation for
 // enlargement, a straight copy when the sizes match. dst must not alias f.
+// It builds the size pair's Resampler for this one call; resample the same
+// size pair repeatedly through one NewResampler instead.
 func ResampleInto(f, dst *Frame) {
-	w, h := dst.W, dst.H
-	if w == f.W && h == f.H {
+	NewResampler(f.W, f.H, dst.W, dst.H).Into(f, dst)
+}
+
+// Resampler resamples srcW×srcH frames to dstW×dstH: the one resample path
+// behind Resample and ResampleInto, with the area-averaging weight tables
+// built once at construction. It is read-only afterwards, so concurrent
+// captures share one (the camera keeps one per source size).
+type Resampler struct {
+	srcW, srcH, dstW, dstH int
+	// area selects area averaging (a reduction on both axes) over the
+	// bilinear enlargement; xt and yt are its tap tables, unused otherwise.
+	area   bool
+	xt, yt axisTaps
+}
+
+// NewResampler returns the resampler from srcW×srcH to dstW×dstH.
+func NewResampler(srcW, srcH, dstW, dstH int) *Resampler {
+	r := &Resampler{srcW: srcW, srcH: srcH, dstW: dstW, dstH: dstH}
+	if (dstW != srcW || dstH != srcH) && dstW <= srcW && dstH <= srcH {
+		r.area = true
+		r.xt = buildAxisTaps(srcW, dstW, float64(srcW)/float64(dstW))
+		r.yt = buildAxisTaps(srcH, dstH, float64(srcH)/float64(dstH))
+	}
+	return r
+}
+
+// Source returns the source size the resampler was built for.
+func (r *Resampler) Source() (int, int) { return r.srcW, r.srcH }
+
+// Into resamples f into dst; both must match the resampler's sizes (it
+// panics otherwise) and dst must not alias f.
+func (r *Resampler) Into(f, dst *Frame) {
+	if f.W != r.srcW || f.H != r.srcH || dst.W != r.dstW || dst.H != r.dstH {
+		panic(fmt.Sprintf("frame: resampler %dx%d→%dx%d given %dx%d→%dx%d",
+			r.srcW, r.srcH, r.dstW, r.dstH, f.W, f.H, dst.W, dst.H))
+	}
+	switch {
+	case r.area:
+		areaResample(f, dst, r.xt, r.yt)
+	case f.W == dst.W && f.H == dst.H:
 		f.CloneInto(dst)
-		return
+	default:
+		bilinearResample(f, dst)
 	}
-	if w <= f.W && h <= f.H {
-		areaResample(f, dst)
-		return
-	}
-	bilinearResample(f, dst)
 }
 
 // axisTaps is the hoisted per-axis weight table of the area resampler: for
@@ -146,12 +185,8 @@ func buildAxisTaps(inN, outN int, scale float64) axisTaps {
 	return t
 }
 
-func areaResample(f, out *Frame) {
+func areaResample(f, out *Frame, xt, yt axisTaps) {
 	w, h := out.W, out.H
-	sx := float64(f.W) / float64(w)
-	sy := float64(f.H) / float64(h)
-	xt := buildAxisTaps(f.W, w, sx)
-	yt := buildAxisTaps(f.H, h, sy)
 	for oy := 0; oy < h; oy++ {
 		ys, ye := yt.off[oy], yt.off[oy+1]
 		for ox := 0; ox < w; ox++ {

@@ -8,10 +8,11 @@
 # under the race detector (the worker pools in internal/parallel make data
 # races a correctness class, not a theoretical one), a coverage floor on
 # internal/analysis (the lint gate's own engine), the steady-state
-# allocation tests without instrumentation (so AllocsPerRun sees the real
-# counts the benchmark baselines record), the fixed-point kernel identity
-# suite under -race (bit-identity and error-bound pins for the int32
-# kernels and the fused renderer, DESIGN.md §5j), the fault-injection robustness
+# allocation tests and the bounded-display memory gate without
+# instrumentation (so AllocsPerRun and the heap counters see the real
+# figures), the fixed-point kernel identity suite under -race
+# (bit-identity and error-bound pins for the int32 kernels and the fused
+# renderer, DESIGN.md §5j, and the fused, retiring drive path, §5l), the fault-injection robustness
 # matrix under -race plus a short fuzz smoke of the decode entry points,
 # the camera-pose gate under -race (blind projective calibration rows,
 # frontal bit-identity, worker invariance of the solve's concurrent
@@ -124,20 +125,26 @@ run_alloc_tests() {
 	# Uninstrumented rerun of the steady-state allocation tests: they pass
 	# under -race too, but only this run measures the true allocs/op that
 	# the BENCH_*.json baselines pin.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs' -count=1 .
+	# TestSimulateDisplayMemoryFlat is the bounded-display gate: Simulate's
+	# heap traffic per simulated second must stay far below one second of
+	# drive history. It skips under -race, so this is the run that counts.
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat' -count=1 .
 }
 
 run_kernels() {
 	# The fixed-point identity gate in isolation under the race detector:
-	# the int32 kernels' bit-identity/error-bound pins (internal/fixed) and
-	# the fused pair-aware renderer's equivalence to the direct
-	# clone+add+clamp formulation at several worker counts (DESIGN.md §5j).
+	# the int32 kernels' bit-identity/error-bound pins (internal/fixed), the
+	# fused pair-aware renderer's equivalence to the direct clone+add+clamp
+	# formulation at several worker counts (DESIGN.md §5j), and the fused
+	# drive path's: PushFrame's drive codes equal Push(Frame), and the
+	# bounded, retiring Simulate equals Transmit + CaptureAll (§5l).
 	go test -race -count=1 \
 		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
 	go test -race -count=1 \
-		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool' \
+		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush' \
 		./internal/core/
+	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
 		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck' \
 		./internal/frame/
