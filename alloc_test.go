@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"inframe/internal/fleet"
 	"inframe/internal/frame"
 )
 
@@ -189,6 +190,54 @@ func TestSimulateDisplayMemoryFlat(t *testing.T) {
 			t.Errorf("ResponseTime %v: Simulate allocates %.0f B per extra simulated second, want < %.0f (a tenth of the %.0f B drive history of one second)",
 				response, perSecond, history/10, history)
 		}
+	}
+}
+
+// TestFleetMemoryFlat: fleet.Run measures every capture the moment it lands
+// and hands its frame back, and retires every display frame no member's
+// pending capture can read, so its heap traffic must not grow with the run
+// by anything like the drive history. A fleet that rendered the whole
+// transmission first would allocate one second of drive frames (120·W·H
+// bytes) per simulated second, plus every capture its receivers hold until
+// they decode; the bound is a tenth of the drive history per extra
+// simulated second, between a 2 s and an 8 s run of two receivers. What
+// does grow — each receiver's per-capture Block energies and per-frame
+// decode, about 1500 Blocks each at any scale — stays small against the
+// half-scale panel's drive frames. It measures heap traffic, so it runs
+// uninstrumented (verify.sh's alloc stage, CI's allocs job) and skips under
+// the race detector; the fleet determinism stage races the same pass.
+func TestFleetMemoryFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap-traffic gate: runs uninstrumented in the alloc stage")
+	}
+	l, err := ScaledPaperLayout(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapPerRun := func(seconds float64) uint64 {
+		cfg := fleet.DefaultConfig(l, 320, 180, 2, 3)
+		cfg.Seconds = seconds
+		cfg.Workers = 2
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := fleet.Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NeverDecoded == res.N {
+			t.Fatal("no receiver decoded; the fleet is not exercising the channel")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	history := 120 * float64(l.FrameW*l.FrameH) // one second of drive frames, bytes
+	short, long := heapPerRun(2), heapPerRun(8)
+	perSecond := (float64(long) - float64(short)) / 6
+	t.Logf("2 s run %.1f MB, 8 s run %.1f MB, %.0f B per extra simulated second (%.1f%% of one second of drive history)",
+		float64(short)/1e6, float64(long)/1e6, perSecond, 100*perSecond/history)
+	if perSecond > history/10 {
+		t.Errorf("fleet.Run allocates %.0f B per extra simulated second, want < %.0f (a tenth of the %.0f B drive history of one second)",
+			perSecond, history/10, history)
 	}
 }
 

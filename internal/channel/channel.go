@@ -13,6 +13,7 @@ import (
 	"inframe/internal/display"
 	"inframe/internal/frame"
 	"inframe/internal/impair"
+	"inframe/internal/parallel"
 )
 
 // Config describes one end-to-end link.
@@ -125,7 +126,7 @@ func (l *Link) Transmit(frames []*frame.Frame) error {
 // on a pool of Config.Workers, returning the delivered frames and their
 // exposure start times. An empty display yields none.
 func (l *Link) CaptureAll() ([]*frame.Frame, []float64) {
-	return l.schedule(l.Display.Duration()).Start(l.Camera, l.Display, l.cfg.Workers).Finish()
+	return l.schedule(l.Display.Duration()).Start(l.Camera, l.Display, parallel.NewPool(l.cfg.Workers)).Finish()
 }
 
 // schedule is the link's capture timetable for a dur-second transmission.
@@ -175,7 +176,7 @@ func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, err
 		return nil, err
 	}
 	sched := link.schedule(float64(nDisplayFrames) / cfg.Display.RefreshHz)
-	c := sched.Start(link.Camera, link.Display, cfg.Workers)
+	c := sched.Start(link.Camera, link.Display, parallel.NewPool(cfg.Workers))
 	for k := 0; k < nDisplayFrames; k++ {
 		if err := m.PushFrame(link.Display, k); err != nil {
 			c.Abort()

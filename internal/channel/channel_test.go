@@ -11,6 +11,7 @@ import (
 	"inframe/internal/frame"
 	"inframe/internal/impair"
 	"inframe/internal/metrics"
+	"inframe/internal/parallel"
 	"inframe/internal/video"
 )
 
@@ -310,7 +311,7 @@ func TestScheduleSpacing(t *testing.T) {
 	if err := link.Transmit(frames); err != nil {
 		t.Fatal(err)
 	}
-	caps, times := s.Start(link.Camera, link.Display, 2).Finish()
+	caps, times := s.Start(link.Camera, link.Display, parallel.NewPool(2)).Finish()
 	if len(caps) != 3 || !slices.Equal(times, s.Times) {
 		t.Fatalf("driver delivered %d captures at %v, want 3 at %v", len(caps), times, s.Times)
 	}
@@ -444,6 +445,85 @@ func TestSimulateMatchesTransmitCaptureAll(t *testing.T) {
 	}
 	if !nonMonotone {
 		t.Fatal("no case produced non-monotone capture times; the horizon's suffix minima went untested")
+	}
+}
+
+// TestStreamMatchesFinish: a streaming capturer hands its consumer exactly
+// the delivered sequence a collecting one returns from Finish — every
+// position once, with the same pixels and exposure start, drops skipped and
+// each duplicate at the next position one period later — at several widths
+// of a pool that two capturers share, and returns every frame it lent to
+// the camera's pool.
+func TestStreamMatchesFinish(t *testing.T) {
+	p := testParams()
+	cfg := quietChannel(40, 24)
+	cfg.Impair = impairedConfig()
+	link, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewMultiplexer(p, video.Gray(48, 32), core.NewRandomStream(p.Layout, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PushTo(link.Display, 240); err != nil {
+		t.Fatal(err)
+	}
+	want, wantTimes := link.CaptureAll()
+	sched := link.schedule(link.Display.Duration())
+	if len(want) == len(sched.Times) {
+		t.Fatal("no capture dropped or duplicated; the delivery plan went untested")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		pool := parallel.NewPool(workers)
+		frames := frame.NewPool()
+		var got [2][]*frame.Frame
+		var gotTimes [2][]float64
+		var streams [2]*Capturer
+		for s := range streams {
+			ccfg := cfg.Camera
+			ccfg.Pool = frames
+			cam, err := camera.New(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n int
+			streams[s], n = sched.Stream(cam, link.Display, pool, func(k int, f *frame.Frame, t float64) {
+				got[s][k] = f.Clone()
+				gotTimes[s][k] = t
+			})
+			if n != len(want) {
+				t.Fatalf("workers=%d: Stream plans %d deliveries, Finish returned %d", workers, n, len(want))
+			}
+			got[s] = make([]*frame.Frame, n)
+			gotTimes[s] = make([]float64, n)
+		}
+		for _, c := range streams {
+			c.Displayed(240)
+		}
+		for _, c := range streams {
+			if caps, times := c.Finish(); caps != nil || times != nil {
+				t.Fatalf("workers=%d: a streaming Finish returned %d captures", workers, len(caps))
+			}
+		}
+		for s := range streams {
+			for k, f := range want {
+				if got[s][k] == nil {
+					t.Fatalf("workers=%d stream %d: position %d never delivered", workers, s, k)
+				}
+				if math.Float64bits(gotTimes[s][k]) != math.Float64bits(wantTimes[k]) {
+					t.Fatalf("workers=%d stream %d: position %d at %v, Finish's at %v", workers, s, k, gotTimes[s][k], wantTimes[k])
+				}
+				for j, v := range f.Pix {
+					if math.Float32bits(got[s][k].Pix[j]) != math.Float32bits(v) {
+						t.Fatalf("workers=%d stream %d: position %d pixel %d is %v, Finish's %v", workers, s, k, j, got[s][k].Pix[j], v)
+					}
+				}
+			}
+		}
+		if st := frames.Stats(); st.Gets != st.Puts {
+			t.Fatalf("workers=%d: streaming capturers took %d frames and returned %d", workers, st.Gets, st.Puts)
+		}
 	}
 }
 

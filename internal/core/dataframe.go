@@ -87,14 +87,22 @@ func (df *DataFrame) DataBits() []bool {
 	return out
 }
 
-// ParityOK reports whether GOB (gx, gy) satisfies its XOR parity.
+// ParityOK reports whether GOB (gx, gy) satisfies its XOR parity — the
+// parity.Check relation over the GOB's Blocks in GOBBlocks order, walked in
+// place: it runs on every available GOB of every decoded frame, so it
+// allocates nothing. A GOB of one Block carries no parity and never passes.
 func (df *DataFrame) ParityOK(gx, gy int) bool {
-	blocks := df.Layout.GOBBlocks(gx, gy)
-	group := make([]bool, len(blocks))
-	for i, blk := range blocks {
-		group[i] = df.Bit(blk[0], blk[1])
+	l := df.Layout
+	l.checkGOB(gx, gy)
+	per := l.BlocksPerGOB()
+	if per < 2 {
+		return false
 	}
-	return parity.Check(group)
+	odd := false
+	for i := 0; i < per; i++ {
+		odd = odd != df.Bits[l.gobBlock(gx, gy, i)]
+	}
+	return !odd
 }
 
 // Stream supplies the data frame sequence to the multiplexer.

@@ -2,7 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"inframe/internal/frame"
+	"inframe/internal/video"
 )
 
 // degenerateReceiver builds a receiver with the confidence floors zeroed, so
@@ -120,5 +124,105 @@ func TestDecodePerBlockDegenerate(t *testing.T) {
 		if got := fd.AvailableGOBs(); got != 0 {
 			t.Fatalf("frame %d: %d GOBs available, want 0", fd.Index, got)
 		}
+	}
+}
+
+// hostileCaptures are frames no receiver of w×h captures can measure: a nil
+// capture, the zero-size frame, a frame of the wrong size, and one whose
+// pixel buffer does not match its dimensions.
+func hostileCaptures(w, h int) []*frame.Frame {
+	return []*frame.Frame{nil, {}, frame.New(w/2, h), {W: w, H: h, Pix: make([]float32, w)}}
+}
+
+// TestDecodeDriversScoreHostileCaptures: both decode drivers score a
+// capture that is not a frame of the receiver's capture size as nothing.
+// Each hostile capture sits at the exposure start of a good, selected one,
+// so it reaches the shared observe step. The batch decode equals the decode
+// without it, and its report marks it unscored. The streaming decode equals
+// the good captures' too, and a hostile capture pushed at a finite time
+// still emits every frame whose window has passed.
+func TestDecodeDriversScoreHostileCaptures(t *testing.T) {
+	p := smallParams()
+	p.Tau = 8
+	l := p.Layout
+	const nData = 6
+	m := newMux(t, p, video.Gray(l.FrameW, l.FrameH), NewRandomStream(l, 11))
+	caps, times, exp := idealCaptures(m, nData*p.Tau)
+	hostile := hostileCaptures(l.FrameW, l.FrameH)
+	var mixCaps []*frame.Frame
+	var mixTimes []float64
+	var bad []int
+	for i := range caps {
+		mixCaps = append(mixCaps, caps[i])
+		bad = append(bad, len(mixCaps))
+		mixCaps = append(mixCaps, hostile[i%len(hostile)])
+		mixTimes = append(mixTimes, times[i], times[i])
+	}
+
+	r := smallReceiver(t, p)
+	want, wantRep := r.DecodeCapturesReport(caps, times, exp, nData)
+	if wantRep.GapFrames != 0 {
+		t.Fatalf("the good captures leave %d gap frames; the test needs every frame observed", wantRep.GapFrames)
+	}
+	got, rep := r.DecodeCapturesReport(mixCaps, mixTimes, exp, nData)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("hostile captures changed the batch decode")
+	}
+	if !reflect.DeepEqual(r.DecodeCaptures(mixCaps, mixTimes, exp, nData), want) {
+		t.Fatal("hostile captures changed DecodeCaptures")
+	}
+	selected := 0
+	for _, k := range bad {
+		if q := rep.Quality[k]; q.Scored || q.Used || q.Excluded || q.Quality != 0 {
+			t.Fatalf("hostile capture %d reported %+v, want unscored", k, q)
+		}
+		if rep.Quality[k-1].Scored {
+			selected++ // its good twin at the same time was selected and measured
+		}
+	}
+	if selected < len(hostile) {
+		t.Fatalf("only %d hostile captures sat at a selected time; every kind must reach observe", selected)
+	}
+
+	cfg := DefaultReceiverConfig(p, l.FrameW, l.FrameH)
+	mixed, err := NewStreamingReceiver(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := NewStreamingReceiver(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotStream, wantStream []*FrameDecode
+	for i := range mixCaps {
+		gotStream = append(gotStream, mixed.Push(mixCaps[i], mixTimes[i], exp)...)
+	}
+	for i := range caps {
+		wantStream = append(wantStream, clean.Push(caps[i], times[i], exp)...)
+	}
+	// A mid-exposure three quarters into a data frame lies in no steady
+	// window, so a good capture there feeds nothing and only advances.
+	period := r.DataFramePeriod()
+	tEnd := (nData+0.75)*period - exp/2
+	for _, h := range hostile {
+		probe, err := NewStreamingReceiver(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewStreamingReceiver(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range caps {
+			probe.Push(caps[i], times[i], exp)
+			twin.Push(caps[i], times[i], exp)
+		}
+		tail, wantTail := probe.Push(h, tEnd, exp), twin.Push(caps[0], tEnd, exp)
+		if len(tail) == 0 || !reflect.DeepEqual(tail, wantTail) {
+			t.Fatalf("a hostile capture at t=%v emitted %d frames, a capture feeding nothing %d", tEnd, len(tail), len(wantTail))
+		}
+	}
+	if len(wantStream) == 0 || !reflect.DeepEqual(gotStream, wantStream) {
+		t.Fatalf("hostile captures changed the streaming decode (%d frames vs %d)", len(gotStream), len(wantStream))
 	}
 }

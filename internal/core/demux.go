@@ -247,11 +247,6 @@ type Receiver struct {
 	// outside the camera's view
 	rects   []capRect
 	visible int
-	// intScratch recycles the integer-kernel window-sum buffers across
-	// measurements. MeasureCaptureAt runs concurrently across captures
-	// (DecodeCaptures fans out per capture on one receiver), so the scratch
-	// is a sync.Pool rather than a plain field.
-	intScratch sync.Pool
 }
 
 type capRect struct{ x0, y0, w, h int }
@@ -262,10 +257,19 @@ type intBufs struct {
 	sums, col []int32
 }
 
+// intScratch recycles the integer-kernel window-sum buffers across the
+// measurements of every receiver in the process. Measurements run
+// concurrently (DecodeCaptures fans out per capture; a fleet measures each
+// member's captures on one shared pool), so the scratch is a sync.Pool, and
+// one pool for all receivers keeps a fleet of N receivers from missing N
+// times as often. Scratch only: contents never survive a measurement, so
+// scheduling-dependent reuse cannot change an output.
+var intScratch sync.Pool
+
 // getIntBufs draws (or grows) the integer scratch for an nPix-pixel,
 // h-row capture.
-func (r *Receiver) getIntBufs(nPix, h int) *intBufs {
-	b, _ := r.intScratch.Get().(*intBufs)
+func getIntBufs(nPix, h int) *intBufs {
+	b, _ := intScratch.Get().(*intBufs)
 	if b == nil || len(b.sums) < nPix || len(b.col) < h {
 		b = &intBufs{sums: make([]int32, nPix), col: make([]int32, h)}
 	}
@@ -507,7 +511,9 @@ func (r *Receiver) MeasureCapture(f *frame.Frame) []float64 {
 // model is configured. Blocks whose every row was dropped yield NaN. The
 // second result is a per-Block measurement quality in (0,1]: the fraction of
 // the block's row-weight mass that survived the shutter model — low quality
-// means a noisier estimate.
+// means a noisier estimate. It panics on a capture whose size is not the
+// receiver's capture size, a plumbing bug in a direct caller; the decode
+// drivers score such a capture as nothing instead (see observe).
 func (r *Receiver) MeasureCaptureAt(f *frame.Frame, t0 float64) ([]float64, []float64) {
 	if f.W != r.cfg.CaptureW || f.H != r.cfg.CaptureH {
 		panic(fmt.Sprintf("core: capture %dx%d does not match receiver %dx%d",
@@ -549,7 +555,7 @@ func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64
 		scale int32 = 1
 	)
 	if r.cfg.Detector == DetectorEnergy && sr >= 1 && sr <= 128 && fixed.IsIntegral8(f.Pix) {
-		bufs = r.getIntBufs(len(f.Pix), f.H)
+		bufs = getIntBufs(len(f.Pix), f.H)
 		fixed.WindowSums(f.Pix, f.W, f.H, sr, bufs.sums, bufs.col)
 		side := int32(2*sr + 1)
 		scale = side * side
@@ -657,7 +663,7 @@ func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64
 		quality[i] = n / float64(rect.w*rect.h)
 	}
 	if bufs != nil {
-		r.intScratch.Put(bufs)
+		intScratch.Put(bufs)
 	}
 	r.pool.Put(sm) // nil on the integer path: a no-op by the Put contract
 	return scores, quality
@@ -724,12 +730,13 @@ func (fd *FrameDecode) ErroneousGOBs() int {
 // failing parity reports CauseParity.
 func buildGOBs(fd *FrameDecode, l Layout) {
 	gobsX, gobsY := l.GOBsX(), l.GOBsY()
+	per := l.BlocksPerGOB()
 	gobs := make([]GOBResult, 0, gobsX*gobsY)
 	for gy := 0; gy < gobsY; gy++ {
 		for gx := 0; gx < gobsX; gx++ {
 			res := GOBResult{GX: gx, GY: gy, Available: true}
-			for _, blk := range l.GOBBlocks(gx, gy) {
-				j := blk[1]*l.BlocksX + blk[0]
+			for i := 0; i < per; i++ {
+				j := l.gobBlock(gx, gy, i)
 				if fd.Decided[j] {
 					continue
 				}
@@ -797,21 +804,31 @@ func (r *Receiver) frameOf(t, exposure float64) (d int, ok bool) {
 	return 0, false
 }
 
-// observation is one scheduled capture as the decode drivers see it: its
-// per-Block energies and shutter qualities, its link quality (scored only
-// when the gate or a report needs it), and the gate's verdict.
+// observation is one scheduled capture as the decode drivers see it: the
+// data frame it was selected for, its per-Block energies and shutter
+// qualities, its link quality (scored only when the gate or a report needs
+// it), and the gate's verdict. The zero value is a capture that was not
+// scored.
 type observation struct {
-	scores, quality []float64
-	link            float64
-	excluded        bool
+	frame            int
+	scores, quality  []float64
+	link             float64
+	scored, excluded bool
 }
 
 // observe measures one scheduled capture taken at t and applies the
 // MinCaptureQuality gate — the one measurement-and-gate step of both decode
 // drivers. Link quality is a pure observation, computed only when the gate
-// is on or wantQuality asks for it, so the ungated decode is untouched.
+// is on or wantQuality asks for it, so the ungated decode is untouched. A
+// capture that is not a frame of the receiver's capture size (nil, empty,
+// the wrong dimensions, or a pixel buffer that does not match them) is
+// hostile input, not a plumbing bug, so it is scored as nothing rather than
+// reaching MeasureCaptureAt's size panic.
 func (r *Receiver) observe(f *frame.Frame, t float64, wantQuality bool) observation {
-	var o observation
+	if f == nil || f.W != r.cfg.CaptureW || f.H != r.cfg.CaptureH || len(f.Pix) != f.W*f.H {
+		return observation{}
+	}
+	o := observation{scored: true}
 	o.scores, o.quality = r.MeasureCaptureAt(f, t)
 	gating := r.cfg.MinCaptureQuality > 0
 	if gating || wantQuality {
@@ -827,7 +844,8 @@ func (r *Receiver) observe(f *frame.Frame, t float64, wantQuality bool) observat
 // frame's steady window. Data frames observed by no capture yield a
 // FrameDecode with zero captures and no available GOBs. Captures with a
 // non-finite start time, and every capture under a non-finite or negative
-// exposure, fall in no window.
+// exposure, fall in no window; a nil capture, or one whose size is not the
+// receiver's capture size, is not scored.
 //
 // Decoding is two-pass: raw per-Block energies are first aggregated per
 // data frame, then each Block's bit levels are calibrated from its own
@@ -854,50 +872,94 @@ func (r *Receiver) DecodeCapturesReport(caps []*frame.Frame, times []float64, ex
 	return r.decodeCaptures(caps, times, exposure, nFrames, true)
 }
 
+// decodeCaptures is both batch entry points: observe every capture into
+// its slot, fanned out across the configured workers, then decode.
 func (r *Receiver) decodeCaptures(caps []*frame.Frame, times []float64, exposure float64, nFrames int, wantReport bool) ([]*FrameDecode, *DecodeReport) {
 	if len(caps) != len(times) {
 		panic("core: captures and times length mismatch")
 	}
-	// Selection pass (cheap, pure timing): each capture's data frame, or -1.
-	frameIdx := make([]int, len(caps))
-	for i, t := range times {
-		frameIdx[i] = -1
-		if d, ok := r.frameOf(t, exposure); ok && d < nFrames {
-			frameIdx[i] = d
-		}
-	}
-	// Measurement pass: per-capture Block energy scans are independent, so
-	// they fan out; each worker writes only its capture's slot.
-	obs := make([]observation, len(caps))
+	b := r.newBatch(len(caps), exposure, nFrames, wantReport)
 	parallel.For(r.cfg.Workers, len(caps), func(i int) {
-		if frameIdx[i] >= 0 {
-			obs[i] = r.observe(caps[i], times[i], wantReport)
-		}
+		b.Observe(i, caps[i], times[i])
 	})
-	// Aggregation pass in ascending capture index, so each frame's float
-	// accumulation order is fixed at any worker count.
-	nBlocks := r.cfg.Layout.NumBlocks()
-	accs := make([]*frameAcc, nFrames)
-	for i, d := range frameIdx {
-		if d < 0 || obs[i].excluded {
+	return b.Decode()
+}
+
+// Batch is one capture sequence on its way through the batch decoder, for
+// a caller that holds its captures one at a time: Observe measures each
+// capture into its index-addressed slot the moment it exists, and Decode
+// runs DecodeCapturesReport's remaining stages over the slots. Observing
+// capture k of a sequence and decoding gives exactly what
+// DecodeCapturesReport returns for the whole sequence, so a producer can
+// hand each frame back to its pool as soon as Observe returns.
+type Batch struct {
+	r          *Receiver
+	exposure   float64
+	nFrames    int
+	wantReport bool
+	times      []float64
+	obs        []observation
+}
+
+// NewBatch returns the slots of an n-capture sequence taken under the
+// given exposure and decoded into data frames 0..nFrames-1.
+func (r *Receiver) NewBatch(n int, exposure float64, nFrames int) *Batch {
+	return r.newBatch(n, exposure, nFrames, true)
+}
+
+func (r *Receiver) newBatch(n int, exposure float64, nFrames int, wantReport bool) *Batch {
+	return &Batch{
+		r:          r,
+		exposure:   exposure,
+		nFrames:    nFrames,
+		wantReport: wantReport,
+		times:      make([]float64, n),
+		obs:        make([]observation, n),
+	}
+}
+
+// Observe records capture k of the sequence, whose exposure started at t:
+// the capture selection (frameOf) picks its data frame, and a selected
+// capture is measured and gated (observe). The frame is only read during
+// the call. Calls for distinct k may run concurrently; every slot must be
+// observed once before Decode.
+func (b *Batch) Observe(k int, f *frame.Frame, t float64) {
+	b.times[k] = t
+	if d, ok := b.r.frameOf(t, b.exposure); ok && d < b.nFrames {
+		o := b.r.observe(f, t, b.wantReport)
+		o.frame = d
+		b.obs[k] = o
+	}
+}
+
+// Decode aggregates the observed captures per data frame in ascending
+// capture index — so each frame's float accumulation order is fixed
+// however the observations were scheduled — then calibrates, decides and
+// reports. The report is nil for a batch DecodeCaptures drives.
+func (b *Batch) Decode() ([]*FrameDecode, *DecodeReport) {
+	nBlocks := b.r.cfg.Layout.NumBlocks()
+	accs := make([]*frameAcc, b.nFrames)
+	for i := range b.obs {
+		o := &b.obs[i]
+		if !o.scored || o.excluded {
 			continue
 		}
-		if accs[d] == nil {
-			accs[d] = newFrameAcc(nBlocks)
+		if accs[o.frame] == nil {
+			accs[o.frame] = newFrameAcc(nBlocks)
 		}
-		accs[d].add(obs[i].scores, obs[i].quality)
+		accs[o.frame].add(o.scores, o.quality)
 	}
-	out := r.decodePerBlock(accs)
-	if !wantReport {
+	out := b.r.decodePerBlock(accs)
+	if !b.wantReport {
 		return out, nil
 	}
-	rep := &DecodeReport{Frames: out, Quality: make([]CaptureQuality, len(caps)), Registration: r.registration()}
-	for i := range caps {
-		q := CaptureQuality{Index: i, Time: times[i]}
-		if frameIdx[i] >= 0 {
-			q.Scored = true
-			q.Quality = obs[i].link
-			q.Excluded = obs[i].excluded
+	rep := &DecodeReport{Frames: out, Quality: make([]CaptureQuality, len(b.obs)), Registration: b.r.registration()}
+	for i := range b.obs {
+		o := &b.obs[i]
+		q := CaptureQuality{Index: i, Time: b.times[i], Scored: o.scored}
+		if o.scored {
+			q.Quality = o.link
+			q.Excluded = o.excluded
 			q.Used = !q.Excluded
 			if q.Excluded {
 				rep.ExcludedCaptures++

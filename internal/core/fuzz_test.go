@@ -17,7 +17,7 @@ func fuzzCaptures(l Layout, seed int64, n int, tBase float64, mode uint8) ([]*fr
 	times := make([]float64, n)
 	for i := range caps {
 		fr := frame.New(l.FrameW, l.FrameH)
-		switch mode % 5 {
+		switch mode % 6 {
 		case 0: // uniform noise
 			for j := range fr.Pix {
 				fr.Pix[j] = float32(rng.Float64() * 255)
@@ -43,10 +43,13 @@ func fuzzCaptures(l Layout, seed int64, n int, tBase float64, mode uint8) ([]*fr
 			}
 		case 3: // constant mid-gray (degenerate: no swing anywhere)
 			fr.Fill(127)
-		default: // sparse impulses
+		case 4: // sparse impulses
 			for k := 0; k < 16; k++ {
 				fr.Pix[rng.Intn(len(fr.Pix))] = float32(rng.Float64() * 512)
 			}
+		default: // hostile sizes: nil, empty, wrong-size, short pixel buffer
+			hostile := hostileCaptures(l.FrameW, l.FrameH)
+			fr = hostile[rng.Intn(len(hostile))]
 		}
 		caps[i] = fr
 		times[i] = tBase + float64(i)*rng.Float64()/30
@@ -93,16 +96,18 @@ func checkDecodeStructure(t *testing.T, l Layout, d int, fd *FrameDecode) {
 }
 
 // FuzzDecodeCaptures throws arbitrary capture sequences at the full decode
-// path — garbage pixels, non-finite times and exposures, degenerate capture
-// counts — and checks the structural invariants that must hold for any
-// input: no panic, exactly nFrames decodes, and every decode's availability
-// and parity flags self-consistent with its Block decisions.
+// path — garbage pixels, captures of hostile sizes, non-finite times and
+// exposures, degenerate capture counts — and checks the structural
+// invariants that must hold for any input: no panic, exactly nFrames
+// decodes, every decode's availability and parity flags self-consistent
+// with its Block decisions, and no capture of the wrong size scored.
 func FuzzDecodeCaptures(f *testing.F) {
 	f.Add(int64(1), uint8(4), 0.0, 1.0/120, uint8(0))
 	f.Add(int64(7), uint8(0), 0.5, 0.002, uint8(1))
 	f.Add(int64(-3), uint8(6), -1.0, 0.0, uint8(2))
 	f.Add(int64(99), uint8(3), 1e300, math.Inf(1), uint8(3))
 	f.Add(int64(42), uint8(2), math.NaN(), math.NaN(), uint8(4))
+	f.Add(int64(8), uint8(7), 0.0, 1.0/120, uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, nCaps uint8, tBase, exposure float64, mode uint8) {
 		p := smallParams()
 		l := p.Layout
@@ -124,12 +129,15 @@ func FuzzDecodeCaptures(f *testing.F) {
 			if q.Scored && (math.IsNaN(q.Quality) || q.Quality < 0 || q.Quality > 1) {
 				t.Fatalf("capture %d quality %v outside [0,1]", q.Index, q.Quality)
 			}
+			if c := caps[q.Index]; q.Scored && (c == nil || c.W != l.FrameW || c.H != l.FrameH || len(c.Pix) != c.W*c.H) {
+				t.Fatalf("capture %d of a hostile size was scored", q.Index)
+			}
 		}
 	})
 }
 
 // FuzzStreamingPush drives the online decode driver with FuzzDecodeCaptures'
-// capture families pushed in a fuzzed order, at times that include NaN, ±Inf
+// capture families (hostile sizes included) pushed in a fuzzed order, at times that include NaN, ±Inf
 // and non-monotone values, under a fuzzed calibration window and quality
 // gate. Finite times are folded into a few tens of seconds: elapsed stream
 // time sets Push's output size by contract (one decode per elapsed frame),
@@ -142,6 +150,7 @@ func FuzzStreamingPush(f *testing.F) {
 	f.Add(int64(99), uint8(3), 1e300, math.Inf(1), uint8(3), uint8(20))
 	f.Add(int64(42), uint8(7), math.NaN(), math.NaN(), uint8(4), uint8(255))
 	f.Add(int64(5), uint8(7), 2.0, -0.001, uint8(0), uint8(77))
+	f.Add(int64(8), uint8(7), 0.0, 1.0/120, uint8(5), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, nCaps uint8, tBase, exposure float64, mode, knobs uint8) {
 		p := smallParams()
 		l := p.Layout

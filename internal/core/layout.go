@@ -119,9 +119,7 @@ func (l Layout) BlockRect(bx, by int) (x0, y0, w, h int) {
 // GOBBlocks returns the (bx, by) coordinates of the Blocks of GOB (gx, gy)
 // in row-major order; with m=2 the fourth entry is the parity Block.
 func (l Layout) GOBBlocks(gx, gy int) [][2]int {
-	if gx < 0 || gx >= l.GOBsX() || gy < 0 || gy >= l.GOBsY() {
-		panic(fmt.Sprintf("core: GOB (%d,%d) out of %dx%d grid", gx, gy, l.GOBsX(), l.GOBsY()))
-	}
+	l.checkGOB(gx, gy)
 	out := make([][2]int, 0, l.BlocksPerGOB())
 	for j := 0; j < l.GOBSize; j++ {
 		for i := 0; i < l.GOBSize; i++ {
@@ -129,6 +127,20 @@ func (l Layout) GOBBlocks(gx, gy int) [][2]int {
 		}
 	}
 	return out
+}
+
+// gobBlock returns the row-major Block index (by·BlocksX + bx) of entry i
+// of GOBBlocks(gx, gy), 0 ≤ i < BlocksPerGOB, without building the list:
+// the decode path walks every GOB of every frame this way, allocation-free.
+func (l Layout) gobBlock(gx, gy, i int) int {
+	return (gy*l.GOBSize+i/l.GOBSize)*l.BlocksX + gx*l.GOBSize + i%l.GOBSize
+}
+
+// checkGOB panics unless (gx, gy) names a GOB of the layout.
+func (l Layout) checkGOB(gx, gy int) {
+	if gx < 0 || gx >= l.GOBsX() || gy < 0 || gy >= l.GOBsY() {
+		panic(fmt.Sprintf("core: GOB (%d,%d) out of %dx%d grid", gx, gy, l.GOBsX(), l.GOBsY()))
+	}
 }
 
 // ChessOn reports whether the Pixel at global Pixel coordinates (pi, pj) is

@@ -369,3 +369,33 @@ func TestDecodeReportEmpty(t *testing.T) {
 		t.Fatalf("empty report mean/min = %v/%v", rep.MeanQuality(), rep.MinQuality())
 	}
 }
+
+// TestFrameDecodeAllocs pins the decision stage's allocations: a decided
+// frame and a gap frame each allocate only their FrameDecode — the struct,
+// its DataFrame and bit slice, the Decided, BlockCauses and GOB slices —
+// however many GOBs the layout has, because the GOB summary and the parity
+// check walk each GOB's Blocks in place.
+func TestFrameDecodeAllocs(t *testing.T) {
+	const want = 6
+	p := smallParams()
+	r := smallReceiver(t, p)
+	n := p.Layout.NumBlocks()
+	scores, quality := make([]float64, n), make([]float64, n)
+	lo, hi := make([]float64, n), make([]float64, n)
+	for j := range scores {
+		scores[j] = float64(100 * (j % 2))
+		quality[j] = 1
+		hi[j] = 100
+	}
+	a := newFrameAcc(n)
+	a.add(scores, quality)
+	if fd := r.decideFrame(0, a, lo, hi); fd.AvailableGOBs() != p.Layout.NumGOBs() {
+		t.Fatalf("%d of %d GOBs available; every GOB must reach the parity check", fd.AvailableGOBs(), p.Layout.NumGOBs())
+	}
+	if got := testing.AllocsPerRun(20, func() { r.decideFrame(0, a, lo, hi) }); got > want {
+		t.Errorf("decideFrame allocates %v times per frame, want %d", got, want)
+	}
+	if got := testing.AllocsPerRun(20, func() { r.emptyDecode(0) }); got > want {
+		t.Errorf("emptyDecode allocates %v times per frame, want %d", got, want)
+	}
+}

@@ -48,13 +48,15 @@ func (s *StreamingReceiver) Receiver() *Receiver { return s.rcv }
 // before t, in order. A frame no capture observed — or whose every capture
 // the MinCaptureQuality gate excluded — is emitted with zero captures, so by
 // contract a forward jump in t emits one empty decode per skipped frame. A
-// non-finite t neither feeds nor advances the stream.
+// non-finite t neither feeds nor advances the stream; a nil capture, or one
+// whose size is not the receiver's capture size, feeds nothing but still
+// advances it.
 func (s *StreamingReceiver) Push(capture *frame.Frame, t, exposure float64) []*FrameDecode {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil
 	}
 	if d, ok := s.rcv.frameOf(t, exposure); ok {
-		if o := s.rcv.observe(capture, t, false); !o.excluded {
+		if o := s.rcv.observe(capture, t, false); o.scored && !o.excluded {
 			a := s.acc[d]
 			if a == nil {
 				a = newFrameAcc(s.rcv.cfg.Layout.NumBlocks())

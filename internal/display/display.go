@@ -23,7 +23,8 @@
 // pow() in the hot path. A display keeps every pushed frame until its owner
 // calls Retire, which hands the drive slots (and response states) that no
 // later read can touch back for reuse: a caller that retires behind its
-// readers, as channel.Simulate does behind its pending captures, holds
+// readers, as channel.Simulate does behind its pending captures and
+// fleet.Run behind every member's, holds
 // memory in proportion to the read window, not to the run's length, so
 // hour-long simulations fit in memory.
 package display

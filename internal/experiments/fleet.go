@@ -9,9 +9,9 @@ import (
 )
 
 // fleetPoolCap bounds the shared frame pool's per-size free lists during a
-// fleet run: the population samples several capture geometries, and without
-// a cap every distinct W×H retains its full capture sequence between
-// receivers (see fleet.Config.PoolCap).
+// fleet run: the population samples several capture geometries, each with
+// its own free list, which a cap of four keeps to at most four frames per
+// W×H (see fleet.Config.PoolCap).
 const fleetPoolCap = 4
 
 // Fleet runs the broadcast-fleet experiment: the standard scaled link

@@ -35,17 +35,19 @@ type Config struct {
 	Camera camera.Config
 	// Pop is the receiver population.
 	Pop Population
-	// Workers is the fleet's total effective worker budget: receivers fan
-	// out across min(Resolve(Workers), N) goroutines and each receiver's
-	// capture and decode stages get the per-receiver share from
-	// parallel.Split, so total concurrency never exceeds one resolved
-	// budget. 0 means GOMAXPROCS; 1 forces the sequential path. Results
-	// are bit-identical at any value.
+	// Workers is the fleet's worker budget: the render and the one
+	// capture pool every member shares each run on Resolve(Workers)
+	// goroutines (captures overlap the render, as in channel.Simulate),
+	// and the decodes fan out across min(Resolve(Workers), N) receivers,
+	// each with the per-receiver share from parallel.Split, so nested
+	// fan-out never multiplies the budget. 0 means GOMAXPROCS; 1 forces
+	// the sequential path. Results are bit-identical at any value.
 	Workers int
 	// PoolCap bounds the shared frame pool's per-size free lists
 	// (frame.Pool.SetMaxPerSize); 0 leaves them unbounded. A fleet of
-	// heterogeneous geometries keys one free list per distinct W×H, so a
-	// cap is what keeps retained memory flat as sizes multiply.
+	// heterogeneous geometries keys one free list per distinct W×H; every
+	// capture goes back to the pool once its receiver has measured it, so
+	// each list stays a few frames deep, and a cap bounds it outright.
 	PoolCap int
 	// MinCaptureQuality and RecalibrateEvery configure the receivers'
 	// graceful-degradation decode (see core.ReceiverConfig).
@@ -59,10 +61,7 @@ type Config struct {
 // the given capture geometry.
 func DefaultConfig(l core.Layout, capW, capH, n int, seed int64) Config {
 	dcfg := display.DefaultConfig()
-	// Instant pixels, as experiments.Setup models the FG2421 (A12). The
-	// fleet renders its whole transmission before any receiver captures
-	// and never retires, so a response state per refresh would also stay
-	// in memory for the run.
+	// Instant pixels, as experiments.Setup models the FG2421 (A12).
 	dcfg.ResponseTime = 0
 	ccfg := camera.DefaultConfig(capW, capH)
 	ccfg.BlurRadius = 0
@@ -136,7 +135,7 @@ type Result struct {
 	Degrade metrics.DegradationStats
 	// Pool and PoolHighWater snapshot the shared frame pool after the
 	// run. Gets/Puts/Evicted and the high-water are deterministic for a
-	// fixed config at Workers=1; under concurrent receivers the Hit/Miss
+	// fixed config at Workers=1; under concurrent captures the Hit/Miss
 	// split (and therefore the exact high-water) depends on interleaving,
 	// while every decode output remains bit-identical.
 	Pool          frame.PoolStats
@@ -148,10 +147,13 @@ type Result struct {
 }
 
 // Run renders the transmission once and decodes it with every receiver in
-// the population. Receiver outcomes are written to index-addressed slots
-// and aggregated in index order, so the entire Result — distributions,
-// merged degradation stats, every per-receiver row — is bit-identical at
-// any worker count.
+// the population. Rendering and capture run in one lockstep pass
+// (broadcast), after which the members' decodes fan out. Receiver outcomes
+// are written to index-addressed slots and aggregated in index order, so
+// the entire Result — distributions, merged degradation stats, every
+// per-receiver row — is bit-identical at any worker count, and each row is
+// what rendering the whole transmission first, then running the member's
+// channel.Simulate captures through DecodeCapturesReport, would score.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Pop.Validate(); err != nil {
 		return nil, err
@@ -174,60 +176,25 @@ func Run(cfg Config) (*Result, error) {
 		pool.SetMaxPerSize(cfg.PoolCap)
 	}
 
-	// Render the multiplexed stream exactly once, straight into the
-	// display's drive slots. The display keeps the full drive history (the
-	// fleet never retires: its receivers capture only after the render)
-	// and is safe for any number of concurrent light-field readers, so N
-	// receivers capture from it directly.
-	p := cfg.Params
-	p.Pool = pool
-	p.Workers = cfg.Workers
-	stream := core.NewRandomStream(p.Layout, cfg.StreamSeed)
-	src := cfg.Source
-	if src == nil {
-		src = video.Gray(p.Layout.FrameW, p.Layout.FrameH)
-	}
-	m, err := core.NewMultiplexer(p, src, stream)
-	if err != nil {
-		return nil, err
-	}
-	d, err := display.New(cfg.Display)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.PushTo(d, nDisplay); err != nil {
-		return nil, err
-	}
-	renderStats := m.RenderStats()
-	// Materialize the oracle frames before the fan-out: RandomStream's
-	// lazy cache is not safe for concurrent first touches, and every
-	// receiver scores against the same nData frames.
-	oracle := make([]*core.DataFrame, nData)
-	for i := range oracle {
-		oracle[i] = stream.DataFrame(i)
-	}
-
-	// The worker budget: receivers take min(Resolve(Workers), N) outer
-	// slots and each receiver's capture/decode stages share the remainder,
-	// so the fleet never runs more than one resolved budget of goroutines.
+	// The worker budget (see Config.Workers): the decodes fan out over
+	// min(Resolve(Workers), N) receivers, each deciding on its Split share.
 	n := cfg.Pop.N
 	outer := parallel.Resolve(cfg.Workers)
 	if outer > n {
 		outer = n
 	}
 	inner := parallel.Split(cfg.Workers, outer)
+	bc, err := cfg.broadcast(nDisplay, nData, pool, inner)
+	if err != nil {
+		return nil, err
+	}
 
 	recvs := make([]ReceiverResult, n)
 	stats := make([]metrics.DegradationStats, n)
-	errs := make([]error, n)
 	parallel.For(cfg.Workers, n, func(i int) {
-		recvs[i], stats[i], errs[i] = cfg.runReceiver(i, d, pool, oracle, inner)
+		decoded, rep := bc.members[i].batch.Decode()
+		recvs[i], stats[i] = cfg.row(bc.members[i].spec, bc.members[i].delivered, decoded, rep, bc.oracle)
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fleet: receiver %d: %w", i, err)
-		}
-	}
 
 	// Aggregate strictly in receiver-index order: Merge's quality series
 	// and the distributions' float sums are order-sensitive, and index
@@ -254,45 +221,148 @@ func Run(cfg Config) (*Result, error) {
 	res.TTFD = distOf(&ttfdS)
 	res.Pool = pool.Stats()
 	res.PoolHighWater = pool.HighWater()
-	res.Render = renderStats
+	res.Render = bc.render
 	return res, nil
 }
 
-// runReceiver captures and decodes one fleet member against the already
-// rendered display. Everything it does is keyed by the receiver index: the
-// sampled spec, the camera noise, the impairment streams. inner is this
-// receiver's worker share from the fleet budget.
-func (cfg *Config) runReceiver(i int, d *display.Display, pool *frame.Pool, oracle []*core.DataFrame, inner int) (ReceiverResult, metrics.DegradationStats, error) {
-	spec, caps, times, err := cfg.capture(i, d, pool, inner)
-	if err != nil {
-		return ReceiverResult{}, metrics.DegradationStats{}, err
+// member is one fleet receiver in flight: its sampled spec, the capturer
+// streaming its schedule off the shared display, and the batch its
+// receiver measures each delivered capture into.
+type member struct {
+	spec     ReceiverSpec
+	capturer *channel.Capturer
+	batch    *core.Batch
+	// delivered is the length of the member's delivered capture sequence.
+	delivered int
+}
+
+// broadcastRun is what the lockstep pass leaves for the decodes: every
+// member with all its delivered captures observed, the transmitter's
+// render counters, and the transmitted data frames to score against.
+type broadcastRun struct {
+	members []*member
+	render  core.RenderStats
+	oracle  []*core.DataFrame
+}
+
+// broadcast renders nDisplay frames exactly once, straight into the drive
+// slots of one display that every member captures from (it is safe for
+// any number of concurrent light-field readers). After each push, every
+// member dispatches the captures that frame completes onto one shared
+// worker pool, its receiver measures each capture the moment it lands,
+// and the frame goes straight back to the frame pool. The display then
+// retires every drive frame older than the earliest exposure any member
+// still has to take, so memory follows the capture window, not the
+// transmission. inner is each receiver's decode share of the budget.
+func (cfg *Config) broadcast(nDisplay, nData int, pool *frame.Pool, inner int) (*broadcastRun, error) {
+	p := cfg.Params
+	p.Pool = pool
+	p.Workers = cfg.Workers
+	stream := core.NewRandomStream(p.Layout, cfg.StreamSeed)
+	src := cfg.Source
+	if src == nil {
+		src = video.Gray(p.Layout.FrameW, p.Layout.FrameH)
 	}
+	m, err := core.NewMultiplexer(p, src, stream)
+	if err != nil {
+		return nil, err
+	}
+	d, err := display.New(cfg.Display)
+	if err != nil {
+		return nil, err
+	}
+	capPool := parallel.NewPool(cfg.Workers)
+	members, err := cfg.join(float64(nDisplay)/cfg.Display.RefreshHz, nData, d, pool, capPool, inner)
+	if err != nil {
+		return nil, err
+	}
+	for k := 0; k < nDisplay; k++ {
+		if err := m.PushFrame(d, k); err != nil {
+			// Streamed captures hand their frames back as they finish.
+			capPool.Wait()
+			return nil, fmt.Errorf("fleet: pushing frame %d: %w", k, err)
+		}
+		horizon := math.Inf(1)
+		for _, mb := range members {
+			mb.capturer.Displayed(k + 1)
+			horizon = math.Min(horizon, mb.capturer.Horizon())
+		}
+		d.Retire(horizon)
+	}
+	for _, mb := range members {
+		mb.capturer.Finish()
+	}
+	// Materialize the oracle frames before the decode fan-out:
+	// RandomStream's lazy cache is not safe for concurrent first touches,
+	// and every receiver scores against the same nData frames.
+	oracle := make([]*core.DataFrame, nData)
+	for i := range oracle {
+		oracle[i] = stream.DataFrame(i)
+	}
+	return &broadcastRun{members: members, render: m.RenderStats(), oracle: oracle}, nil
+}
+
+// join samples every member of the population and readies it to capture a
+// dur-second transmission from d: receiver i captures through the channel's
+// own schedule (with its sampled camera, start and impairments, which
+// Pop.Validate has vetted) on the shared capture pool, and measures each
+// delivered capture into its batch — exactly the captures and times a
+// standalone channel.Simulate with the same spec would deliver. Each
+// receiver decodes with inner workers, its share of the fleet budget.
+// Everything is keyed by the receiver index: the sampled spec, the camera
+// noise, the impairment streams. A start that leaves no room for a single
+// capture yields an empty sequence, which decodes to all-CauseNoCapture
+// erasures, never a panic.
+func (cfg *Config) join(dur float64, nData int, d *display.Display, pool *frame.Pool, capPool *parallel.Pool, inner int) ([]*member, error) {
+	base := cfg.Camera
+	base.Pool = pool
+	base.Workers = 1 // rows stay sequential; parallelism lives at capture granularity
+	members := make([]*member, cfg.Pop.N)
+	for i := range members {
+		spec := cfg.Pop.Spec(i, base)
+		cam, err := camera.New(spec.Camera)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: receiver %d: %w", i, err)
+		}
+		rcv, err := core.NewReceiver(cfg.receiverConfig(spec, pool, inner))
+		if err != nil {
+			return nil, fmt.Errorf("fleet: receiver %d: %w", i, err)
+		}
+		mb := &member{spec: spec}
+		sched := channel.NewSchedule(dur, spec.Start, spec.Camera, spec.Impair)
+		mb.capturer, mb.delivered = sched.Stream(cam, d, capPool, func(k int, f *frame.Frame, t float64) {
+			mb.batch.Observe(k, f, t)
+		})
+		mb.batch = rcv.NewBatch(mb.delivered, spec.Camera.Exposure, nData)
+		members[i] = mb
+	}
+	return members, nil
+}
+
+// receiverConfig is the decoder of a member with the given spec, running
+// on workers goroutines.
+func (cfg *Config) receiverConfig(spec ReceiverSpec, pool *frame.Pool, workers int) core.ReceiverConfig {
 	rcfg := core.DefaultReceiverConfig(cfg.Params, spec.Camera.W, spec.Camera.H)
 	rcfg.RefreshHz = cfg.Display.RefreshHz
 	rcfg.Exposure = spec.Camera.Exposure
 	rcfg.ReadoutTime = spec.Camera.ReadoutTime
-	rcfg.Workers = inner
+	rcfg.Workers = workers
 	rcfg.Pool = pool
 	rcfg.MinCaptureQuality = cfg.MinCaptureQuality
 	rcfg.RecalibrateEvery = cfg.RecalibrateEvery
-	rcv, err := core.NewReceiver(rcfg)
-	if err != nil {
-		return ReceiverResult{}, metrics.DegradationStats{}, err
-	}
-	decoded, rep := rcv.DecodeCapturesReport(caps, times, spec.Camera.Exposure, len(oracle))
-	// The captures' borrow ends with the decode; hand the buffers back so
-	// the next receiver of this geometry reuses them.
-	for _, f := range caps {
-		pool.Put(f)
-	}
+	return rcfg
+}
 
+// row is the outcome of the member with the given spec: its decode of the
+// captures it was delivered, scored against the transmitted oracle.
+func (cfg *Config) row(spec ReceiverSpec, captures int, decoded []*core.FrameDecode, rep *core.DecodeReport, oracle []*core.DataFrame) (ReceiverResult, metrics.DegradationStats) {
 	rr := ReceiverResult{
-		Index:    i,
+		Index:    spec.Index,
 		Profile:  spec.Profile,
 		CaptureW: spec.Camera.W,
 		CaptureH: spec.Camera.H,
 		Start:    spec.Start,
-		Captures: len(caps),
+		Captures: captures,
 
 		GapFrames: rep.GapFrames,
 		Resyncs:   rep.Resyncs,
@@ -301,28 +371,7 @@ func (cfg *Config) runReceiver(i int, d *display.Display, pool *frame.Pool, orac
 	rr.TTFD, rr.Decoded = timeToFirstDecode(decoded, cfg.Params.Tau, cfg.Display.RefreshHz, spec.Start)
 	var deg metrics.DegradationStats
 	deg.AddReport(rep)
-	return rr, deg, nil
-}
-
-// capture samples receiver i's spec and takes its captures from the already
-// rendered display through the channel's own schedule and capture driver,
-// on a pool of inner workers: a fleet member captures exactly what a
-// standalone channel.Simulate with the same camera, start and impairments
-// would (Pop.Validate has vetted every impairment profile). A start that
-// leaves no room for a single capture yields an empty sequence, which
-// decodes to all-CauseNoCapture erasures, never a panic.
-func (cfg *Config) capture(i int, d *display.Display, pool *frame.Pool, inner int) (ReceiverSpec, []*frame.Frame, []float64, error) {
-	base := cfg.Camera
-	base.Pool = pool
-	base.Workers = 1 // rows stay sequential; parallelism lives at capture granularity
-	spec := cfg.Pop.Spec(i, base)
-	cam, err := camera.New(spec.Camera)
-	if err != nil {
-		return spec, nil, nil, err
-	}
-	capturer := channel.NewSchedule(d.Duration(), spec.Start, spec.Camera, spec.Impair).Start(cam, d, inner)
-	caps, times := capturer.Finish()
-	return spec, caps, times, nil
+	return rr, deg
 }
 
 // score tallies availability over all data frames (gap frames count as

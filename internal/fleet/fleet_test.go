@@ -151,10 +151,12 @@ func TestFleetLateStartAllErasure(t *testing.T) {
 	}
 }
 
-// TestFleetPoolCapBoundsHighWater pins the heterogeneous-geometry memory
-// fix at fleet level: an uncapped shared pool retains every geometry's full
-// capture sequence between receivers, while a per-size cap holds the
-// high-water near the cap — without changing one bit of the aggregate.
+// TestFleetPoolCapBoundsHighWater pins the fleet's frame-pool residency:
+// every capture goes back to the shared pool as soon as its receiver has
+// measured it, so neither an uncapped pool nor a per-size cap ever holds
+// more than a few frames of each geometry — no member's capture sequence
+// piles up between receivers — and the cap changes no bit of the
+// aggregate.
 func TestFleetPoolCapBoundsHighWater(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fleet runs; the verify.sh fleet stage covers them")
@@ -169,18 +171,13 @@ func TestFleetPoolCapBoundsHighWater(t *testing.T) {
 		return res
 	}
 	unbounded, capped := run(0), run(2)
-	if capped.PoolHighWater.Frames >= unbounded.PoolHighWater.Frames {
-		t.Fatalf("per-size cap did not lower the high-water: capped %+v, unbounded %+v",
-			capped.PoolHighWater, unbounded.PoolHighWater)
+	// ~0.8 s of 30 FPS captures per receiver would sit in the free list if
+	// captures stayed live until each receiver decoded.
+	if hw := unbounded.PoolHighWater.Frames; hw > 16 {
+		t.Errorf("unbounded pool high-water %d frames; want a small bound", hw)
 	}
-	if capped.Pool.Evicted == 0 {
-		t.Fatalf("capped fleet run evicted nothing; the cap was never exercised")
-	}
-	// ~0.8 s of 30 FPS captures per receiver sit in the free list between
-	// receivers when unbounded; the cap must keep the resident set to a
-	// few frames per distinct size key.
 	if hw := capped.PoolHighWater.Frames; hw > 16 {
-		t.Fatalf("capped high-water %d frames; want a small bound", hw)
+		t.Errorf("capped pool high-water %d frames; want a small bound", hw)
 	}
 	if got, want := aggregate(capped), aggregate(unbounded); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pool cap changed the fleet aggregate:\n got %+v\nwant %+v", got, want)

@@ -412,12 +412,27 @@ func clampIdx(i, n int) int {
 	return i
 }
 
+// Copies is the delivery pipeline's decision for capture i: 0 when the
+// capture is dropped, 2 when it is also delivered a second time one period
+// later with stale pixels, else 1. The draws are keyed by the capture's
+// original index, so whether capture i survives never depends on what
+// happened to captures before it — ApplySequence and a consumer streaming
+// captures as they finish read the same decisions.
+func (s *Stack) Copies(i int) int {
+	if s.cfg.DropRate > 0 && s.rng(detrng.ImpairDrop, i).Float64() < s.cfg.DropRate {
+		return 0
+	}
+	if s.cfg.DupRate > 0 && s.rng(detrng.ImpairDup, i).Float64() < s.cfg.DupRate {
+		return 2
+	}
+	return 1
+}
+
 // ApplySequence runs the delivery-pipeline stages over a finished capture
-// sequence: per-capture drop (the frame goes back to the pool) and
-// duplication (a pool-drawn clone delivered one period later with stale
-// pixels). Decisions are keyed by the capture's original index, so whether
-// capture i survives never depends on what happened to captures before it.
-// The returned slices are freshly built; the inputs must not be reused.
+// sequence by Copies: a dropped frame goes back to the pool, and a
+// duplicated one is followed by a pool-drawn clone delivered one period
+// later. The returned slices are freshly built; the inputs must not be
+// reused.
 func (s *Stack) ApplySequence(caps []*frame.Frame, times []float64, period float64, p *frame.Pool) ([]*frame.Frame, []float64) {
 	if s.cfg.DropRate <= 0 && s.cfg.DupRate <= 0 {
 		return caps, times
@@ -425,13 +440,14 @@ func (s *Stack) ApplySequence(caps []*frame.Frame, times []float64, period float
 	outCaps := make([]*frame.Frame, 0, len(caps))
 	outTimes := make([]float64, 0, len(times))
 	for i, f := range caps {
-		if s.cfg.DropRate > 0 && s.rng(detrng.ImpairDrop, i).Float64() < s.cfg.DropRate {
+		n := s.Copies(i)
+		if n == 0 {
 			p.Put(f)
 			continue
 		}
 		outCaps = append(outCaps, f)
 		outTimes = append(outTimes, times[i])
-		if s.cfg.DupRate > 0 && s.rng(detrng.ImpairDup, i).Float64() < s.cfg.DupRate {
+		if n == 2 {
 			dup := p.Get(f.W, f.H)
 			f.CloneInto(dup)
 			outCaps = append(outCaps, dup)

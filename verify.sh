@@ -125,10 +125,11 @@ run_alloc_tests() {
 	# Uninstrumented rerun of the steady-state allocation tests: they pass
 	# under -race too, but only this run measures the true allocs/op that
 	# the BENCH_*.json baselines pin.
-	# TestSimulateDisplayMemoryFlat is the bounded-display gate: Simulate's
-	# heap traffic per simulated second must stay far below one second of
-	# drive history. It skips under -race, so this is the run that counts.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat' -count=1 .
+	# TestSimulateDisplayMemoryFlat and TestFleetMemoryFlat are the bounded
+	# display gates of Simulate and fleet.Run: heap traffic per simulated
+	# second must stay far below one second of drive history. They skip
+	# under -race, so this is the run that counts.
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat' -count=1 .
 }
 
 run_kernels() {
