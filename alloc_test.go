@@ -4,8 +4,11 @@ import (
 	"runtime"
 	"testing"
 
+	"inframe/internal/camera"
+	"inframe/internal/display"
 	"inframe/internal/fleet"
 	"inframe/internal/frame"
+	"inframe/internal/video"
 )
 
 // Steady-state allocation tests: the frame.Pool refactor's contract is that
@@ -268,5 +271,83 @@ func TestReceiverMeasureAllocs(t *testing.T) {
 	if steady.Misses != warm.Misses {
 		t.Errorf("repeated MeasureCapture allocated %d frame buffers, want 0 (misses %d -> %d)",
 			steady.Misses-warm.Misses, warm.Misses, steady.Misses)
+	}
+}
+
+// TestCaptureDrawsNoDisplayPlane pins the row-streamed capture's memory:
+// without blur, a capture borrows two frames from the pool — its output
+// and one small buffer holding every chunk's row ring (and, under a
+// crop, a display row per chunk) — never a display-resolution plane or a
+// crop window. So the pool's free list never holds a frame as large as
+// the panel, and after one warm capture every borrow is a hit whatever
+// the chunks' interleaving. Whole-panel and overscan framings, the
+// half-scale panel onto a 640×360 sensor, one and two workers.
+func TestCaptureDrawsNoDisplayPlane(t *testing.T) {
+	const dw, dh = 960, 540
+	dcfg := display.DefaultConfig()
+	d, err := display.New(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 6; k++ {
+		if err := d.Push(frame.NewFilled(dw, dh, float32(60+30*(k%2)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		for _, overscan := range []bool{false, true} {
+			pool := frame.NewPool()
+			cfg := camera.DefaultConfig(640, 360)
+			cfg.BlurRadius = 0
+			cfg.Workers = workers
+			cfg.Pool = pool
+			if overscan {
+				cfg.CropX0, cfg.CropY0, cfg.CropW, cfg.CropH = -24, -14, dw+48, dh+28
+			}
+			cam, err := camera.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.Put(cam.Capture(d, 0.004, 0))
+			warm := pool.Stats()
+			const captures = 4
+			for i := 1; i <= captures; i++ {
+				pool.Put(cam.Capture(d, 0.004+0.003*float64(i), i))
+			}
+			steady := pool.Stats()
+			if gets := steady.Gets - warm.Gets; gets != 2*captures {
+				t.Errorf("workers=%d overscan=%v: %d captures drew %d pool frames, want two each (the output and the ring buffer)",
+					workers, overscan, captures, gets)
+			}
+			if steady.Misses != warm.Misses {
+				t.Errorf("workers=%d overscan=%v: warm captures missed the pool %d times (misses %d -> %d)",
+					workers, overscan, steady.Misses-warm.Misses, warm.Misses, steady.Misses)
+			}
+			if hw := pool.HighWater(); hw.Pixels >= dw*dh {
+				t.Errorf("workers=%d overscan=%v: the pool held %d pixels at once, a display-resolution frame is %d",
+					workers, overscan, hw.Pixels, dw*dh)
+			}
+		}
+	}
+}
+
+// TestSunRiseFrameIntoAllocs: the sun-rise clip renders serially into the
+// caller's buffer with its per-column values on the stack, so FrameInto
+// allocates nothing. It measures the heap, so it runs uninstrumented
+// (verify.sh's alloc stage, CI's allocs job) and skips under the race
+// detector.
+func TestSunRiseFrameIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate: runs uninstrumented in the alloc stage")
+	}
+	s := video.NewSunRise(960, 540, 1)
+	f := frame.New(960, 540)
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		s.FrameInto(i, f)
+		i += 37
+	})
+	if allocs != 0 {
+		t.Errorf("SunRise.FrameInto allocates %.1f times per frame, want 0", allocs)
 	}
 }

@@ -145,7 +145,10 @@ func BenchmarkMultiplexFrame(b *testing.B) {
 }
 
 // BenchmarkCameraCapture measures one rolling-shutter capture of a 960×540
-// display at 640×360.
+// display: at 640×360 with the default camera (BlurRadius 1, the legacy
+// gate config), and at the four benchmark workloads' sensor sizes with
+// BlurRadius 0 — the 1.5×, 2× and 3× reductions and the 1280×720
+// enlargement.
 func BenchmarkCameraCapture(b *testing.B) {
 	dcfg := display.DefaultConfig()
 	dcfg.ResponseTime = 0
@@ -158,13 +161,44 @@ func BenchmarkCameraCapture(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	cam, err := camera.New(camera.DefaultConfig(640, 360))
-	if err != nil {
-		b.Fatal(err)
+	// recycle hands each capture back to the camera's pool, as the
+	// pipeline does after decoding; the default case keeps its history's
+	// shape and drops them.
+	run := func(b *testing.B, cfg camera.Config, recycle bool) {
+		cfg.Pool = frame.NewPool()
+		cam, err := camera.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := cam.Capture(d, 0.01, i)
+			if recycle {
+				cfg.Pool.Put(c)
+			}
+		}
 	}
+	b.Run("default", func(b *testing.B) { run(b, camera.DefaultConfig(640, 360), false) })
+	for _, s := range [][2]int{{640, 360}, {480, 270}, {320, 180}, {1280, 720}} {
+		b.Run(fmt.Sprintf("sensor=%dx%d", s[0], s[1]), func(b *testing.B) {
+			cfg := camera.DefaultConfig(s[0], s[1])
+			cfg.BlurRadius = 0
+			run(b, cfg, true)
+		})
+	}
+}
+
+// BenchmarkSunRiseFrame measures rendering one 960×540 frame of the
+// procedural sun-rise clip into a reused buffer, cycling through the 20 s
+// loop so the sun's position varies.
+func BenchmarkSunRiseFrame(b *testing.B) {
+	s := video.NewSunRise(960, 540, 1)
+	f := frame.New(960, 540)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cam.Capture(d, 0.01, i)
+		s.FrameInto(i%600, f)
 	}
 }
 

@@ -58,17 +58,21 @@ type Config struct {
 	// films the monitor plus the dark room behind it).
 	CropX0, CropY0, CropW, CropH int
 	// Workers bounds the rolling-shutter row synthesis within one capture:
-	// rows fan out across this many goroutines. 0 means GOMAXPROCS; 1
-	// forces the sequential path. Captures are bit-identical at any worker
-	// count: rows write disjoint spans and the noise RNG is seeded from the
-	// capture index, never from worker identity.
+	// the sensor's output rows split into this many contiguous chunks, each
+	// streaming the display rows its resample taps read through its own
+	// ring of a few rows. 0 means GOMAXPROCS; 1 forces the sequential path.
+	// Captures are bit-identical at any worker count: chunks write disjoint
+	// output rows, a display row two chunks share is integrated by each
+	// from identical inputs, and the noise RNG is seeded from the capture
+	// index, never from worker identity.
 	Workers int
-	// Pool supplies the capture working buffers (display-resolution
-	// integration plane, blur scratch, crop window) and the returned
-	// capture itself. Intermediates are Put back inside Capture; the
-	// returned capture is owned by the caller, who may Put it back after
-	// decoding to close the loop. Nil means a private pool (intermediates
-	// still recycle; returned captures are simply never reused).
+	// Pool supplies each capture's row-streaming scratch (one small buffer
+	// holding every chunk's ring), the returned capture itself and, when
+	// BlurRadius > 0, the display-resolution plane the blur needs with its
+	// scratch. Working buffers are Put back inside Capture; the returned
+	// capture is owned by the caller, who may Put it back after decoding
+	// to close the loop. Nil means a private pool (working buffers still
+	// recycle; returned captures are simply never reused).
 	Pool *frame.Pool
 }
 
@@ -166,51 +170,117 @@ func (c *Camera) FramePeriod() float64 { return 1 / c.cfg.FPS }
 // the deterministic noise stream for this capture. The returned frame is
 // drawn from the camera's pool; the caller owns it and may Put it back to
 // that pool when done with it.
+//
+// A capture is one pass over output rows with no display-resolution
+// plane: each Workers chunk integrates the display rows its resample taps
+// read — each with the exposure window of the sensor row it maps to — into
+// a pooled ring of Span() rows, resamples every output row straight from
+// the ring and gamma-encodes it while it is in cache; one sequential pass
+// then adds the index-keyed read noise and quantizes. A crop window is
+// applied per row (window row y′ is display row y′+CropY0 shifted by
+// CropX0, black outside the display). Optical blur needs whole columns, so
+// with BlurRadius > 0 the rows come from a blurred display plane instead;
+// the resample, encode and noise stages are the same.
 func (c *Camera) Capture(d *display.Display, t0 float64, index int) *frame.Frame {
 	dw, dh := d.Size()
 	if dw == 0 || dh == 0 {
 		panic("camera: display has no frames")
 	}
-	// Integrate the light field at display resolution, one display row at a
-	// time, each row using the exposure window of the sensor row it maps to.
-	// Rows write disjoint spans of lin, so the rolling-shutter synthesis
-	// fans out across workers with a bit-identical ordered merge; RowAverage
-	// writes each destination row in place, so no per-chunk scratch row is
-	// needed. Every working buffer comes from the camera's pool and goes
-	// back once the next stage has consumed it.
-	lin := c.pool.Get(dw, dh)
-	var rowDt float64
+	ex := shutter{d: d, t0: t0, exposure: c.cfg.Exposure, sensorH: c.cfg.H, panelH: dh}
 	if c.cfg.H > 1 {
-		rowDt = c.cfg.ReadoutTime / float64(c.cfg.H)
+		ex.rowDt = c.cfg.ReadoutTime / float64(c.cfg.H)
 	}
-	parallel.ForChunked(c.cfg.Workers, dh, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			sensorRow := y * c.cfg.H / dh
-			a := t0 + float64(sensorRow)*rowDt
-			d.RowAverage(y, a, a+c.cfg.Exposure, lin.Row(y))
-		}
-	})
+	var plane *frame.Frame
 	if c.cfg.BlurRadius > 0 {
-		blurred := c.pool.Get(dw, dh)
-		frame.BoxBlurInto(lin, blurred, c.cfg.BlurRadius, c.pool)
+		// The vertical blur's float running sums need whole columns, so
+		// this path integrates the full display plane first; display rows
+		// write disjoint spans, so it fans out like the output rows do.
+		lin := c.pool.Get(dw, dh)
+		parallel.ForChunked(c.cfg.Workers, dh, func(lo, hi int) {
+			for y := lo; y < hi; y++ {
+				ex.integrate(y, lin.Row(y))
+			}
+		})
+		plane = c.pool.Get(dw, dh)
+		frame.BoxBlurInto(lin, plane, c.cfg.BlurRadius, c.pool)
 		c.pool.Put(lin)
-		lin = blurred
 	}
+	// The resample source is the crop window when one is set, else the
+	// display; window row y′ shows display row y′+y0, shifted by x0.
+	sw, sh, x0, y0 := dw, dh, 0, 0
 	if c.cfg.cropped() {
-		// The window arrives zeroed from the pool, so parts extending
-		// beyond the display stay black (overscan).
-		window := c.pool.Get(c.cfg.CropW, c.cfg.CropH)
-		window.Blit(lin, -c.cfg.CropX0, -c.cfg.CropY0)
-		c.pool.Put(lin)
-		lin = window
+		sw, sh, x0, y0 = c.cfg.CropW, c.cfg.CropH, c.cfg.CropX0, c.cfg.CropY0
 	}
+	shifted := sw != dw || x0 != 0
+	// The window columns that show the display; the rest stay black.
+	xlo, xhi := max(0, -x0), min(sw, dw-x0)
+	rs := c.resampler(sw, sh)
+	//lint:ignore floateq NoiseSigma==0 is the configured "noise disabled" sentinel, never a computed value
+	noisy := c.cfg.NoiseSigma != 0
 	out := c.pool.Get(c.cfg.W, c.cfg.H)
-	c.resampler(lin.W, lin.H).Into(lin, out)
-	c.pool.Put(lin)
-	c.encode(out)
-	c.addNoise(out, index)
-	out.Quantize()
+	// Output rows split into contiguous chunks; chunk g streams through
+	// its own Span()-row ring and, when rows are shifted, integrates into
+	// its own display row, all carved from one pooled buffer per capture.
+	chunks := min(parallel.Resolve(c.cfg.Workers), c.cfg.H)
+	ringLen := rs.Span() * sw
+	lineLen := 0
+	if plane == nil && shifted {
+		lineLen = dw
+	}
+	var buf []float32
+	var bufFrame *frame.Frame
+	if n := chunks * (ringLen + lineLen); n > 0 {
+		bufFrame = c.pool.Get(n, 1)
+		buf = bufFrame.Pix
+	}
+	parallel.For(chunks, chunks, func(g int) {
+		ring := buf[g*ringLen : (g+1)*ringLen]
+		line := buf[chunks*ringLen+g*lineLen:][:lineLen]
+		fill := func(wy int, row []float32) {
+			y := wy + y0
+			if y < 0 || y >= dh || xlo >= xhi {
+				clear(row)
+				return
+			}
+			if !shifted && plane == nil {
+				ex.integrate(y, row)
+				return
+			}
+			src := line
+			if plane != nil {
+				src = plane.Row(y)
+			} else {
+				ex.integrate(y, line)
+			}
+			clear(row[:xlo])
+			copy(row[xlo:xhi], src[xlo+x0:xhi+x0])
+			clear(row[xhi:])
+		}
+		lo, hi := g*c.cfg.H/chunks, (g+1)*c.cfg.H/chunks
+		rs.RowsInto(out, lo, hi, ring, fill, func(row []float32) { c.encode(row, !noisy) })
+	})
+	c.pool.Put(bufFrame)
+	c.pool.Put(plane)
+	if noisy {
+		c.addNoise(out, index)
+	}
 	return out
+}
+
+// shutter is one capture's rolling-shutter timing: sensor row r starts its
+// exposure rowDt·r after t0, and display row y integrates over the window
+// of the sensor row it maps to.
+type shutter struct {
+	d                   *display.Display
+	t0, rowDt, exposure float64
+	sensorH, panelH     int
+}
+
+// integrate writes display row y's mean light over its exposure window.
+func (s shutter) integrate(y int, dst []float32) {
+	sensorRow := y * s.sensorH / s.panelH
+	a := s.t0 + float64(sensorRow)*s.rowDt
+	s.d.RowAverage(y, a, a+s.exposure, dst)
 }
 
 // resampler returns the resampler from a w×h source to the sensor, building
@@ -227,25 +297,33 @@ func (c *Camera) resampler(w, h int) *frame.Resampler {
 	return c.rs
 }
 
-// encode converts linear luminance (0..255 scale) to gamma-encoded 8-bit
-// values in place, through the camera's Q16 fixed-point curve table (the
-// error bound against the exact math.Pow curve is in fixed.Gamma's doc).
-func (c *Camera) encode(f *frame.Frame) {
+// encode converts one row of linear luminance (0..255 scale) to
+// gamma-encoded values in place, through the camera's Q16 fixed-point
+// curve table (the error bound against the exact math.Pow curve is in
+// fixed.Gamma's doc), and, with quantize set, rounds each to its 8-bit
+// code in the same store.
+func (c *Camera) encode(row []float32, quantize bool) {
 	g := c.gamma
-	for i, v := range f.Pix {
-		f.Pix[i] = g.Encode8(v)
+	if quantize {
+		for i, v := range row {
+			row[i] = float32(fixed.Round8(g.Encode8(v)))
+		}
+		return
+	}
+	for i, v := range row {
+		row[i] = g.Encode8(v)
 	}
 }
 
-// addNoise adds deterministic Gaussian read noise for capture index.
+// addNoise adds deterministic Gaussian read noise for capture index to the
+// encoded capture and quantizes it, in one pass in pixel order: pixel i
+// takes the i-th draw of the index-keyed stream, and v + float32(n·σ) then
+// Round8 is the float32 arithmetic of adding the noise and quantizing in
+// two sweeps.
 func (c *Camera) addNoise(f *frame.Frame, index int) {
-	//lint:ignore floateq NoiseSigma==0 is the configured "noise disabled" sentinel, never a computed value
-	if c.cfg.NoiseSigma == 0 {
-		return
-	}
 	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(index)*1000003))
 	sigma := c.cfg.NoiseSigma
-	for i := range f.Pix {
-		f.Pix[i] += float32(rng.NormFloat64() * sigma)
+	for i, v := range f.Pix {
+		f.Pix[i] = float32(fixed.Round8(v + float32(rng.NormFloat64()*sigma)))
 	}
 }

@@ -266,12 +266,13 @@ type intBufs struct {
 // scheduling-dependent reuse cannot change an output.
 var intScratch sync.Pool
 
-// getIntBufs draws (or grows) the integer scratch for an nPix-pixel,
-// h-row capture.
-func getIntBufs(nPix, h int) *intBufs {
+// getIntBufs draws (or grows) the integer scratch for a w×h capture
+// smoothed at radius r: the full-plane sums and WindowSums' column-pass
+// scratch.
+func getIntBufs(w, h, r int) *intBufs {
 	b, _ := intScratch.Get().(*intBufs)
-	if b == nil || len(b.sums) < nPix || len(b.col) < h {
-		b = &intBufs{sums: make([]int32, nPix), col: make([]int32, h)}
+	if nCol := fixed.WindowScratch(w, h, r); b == nil || len(b.sums) < w*h || len(b.col) < nCol {
+		b = &intBufs{sums: make([]int32, w*h), col: make([]int32, nCol)}
 	}
 	return b
 }
@@ -555,7 +556,7 @@ func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64
 		scale int32 = 1
 	)
 	if r.cfg.Detector == DetectorEnergy && sr >= 1 && sr <= 128 && fixed.IsIntegral8(f.Pix) {
-		bufs = getIntBufs(len(f.Pix), f.H)
+		bufs = getIntBufs(f.W, f.H, sr)
 		fixed.WindowSums(f.Pix, f.W, f.H, sr, bufs.sums, bufs.col)
 		side := int32(2*sr + 1)
 		scale = side * side

@@ -176,12 +176,20 @@ func IsIntegral8(pix []float32) bool {
 	return true
 }
 
+// WindowScratch returns the length of the col scratch WindowSums needs
+// for a w×h plane at radius r: min(r+1, h) saved row sums plus one row of
+// running column sums, each w wide.
+func WindowScratch(w, h, r int) int {
+	return (min(r+1, h) + 1) * w
+}
+
 // WindowSums computes, for every pixel of an integral-valued w×h plane,
 // the (2r+1)×(2r+1) replicate-padded box window sum into sums (len w·h),
-// as two separable integer sliding passes (rows, then columns in place
-// through the col scratch, len ≥ h). The result is the exact integer
-// numerator of the box blur the float demodulator computed with rounding:
-// sums[i] / (2r+1)² is the blurred plane.
+// as two separable integer sliding passes: rows, then columns in place,
+// walked row by row with one running sum per column. col is the column
+// pass's scratch, at least WindowScratch(w, h, r) long. The result is the
+// exact integer numerator of the box blur the float demodulator computed
+// with rounding: sums[i] / (2r+1)² is the blurred plane.
 //
 //range:r 1,128
 func WindowSums(pix []float32, w, h, r int, sums, col []int32) {
@@ -198,20 +206,36 @@ func WindowSums(pix []float32, w, h, r int, sums, col []int32) {
 			s += int32(row[clampIdx(x+r+1, w)]) - int32(row[clampIdx(x-r, w)])
 		}
 	}
-	// Column pass over the row sums, in place: the column is copied into
-	// the scratch first, so writing sums[y*w+x] never clobbers a value the
-	// sliding window still needs.
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			col[y] = sums[y*w+x]
+	// Column pass over the row sums, in place and row-major: acc holds each
+	// column's running window sum. Writing output row y overwrites row sum
+	// y, which the window still subtracts r rows later (row 0 up to row r,
+	// by replicate padding), so each row sum is saved first in a ring of n
+	// rows: slot y mod n is next rewritten at row y+n > y+r. The rows the
+	// window adds lie below y and are still unwritten. Integer sums are
+	// exact, so walking rows instead of columns gives the same integers.
+	n := min(r+1, h)
+	ring := col[:n*w]
+	acc := col[n*w : (n+1)*w]
+	clear(acc)
+	for i := -r; i <= r; i++ {
+		in := sums[clampIdx(i, h)*w:][:w]
+		for x, v := range in {
+			acc[x] += v
 		}
-		var s int32
-		for i := -r; i <= r; i++ {
-			s += col[clampIdx(i, h)]
+	}
+	for y := 0; y < h; y++ {
+		out := sums[y*w : (y+1)*w]
+		saved := ring[(y%n)*w:][:w]
+		if y == h-1 {
+			copy(out, acc)
+			break
 		}
-		for y := 0; y < h; y++ {
-			sums[y*w+x] = s
-			s += col[clampIdx(y+r+1, h)] - col[clampIdx(y-r, h)]
+		in := sums[clampIdx(y+r+1, h)*w:][:w]
+		outgoing := ring[(clampIdx(y-r, h)%n)*w:][:w]
+		for x, s := range acc {
+			saved[x] = out[x]
+			out[x] = s
+			acc[x] = s + (in[x] - outgoing[x])
 		}
 	}
 }

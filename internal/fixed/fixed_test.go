@@ -166,12 +166,35 @@ func TestWindowSumsMatchesNaive(t *testing.T) {
 		}
 		for _, r := range []int{1, 2, 5, 8, 16} {
 			sums := make([]int32, w*h)
-			col := make([]int32, h)
+			col := make([]int32, WindowScratch(w, h, r))
 			WindowSums(pix, w, h, r, sums, col)
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					if want := naiveWindowSum(pix, w, h, r, x, y); sums[y*w+x] != want {
 						t.Fatalf("%s r=%d: sums[%d,%d] = %d, want %d", name, r, x, y, sums[y*w+x], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWindowSumsThinPlanes: the row-major column pass keeps min(r+1, h)
+// saved row sums, so planes no taller than the window (one row, two rows)
+// and one column wide take the edge cases of its ring; each must still
+// equal the direct window sum, with the scratch exactly WindowScratch long.
+func TestWindowSumsThinPlanes(t *testing.T) {
+	for _, sz := range [][2]int{{5, 1}, {7, 2}, {1, 9}, {6, 3}} {
+		w, h := sz[0], sz[1]
+		pix := integralPlanes(w, h)["random"]
+		for _, r := range []int{1, 2, 3, 16} {
+			sums := make([]int32, w*h)
+			col := make([]int32, WindowScratch(w, h, r))
+			WindowSums(pix, w, h, r, sums, col)
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					if want := naiveWindowSum(pix, w, h, r, x, y); sums[y*w+x] != want {
+						t.Fatalf("%dx%d r=%d: sums[%d,%d] = %d, want %d", w, h, r, x, y, sums[y*w+x], want)
 					}
 				}
 			}
@@ -186,7 +209,7 @@ func TestRowAbsEnergyMatchesNaive(t *testing.T) {
 	for name, pix := range integralPlanes(w, h) {
 		for _, r := range []int{1, 5, 128} {
 			sums := make([]int32, w*h)
-			col := make([]int32, h)
+			col := make([]int32, WindowScratch(w, h, r))
 			WindowSums(pix, w, h, r, sums, col)
 			side := int32(2*r + 1)
 			scale := side * side

@@ -304,6 +304,55 @@ func TestBoxBlurMatchesNaive(t *testing.T) {
 	}
 }
 
+// refBlurCols is the vertical box-blur pass as it was written before it
+// walked rows: gather one column at a time into a scratch slice, then
+// slide the window down it.
+func refBlurCols(src, dst *Frame, r int) {
+	w, h := src.W, src.H
+	col := make([]float32, h)
+	inv := 1 / float32(2*r+1)
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			col[y] = src.Pix[y*w+x]
+		}
+		var sum float32
+		for i := -r; i <= r; i++ {
+			sum += col[clampIdx(i, h)]
+		}
+		for y := 0; y < h; y++ {
+			dst.Pix[y*w+x] = sum * inv
+			sum += col[clampIdx(y+r+1, h)] - col[clampIdx(y-r, h)]
+		}
+	}
+}
+
+// TestBoxBlurMatchesColumnReference: the row-major vertical pass gives
+// every column the float32 sequence of the column-gather pass, so
+// BoxBlurInto is bit-identical to the horizontal pass followed by the
+// reference — on planes shorter than the window, one column wide, and at
+// the capture size.
+func TestBoxBlurMatchesColumnReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pool := NewPool()
+	for _, sz := range [][2]int{{640, 360}, {23, 17}, {1, 9}, {7, 2}, {5, 1}} {
+		for _, r := range []int{1, 2, 5} {
+			f := New(sz[0], sz[1])
+			for i := range f.Pix {
+				f.Pix[i] = rng.Float32() * 255
+			}
+			tmp, want, got := New(f.W, f.H), New(f.W, f.H), New(f.W, f.H)
+			blurRows(f, tmp, r)
+			refBlurCols(tmp, want, r)
+			BoxBlurInto(f, got, r, pool)
+			for i, v := range want.Pix {
+				if math.Float32bits(got.Pix[i]) != math.Float32bits(v) {
+					t.Fatalf("%dx%d r=%d pixel %d: %v, reference %v", f.W, f.H, r, i, got.Pix[i], v)
+				}
+			}
+		}
+	}
+}
+
 func TestResampleDownPreservesMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := New(64, 48)
@@ -372,43 +421,127 @@ func refAreaResample(f *Frame, w, h int) *Frame {
 	return out
 }
 
+// refBilinearResample is the bilinear enlargement written out over whole
+// planes, as the resampler computed it before it walked output rows.
+func refBilinearResample(f *Frame, w, h int) *Frame {
+	out := New(w, h)
+	sx := float64(f.W-1) / float64(max(w-1, 1))
+	sy := float64(f.H-1) / float64(max(h-1, 1))
+	for oy := 0; oy < h; oy++ {
+		fy := float64(oy) * sy
+		y0 := int(fy)
+		y1 := min(y0+1, f.H-1)
+		wy := float32(fy - float64(y0))
+		row0 := f.Pix[y0*f.W : (y0+1)*f.W]
+		row1 := f.Pix[y1*f.W : (y1+1)*f.W]
+		orow := out.Pix[oy*w : (oy+1)*w]
+		for ox := 0; ox < w; ox++ {
+			fx := float64(ox) * sx
+			x0 := int(fx)
+			x1 := min(x0+1, f.W-1)
+			wx := float32(fx - float64(x0))
+			v00 := row0[x0]
+			v01 := row0[x1]
+			v10 := row1[x0]
+			v11 := row1[x1]
+			top := v00 + (v01-v00)*wx
+			bot := v10 + (v11-v10)*wx
+			orow[ox] = top + (bot-top)*wy
+		}
+	}
+	return out
+}
+
 // TestResamplerMatchesReference: one Resampler reused across frames equals
-// the direct area-averaging reference bit for bit at the fleet's three
-// capture geometries from the half-scale panel and from a crop window, and
-// ResampleInto equals the reused Resampler.
+// the direct reference bit for bit, on random and on cancelling planes — area averaging at the fleet's three
+// capture geometries from the half-scale panel (1.5×, 2×, 3×), from a crop
+// window and onto a 1×1 sensor, bilinear at the pose enlargement and a
+// mixed-axis size, and a copy at equal size — through all three entry
+// points: Into, ResampleInto and the row-source RowsInto. RowsInto runs in
+// three row chunks through a dirty ring (none at equal size, where it
+// fills output rows in place), and must fill each source row at most once
+// per call, in increasing order, and hand back every output row.
 func TestResamplerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	cancelling := []float32{1e20, -1e20, 1, -3, 0.25}
 	for _, c := range []struct{ sw, sh, dw, dh int }{
 		{960, 540, 640, 360},
 		{960, 540, 480, 270},
 		{960, 540, 320, 180},
 		{701, 397, 640, 360}, // crop window onto the sensor
+		{97, 61, 1, 1},
+		{960, 540, 1280, 720}, // enlargement
+		{40, 30, 20, 45},      // wider source, taller target: bilinear
+		{33, 21, 33, 21},
 	} {
 		r := NewResampler(c.sw, c.sh, c.dw, c.dh)
 		for rep := 0; rep < 2; rep++ {
 			f := New(c.sw, c.sh)
 			for i := range f.Pix {
 				f.Pix[i] = rng.Float32() * 255
+				if rep == 1 {
+					// Cancelling magnitudes: a float64 sum of these taps
+					// depends on its order even after rounding to float32,
+					// so the second pass pins the accumulation order.
+					f.Pix[i] = cancelling[rng.Intn(len(cancelling))]
+				}
 			}
-			got, once := New(c.dw, c.dh), New(c.dw, c.dh)
+			got, once, rows := New(c.dw, c.dh), New(c.dw, c.dh), New(c.dw, c.dh)
 			r.Into(f, got)
 			ResampleInto(f, once)
-			want := refAreaResample(f, c.dw, c.dh)
+			ring := make([]float32, r.Span()*c.sw)
+			fillPix(ring, -7)
+			for k := 0; k < 3; k++ {
+				lo, hi := k*c.dh/3, (k+1)*c.dh/3
+				last := -1
+				nextOut := lo
+				r.RowsInto(rows, lo, hi, ring, func(y int, row []float32) {
+					if y <= last {
+						t.Fatalf("%dx%d→%dx%d rows [%d,%d): source row %d filled after row %d", c.sw, c.sh, c.dw, c.dh, lo, hi, y, last)
+					}
+					last = y
+					copy(row, f.Row(y))
+				}, func(row []float32) {
+					if &row[0] != &rows.Row(nextOut)[0] {
+						t.Fatalf("%dx%d→%dx%d: done out of order at output row %d", c.sw, c.sh, c.dw, c.dh, nextOut)
+					}
+					nextOut++
+				})
+				if nextOut != hi {
+					t.Fatalf("%dx%d→%dx%d rows [%d,%d): done saw %d rows", c.sw, c.sh, c.dw, c.dh, lo, hi, nextOut-lo)
+				}
+			}
+			var want *Frame
+			switch {
+			case c.sw == c.dw && c.sh == c.dh:
+				want = f
+			case c.dw <= c.sw && c.dh <= c.sh:
+				want = refAreaResample(f, c.dw, c.dh)
+			default:
+				want = refBilinearResample(f, c.dw, c.dh)
+			}
 			for i := range want.Pix {
-				if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) ||
-					math.Float32bits(once.Pix[i]) != math.Float32bits(want.Pix[i]) {
-					t.Fatalf("%dx%d→%dx%d pixel %d: resampler %v, ResampleInto %v, reference %v",
-						c.sw, c.sh, c.dw, c.dh, i, got.Pix[i], once.Pix[i], want.Pix[i])
+				b := math.Float32bits(want.Pix[i])
+				if math.Float32bits(got.Pix[i]) != b || math.Float32bits(once.Pix[i]) != b || math.Float32bits(rows.Pix[i]) != b {
+					t.Fatalf("%dx%d→%dx%d pixel %d: resampler %v, ResampleInto %v, RowsInto %v, reference %v",
+						c.sw, c.sh, c.dw, c.dh, i, got.Pix[i], once.Pix[i], rows.Pix[i], want.Pix[i])
 				}
 			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a resampler accepted a source of the wrong size")
-		}
-	}()
-	NewResampler(8, 8, 4, 4).Into(New(8, 6), New(4, 4))
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("a source of the wrong size", func() { NewResampler(8, 8, 4, 4).Into(New(8, 6), New(4, 4)) })
+	mustPanic("a ring shorter than Span", func() {
+		NewResampler(9, 9, 3, 3).RowsInto(New(3, 3), 0, 3, make([]float32, 2*9+8), func(int, []float32) {}, nil)
+	})
 }
 
 func TestMetrics(t *testing.T) {

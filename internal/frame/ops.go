@@ -17,8 +17,9 @@ func BoxBlur(f *Frame, r int) *Frame {
 
 // BoxBlurInto blurs f into dst (same size as f, panics otherwise) drawing
 // its two scratch buffers — the intermediate row-blurred plane and the
-// column sliding window — from p, so a pooled steady-state blur allocates
-// nothing. dst must not alias f. A nil pool allocates the scratch.
+// vertical pass's one row of column sums — from p, so a pooled
+// steady-state blur allocates nothing. dst must not alias f. A nil pool
+// allocates the scratch.
 func BoxBlurInto(f, dst *Frame, r int, p *Pool) {
 	if !f.SameSize(dst) {
 		panic("frame.BoxBlurInto: size mismatch")
@@ -31,11 +32,11 @@ func BoxBlurInto(f, dst *Frame, r int, p *Pool) {
 	// running sum so the cost is O(W*H) independent of r.
 	tmp := p.Get(f.W, f.H)
 	blurRows(f, tmp, r)
-	// The column window is a length-H scalar buffer; a 1×H pooled frame
-	// serves exactly that without a second buffer type in the pool.
-	colf := p.Get(1, f.H)
-	blurCols(tmp, dst, r, colf.Pix)
-	p.Put(colf)
+	// The vertical pass keeps one running sum per column; a W×1 pooled
+	// frame serves exactly that without a second buffer type in the pool.
+	acc := p.Get(f.W, 1)
+	blurCols(tmp, dst, r, acc.Pix)
+	p.Put(acc)
 	p.Put(tmp)
 }
 
@@ -56,20 +57,30 @@ func blurRows(src, dst *Frame, r int) {
 	}
 }
 
-func blurCols(src, dst *Frame, r int, col []float32) {
+// blurCols is the vertical sliding pass, walked in rows: acc (len ≥ W)
+// holds one running window sum per column, so every access is a
+// contiguous row instead of a plane-stride gather. Each column still sees
+// the float32 sequence of a per-column slide — start at 0, add the r+1+r
+// replicate-padded taps top to bottom, then per row emit sum·inv and add
+// (entering − leaving) — so the result is bit-identical to it.
+func blurCols(src, dst *Frame, r int, acc []float32) {
 	w, h := src.W, src.H
 	inv := 1 / float32(2*r+1)
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			col[y] = src.Pix[y*w+x]
+	acc = acc[:w]
+	clear(acc)
+	for i := -r; i <= r; i++ {
+		row := src.Row(clampIdx(i, h))
+		for x, v := range row {
+			acc[x] += v
 		}
-		var sum float32
-		for i := -r; i <= r; i++ {
-			sum += col[clampIdx(i, h)]
-		}
-		for y := 0; y < h; y++ {
-			dst.Pix[y*w+x] = sum * inv
-			sum += col[clampIdx(y+r+1, h)] - col[clampIdx(y-r, h)]
+	}
+	for y := 0; y < h; y++ {
+		out := dst.Pix[y*w : (y+1)*w]
+		in := src.Row(clampIdx(y+r+1, h))
+		outgoing := src.Row(clampIdx(y-r, h))
+		for x, s := range acc {
+			out[x] = s * inv
+			acc[x] = s + (in[x] - outgoing[x])
 		}
 	}
 }
@@ -102,25 +113,51 @@ func ResampleInto(f, dst *Frame) {
 	NewResampler(f.W, f.H, dst.W, dst.H).Into(f, dst)
 }
 
-// Resampler resamples srcW×srcH frames to dstW×dstH: the one resample path
-// behind Resample and ResampleInto, with the area-averaging weight tables
-// built once at construction. It is read-only afterwards, so concurrent
-// captures share one (the camera keeps one per source size).
+// Resampler resamples srcW×srcH sources to dstW×dstH: the one resample
+// kernel behind Resample, ResampleInto and the camera's row-streamed
+// capture, with the area-averaging weight tables built once at
+// construction. It is read-only afterwards, so concurrent captures share
+// one (the camera keeps one per source size).
+//
+// The kernel walks output rows. Each output row reads a contiguous window
+// of at most Span() source rows, and the windows of successive output rows
+// never move backwards, so a source does not have to exist as a plane:
+// RowsInto pulls each source row through a caller-supplied fill into a
+// Span()-row ring and resamples straight from it. Into is the same kernel
+// reading the rows of a whole plane.
 type Resampler struct {
 	srcW, srcH, dstW, dstH int
 	// area selects area averaging (a reduction on both axes) over the
 	// bilinear enlargement; xt and yt are its tap tables, unused otherwise.
 	area   bool
 	xt, yt axisTaps
+	// span is the most source rows any output row reads.
+	span int
+	// x2 reports that every output column reads exactly two source
+	// columns (the 1.5× and 2× reductions), so two-row output rows take
+	// the unrolled areaRow2.
+	x2 bool
 }
 
 // NewResampler returns the resampler from srcW×srcH to dstW×dstH.
 func NewResampler(srcW, srcH, dstW, dstH int) *Resampler {
 	r := &Resampler{srcW: srcW, srcH: srcH, dstW: dstW, dstH: dstH}
-	if (dstW != srcW || dstH != srcH) && dstW <= srcW && dstH <= srcH {
+	switch {
+	case (dstW != srcW || dstH != srcH) && dstW <= srcW && dstH <= srcH:
 		r.area = true
 		r.xt = buildAxisTaps(srcW, dstW, float64(srcW)/float64(dstW))
 		r.yt = buildAxisTaps(srcH, dstH, float64(srcH)/float64(dstH))
+		for o := 0; o < dstH; o++ {
+			r.span = max(r.span, r.yt.off[o+1]-r.yt.off[o])
+		}
+		r.x2 = true
+		for o := 0; o < dstW; o++ {
+			r.x2 = r.x2 && r.xt.off[o+1]-r.xt.off[o] == 2
+		}
+	case dstW == srcW && dstH == srcH:
+		// Output row y is source row y: RowsInto needs no ring.
+	default:
+		r.span = 2 // the bilinear pair y0, y0+1
 	}
 	return r
 }
@@ -128,20 +165,110 @@ func NewResampler(srcW, srcH, dstW, dstH int) *Resampler {
 // Source returns the source size the resampler was built for.
 func (r *Resampler) Source() (int, int) { return r.srcW, r.srcH }
 
+// Span returns the row count of the ring RowsInto streams through: the
+// most source rows one output row reads, or 0 for equal sizes, where
+// RowsInto fills the output rows in place.
+func (r *Resampler) Span() int { return r.span }
+
 // Into resamples f into dst; both must match the resampler's sizes (it
 // panics otherwise) and dst must not alias f.
 func (r *Resampler) Into(f, dst *Frame) {
-	if f.W != r.srcW || f.H != r.srcH || dst.W != r.dstW || dst.H != r.dstH {
+	if f.W != r.srcW || f.H != r.srcH {
 		panic(fmt.Sprintf("frame: resampler %dx%d→%dx%d given %dx%d→%dx%d",
 			r.srcW, r.srcH, r.dstW, r.dstH, f.W, f.H, dst.W, dst.H))
 	}
-	switch {
-	case r.area:
-		areaResample(f, dst, r.xt, r.yt)
-	case f.W == dst.W && f.H == dst.H:
-		f.CloneInto(dst)
-	default:
-		bilinearResample(f, dst)
+	r.checkDst(dst)
+	r.rows(dst, 0, r.dstH, f.Row, nil)
+}
+
+// RowsInto resamples output rows [lo, hi) of dst without a source plane.
+// fill(y, row) must write every pixel of source row y into row (length
+// srcW); RowsInto calls it once per source row the taps of [lo, hi) read,
+// in increasing y, into ring — scratch for at least Span() source rows
+// (len ≥ Span()·srcW), whose contents on entry do not matter; at equal
+// sizes it fills the output rows themselves and ring may be nil. After
+// each output row is written, done (if not nil) receives it, while it is
+// still in cache. Output pixels are bit-identical to Into on the plane
+// fill describes; rows outside [lo, hi) are not touched, so disjoint
+// ranges of one dst may run concurrently, each with its own ring.
+func (r *Resampler) RowsInto(dst *Frame, lo, hi int, ring []float32, fill func(y int, row []float32), done func(row []float32)) {
+	r.checkDst(dst)
+	if r.span == 0 {
+		for y := lo; y < hi; y++ {
+			row := dst.Row(y)
+			fill(y, row)
+			if done != nil {
+				done(row)
+			}
+		}
+		return
+	}
+	n := len(ring) / r.srcW
+	if n < r.span {
+		panic(fmt.Sprintf("frame: resampler %dx%d→%dx%d needs a ring of %d rows of %d, given %d values",
+			r.srcW, r.srcH, r.dstW, r.dstH, r.span, r.srcW, len(ring)))
+	}
+	// Row y lives in ring row y mod n. Windows are contiguous, at most
+	// span ≤ n rows and never move backwards, so a requested row below
+	// next (the first row not yet filled) is still resident: the only row
+	// that could have overwritten its slot is y + n ≥ next.
+	next := 0
+	r.rows(dst, lo, hi, func(y int) []float32 {
+		k := y % n
+		row := ring[k*r.srcW : (k+1)*r.srcW]
+		if y >= next {
+			fill(y, row)
+			next = y + 1
+		}
+		return row
+	}, done)
+}
+
+// checkDst panics unless dst is the resampler's target size.
+func (r *Resampler) checkDst(dst *Frame) {
+	if dst.W != r.dstW || dst.H != r.dstH {
+		panic(fmt.Sprintf("frame: resampler %dx%d→%dx%d given a %dx%d target",
+			r.srcW, r.srcH, r.dstW, r.dstH, dst.W, dst.H))
+	}
+}
+
+// rowTapsStack is how many y-tap rows rows keeps on the stack; a reduction
+// deeper than that (a tiny sensor framing a large panel) borrows a heap
+// slice once per call.
+const rowTapsStack = 8
+
+// rows is the resample kernel: output rows [lo, hi) of dst, reading source
+// row y through src(y). src is asked for each output row's window in
+// increasing y, and the windows never move backwards.
+func (r *Resampler) rows(dst *Frame, lo, hi int, src func(y int) []float32, done func(row []float32)) {
+	var stack [rowTapsStack][]float32
+	taps := stack[:]
+	if r.span > len(stack) {
+		taps = make([][]float32, r.span)
+	}
+	for oy := lo; oy < hi; oy++ {
+		out := dst.Row(oy)
+		switch {
+		case r.area:
+			ys, ye := r.yt.off[oy], r.yt.off[oy+1]
+			wy := r.yt.wgt[ys:ye]
+			if len(wy) == 2 && r.x2 {
+				areaRow2(out, src(r.yt.idx[ys]), src(r.yt.idx[ys+1]), wy[0], wy[1], r.xt)
+				break
+			}
+			rowsY := taps[:len(wy)]
+			for k := range rowsY {
+				rowsY[k] = src(r.yt.idx[ys+k])
+			}
+			areaRow(out, rowsY, wy, r.xt)
+		case r.srcW == r.dstW && r.srcH == r.dstH:
+			copy(out, src(oy))
+		default:
+			r.bilinearRow(out, oy, src)
+		}
+		if done != nil {
+			done(out)
+		}
 	}
 }
 
@@ -185,25 +312,52 @@ func buildAxisTaps(inN, outN int, scale float64) axisTaps {
 	return t
 }
 
-func areaResample(f, out *Frame, xt, yt axisTaps) {
-	w, h := out.W, out.H
-	for oy := 0; oy < h; oy++ {
-		ys, ye := yt.off[oy], yt.off[oy+1]
-		for ox := 0; ox < w; ox++ {
-			xs, xe := xt.off[ox], xt.off[ox+1]
-			var sum, area float64
-			for ti := ys; ti < ye; ti++ {
-				fy := yt.wgt[ti]
-				row := f.Pix[yt.idx[ti]*f.W : (yt.idx[ti]+1)*f.W]
-				for tj := xs; tj < xe; tj++ {
-					wgt := xt.wgt[tj] * fy
-					sum += wgt * float64(row[xt.idx[tj]])
-					area += wgt
-				}
+// areaRow area-averages one output row from its y-tap source rows (rowsY,
+// weights wy, top to bottom). Every output pixel accumulates its taps
+// y-major, x-minor with the float64 products of the direct overlap
+// formulation, so the row is bit-identical to it.
+func areaRow(out []float32, rowsY [][]float32, wy []float64, xt axisTaps) {
+	for ox := range out {
+		xs, xe := xt.off[ox], xt.off[ox+1]
+		xi, xw := xt.idx[xs:xe], xt.wgt[xs:xe]
+		var sum, area float64
+		for k, row := range rowsY {
+			fy := wy[k]
+			for j, i := range xi {
+				wgt := xw[j] * fy
+				sum += wgt * float64(row[i])
+				area += wgt
 			}
-			if area > 0 {
-				out.Pix[oy*w+ox] = float32(sum / area)
-			}
+		}
+		if area > 0 {
+			out[ox] = float32(sum / area)
+		}
+	}
+}
+
+// areaRow2 is areaRow unrolled for the 1.5× and 2× reductions, where
+// every output pixel reads two source columns of two source rows: the
+// same four taps, accumulated in the same order.
+func areaRow2(out, row0, row1 []float32, fy0, fy1 float64, xt axisTaps) {
+	for ox := range out {
+		xs := xt.off[ox]
+		i0, i1 := xt.idx[xs], xt.idx[xs+1]
+		w0, w1 := xt.wgt[xs], xt.wgt[xs+1]
+		var sum, area float64
+		wgt := w0 * fy0
+		sum += wgt * float64(row0[i0])
+		area += wgt
+		wgt = w1 * fy0
+		sum += wgt * float64(row0[i1])
+		area += wgt
+		wgt = w0 * fy1
+		sum += wgt * float64(row1[i0])
+		area += wgt
+		wgt = w1 * fy1
+		sum += wgt * float64(row1[i1])
+		area += wgt
+		if area > 0 {
+			out[ox] = float32(sum / area)
 		}
 	}
 }
@@ -217,31 +371,29 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 	return hi - lo
 }
 
-func bilinearResample(f, out *Frame) {
-	w, h := out.W, out.H
-	sx := float64(f.W-1) / float64(max(w-1, 1))
-	sy := float64(f.H-1) / float64(max(h-1, 1))
-	for oy := 0; oy < h; oy++ {
-		fy := float64(oy) * sy
-		y0 := int(fy)
-		y1 := min(y0+1, f.H-1)
-		wy := float32(fy - float64(y0))
-		row0 := f.Pix[y0*f.W : (y0+1)*f.W]
-		row1 := f.Pix[y1*f.W : (y1+1)*f.W]
-		orow := out.Pix[oy*w : (oy+1)*w]
-		for ox := 0; ox < w; ox++ {
-			fx := float64(ox) * sx
-			x0 := int(fx)
-			x1 := min(x0+1, f.W-1)
-			wx := float32(fx - float64(x0))
-			v00 := row0[x0]
-			v01 := row0[x1]
-			v10 := row1[x0]
-			v11 := row1[x1]
-			top := v00 + (v01-v00)*wx
-			bot := v10 + (v11-v10)*wx
-			orow[ox] = top + (bot-top)*wy
-		}
+// bilinearRow interpolates output row oy from source rows y0 and
+// min(y0+1, srcH-1): the enlargement (and mixed-axis) path.
+func (r *Resampler) bilinearRow(out []float32, oy int, src func(y int) []float32) {
+	sx := float64(r.srcW-1) / float64(max(r.dstW-1, 1))
+	sy := float64(r.srcH-1) / float64(max(r.dstH-1, 1))
+	fy := float64(oy) * sy
+	y0 := int(fy)
+	y1 := min(y0+1, r.srcH-1)
+	wy := float32(fy - float64(y0))
+	row0 := src(y0)
+	row1 := src(y1)
+	for ox := range out {
+		fx := float64(ox) * sx
+		x0 := int(fx)
+		x1 := min(x0+1, r.srcW-1)
+		wx := float32(fx - float64(x0))
+		v00 := row0[x0]
+		v01 := row0[x1]
+		v10 := row1[x0]
+		v11 := row1[x1]
+		top := v00 + (v01-v00)*wx
+		bot := v10 + (v11-v10)*wx
+		out[ox] = top + (bot-top)*wy
 	}
 }
 

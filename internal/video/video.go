@@ -182,7 +182,23 @@ func (s *SunRise) Frame(i int) *frame.Frame {
 	return f
 }
 
+// sunRiseBlock is how many columns FrameInto renders the ground in at a
+// time: one block's ground-wave values live on the stack.
+const sunRiseBlock = 256
+
 // FrameInto implements IntoSource; every pixel of dst is written.
+//
+// The clip is a per-pixel formula, rendered serially without allocating.
+// Each expression is evaluated once at the level it varies: the sky level
+// and glare test per row, the ground wave and the drifted texture column
+// per column (the column advanced by one per pixel instead of taken
+// modulo W each time), the rest per frame. Each is the same float64
+// expression as the per-pixel formula, so the frame is bit-identical to
+// evaluating that formula at every pixel. math.Hypot and math.Exp run only
+// inside the box of pixels within 3·sunR of the sun centre on both axes:
+// outside it max(|dx|, |dy|) ≥ 3·sunR, and Hypot(dx, dy) = p·√(1+q²) ≥ p
+// for p = max(|dx|, |dy|) (the square root of a value ≥ 1 is ≥ 1), so the
+// disc and halo tests cannot fire there.
 func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 	t := math.Mod(float64(i)/s.Rate, 20) / 20 // progress 0..1
 	w, h := float64(s.W), float64(s.H)
@@ -192,45 +208,103 @@ func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 	sunR := 0.09 * w
 	skyBase := 90 + 80*t
 	glareH := 0.10 * h // saturated glare band above the horizon
-	for y := 0; y < s.H; y++ {
+	halo := 3 * sunR
+	fade := 1.1 * sunR
+	bx0, bx1 := within(sunX, halo, s.W)
+	by0, by1 := within(sunY, halo, s.H)
+	ground := 0
+	for ground < s.H && float64(ground) < horizon {
+		ground++
+	}
+	for y := 0; y < ground; y++ {
 		fy := float64(y)
-		for x := 0; x < s.W; x++ {
-			fx := float64(x)
-			var v float64
-			if fy < horizon {
-				// Sky: vertical gradient brightening towards the horizon.
-				v = skyBase + 120*(fy/horizon)
-				// Glare band hugging the horizon: effectively saturated.
-				if fy > horizon-glareH {
-					v = 250
-				}
-				// Sun disc and halo.
-				d := math.Hypot(fx-sunX, fy-sunY)
-				switch {
-				case d < sunR:
-					v = 252
-				case d < 3*sunR:
-					v += (252 - v) * math.Exp(-(d-sunR)/(1.1*sunR))
-				}
-			} else {
-				// Ground: dark with patchy texture that drifts slowly
-				// (water/foliage motion), plus gentle luminance waves.
-				// The drift matters to the secondary channel: moving
-				// texture defeats temporal background subtraction the way
-				// real footage does.
-				base := 55 + 18*math.Sin(fx/17+3*t*2*math.Pi)
-				drift := int(float64(i) / s.Rate * 45) // 1.5 px per frame
-				tx := ((x+drift)%s.W + s.W) % s.W
-				idx := y*s.W + tx
-				v = base + float64(s.strength[y*s.W+x])*float64(s.texture[idx])
-			}
-			if v > 255 {
-				v = 255
-			} else if v < 0 {
-				v = 0
-			}
-			f.Pix[y*s.W+x] = float32(v)
+		// Sky: vertical gradient brightening towards the horizon.
+		sky := skyBase + 120*(fy/horizon)
+		// Glare band hugging the horizon: effectively saturated.
+		if fy > horizon-glareH {
+			sky = 250
 		}
+		row := f.Pix[y*s.W : (y+1)*s.W]
+		fillRow(row, clamp255(sky))
+		if y < by0 || y >= by1 {
+			continue
+		}
+		// Sun disc and halo.
+		dy := fy - sunY
+		for x := bx0; x < bx1; x++ {
+			v := sky
+			d := math.Hypot(float64(x)-sunX, dy)
+			switch {
+			case d < sunR:
+				v = 252
+			case d < halo:
+				v += (252 - v) * math.Exp(-(d-sunR)/fade)
+			}
+			row[x] = clamp255(v)
+		}
+	}
+	// Ground: dark with patchy texture that drifts slowly (water/foliage
+	// motion), plus gentle luminance waves. The drift matters to the
+	// secondary channel: moving texture defeats temporal background
+	// subtraction the way real footage does.
+	phase := 3 * t * 2 * math.Pi
+	drift := int(float64(i) / s.Rate * 45) // 1.5 px per frame
+	var wave [sunRiseBlock]float64
+	for x0 := 0; x0 < s.W; x0 += sunRiseBlock {
+		n := min(sunRiseBlock, s.W-x0)
+		for j := range wave[:n] {
+			wave[j] = 55 + 18*math.Sin(float64(x0+j)/17+phase)
+		}
+		tx0 := ((x0+drift)%s.W + s.W) % s.W
+		for y := ground; y < s.H; y++ {
+			base := y * s.W
+			row := f.Pix[base+x0 : base+x0+n]
+			strength := s.strength[base+x0 : base+x0+n]
+			texture := s.texture[base : base+s.W]
+			tx := tx0
+			for j, st := range strength {
+				row[j] = clamp255(wave[j] + float64(st)*float64(texture[tx]))
+				if tx++; tx == s.W {
+					tx = 0
+				}
+			}
+		}
+	}
+}
+
+// within returns the half-open range of integer coordinates x in [0, n)
+// with |float64(x) − c| < r: the columns (or rows) of a box of radius r
+// around c, found by the same float64 test the per-pixel distance would
+// see, so the box is exact rather than padded.
+func within(c, r float64, n int) (lo, hi int) {
+	lo = max(0, int(math.Floor(c-r)))
+	for lo < n && !(math.Abs(float64(lo)-c) < r) {
+		lo++
+	}
+	for lo > 0 && math.Abs(float64(lo-1)-c) < r {
+		lo--
+	}
+	hi = lo
+	for hi < n && math.Abs(float64(hi)-c) < r {
+		hi++
+	}
+	return lo, hi
+}
+
+// clamp255 saturates a clip value to [0, 255] and stores it as a pixel.
+func clamp255(v float64) float32 {
+	if v > 255 {
+		v = 255
+	} else if v < 0 {
+		v = 0
+	}
+	return float32(v)
+}
+
+// fillRow sets every pixel of row to v.
+func fillRow(row []float32, v float32) {
+	for x := range row {
+		row[x] = v
 	}
 }
 

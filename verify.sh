@@ -129,7 +129,10 @@ run_alloc_tests() {
 	# display gates of Simulate and fleet.Run: heap traffic per simulated
 	# second must stay far below one second of drive history. They skip
 	# under -race, so this is the run that counts.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat' -count=1 .
+	# TestCaptureDrawsNoDisplayPlane pins the row-streamed capture's pool
+	# borrows (no display-resolution plane); TestSunRiseFrameIntoAllocs pins
+	# the clip's allocation-free render and skips under -race.
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs' -count=1 .
 }
 
 run_kernels() {
@@ -138,17 +141,22 @@ run_kernels() {
 	# fused pair-aware renderer's equivalence to the direct clone+add+clamp
 	# formulation at several worker counts (DESIGN.md §5j), and the fused
 	# drive path's: PushFrame's drive codes equal Push(Frame), and the
-	# bounded, retiring Simulate equals Transmit + CaptureAll (§5l).
+	# bounded, retiring Simulate equals Transmit + CaptureAll (§5l). The
+	# row-streamed capture and the hoisted sun-rise clip are pinned against
+	# verbatim copies of the plane-based and per-pixel code they replaced,
+	# and the row-major column passes against column-gather references.
 	go test -race -count=1 \
-		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
+		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestWindowSumsThinPlanes|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
 	go test -race -count=1 \
 		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush' \
 		./internal/core/
 	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
-		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck' \
+		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference' \
 		./internal/frame/
+	go test -race -count=1 -run 'TestCaptureMatchesReference' ./internal/camera/
+	go test -race -count=1 -run 'TestSunRiseMatchesReference' ./internal/video/
 }
 
 run_robustness() {
@@ -189,11 +197,14 @@ run_pose() {
 	# the blind solve's concurrent candidate chains repeated under the race
 	# detector at 1/2/8 workers, then short coverage-guided shakes of the
 	# two geometry entry points — the DLT solve on fuzzed correspondences
-	# and the inverse warp on fuzzed homographies.
+	# and the inverse warp on fuzzed homographies. FuzzRegister's target
+	# runs 10–30 ms per input, so minimizing each new interesting input
+	# for the default 60 s would eat the whole budget; one minimization
+	# exec per input keeps the smoke fuzzing.
 	go test -race -count=1 -run 'TestRobustnessMatrix/pose|TestFrontalPoseIsCleanPath' .
 	go test -race -count=1 ./internal/register/
 	go test -race -count=10 -run TestCalibrateProjectiveWorkerInvariance ./internal/register/
-	go test -run '^$' -fuzz '^FuzzRegister$' -fuzztime 10s ./internal/register
+	go test -run '^$' -fuzz '^FuzzRegister$' -fuzztime 10s -fuzzminimizetime 1x ./internal/register
 	go test -run '^$' -fuzz '^FuzzWarpInto$' -fuzztime 10s ./internal/frame
 }
 
