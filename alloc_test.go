@@ -2,12 +2,14 @@ package inframe
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"inframe/internal/camera"
 	"inframe/internal/display"
 	"inframe/internal/fleet"
 	"inframe/internal/frame"
+	"inframe/internal/impair"
 	"inframe/internal/video"
 )
 
@@ -247,30 +249,89 @@ func TestFleetMemoryFlat(t *testing.T) {
 // TestReceiverMeasureAllocs pins the receive side's scratch reuse: capture
 // measurement borrows its smoothing buffers from the pool, so repeated
 // measurement of the same capture must stop missing after the first call.
+// The projective receiver (pose-tilt30's 1280×720 capture under the
+// fixture pose) also borrows its rectified plane, and gathers through the
+// warp plan NewReceiver built, never a per-capture one.
 func TestReceiverMeasureAllocs(t *testing.T) {
 	l, err := ScaledPaperLayout(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := DefaultParams(l)
-	pool := NewFramePool()
-	rcfg := DefaultReceiverConfig(p, 640, 360)
-	rcfg.Workers = 1
-	rcfg.Pool = pool
-	rx, err := NewReceiver(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capFrame := frame.NewFilled(640, 360, 127)
-	rx.MeasureCapture(capFrame)
-	warm := pool.Stats()
-	for i := 0; i < 5; i++ {
+	for _, c := range []struct {
+		name string
+		w, h int
+		pose *frame.Homography
+	}{
+		{"rigid", 640, 360, nil},
+		{"projective", 1280, 720, &poseFixture},
+	} {
+		pool := NewFramePool()
+		rcfg := DefaultReceiverConfig(p, c.w, c.h)
+		rcfg.Workers = 1
+		rcfg.Pool = pool
+		rcfg.Pose = c.pose
+		rx, err := NewReceiver(rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capFrame := frame.NewFilled(c.w, c.h, 127)
 		rx.MeasureCapture(capFrame)
+		warm := pool.Stats()
+		for i := 0; i < 5; i++ {
+			rx.MeasureCapture(capFrame)
+		}
+		steady := pool.Stats()
+		if steady.Misses != warm.Misses {
+			t.Errorf("%s: repeated MeasureCapture allocated %d frame buffers, want 0 (misses %d -> %d)",
+				c.name, steady.Misses-warm.Misses, warm.Misses, steady.Misses)
+		}
 	}
-	steady := pool.Stats()
-	if steady.Misses != warm.Misses {
-		t.Errorf("repeated MeasureCapture allocated %d frame buffers, want 0 (misses %d -> %d)",
-			steady.Misses-warm.Misses, warm.Misses, steady.Misses)
+}
+
+// TestPoseStageAllocs pins the camera-pose stage's memory: a fixed pose
+// warps through one plan per Stack, built on its first posed capture, and
+// the clone of the capture it warps from comes from one package-level
+// scratch pool. So after a Stack's first capture a posed ApplyFrame
+// allocates nothing frame-sized, and a second Stack with the same config —
+// channel.Simulate builds one per call — allocates its plan (8 bytes per
+// pixel) but no clone plane. It reads the heap, so it runs with the
+// garbage collector off (which would empty the scratch pool) on one P (a
+// sync.Pool keeps its last Put per P), and skips under the race detector.
+func TestPoseStageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate: runs uninstrumented in the alloc stage")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const w, h = 320, 180
+	planeBytes := uint64(w * h * 4)
+	planBytes := uint64(w * h * 8)
+	cfg := impair.Config{Seed: 5, TiltDeg: 30}
+	f := frame.New(w, h)
+	apply := func(s *impair.Stack, i int) uint64 {
+		for j := range f.Pix {
+			f.Pix[j] = float32((j*29 + i) % 256)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.ApplyFrame(f, i, 0.01*float64(i), 0.001)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := impair.New(cfg)
+	if b := apply(first, 0); b < planBytes {
+		t.Errorf("first posed capture allocated %d B, want at least the %d B plan", b, planBytes)
+	}
+	for i := 1; i <= 4; i++ {
+		if b := apply(first, i); b >= planeBytes/8 {
+			t.Errorf("posed capture %d allocated %d B, want nothing frame-sized (a clone plane is %d B)", i, b, planeBytes)
+		}
+	}
+	second := impair.New(cfg)
+	if b := apply(second, 0); b < planBytes || b >= planBytes+planeBytes/2 {
+		t.Errorf("a second Stack's first posed capture allocated %d B, want its %d B plan and no %d B clone plane",
+			b, planBytes, planeBytes)
 	}
 }
 

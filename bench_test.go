@@ -21,6 +21,7 @@ import (
 	"inframe/internal/fleet"
 	"inframe/internal/frame"
 	"inframe/internal/hvs"
+	"inframe/internal/impair"
 	"inframe/internal/video"
 )
 
@@ -202,18 +203,81 @@ func BenchmarkSunRiseFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureCapture measures the per-capture Block energy scan.
+// poseFixture is the homography the blind projective calibration solves
+// for the pose-tilt30 benchmark workload (cmd/inframe-perf): the rectified
+// 960×540 display plane into the 1280×720 capture.
+var poseFixture = frame.Homography{M: [9]float64{
+	1.3429949110179933, 0.18357219005196032, -50.49116882968963,
+	-0.005645845004421541, 1.2287795018550776, 19.48893833573328,
+	-1.738417528699743e-05, 0.0002495741165308103, 0.94095939267444,
+}}
+
+// BenchmarkMeasureCapture measures the per-capture Block energy scan of
+// the half-scale panel: at a 640×360 capture (default), and at pose-tilt30's
+// 1280×720 capture once framed head-on (rigid) and once under the fixture
+// pose (registered), where each measurement first rectifies the capture
+// through the receiver's warp plan onto the 960×540 display plane. The
+// registered/rigid ratio is the price of the rectification.
 func BenchmarkMeasureCapture(b *testing.B) {
 	l := benchLayout()
 	p := core.DefaultParams(l)
-	rcv, err := core.NewReceiver(core.DefaultReceiverConfig(p, 640, 360))
+	run := func(b *testing.B, w, h int, pose *frame.Homography) {
+		rcfg := core.DefaultReceiverConfig(p, w, h)
+		rcfg.Pose = pose
+		rcfg.Pool = frame.NewPool()
+		rcv, err := core.NewReceiver(rcfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cap := frame.NewFilled(w, h, 127)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rcv.MeasureCapture(cap)
+		}
+	}
+	b.Run("default", func(b *testing.B) { run(b, 640, 360, nil) })
+	b.Run("rigid", func(b *testing.B) { run(b, 1280, 720, nil) })
+	b.Run("registered", func(b *testing.B) { run(b, 1280, 720, &poseFixture) })
+}
+
+// BenchmarkWarp measures pose-tilt30's two per-capture warps of an 8-bit
+// 1280×720 capture: the camera-pose impairment's 30° inverse warp onto
+// the same size (pose), and the projective receiver's rectification onto
+// the 960×540 display plane (rectify). direct is frame.WarpInto, plan a
+// prebuilt frame.WarpPlan's Into (bit-identical).
+func BenchmarkWarp(b *testing.B) {
+	poseInv, err := impair.PoseHomography(1280, 720, 30, 0, 1).Invert()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cap := frame.NewFilled(640, 360, 127)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rcv.MeasureCapture(cap)
+	src := frame.New(1280, 720)
+	for i := range src.Pix {
+		src.Pix[i] = float32((i * 29) % 256)
+	}
+	for _, c := range []struct {
+		name       string
+		h          frame.Homography
+		dstW, dstH int
+	}{
+		{"pose", poseInv, 1280, 720},
+		{"rectify", poseFixture, 960, 540},
+	} {
+		dst := frame.New(c.dstW, c.dstH)
+		b.Run(c.name+"/direct", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				frame.WarpInto(src, dst, c.h)
+			}
+		})
+		b.Run(c.name+"/plan", func(b *testing.B) {
+			plan := frame.NewWarpPlan(c.h, src.W, src.H, c.dstW, c.dstH)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan.Into(src, dst)
+			}
+		})
 	}
 }
 

@@ -108,10 +108,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Camera.Workers = *workers
 	cfg.CameraStart = *cameraStart
 	cfg.Workers = *workers
+	// Validate before Enabled: a NaN flag fails every comparison Enabled
+	// makes, so it would otherwise switch its stage off silently.
+	if err := imp.Validate(); err != nil {
+		return fatal(stderr, err)
+	}
 	if imp.Enabled() {
-		if err := imp.Validate(); err != nil {
-			return fatal(stderr, err)
-		}
 		cfg.Impair = imp
 		fmt.Fprintf(stdout, "impairments: %s\n", strings.Join(impairNames(imp), ", "))
 	}

@@ -94,6 +94,8 @@ func TestRunErrorPaths(t *testing.T) {
 		{name: "unknown flag", args: []string{"-no-such-flag"}, code: 2, errWants: "flag provided but not defined"},
 		{name: "bad occlude", args: []string{"-occlude", "0.1,0.2"}, code: 2, errWants: "-occlude wants x,y,w,h"},
 		{name: "bad impair", args: []string{"-drop", "1.5"}, code: 1, errWants: "DropRate"},
+		{name: "NaN drift", args: []string{"-drift-ppm", "NaN"}, code: 1, errWants: "ClockDriftPPM"},
+		{name: "NaN drop", args: []string{"-drop", "NaN"}, code: 1, errWants: "DropRate"},
 		{name: "unknown video", args: []string{"-video", "plasma"}, code: 1, errWants: `unknown video "plasma"`},
 		{name: "odd tau", args: []string{"-tau", "7"}, code: 1, errWants: "Tau"},
 	}

@@ -89,8 +89,11 @@ type ReceiverConfig struct {
 	// lifts it — collapses to a CaptureMapping and takes the rigid decode
 	// path bit-identically. Any other Pose is the projective map of an
 	// off-axis camera (tilt, rotation, distance), as solved by
-	// register.CalibrateProjective: every measurement rectifies its capture
-	// through the pose's inverse warp (pool-borrowed plane) and decodes the
+	// register.CalibrateProjective: NewReceiver builds the pose's warp
+	// plan once (frame.WarpPlan, 8 bytes per display pixel, read-only and
+	// shared by concurrent measurements), every measurement rectifies its
+	// capture through it into a pool-borrowed display-resolution plane —
+	// bit for bit frame.WarpInto through the pose — and decodes the
 	// rectified view with spatially aggregated, center-weighted Block
 	// statistics.
 	Pose *frame.Homography
@@ -229,10 +232,12 @@ type Receiver struct {
 	// projective mode it maps display coordinates into the *rectified*
 	// plane instead, which is the same coordinate system by construction.
 	calib CaptureMapping
-	// rectify, when non-nil, is the rectified→capture homography
-	// Pose ∘ calib⁻¹: every measurement inverse-warps its capture through
-	// it into a pool-borrowed frontal plane before the Block scan.
-	rectify *frame.Homography
+	// rectify, when non-nil, is the warp plan of the rectified→capture
+	// homography Pose ∘ calib⁻¹, built once here: every measurement
+	// gathers its capture through it into a pool-borrowed frontal plane
+	// before the Block scan. The plan is read-only, so concurrent
+	// measurements share it without a lock.
+	rectify *frame.WarpPlan
 	// rectW, rectH are the dimensions of the plane the Block scan runs on:
 	// the capture itself on the rigid path, the display-resolution
 	// rectified plane in projective mode.
@@ -284,7 +289,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	}
 	l := cfg.Layout
 	calib := FullFrame(l, cfg.CaptureW, cfg.CaptureH)
-	var rectify *frame.Homography
+	var rectify *frame.WarpPlan
 	if cfg.Pose != nil {
 		if err := cfg.Pose.Validate(); err != nil {
 			return nil, err
@@ -309,8 +314,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 			// Pixel-cell chessboard toward the resampling Nyquist limit and
 			// erase the modulation before the Block scan ever sees it.
 			calib = CaptureMapping{ScaleX: 1, ScaleY: 1}
-			hr := *cfg.Pose
-			rectify = &hr
+			rectify = frame.NewWarpPlan(*cfg.Pose, cfg.CaptureW, cfg.CaptureH, l.FrameW, l.FrameH)
 		}
 	}
 	pool := cfg.Pool
@@ -523,11 +527,12 @@ func (r *Receiver) MeasureCaptureAt(f *frame.Frame, t0 float64) ([]float64, []fl
 	// Projective mode: rectify the capture into a pool-borrowed frontal
 	// plane first, then run the unchanged Block scan on it — the warp, not
 	// the scan, absorbs the pose. The plane is scratch (returned before this
-	// measurement ends), and the warp depends only on (capture, homography),
-	// so pose-mode decodes stay bit-identical at any worker count.
+	// measurement ends), and the plan's gather is WarpInto through the pose
+	// bit for bit and depends only on (capture, homography), so pose-mode
+	// decodes stay bit-identical at any worker count.
 	if r.rectify != nil {
 		rectified := r.pool.Get(r.rectW, r.rectH)
-		frame.WarpInto(f, rectified, *r.rectify)
+		r.rectify.Into(f, rectified)
 		scores, quality := r.measureOn(rectified, t0, true)
 		r.pool.Put(rectified)
 		return scores, quality
@@ -573,6 +578,10 @@ func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64
 	// projective mode the scan runs on the rectified plane, where the
 	// axis-aligned calib is the correct map by construction).
 	calib := r.calib
+	var pose frame.Homography
+	if warped {
+		pose = r.rectify.Homography()
+	}
 	sxInv := 1 / calib.ScaleX
 	syInv := 1 / calib.ScaleY
 	offX, offY := calib.OffX, calib.OffY
@@ -593,7 +602,7 @@ func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64
 			if weights != nil {
 				wy := y
 				if warped {
-					_, fy, ok := r.rectify.Apply(cxMid, float64(y)+0.5)
+					_, fy, ok := pose.Apply(cxMid, float64(y)+0.5)
 					if !ok {
 						continue
 					}

@@ -278,7 +278,8 @@ func solve8(a *[8][9]float64) ([8]float64, error) {
 // the exact integer Q16 bilinear kernel (fixed.BilinearQ16); non-integral
 // sources take the float taps. Either way the arithmetic depends only on
 // (src, dst geometry, h), never on worker identity, so warped pipelines stay
-// bit-identical at any worker count.
+// bit-identical at any worker count. A map applied to many frames of one
+// size is cheaper through a WarpPlan, which gives the same bits.
 func WarpInto(src, dst *Frame, h Homography) {
 	if src == dst || &src.Pix[0] == &dst.Pix[0] {
 		panic("frame.WarpInto: dst aliases src")
@@ -349,51 +350,177 @@ func warpFloat(src, dst *Frame, h Homography) {
 // warpIntegral is the integer-tap path: source pixels are exact int32 in
 // [0, 255] (the IsIntegral8 precondition), the bilinear weights are Q16, and
 // the interpolation runs in fixed.BilinearQ16's exact integer arithmetic.
+// Each destination row is computed and gathered a chunk of taps at a time,
+// through the same rowTaps and gatherQ16 a WarpPlan is built and applied
+// with, so a plan reproduces this path bit for bit.
 func warpIntegral(src, dst *Frame, h Homography) {
+	checkTapIndex(src.W, src.H)
+	var taps [tapChunk]warpTap
+	for y := 0; y < dst.H; y++ {
+		orow := dst.Pix[y*dst.W : (y+1)*dst.W]
+		for x := 0; x < dst.W; x += tapChunk {
+			n := min(tapChunk, dst.W-x)
+			rowTaps(taps[:n], &h, x, y, src.W, src.H)
+			gatherQ16(orow[x:x+n], src.Pix, src.W, taps[:n])
+		}
+	}
+}
+
+// warpTap is one destination pixel's integer-path bilinear tap: the flat
+// index y0·W + x0 of its top-left source pixel, −1 for the black overscan,
+// and the Q16 weights of the pixel to its right (wx) and of the row below
+// (wy). A weight is the fractional sample coordinate times 2¹⁶, truncated,
+// so it lies in [0, 65535] and an 8-byte tap holds all three.
+type warpTap struct {
+	idx    int32
+	wx, wy uint16
+}
+
+// tapChunk is how many taps warpIntegral computes before gathering them:
+// a few KB of stack scratch that stays in L1 between the two loops.
+const tapChunk = 256
+
+// checkTapIndex panics when a srcW×srcH source has more pixels than a
+// warpTap's int32 index can address.
+func checkTapIndex(srcW, srcH int) {
+	if int64(srcW)*int64(srcH) > math.MaxInt32 {
+		panic(fmt.Sprintf("frame: warp source %dx%d exceeds the tap index range", srcW, srcH))
+	}
+}
+
+// rowTaps computes the integer-path taps of destination pixels
+// (col+i, y), i < len(taps), under h for a srcW×srcH source. It is the one
+// definition of a projective Q16 tap: per row m1·y+m2, m4·y+m5 and m7·y+m8;
+// per pixel d = m6·x+d0, inv = 1/d, sx = (m0·x+nx0)·inv and
+// sy = (m3·x+ny0)·inv. A sample on the horizon line (|d| ≤ 1e-12) or
+// outside the source reads the black overscan; the guard is NaN-safe, so a
+// non-finite coordinate fails it too.
+func rowTaps(taps []warpTap, h *Homography, col, y, srcW, srcH int) {
 	m0, m1, m2 := h.M[0], h.M[1], h.M[2]
 	m3, m4, m5 := h.M[3], h.M[4], h.M[5]
 	m6, m7, m8 := h.M[6], h.M[7], h.M[8]
-	maxX := float64(src.W - 1)
-	maxY := float64(src.H - 1)
+	maxX := float64(srcW - 1)
+	maxY := float64(srcH - 1)
 	const qOne = 1 << 16
-	for y := 0; y < dst.H; y++ {
-		fy := float64(y)
-		nx0 := m1*fy + m2
-		ny0 := m4*fy + m5
-		d0 := m7*fy + m8
-		orow := dst.Pix[y*dst.W : (y+1)*dst.W]
-		for x := 0; x < dst.W; x++ {
-			fx := float64(x)
-			d := m6*fx + d0
-			if !(math.Abs(d) > 1e-12) {
-				orow[x] = 0
-				continue
-			}
-			inv := 1 / d
-			sx := (m0*fx + nx0) * inv
-			sy := (m3*fx + ny0) * inv
-			if !(sx >= 0 && sx <= maxX && sy >= 0 && sy <= maxY) {
-				orow[x] = 0
-				continue
-			}
-			x0 := int(sx)
-			y0 := int(sy)
-			x1 := x0 + 1
-			if x1 > src.W-1 {
-				x1 = src.W - 1
-			}
-			y1 := y0 + 1
-			if y1 > src.H-1 {
-				y1 = src.H - 1
-			}
-			wx := int32((sx - float64(x0)) * qOne)
-			wy := int32((sy - float64(y0)) * qOne)
-			row0 := src.Pix[y0*src.W:]
-			row1 := src.Pix[y1*src.W:]
-			q := fixed.BilinearQ16(
-				int32(row0[x0]), int32(row0[x1]),
-				int32(row1[x0]), int32(row1[x1]), wx, wy)
-			orow[x] = float32(q) * (1.0 / qOne)
+	fy := float64(y)
+	nx0 := m1*fy + m2
+	ny0 := m4*fy + m5
+	d0 := m7*fy + m8
+	for i := range taps {
+		fx := float64(col + i)
+		d := m6*fx + d0
+		if !(math.Abs(d) > 1e-12) {
+			taps[i] = warpTap{idx: -1}
+			continue
+		}
+		inv := 1 / d
+		sx := (m0*fx + nx0) * inv
+		sy := (m3*fx + ny0) * inv
+		if !(sx >= 0 && sx <= maxX && sy >= 0 && sy <= maxY) {
+			taps[i] = warpTap{idx: -1}
+			continue
+		}
+		x0 := int(sx)
+		y0 := int(sy)
+		taps[i] = warpTap{
+			idx: int32(y0*srcW + x0), //lint:ignore intrange y0·srcW + x0 < srcW·srcH ≤ MaxInt32, which checkTapIndex asserts before any tap is built
+			// x0 and y0 truncate non-negative coordinates, so sx − x0 and
+			// sy − y0 are exact fractional parts in [0, 1), and each
+			// weight truncates into [0, 65535].
+			wx: uint16((sx - float64(x0)) * qOne), //lint:ignore intrange a fraction in [0, 1) times 2^16, truncated, lies in [0, 65535]
+			wy: uint16((sy - float64(y0)) * qOne),
 		}
 	}
+}
+
+// gatherQ16 writes each tap's Q16 bilinear sample of the integral w-wide
+// plane pix to out, 0 for an overscan tap. The sample at the right (below)
+// is read only under a non-zero wx (wy): a zero weight multiplies that
+// sample's difference by 0, so skipping it leaves the result unchanged, and
+// it is exactly the case where the tap sits on the last column (row) and
+// the per-pixel warp clamped x1 (y1) back onto x0 (y0) — a sample there
+// lies on the edge, so its fractional part and weight are 0.
+func gatherQ16(out, pix []float32, w int, taps []warpTap) {
+	const qOne = 1 << 16
+	for i, t := range taps {
+		if t.idx < 0 {
+			out[i] = 0
+			continue
+		}
+		j := int(t.idx)
+		wx, wy := int32(t.wx), int32(t.wy)
+		dx, dy := 0, 0
+		if wx != 0 {
+			dx = 1
+		}
+		if wy != 0 {
+			dy = w
+		}
+		//lint:ignore intrange pix is integral in [0, 255] (the IsIntegral8 precondition of every caller), so each tap converts exactly
+		v00, v01, v10, v11 := int32(pix[j]), int32(pix[j+dx]), int32(pix[j+dy]), int32(pix[j+dy+dx])
+		q := fixed.BilinearQ16(v00, v01, v10, v11, wx, wy)
+		out[i] = float32(q) * (1.0 / qOne)
+	}
+}
+
+// WarpPlan is one homography's inverse warp precomputed for fixed source
+// and destination sizes: every destination pixel's integer-path tap, built
+// by the same rowTaps WarpInto's integer path evaluates per call. Into then
+// gathers a capture through the stored taps and skips the per-pixel
+// projective divide, so a warp reused on every capture — the camera-pose
+// impairment, the projective receiver's rectification — pays for its
+// geometry once. A plan stores 8 bytes per destination pixel (7.4 MB at
+// 1280×720) and is never modified after NewWarpPlan returns, so any number
+// of goroutines may call Into on one plan concurrently.
+type WarpPlan struct {
+	h          Homography
+	srcW, srcH int
+	dstW, dstH int
+	taps       []warpTap // dstW·dstH, row-major
+}
+
+// NewWarpPlan precomputes the inverse warp through h from a srcW×srcH
+// source into a dstW×dstH destination (h maps destination coordinates into
+// source coordinates, as in WarpInto). It panics on a non-positive size
+// and on a source too large for the plan's int32 tap index.
+func NewWarpPlan(h Homography, srcW, srcH, dstW, dstH int) *WarpPlan {
+	if srcW <= 0 || srcH <= 0 || dstW <= 0 || dstH <= 0 {
+		panic(fmt.Sprintf("frame.NewWarpPlan: invalid size %dx%d -> %dx%d", srcW, srcH, dstW, dstH))
+	}
+	checkTapIndex(srcW, srcH)
+	p := &WarpPlan{h: h, srcW: srcW, srcH: srcH, dstW: dstW, dstH: dstH,
+		taps: make([]warpTap, dstW*dstH)}
+	for y := 0; y < dstH; y++ {
+		rowTaps(p.taps[y*dstW:(y+1)*dstW], &h, 0, y, srcW, srcH)
+	}
+	return p
+}
+
+// Homography returns the map the plan was built for.
+func (p *WarpPlan) Homography() Homography { return p.h }
+
+// Fits reports whether the plan warps a srcW×srcH source into a dstW×dstH
+// destination.
+func (p *WarpPlan) Fits(srcW, srcH, dstW, dstH int) bool {
+	return p.srcW == srcW && p.srcH == srcH && p.dstW == dstW && p.dstH == dstH
+}
+
+// Into is WarpInto(src, dst, p.Homography()) with the taps precomputed, bit
+// for bit: an integral 8-bit source (the same IsIntegral8 scan) gathers
+// the stored taps through fixed.BilinearQ16, any other source takes the
+// float path through the plan's homography. It panics when src or dst is
+// not the plan's size and when dst aliases src.
+func (p *WarpPlan) Into(src, dst *Frame) {
+	if !p.Fits(src.W, src.H, dst.W, dst.H) {
+		panic(fmt.Sprintf("frame.WarpPlan.Into: %dx%d -> %dx%d, plan is %dx%d -> %dx%d",
+			src.W, src.H, dst.W, dst.H, p.srcW, p.srcH, p.dstW, p.dstH))
+	}
+	if src == dst || &src.Pix[0] == &dst.Pix[0] {
+		panic("frame.WarpPlan.Into: dst aliases src")
+	}
+	if fixed.IsIntegral8(src.Pix) {
+		gatherQ16(dst.Pix, src.Pix, src.W, p.taps)
+		return
+	}
+	warpFloat(src, dst, p.h)
 }

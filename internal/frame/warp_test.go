@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"inframe/internal/fixed"
 )
 
 // randQuad returns a seeded non-degenerate convex quad: a w×h rectangle
@@ -257,6 +259,13 @@ func FuzzWarpInto(f *testing.F) {
 		math.NaN(), math.Inf(1), 0.0, 0.0, math.Inf(-1), 0.0, 0.0, 0.0, 0.0)
 	f.Add(uint8(3), uint8(7), uint8(7), uint8(3), int64(4),
 		1e300, -1e300, 1e-300, 0.0, 5e299, 0.0, 1.0, 1.0, 1e-300)
+	// Integral sources (even seeds): the identity at equal sizes puts taps
+	// on the last column and row, and a mild projective map gives
+	// fractional Q16 weights everywhere.
+	f.Add(uint8(8), uint8(8), uint8(8), uint8(8), int64(6),
+		1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+	f.Add(uint8(16), uint8(12), uint8(20), uint8(14), int64(8),
+		0.7, 0.05, 0.3, -0.04, 0.8, 0.2, 1e-3, 2e-3, 1.0)
 	f.Fuzz(func(t *testing.T, sw, sh, dw, dh uint8, seed int64,
 		m0, m1, m2, m3, m4, m5, m6, m7, m8 float64) {
 		srcW, srcH := int(sw%64)+1, int(sh%64)+1
@@ -279,5 +288,82 @@ func FuzzWarpInto(f *testing.F) {
 				t.Fatalf("pixel %d is non-finite (%v) from finite input", i, v)
 			}
 		}
+		// The same map through the per-pixel reference and through a plan
+		// built for these sizes, the plan into a dirty destination: all
+		// three agree bit for bit.
+		ref := New(dstW, dstH)
+		referenceWarpInto(src, ref, h)
+		planned := NewFilled(dstW, dstH, -7)
+		NewWarpPlan(h, srcW, srcH, dstW, dstH).Into(src, planned)
+		for i := range dst.Pix {
+			if math.Float32bits(dst.Pix[i]) != math.Float32bits(ref.Pix[i]) {
+				t.Fatalf("integral=%v pixel %d: WarpInto %v, reference %v", integral, i, dst.Pix[i], ref.Pix[i])
+			}
+			if math.Float32bits(planned.Pix[i]) != math.Float32bits(dst.Pix[i]) {
+				t.Fatalf("integral=%v pixel %d: plan %v, WarpInto %v", integral, i, planned.Pix[i], dst.Pix[i])
+			}
+		}
 	})
 }
+
+// referenceWarpInto is WarpInto as it stood before its integer path moved
+// onto the shared rowTaps/gatherQ16 kernels, kept verbatim as the
+// reference the plan and the kernels are pinned against: the per-pixel
+// projective divide, the clamped x1/y1 taps and the truncated Q16 weights
+// for an integral source, warpFloat for any other.
+func referenceWarpInto(src, dst *Frame, h Homography) {
+	if !fixed.IsIntegral8(src.Pix) {
+		warpFloat(src, dst, h)
+		return
+	}
+	m0, m1, m2 := h.M[0], h.M[1], h.M[2]
+	m3, m4, m5 := h.M[3], h.M[4], h.M[5]
+	m6, m7, m8 := h.M[6], h.M[7], h.M[8]
+	maxX := float64(src.W - 1)
+	maxY := float64(src.H - 1)
+	const qOne = 1 << 16
+	for y := 0; y < dst.H; y++ {
+		fy := float64(y)
+		nx0 := m1*fy + m2
+		ny0 := m4*fy + m5
+		d0 := m7*fy + m8
+		orow := dst.Pix[y*dst.W : (y+1)*dst.W]
+		for x := 0; x < dst.W; x++ {
+			fx := float64(x)
+			d := m6*fx + d0
+			if !(math.Abs(d) > 1e-12) {
+				orow[x] = 0
+				continue
+			}
+			inv := 1 / d
+			sx := (m0*fx + nx0) * inv
+			sy := (m3*fx + ny0) * inv
+			if !(sx >= 0 && sx <= maxX && sy >= 0 && sy <= maxY) {
+				orow[x] = 0
+				continue
+			}
+			x0 := int(sx)
+			y0 := int(sy)
+			x1 := x0 + 1
+			if x1 > src.W-1 {
+				x1 = src.W - 1
+			}
+			y1 := y0 + 1
+			if y1 > src.H-1 {
+				y1 = src.H - 1
+			}
+			wx := int32((sx - float64(x0)) * qOne)
+			wy := int32((sy - float64(y0)) * qOne)
+			row0 := src.Pix[y0*src.W:]
+			row1 := src.Pix[y1*src.W:]
+			q := fixed.BilinearQ16(
+				int32(row0[x0]), int32(row0[x1]),
+				int32(row1[x0]), int32(row1[x1]), wx, wy)
+			orow[x] = float32(q) * (1.0 / qOne)
+		}
+	}
+}
+
+// ReferenceWarpInto exports referenceWarpInto to the external frame_test
+// package, whose plan tests need impair's pose maps (impair imports frame).
+var ReferenceWarpInto = referenceWarpInto

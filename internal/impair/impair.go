@@ -37,7 +37,9 @@ type Config struct {
 
 	// ClockDriftPPM skews the camera's frame period by the given parts per
 	// million (positive = slow camera clock, longer period). Real phone
-	// oscillators drift tens of ppm against the display's.
+	// oscillators drift tens of ppm against the display's. |ClockDriftPPM|
+	// ≤ MaxClockDriftPPM: the skewed period stays within 1% of nominal, so
+	// the capture schedule's count stays bounded and its period positive.
 	ClockDriftPPM float64
 	// StartJitter is the half-width (seconds) of a uniform per-capture
 	// exposure-start jitter, modelling scheduling noise in the capture
@@ -106,9 +108,17 @@ type Config struct {
 	Distance float64
 	// PoseJitterDeg adds an independent uniform per-capture jitter of up to
 	// the given degrees to tilt and roll — handheld shake in the pose
-	// domain, keyed by the frozen ImpairPose stage. [0, 5].
+	// domain, keyed by the frozen ImpairPose stage. [0, 5]. A jittered pose
+	// is a new map per capture, so it warps each capture directly; a fixed
+	// pose (0) warps through one plan the Stack builds on its first posed
+	// capture.
 	PoseJitterDeg float64
 }
+
+// MaxClockDriftPPM bounds |Config.ClockDriftPPM|: 10⁴ ppm is a 1% period
+// skew, two orders of magnitude past a real oscillator's and far past
+// the 100–500 ppm the robustness scenarios use.
+const MaxClockDriftPPM = 1e4
 
 // poseEnabled reports whether the camera-pose stage is active.
 func (c *Config) poseEnabled() bool {
@@ -143,6 +153,31 @@ func (c *Config) Enabled() bool {
 func (c *Config) Validate() error {
 	if c == nil {
 		return nil
+	}
+	// Every range check below is a comparison, and a comparison with NaN is
+	// false, so non-finite values are rejected first, field by field.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"ClockDriftPPM", c.ClockDriftPPM}, {"StartJitter", c.StartJitter},
+		{"DropRate", c.DropRate}, {"DupRate", c.DupRate},
+		{"AmbientRamp", c.AmbientRamp},
+		{"FlickerAmp", c.FlickerAmp}, {"FlickerHz", c.FlickerHz},
+		{"GainAmp", c.GainAmp}, {"GainHz", c.GainHz},
+		{"BurstRate", c.BurstRate}, {"BurstSigma", c.BurstSigma},
+		{"OccludeX", c.OccludeX}, {"OccludeY", c.OccludeY},
+		{"OccludeW", c.OccludeW}, {"OccludeH", c.OccludeH},
+		{"OccludeLevel", c.OccludeLevel},
+		{"TiltDeg", c.TiltDeg}, {"RotateDeg", c.RotateDeg},
+		{"Distance", c.Distance}, {"PoseJitterDeg", c.PoseJitterDeg},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("impair: %s must be finite, got %v", f.name, f.v)
+		}
+	}
+	if math.Abs(c.ClockDriftPPM) > MaxClockDriftPPM {
+		return fmt.Errorf("impair: ClockDriftPPM must be in [-%g,%g], got %v", MaxClockDriftPPM, MaxClockDriftPPM, c.ClockDriftPPM)
 	}
 	if c.StartJitter < 0 {
 		return fmt.Errorf("impair: StartJitter must be non-negative, got %v", c.StartJitter)
@@ -211,11 +246,12 @@ func (c *Config) Validate() error {
 // Stack is an instantiated impairment pipeline.
 type Stack struct {
 	cfg Config
-	// poseScratch recycles the camera-pose stage's warp source plane across
-	// captures. Scratch only — pixel contents never survive a capture — so
-	// sync.Pool's scheduling-dependent reuse cannot affect outputs, exactly
-	// like the receiver's integer scratch buffers.
-	poseScratch sync.Pool
+	// posePlan is the camera-pose stage's warp plan for a fixed pose, built
+	// on the first posed capture for that capture's size (posePlanFor) and
+	// read-only afterwards; poseMu guards the pointer. A jittered pose warps
+	// each capture directly and never builds one.
+	poseMu   sync.Mutex
+	posePlan *frame.WarpPlan
 }
 
 // New builds a stack. The configuration must have passed Validate.

@@ -33,6 +33,27 @@ func TestValidate(t *testing.T) {
 		{"occlude out of range", Config{OccludeW: 0.2, OccludeH: 1.5}, "fractions"},
 		{"occlude level", Config{OccludeW: 0.2, OccludeH: 0.2, OccludeLevel: 300}, "OccludeLevel"},
 		{"occlude ok", Config{OccludeW: 0.2, OccludeH: 0.2}, ""},
+		{"drift at bound", Config{ClockDriftPPM: -MaxClockDriftPPM}, ""},
+		{"drift past bound", Config{ClockDriftPPM: 10001}, "ClockDriftPPM"},
+		{"drift near -1e6", Config{ClockDriftPPM: -999999}, "ClockDriftPPM"},
+		{"drift below -1e6", Config{ClockDriftPPM: -2e6}, "ClockDriftPPM"},
+		{"drift NaN", Config{ClockDriftPPM: math.NaN()}, "ClockDriftPPM"},
+		{"drift +Inf", Config{ClockDriftPPM: math.Inf(1)}, "ClockDriftPPM"},
+		{"drift -Inf", Config{ClockDriftPPM: math.Inf(-1)}, "ClockDriftPPM"},
+		{"jitter NaN", Config{StartJitter: math.NaN()}, "StartJitter"},
+		{"drop NaN", Config{DropRate: math.NaN()}, "DropRate"},
+		{"dup NaN", Config{DupRate: math.NaN()}, "DupRate"},
+		{"ramp +Inf", Config{AmbientRamp: math.Inf(1)}, "AmbientRamp"},
+		{"flicker hz NaN", Config{FlickerAmp: 5, FlickerHz: math.NaN()}, "FlickerHz"},
+		{"gain hz -Inf", Config{GainAmp: 0.1, GainHz: math.Inf(-1)}, "GainHz"},
+		{"burst sigma NaN", Config{BurstRate: 0.2, BurstSigma: math.NaN()}, "BurstSigma"},
+		{"burst sigma +Inf", Config{BurstRate: 0.2, BurstSigma: math.Inf(1)}, "BurstSigma"},
+		{"occlude x NaN", Config{OccludeX: math.NaN(), OccludeW: 0.2, OccludeH: 0.2}, "OccludeX"},
+		{"occlude level NaN", Config{OccludeW: 0.2, OccludeH: 0.2, OccludeLevel: math.NaN()}, "OccludeLevel"},
+		{"tilt NaN", Config{TiltDeg: math.NaN()}, "TiltDeg"},
+		{"rotate +Inf", Config{RotateDeg: math.Inf(1)}, "RotateDeg"},
+		{"distance NaN", Config{Distance: math.NaN()}, "Distance"},
+		{"pose jitter NaN", Config{PoseJitterDeg: math.NaN()}, "PoseJitterDeg"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

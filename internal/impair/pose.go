@@ -3,6 +3,7 @@ package impair
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"inframe/internal/detrng"
 	"inframe/internal/frame"
@@ -54,33 +55,61 @@ func PoseHomography(w, h int, tiltDeg, rollDeg, dist float64) frame.Homography {
 	return centered.Mul(frame.AxisAlignedHomography(1, 1, -cx, -cy))
 }
 
+// poseScratch recycles the camera-pose stage's warp source plane across
+// the captures of every Stack in the process, as the receiver's integer
+// scratch is shared (core's intScratch): a channel.Simulate builds a new
+// Stack per call and runs two posed captures at once, so a per-Stack pool
+// would allocate a fresh clone plane per concurrent capture of every run.
+// Scratch only — pixel contents never survive a capture — so sync.Pool's
+// scheduling-dependent reuse cannot affect outputs.
+var poseScratch sync.Pool
+
 // applyPose warps one capture through the (possibly jittered) camera pose.
 // The jitter stream is keyed by (Seed, ImpairPose, capture index), so
 // whether and how capture i shakes never depends on any other capture or on
-// worker identity.
+// worker identity. A fixed pose warps through the Stack's plan, which is
+// WarpInto through the same inverse bit for bit; a jittered pose is a new
+// map per capture and warps directly.
 func (s *Stack) applyPose(f *frame.Frame, index int) {
-	tilt := s.cfg.TiltDeg
-	roll := s.cfg.RotateDeg
+	src, _ := poseScratch.Get().(*frame.Frame)
+	if src == nil || src.W != f.W || src.H != f.H {
+		src = frame.New(f.W, f.H)
+	}
+	f.CloneInto(src)
 	if s.cfg.PoseJitterDeg > 0 {
 		rng := s.rng(detrng.ImpairPose, index)
-		tilt += (2*rng.Float64() - 1) * s.cfg.PoseJitterDeg
-		roll += (2*rng.Float64() - 1) * s.cfg.PoseJitterDeg
+		tilt := s.cfg.TiltDeg + (2*rng.Float64()-1)*s.cfg.PoseJitterDeg
+		roll := s.cfg.RotateDeg + (2*rng.Float64()-1)*s.cfg.PoseJitterDeg
+		frame.WarpInto(src, f, poseInverse(f.W, f.H, tilt, roll, s.cfg.Distance))
+	} else {
+		s.posePlanFor(f.W, f.H).Into(src, f)
 	}
-	pose := PoseHomography(f.W, f.H, tilt, roll, s.cfg.Distance)
-	inv, err := pose.Invert()
+	poseScratch.Put(src)
+}
+
+// posePlanFor returns the Stack's warp plan of its fixed pose for w×h
+// captures, building it on first use and again whenever the capture size
+// changes. The mutex makes concurrent first captures build it once; the
+// plan itself is read-only, so callers gather through it outside the lock.
+func (s *Stack) posePlanFor(w, h int) *frame.WarpPlan {
+	s.poseMu.Lock()
+	defer s.poseMu.Unlock()
+	if s.posePlan == nil || !s.posePlan.Fits(w, h, w, h) {
+		s.posePlan = frame.NewWarpPlan(poseInverse(w, h, s.cfg.TiltDeg, s.cfg.RotateDeg, s.cfg.Distance), w, h, w, h)
+	}
+	return s.posePlan
+}
+
+// poseInverse is the capture→frontal map of a w×h capture at the given
+// pose: WarpInto's map goes destination→source, so the posed capture
+// samples the frontal plane through the pose's inverse.
+func poseInverse(w, h int, tiltDeg, rollDeg, dist float64) frame.Homography {
+	inv, err := PoseHomography(w, h, tiltDeg, rollDeg, dist).Invert()
 	if err != nil {
 		// Validate's pose bounds make the projection invertible by
 		// construction (see PoseHomography); reaching this is a plumbing bug,
 		// not a data condition.
 		panic(fmt.Sprintf("impair: pose homography not invertible: %v", err))
 	}
-	src, _ := s.poseScratch.Get().(*frame.Frame)
-	if src == nil || src.W != f.W || src.H != f.H {
-		src = frame.New(f.W, f.H)
-	}
-	f.CloneInto(src)
-	// WarpInto's map goes destination→source, so the posed capture samples
-	// the frontal plane through the pose's inverse.
-	frame.WarpInto(src, f, inv)
-	s.poseScratch.Put(src)
+	return inv
 }

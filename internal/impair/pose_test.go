@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"inframe/internal/frame"
+	"inframe/internal/parallel"
 )
 
 // TestPoseHomographyIdentity: the zero pose at nominal distance is the exact
@@ -179,6 +180,53 @@ func TestApplyPoseWarpsContent(t *testing.T) {
 	for i, v := range f.Pix {
 		if math.IsNaN(float64(v)) || v < 0 || v > 255 {
 			t.Fatalf("pixel %d = %v outside the 8-bit domain", i, v)
+		}
+	}
+}
+
+// TestApplyPosePlanMatchesDirectWarp: a fixed pose warps through the
+// Stack's plan, which must give the capture the direct inverse warp gives
+// it, bit for bit — on the first capture (which builds the plan), on later
+// ones, after a change of capture size (which rebuilds it), and from
+// concurrent captures sharing it.
+func TestApplyPosePlanMatchesDirectWarp(t *testing.T) {
+	cfg := Config{Seed: 9, TiltDeg: -25, RotateDeg: 7, Distance: 1.4}
+	mk := func(w, h, k int) *frame.Frame {
+		f := frame.New(w, h)
+		for i := range f.Pix {
+			f.Pix[i] = float32((i*37 + k*11) % 256)
+		}
+		return f
+	}
+	direct := func(f *frame.Frame) *frame.Frame {
+		out := f.Clone()
+		inv, err := PoseHomography(f.W, f.H, cfg.TiltDeg, cfg.RotateDeg, cfg.Distance).Invert()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame.WarpInto(f, out, inv)
+		out.Quantize()
+		return out
+	}
+	s := New(cfg)
+	for k, dims := range [][2]int{{64, 48}, {64, 48}, {40, 30}, {64, 48}} {
+		f := mk(dims[0], dims[1], k)
+		want := direct(f)
+		s.ApplyFrame(f, k, 0.1, 0.001)
+		if !f.Equal(want) {
+			t.Errorf("capture %d (%dx%d): planned pose differs from the direct warp", k, dims[0], dims[1])
+		}
+	}
+	fresh := New(cfg)
+	const n = 8
+	got := make([]*frame.Frame, n)
+	parallel.For(n, n, func(k int) {
+		got[k] = mk(64, 48, k)
+		fresh.ApplyFrame(got[k], k, 0.1, 0.001)
+	})
+	for k, f := range got {
+		if !f.Equal(direct(mk(64, 48, k))) {
+			t.Errorf("concurrent capture %d: planned pose differs from the direct warp", k)
 		}
 	}
 }

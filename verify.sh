@@ -132,7 +132,10 @@ run_alloc_tests() {
 	# TestCaptureDrawsNoDisplayPlane pins the row-streamed capture's pool
 	# borrows (no display-resolution plane); TestSunRiseFrameIntoAllocs pins
 	# the clip's allocation-free render and skips under -race.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs' -count=1 .
+	# TestPoseStageAllocs pins the camera-pose stage's heap: one warp plan
+	# per Stack and a shared clone scratch, no plane per capture; it skips
+	# under -race.
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs' -count=1 .
 }
 
 run_kernels() {
@@ -145,6 +148,9 @@ run_kernels() {
 	# row-streamed capture and the hoisted sun-rise clip are pinned against
 	# verbatim copies of the plane-based and per-pixel code they replaced,
 	# and the row-major column passes against column-gather references.
+	# The precomputed warp plan is pinned against WarpInto and a verbatim
+	# copy of the per-pixel projective warp, with eight goroutines sharing
+	# one plan.
 	go test -race -count=1 \
 		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestWindowSumsThinPlanes|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
@@ -153,7 +159,7 @@ run_kernels() {
 		./internal/core/
 	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
-		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference' \
+		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto' \
 		./internal/frame/
 	go test -race -count=1 -run 'TestCaptureMatchesReference' ./internal/camera/
 	go test -race -count=1 -run 'TestSunRiseMatchesReference' ./internal/video/
