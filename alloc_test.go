@@ -1,6 +1,7 @@
 package inframe
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -91,8 +92,9 @@ func TestSteadyStateFrameBufferAllocs(t *testing.T) {
 }
 
 // TestMultiplexerRenderAllocs bounds the render loop itself: one Frame +
-// Recycle cycle must stay within a few scalar allocations (parallel fan-out
-// closures) and well under a frame buffer's worth of bytes.
+// Recycle cycle, and one PushFrame onto a display that retires behind it,
+// must stay within a few scalar allocations (parallel fan-out closures) and
+// well under a frame buffer's worth of bytes.
 func TestMultiplexerRenderAllocs(t *testing.T) {
 	l, err := ScaledPaperLayout(2)
 	if err != nil {
@@ -122,11 +124,11 @@ func TestMultiplexerRenderAllocs(t *testing.T) {
 	if allocs > 8 {
 		t.Errorf("steady-state render performs %.0f allocs per frame, want <= 8", allocs)
 	}
-	// Three persistent buffers may miss a cold pool: the video buffer, the
-	// cached delta plane, and the one in-flight output frame (which the
-	// Recycle cycle then reuses forever).
-	if misses := pool.Stats().Misses; misses > 3 {
-		t.Errorf("render loop missed the pool %d times, want only the warm vbuf+delta+out trio", misses)
+	// Two persistent buffers may miss a cold pool: the video buffer and the
+	// one in-flight output frame (which the Recycle cycle then reuses
+	// forever). The Block amplitudes and chess rows are plain slices.
+	if misses := pool.Stats().Misses; misses > 2 {
+		t.Errorf("render loop missed the pool %d times, want only the warm vbuf+out pair", misses)
 	}
 	// Byte bound: the residual allocations must be scalar-sized, not a
 	// hidden frame buffer (~2 MB at this scale).
@@ -140,6 +142,103 @@ func TestMultiplexerRenderAllocs(t *testing.T) {
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > frameBytes/16 {
 		t.Errorf("steady-state render allocates %d B per frame, want < %d (a leaked frame buffer is %d B)",
 			perRun, frameBytes/16, frameBytes)
+	}
+
+	// The drive path: PushFrame copies a drive plane into a display that
+	// keeps only its last frame, as channel.Simulate's does behind its
+	// captures, so its one free slot is reused forever.
+	pushPool := NewFramePool()
+	p.Pool = pushPool
+	pm, err := NewMultiplexer(p, GrayVideo(l.FrameW, l.FrameH), NewRandomStream(l, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg := display.DefaultConfig()
+	dcfg.ResponseTime = 0
+	d, err := display.New(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func() {
+		if err := pm.PushFrame(d, k); err != nil {
+			t.Fatal(err)
+		}
+		d.Retire(math.Inf(1))
+		k = (k + 1) % cycle
+	}
+	k = 0
+	for i := 0; i < cycle; i++ {
+		push()
+	}
+	warm := pushPool.Stats().Misses
+	if allocs := testing.AllocsPerRun(runs, push); allocs > 8 {
+		t.Errorf("steady-state PushFrame performs %.0f allocs per frame, want <= 8", allocs)
+	}
+	if misses := pushPool.Stats().Misses; misses != warm {
+		t.Errorf("steady-state PushFrame missed the pool %d times after warm-up, want 0", misses-warm)
+	}
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		push()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > uint64(l.FrameW*l.FrameH)/16 {
+		t.Errorf("steady-state PushFrame allocates %d B per frame, want < %d (a drive slot is %d B)",
+			perRun, l.FrameW*l.FrameH/16, l.FrameW*l.FrameH)
+	}
+}
+
+// TestSimulateReusesDriveSlots: Simulate closes its private display once
+// its captures are done, handing the drive slots on, so a second Simulate
+// of the same panel draws every slot it needs and allocates none. The
+// multiplexer is reused (its drive planes exist already) and the captures
+// go back to the shared pool, so what is left of the second run's heap is
+// small against one 518 KB slot of the half-scale panel. It reads the heap,
+// so it runs with the garbage collector off (which would empty the slot
+// pool) on one P (a sync.Pool keeps its objects per P), and skips under the
+// race detector.
+func TestSimulateReusesDriveSlots(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate: runs uninstrumented in the alloc stage")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	l, err := ScaledPaperLayout(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewFramePool()
+	p := DefaultParams(l)
+	p.Pool = pool
+	m, err := NewMultiplexer(p, GrayVideo(l.FrameW, l.FrameH), NewRandomStream(l, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultChannelConfig(32, 18)
+	cfg.Camera.NoiseSigma = 0
+	cfg.Camera.BlurRadius = 0
+	cfg.Pool = pool
+	simulate := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Simulate(m, 60, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Recycle(pool)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	slot := uint64(l.FrameW * l.FrameH)
+	first := simulate()
+	if first < 2*slot {
+		t.Fatalf("first Simulate allocated %d B, want at least its drive slots (%d B each)", first, slot)
+	}
+	second := simulate()
+	t.Logf("first Simulate %d B, second %d B (a drive slot is %d B)", first, second, slot)
+	if second >= slot {
+		t.Errorf("second Simulate allocated %d B, want less than one %d B drive slot (the first allocated %d B)",
+			second, slot, first)
 	}
 }
 

@@ -9,6 +9,7 @@ package inframe
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -142,6 +143,43 @@ func BenchmarkMultiplexFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Frame(i % 600)
+	}
+}
+
+// BenchmarkPushFrame measures rendering one 960×540 multiplexed frame
+// straight into a display's drive slot, as channel.Simulate does, on a
+// display that retires all but its last frame: gray, where the Block cache
+// leaves most pushes with nothing to re-round, and the sun-rise clip, whose
+// video changes every fourth frame.
+func BenchmarkPushFrame(b *testing.B) {
+	l := benchLayout()
+	for _, c := range []struct {
+		name string
+		src  video.Source
+	}{
+		{"gray", video.Gray(l.FrameW, l.FrameH)},
+		{"sun-rise", video.NewSunRise(l.FrameW, l.FrameH, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := core.NewMultiplexer(core.DefaultParams(l), c.src, core.NewRandomStream(l, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			dcfg := display.DefaultConfig()
+			dcfg.ResponseTime = 0
+			d, err := display.New(dcfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.PushFrame(d, i%600); err != nil {
+					b.Fatal(err)
+				}
+				d.Retire(math.Inf(1))
+			}
+		})
 	}
 }
 

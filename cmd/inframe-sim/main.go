@@ -13,6 +13,8 @@
 //	            [-gain-amp 0] [-gain-hz 0.7] [-burst-rate 0] [-burst-sigma 0]
 //	            [-motion-blur 0] [-occlude "x,y,w,h"] [-occlude-level 0]
 //
+// -seconds must be positive and at most one simulated day (86400).
+//
 // The -impair-* family injects seeded, deterministic channel faults (see
 // internal/impair); -report prints the receiver's graceful-degradation
 // accounting (erasure causes, gaps, resyncs, link-quality timeline summary).
@@ -30,6 +32,11 @@ import (
 	"inframe/internal/impair"
 	"inframe/internal/metrics"
 )
+
+// maxSeconds bounds -seconds at one simulated day, far beyond any run in
+// the repository, so the display-frame count int(seconds·RefreshHz) is an
+// exact, allocatable int.
+const maxSeconds = 86400
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -67,6 +74,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	occlude := fs.String("occlude", "", "partial occlusion rect as x,y,w,h (frame fractions)")
 	occludeLevel := fs.Float64("occlude-level", 0, "occluder gray level [0,255]")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !(*seconds > 0 && *seconds <= maxSeconds) {
+		fmt.Fprintf(stderr, "inframe-sim: -seconds must be in (0, %d], got %v\n", maxSeconds, *seconds)
 		return 2
 	}
 

@@ -98,6 +98,10 @@ func TestRunErrorPaths(t *testing.T) {
 		{name: "NaN drop", args: []string{"-drop", "NaN"}, code: 1, errWants: "DropRate"},
 		{name: "unknown video", args: []string{"-video", "plasma"}, code: 1, errWants: `unknown video "plasma"`},
 		{name: "odd tau", args: []string{"-tau", "7"}, code: 1, errWants: "Tau"},
+		{name: "NaN delta", args: []string{"-delta", "NaN"}, code: 1, errWants: "Delta"},
+		{name: "NaN seconds", args: []string{"-seconds", "NaN"}, code: 2, errWants: "-seconds"},
+		{name: "Inf seconds", args: []string{"-seconds", "Inf"}, code: 2, errWants: "-seconds"},
+		{name: "huge seconds", args: []string{"-seconds", "1e15"}, code: 2, errWants: "-seconds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

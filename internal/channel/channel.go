@@ -169,12 +169,15 @@ func (r *Result) Recycle(p *frame.Pool) {
 // monitor retires every frame older than the earliest exposure start of a
 // capture not yet finished (Capturer.Horizon), reusing its drive slot for a
 // later frame. The link is private, so nothing else can read a retired
-// frame.
+// frame, and once every capture has finished — on the error paths too — its
+// display is closed, handing the drive slots to the next link's display.
 func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, error) {
 	link, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	// Every return below has waited for the captures (Finish or Abort).
+	defer link.Display.Close()
 	sched := link.schedule(float64(nDisplayFrames) / cfg.Display.RefreshHz)
 	c := sched.Start(link.Camera, link.Display, parallel.NewPool(cfg.Workers))
 	for k := 0; k < nDisplayFrames; k++ {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"inframe/internal/display"
@@ -212,9 +214,9 @@ func TestIncrementalRenderMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestDeltaCacheFrozenPool: once the render loop is warm, the delta cache
-// must add zero steady-state pool misses — the only live buffers are the
-// video buffer, the delta plane and the in-flight output frame.
+// TestDeltaCacheFrozenPool: once the render loop is warm, the amplitude
+// cache must add zero steady-state pool misses — the only pooled buffers
+// are the video buffer and the in-flight output frame.
 func TestDeltaCacheFrozenPool(t *testing.T) {
 	pool := frame.NewPool()
 	p := smallParams()
@@ -272,5 +274,145 @@ func TestRGBFusedMatchesCloneAdd(t *testing.T) {
 	}
 	if m.RenderStats().BlocksSkipped == 0 {
 		t.Error("RGB delta cache never skipped a Block")
+	}
+}
+
+// driveOp is one call in TestDriveMatchesReference's walk: PushFrame(k),
+// or Frame(k) when frame is set.
+type driveOp struct {
+	frame bool
+	k     int
+}
+
+// driveWalk returns the calls TestDriveMatchesReference makes: k in
+// sequence for three data cycles, then a fixed walk with repeats, skipped
+// video frames, backwards jumps and Frame calls that move the multiplexer
+// on between pushes, then a seeded random walk of the same moves.
+func driveWalk(tau int) []driveOp {
+	var ops []driveOp
+	for k := 0; k < 3*tau; k++ {
+		ops = append(ops, driveOp{k: k})
+	}
+	ops = append(ops,
+		driveOp{k: 3*tau - 1},             // repeat
+		driveOp{true, 30}, driveOp{k: 30}, // Frame moves first; the push must still rewrite
+		driveOp{k: 37},                    // skip three video frames
+		driveOp{true, 44}, driveOp{k: 31}, // Frame ahead, push behind
+		driveOp{k: 2}, driveOp{k: 3}, // backwards to the start
+		driveOp{true, 3}, driveOp{k: 3}, // the same frame both ways
+		driveOp{k: 60}, driveOp{true, 61}, driveOp{true, 9}, driveOp{k: 62},
+		driveOp{k: 62}, driveOp{true, 17}, driveOp{k: 16}, driveOp{k: 0},
+	)
+	rng := rand.New(rand.NewSource(21))
+	k := 0
+	for i := 0; i < 60; i++ {
+		switch rng.Intn(4) {
+		case 1:
+			k++
+		case 2:
+			k += 1 + rng.Intn(3*tau)
+		case 3:
+			k = rng.Intn(8 * tau)
+		}
+		ops = append(ops, driveOp{rng.Intn(3) == 0, k})
+	}
+	return ops
+}
+
+// driveCodes maps every luminance a display configured as cfg shows back to
+// its drive code, read off the display's own lookup table (injective at
+// gamma 1).
+func driveCodes(t *testing.T, cfg display.Config) map[uint32]uint8 {
+	t.Helper()
+	d, err := display.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ramp := frame.New(256, 1)
+	for v := range ramp.Pix {
+		ramp.Pix[v] = float32(v)
+	}
+	if err := d.Push(ramp); err != nil {
+		t.Fatal(err)
+	}
+	codes := make(map[uint32]uint8, 256)
+	for v, lum := range d.Luminance(0).Pix {
+		codes[math.Float32bits(lum)] = uint8(v)
+	}
+	if len(codes) != 256 {
+		t.Fatalf("display lookup table maps 256 codes to %d luminances", len(codes))
+	}
+	return codes
+}
+
+// TestDriveMatchesReference: every drive code PushFrame stores must be
+// frame.Quant8 of the direct clone+add+clamp render, whatever calls came
+// before — frames in sequence, then walks with repeats, skipped video
+// frames, backwards jumps and Frame calls between pushes (whose float
+// output must match the reference too). Sources: flat gray, the sun-rise
+// clip (a full refresh per video frame), the adversarial clamp-edge clip
+// and a ticker (partial dirty regions). Layouts: the small layout and one
+// whose one-pixel margins cut the grid's first Pixel column and row in
+// two. Workers 1, 2 and 8; the render counters must equal those of a
+// multiplexer that made the same calls through Frame.
+func TestDriveMatchesReference(t *testing.T) {
+	straddle := smallLayout()
+	straddle.FrameW, straddle.FrameH = 50, 35
+	if straddle.MarginX()%straddle.PixelSize == 0 || straddle.MarginY()%straddle.PixelSize == 0 {
+		t.Fatalf("margins %d,%d do not cut a Pixel", straddle.MarginX(), straddle.MarginY())
+	}
+	dcfg := display.Config{RefreshHz: 120, Brightness: 1, Gamma: 1}
+	codes := driveCodes(t, dcfg)
+	for _, l := range []Layout{smallLayout(), straddle} {
+		p0 := smallParams()
+		p0.Layout = l
+		p0.VideoFrameRatio = 2
+		sources := map[string]func() video.Source{
+			"gray":        func() video.Source { return video.Gray(l.FrameW, l.FrameH) },
+			"sun-rise":    func() video.Source { return video.NewSunRise(l.FrameW, l.FrameH, 4) },
+			"adversarial": func() video.Source { return adversarialVideo(l, float32(p0.Delta)) },
+			"ticker":      func() video.Source { return video.NewTicker(l.FrameW, l.FrameH, 5, 3) },
+		}
+		for name, src := range sources {
+			for _, workers := range []int{1, 2, 8} {
+				p := p0
+				p.Workers = workers
+				tag := fmt.Sprintf("%dx%d %s workers=%d", l.FrameW, l.FrameH, name, workers)
+				m := newMux(t, p, src(), NewRandomStream(l, 9))
+				ref := newMux(t, p, src(), NewRandomStream(l, 9))
+				vsrc, data := src(), NewRandomStream(l, 9)
+				d, err := display.New(dcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, op := range driveWalk(p.Tau) {
+					want := refRender(p, vsrc.Frame(op.k/p.VideoFrameRatio), data, op.k)
+					ref.Recycle(ref.Frame(op.k))
+					if op.frame {
+						got := m.Frame(op.k)
+						for j := range want.Pix {
+							if math.Float32bits(got.Pix[j]) != math.Float32bits(want.Pix[j]) {
+								t.Fatalf("%s call %d Frame(%d) pixel %d: %v, reference %v", tag, i, op.k, j, got.Pix[j], want.Pix[j])
+							}
+						}
+						m.Recycle(got)
+						continue
+					}
+					if err := m.PushFrame(d, op.k); err != nil {
+						t.Fatal(err)
+					}
+					lum := d.Luminance(d.NumFrames() - 1)
+					for j, v := range want.Pix {
+						if got, w := codes[math.Float32bits(lum.Pix[j])], frame.Quant8(v); got != w {
+							t.Fatalf("%s call %d PushFrame(%d) pixel (%d,%d): code %d, reference %d",
+								tag, i, op.k, j%l.FrameW, j/l.FrameW, got, w)
+						}
+					}
+				}
+				if m.RenderStats() != ref.RenderStats() {
+					t.Fatalf("%s: render stats %+v, want %+v", tag, m.RenderStats(), ref.RenderStats())
+				}
+			}
+		}
 	}
 }

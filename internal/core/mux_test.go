@@ -39,6 +39,7 @@ func TestParamsValidate(t *testing.T) {
 	bad := []func(*Params){
 		func(p *Params) { p.Delta = 0 },
 		func(p *Params) { p.Delta = 200 },
+		func(p *Params) { p.Delta = math.NaN() },
 		func(p *Params) { p.Tau = 7 },
 		func(p *Params) { p.Tau = 0 },
 		func(p *Params) { p.VideoFrameRatio = 0 },

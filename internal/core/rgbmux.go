@@ -16,11 +16,11 @@ import (
 // The clipping-aware local amplitude (§3.3) considers all three channels: a
 // saturated red sky limits the amplitude just like a saturated gray one.
 //
-// Rendering shares the grayscale multiplexer's pair-aware delta cache
-// (DESIGN.md §5j): the unsigned chessboard plane is refreshed once per
-// smoothing state and each output is one fused clamp(V + sign·D) pass per
-// channel — no intermediate delta frame, full-frame clone or separate clamp
-// sweep on the per-frame path.
+// Rendering shares the grayscale multiplexer's amplitude step (DESIGN.md
+// §5j): an unsigned chessboard plane is rewritten only at the Blocks whose
+// clipped amplitude changed, and each output is one fused clamp(V + sign·D)
+// pass per channel — no intermediate delta frame, full-frame clone or
+// separate clamp sweep on the per-frame path.
 type RGBMultiplexer struct {
 	p     Params
 	video video.RGBSource
@@ -31,10 +31,10 @@ type RGBMultiplexer struct {
 	vframe   *frame.RGB
 	headroom []float32
 
-	// delta / deltaAmp are the cached unsigned chessboard plane and its
-	// per-Block amplitude memory (-1 forces the first write), exactly as in
-	// Multiplexer. rowBlocks / rowSkips are the deterministic per-row
-	// counter scratch renderDelta fans out over.
+	// delta is the cached unsigned chessboard plane and deltaAmp its
+	// per-Block amplitude memory (-1 forces the first write, as in
+	// Multiplexer). rowBlocks / rowSkips are the deterministic per-row
+	// counter scratch refreshAmplitudes fans out over.
 	delta     *frame.Frame
 	deltaAmp  []float32
 	rowBlocks []int64
@@ -125,10 +125,19 @@ func (m *RGBMultiplexer) ensureScratch() {
 	}
 	if m.delta == nil {
 		m.delta = m.pool.Get(l.FrameW, l.FrameH)
-		m.deltaAmp = make([]float32, l.NumBlocks())
-		for i := range m.deltaAmp {
-			m.deltaAmp[i] = -1
-		}
+		m.deltaAmp = newDeltaAmp(l)
+	}
+}
+
+// writeDelta stores amplitude want at every chessboard-on pixel of Block
+// (bx, by) of the delta plane; refreshAmplitudes calls it for each Block
+// whose amplitude changed.
+func (m *RGBMultiplexer) writeDelta(bx, by int, want float32) {
+	l := m.p.Layout
+	ps := l.PixelSize
+	x0, y0, bw, bh := l.BlockRect(bx, by)
+	for y := y0; y < y0+bh; y++ {
+		fillOnRuns(m.delta.Row(y), x0, x0+bw, ps, y/ps, want)
 	}
 }
 
@@ -144,7 +153,7 @@ func (m *RGBMultiplexer) refreshDelta(k int) {
 	l := m.p.Layout
 	cur := m.data.DataFrame(k / m.p.Tau)
 	next := m.data.DataFrame(k/m.p.Tau + 1)
-	renderDelta(m.p, cur, next, k, m.headroom, m.deltaAmp, m.delta, m.rowBlocks, m.rowSkips)
+	refreshAmplitudes(m.p, cur, next, k, m.headroom, m.deltaAmp, m.rowBlocks, m.rowSkips, m.writeDelta)
 	for by := 0; by < l.BlocksY; by++ {
 		m.stats.Blocks += m.rowBlocks[by]
 		m.stats.BlocksSkipped += m.rowSkips[by]
@@ -172,16 +181,9 @@ func (m *RGBMultiplexer) DeltaFrame(k int) *frame.Frame {
 			if want <= 0 {
 				continue
 			}
-			add := sign * want
 			x0, y0, w, h := l.BlockRect(bx, by)
 			for y := y0; y < y0+h; y++ {
-				pj := y / ps
-				rowBase := y * l.FrameW
-				for x := x0; x < x0+w; x++ {
-					if ChessOn(x/ps, pj) {
-						out.Pix[rowBase+x] = add
-					}
-				}
+				fillOnRuns(out.Row(y), x0, x0+w, ps, y/ps, sign*want)
 			}
 		}
 	})

@@ -26,7 +26,8 @@
 // readers, as channel.Simulate does behind its pending captures and
 // fleet.Run behind every member's, holds
 // memory in proportion to the read window, not to the run's length, so
-// hour-long simulations fit in memory.
+// hour-long simulations fit in memory. Close hands every drive slot on to
+// the next display of the same size, so a run of links reuses one set.
 package display
 
 import (
@@ -124,6 +125,29 @@ type Display struct {
 	// allocation per push.
 	freeDrive [][]uint8
 	freeState []*frame.Frame
+	// closed is set by Close: every slot is gone, reads panic and pushes
+	// fail.
+	closed bool
+}
+
+// driveSlots recycles drive slots across displays: Close hands a display's
+// slots here, and PushDrive draws from it once its own free list is empty.
+// Scratch only — PushDrive's fill overwrites every code — so sync.Pool's
+// scheduling-dependent reuse cannot affect what a display shows.
+var driveSlots sync.Pool
+
+// newSlot returns an n-code drive slot from driveSlots, dropping any slot
+// of another panel size it meets, or a fresh one.
+func newSlot(n int) []uint8 {
+	for {
+		s, _ := driveSlots.Get().(*[]uint8)
+		if s == nil {
+			return make([]uint8, n)
+		}
+		if len(*s) == n {
+			return *s
+		}
+	}
 }
 
 // New returns a display with the given config; frame dimensions are fixed by
@@ -180,12 +204,17 @@ func (d *Display) Push(f *frame.Frame) error {
 // letting fill write the 8-bit drive codes straight into the display's
 // slot: a renderer that produces drive codes needs no intermediate frame.
 // fill must write every element of dst (w·h codes, row-major); a slot
-// reused after Retire still holds an old frame's codes. fill runs outside
-// the display's lock — the slot is invisible to readers until PushDrive
-// appends it — so captures keep integrating earlier frames meanwhile. A
-// size that does not match the panel is rejected before fill runs.
+// reused after Retire, or after another display's Close, still holds an
+// old frame's codes. fill runs outside the display's lock — the slot is
+// invisible to readers until PushDrive appends it — so captures keep
+// integrating earlier frames meanwhile. A size that does not match the
+// panel, or a push after Close, is rejected before fill runs.
 func (d *Display) PushDrive(w, h int, fill func(dst []uint8)) error {
 	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return fmt.Errorf("display: push after Close")
+	}
 	if d.w != 0 && (w != d.w || h != d.h) {
 		d.mu.Unlock()
 		return fmt.Errorf("display: frame %dx%d does not match panel %dx%d", w, h, d.w, d.h)
@@ -195,7 +224,7 @@ func (d *Display) PushDrive(w, h int, fill func(dst []uint8)) error {
 		dr = d.freeDrive[n-1]
 		d.freeDrive = d.freeDrive[:n-1]
 	} else {
-		dr = make([]uint8, w*h)
+		dr = newSlot(w * h)
 	}
 	d.mu.Unlock()
 	fill(dr)
@@ -222,6 +251,9 @@ func (d *Display) Retire(t float64) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return
+	}
 	keep := d.base + len(d.drive) - 1
 	if !math.IsInf(t, 1) {
 		k := math.Floor(t / d.FrameDuration())
@@ -241,6 +273,29 @@ func (d *Display) Retire(t float64) {
 		d.state, d.freeState = release(d.state, d.freeState, r)
 	}
 	d.base = keep
+}
+
+// Close ends the display: it hands every drive slot, live or retired, to
+// the slots later pushes of any display draw from, and drops the response
+// states. Call it once no reader can touch the display again, as
+// channel.Simulate and fleet.Run do after their last capture; reading a
+// closed display panics and pushing onto it fails. NumFrames and Duration
+// still report what was pushed. Close is idempotent.
+func (d *Display) Close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return
+	}
+	d.closed = true
+	for _, s := range d.drive {
+		driveSlots.Put(&s)
+	}
+	for _, s := range d.freeDrive {
+		driveSlots.Put(&s)
+	}
+	d.base += len(d.drive)
+	d.drive, d.freeDrive, d.state, d.freeState = nil, nil, nil, nil
 }
 
 // release moves the first r entries of live onto free and rebases live in
@@ -264,6 +319,13 @@ func (d *Display) clampFrame(k int) int {
 	return k
 }
 
+// checkOpen panics on a read of a closed display. Callers hold mu.
+func (d *Display) checkOpen() {
+	if d.closed {
+		panic("display: read after Close")
+	}
+}
+
 // driveFrame returns the drive codes of interval k clamped to the pushed
 // range, panicking if Retire has released that frame. Callers hold mu.
 func (d *Display) driveFrame(k int) []uint8 {
@@ -282,7 +344,7 @@ func panicRetired(k, base int) {
 
 // Luminance returns the steady-state linear luminance frame of drive frame
 // k (clamped to the pushed range) as a freshly materialized frame. A frame
-// released by Retire panics.
+// released by Retire panics, as does any read after Close.
 func (d *Display) Luminance(k int) *frame.Frame {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -291,6 +353,7 @@ func (d *Display) Luminance(k int) *frame.Frame {
 
 // luminance is Luminance without locking; callers hold mu.
 func (d *Display) luminance(k int) *frame.Frame {
+	d.checkOpen()
 	if len(d.drive) == 0 {
 		panic("display: no frames pushed")
 	}
@@ -346,12 +409,14 @@ func (d *Display) extendState() {
 // width). Windows extending before 0 or past the last frame see the first /
 // last frame held steady. An empty window panics, and so does a window end
 // that is NaN, infinite or beyond ±2⁵³ refresh intervals (about 2.4 million
-// years at 120 Hz), whose interval loop could never finish.
+// years at 120 Hz), whose interval loop could never finish, and any read
+// after Close.
 //
 //hot:the camera synthesizes every captured row through this path
 func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	d.checkOpen()
 	if len(d.drive) == 0 {
 		panic("display: no frames pushed")
 	}

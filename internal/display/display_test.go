@@ -366,6 +366,44 @@ func TestRetire(t *testing.T) {
 	}
 }
 
+// TestClose: a closed display still reports what was pushed, panics on a
+// read, refuses a push and ignores Retire and a second Close; the next
+// display of its size reuses its slots, and every code of a reused slot is
+// the new frame's.
+func TestClose(t *testing.T) {
+	for _, resp := range []float64{0, 0.002} {
+		cfg := idealConfig()
+		cfg.ResponseTime = resp
+		d := mustNew(t, cfg)
+		T := d.FrameDuration()
+		for k := 0; k < 5; k++ {
+			d.Push(frame.NewFilled(2, 2, float32(10*k+5)))
+		}
+		d.Retire(2 * T)
+		d.Close()
+		d.Close()
+		d.Retire(math.Inf(1))
+		if d.NumFrames() != 5 || d.Duration() != 5*T {
+			t.Fatalf("resp=%v: closed display reports %d frames, %v s; want 5, %v", resp, d.NumFrames(), d.Duration(), 5*T)
+		}
+		mustPanic(t, "after Close", func() { d.Luminance(4) })
+		mustPanic(t, "after Close", func() { d.RowAverage(0, 3*T, 4*T, make([]float32, 2)) })
+		if err := d.Push(frame.NewFilled(2, 2, 1)); err == nil || !strings.Contains(err.Error(), "after Close") {
+			t.Fatalf("resp=%v: push onto a closed display returned %v", resp, err)
+		}
+		next := mustNew(t, cfg)
+		for k := 0; k < 6; k++ {
+			next.Push(frame.NewFilled(2, 2, float32(200+k)))
+		}
+		for k := 0; k < 6; k++ {
+			if got := next.Luminance(k); !got.Equal(frame.NewFilled(2, 2, float32(200+k))) {
+				t.Fatalf("resp=%v: frame %d of the next display reads %v, want %d", resp, k, got.Pix, 200+k)
+			}
+		}
+		next.Close()
+	}
+}
+
 // TestRetireMatchesUnretired: a display that retires behind a sliding
 // window integrates exactly what a display keeping every frame does, with
 // and without pixel response and strobing.

@@ -253,7 +253,9 @@ type broadcastRun struct {
 // and the frame goes straight back to the frame pool. The display then
 // retires every drive frame older than the earliest exposure any member
 // still has to take, so memory follows the capture window, not the
-// transmission. inner is each receiver's decode share of the budget.
+// transmission, and is closed once every capture has finished, handing its
+// drive slots to the next display. inner is each receiver's decode share of
+// the budget.
 func (cfg *Config) broadcast(nDisplay, nData int, pool *frame.Pool, inner int) (*broadcastRun, error) {
 	p := cfg.Params
 	p.Pool = pool
@@ -271,6 +273,9 @@ func (cfg *Config) broadcast(nDisplay, nData int, pool *frame.Pool, inner int) (
 	if err != nil {
 		return nil, err
 	}
+	// Every return below has waited for the captures (capPool.Wait or each
+	// member's Finish); the decodes read only their measured batches.
+	defer d.Close()
 	capPool := parallel.NewPool(cfg.Workers)
 	members, err := cfg.join(float64(nDisplay)/cfg.Display.RefreshHz, nData, d, pool, capPool, inner)
 	if err != nil {

@@ -73,7 +73,7 @@ func (t *TextCard) FPS() float64 { return t.Rate }
 
 // DirtyRegion implements RegionSource: the card is static, so no frame
 // transition ever dirties a pixel and incremental consumers (the
-// multiplexer's headroom and delta caches) skip every Block.
+// multiplexer's headroom table and drive planes) skip every Block.
 func (t *TextCard) DirtyRegion(i int) (Region, bool) { return staticDirty(i) }
 
 func maxInt(a, b int) int {

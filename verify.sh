@@ -134,8 +134,10 @@ run_alloc_tests() {
 	# the clip's allocation-free render and skips under -race.
 	# TestPoseStageAllocs pins the camera-pose stage's heap: one warp plan
 	# per Stack and a shared clone scratch, no plane per capture; it skips
-	# under -race.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs' -count=1 .
+	# under -race. TestSimulateReusesDriveSlots pins the drive-slot
+	# recycling of closed displays: a second Simulate of the same panel
+	# allocates no slot; it skips under -race.
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots' -count=1 .
 }
 
 run_kernels() {
@@ -143,7 +145,9 @@ run_kernels() {
 	# the int32 kernels' bit-identity/error-bound pins (internal/fixed), the
 	# fused pair-aware renderer's equivalence to the direct clone+add+clamp
 	# formulation at several worker counts (DESIGN.md §5j), and the fused
-	# drive path's: PushFrame's drive codes equal Push(Frame), and the
+	# drive path's: PushFrame's drive codes equal Push(Frame) and, under any
+	# mix and order of Frame and PushFrame calls, Quant8 of the direct
+	# reference render (the per-sign drive planes, §5j), and the
 	# bounded, retiring Simulate equals Transmit + CaptureAll (§5l). The
 	# row-streamed capture and the hoisted sun-rise clip are pinned against
 	# verbatim copies of the plane-based and per-pixel code they replaced,
@@ -155,7 +159,7 @@ run_kernels() {
 		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestWindowSumsThinPlanes|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
 	go test -race -count=1 \
-		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush' \
+		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush|TestDriveMatchesReference' \
 		./internal/core/
 	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
