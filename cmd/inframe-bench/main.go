@@ -9,8 +9,10 @@
 //
 // -workers bounds every simulation worker pool (0 = GOMAXPROCS, 1 =
 // sequential); outputs are bit-identical at any value. -exp speedup times the
-// end-to-end pipeline sequentially and with the full pool and reports the
-// ratio, verifying on the way that both runs produced identical captures.
+// end-to-end pipeline sequentially and with the full pool over the
+// experiments' standard link and reports the ratio and the link's
+// availability, verifying on the way that both runs produced identical
+// captures and decodes.
 // -exp fleet renders the multiplexed stream once and decodes it with an
 // N-receiver population (-fleet-n), printing the availability/BER/TTFD
 // distributions and the receivers/sec headline.
@@ -21,12 +23,14 @@
 // same shapes BenchmarkEndToEnd/BenchmarkDecodeCaptures measure, so the
 // bench trajectory has comparable seed points across PRs.
 //
-// The output is the source of the measured columns in EXPERIMENTS.md.
+// The output is the source of the measured columns in EXPERIMENTS.md; the
+// tables are pinned byte for byte by testdata/*.golden (see main_test.go).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -35,25 +39,125 @@ import (
 	"inframe/internal/channel"
 	"inframe/internal/core"
 	"inframe/internal/experiments"
+	"inframe/internal/metrics"
 	"inframe/internal/video"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig3, fig5, fig6a, fig6b, fig7, ablations, robustness, pose, fleet, speedup")
-	seconds := flag.Float64("seconds", 2.0, "simulated seconds per throughput setting")
-	flickerSeconds := flag.Float64("flicker-seconds", 1.0, "simulated seconds per flicker rating")
-	seed := flag.Int64("seed", 1, "global random seed")
-	scale := flag.Int("scale", 2, "paper-geometry divisor (1 = full 1080p, 2 = half)")
-	workers := flag.Int("workers", 0, "worker pool bound (0 = GOMAXPROCS, 1 = sequential)")
-	fleetN := flag.Int("fleet-n", 16, "fleet experiment population size")
-	jsonPath := flag.String("json", "", "write a BENCH_*.json baseline (EndToEnd, DecodeCaptures and Fleet ns/op at workers=1 and GOMAXPROCS) to this path and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// section is one printed table: the -exp name that selects it, its title
+// line and the experiment that prints it.
+type section struct {
+	exp, title string
+	print      func(w io.Writer, s experiments.Setup) error
+}
+
+// table adapts an experiment and its writer into a section printer.
+func table[R any](run func(experiments.Setup) ([]R, error), write func(io.Writer, []R)) func(io.Writer, experiments.Setup) error {
+	return func(w io.Writer, s experiments.Setup) error {
+		rows, err := run(s)
+		if err != nil {
+			return err
+		}
+		write(w, rows)
+		return nil
+	}
+}
+
+// sections returns every table in print order; fleetN sizes the fleet
+// experiment's population.
+func sections(fleetN int) []section {
+	return []section{
+		{"fig3", "Fig. 3 — naive designs vs complementary frames (flicker 0-4)",
+			table(experiments.NaiveDesigns, experiments.WriteNaive)},
+		{"fig5", "Fig. 5 — temporal smoothing waveform through electronic LPF",
+			func(w io.Writer, _ experiments.Setup) error {
+				series := experiments.SmoothingWaveform()
+				// The full series is long; print the transition region and
+				// the stability summary.
+				fmt.Fprintf(w, "samples: %d, residual ripple %.3f drive units (input p-p 40)\n",
+					len(series.Raw), series.Ripple)
+				experiments.WriteEnvelopes(w, experiments.EnvelopeAblation())
+				return nil
+			}},
+		{"fig6a", "Fig. 6 (left) — flicker vs color brightness",
+			table(experiments.FlickerVsBrightness, experiments.WriteFlicker)},
+		{"fig6b", "Fig. 6 (right) — flicker vs waveform amplitude",
+			table(experiments.FlickerVsAmplitude, experiments.WriteFlicker)},
+		{"fig7", "Fig. 7 — secondary channel throughput",
+			table(experiments.Throughput, experiments.WriteThroughput)},
+		{"ablations", "A2 — Pixel pitch vs phantom array",
+			table(experiments.PixelSizeAblation, experiments.WritePixelSizes)},
+		{"ablations", "A3 — confidence band sweep (availability vs errors)",
+			table(experiments.ThresholdSweep, experiments.WriteBands)},
+		{"ablations", "A4 — shutter regimes",
+			table(experiments.ShutterAblation, experiments.WriteShutter)},
+		{"ablations", "A5 — GOB protection: XOR parity vs Reed-Solomon",
+			table(experiments.CodingAblation, experiments.WriteCoding)},
+		{"ablations", "A6 — sensor noise sweep",
+			table(experiments.NoiseSweep, experiments.WriteNoise)},
+		{"ablations", "A7 — detector comparison",
+			table(experiments.DetectorAblation, experiments.WriteDetectors)},
+		{"ablations", "A8 — blind frame synchronization",
+			table(experiments.SyncAccuracy, experiments.WriteSync)},
+		{"ablations", "A9 — barcode baseline comparison",
+			table(experiments.BarcodeComparison, experiments.WriteBaseline)},
+		{"ablations", "A10 — blind camera registration",
+			table(experiments.Registration, experiments.WriteRegistration)},
+		{"ablations", "A11 — batch vs streaming receiver",
+			table(experiments.Streaming, experiments.WriteStreaming)},
+		{"ablations", "A12 — display pixel response (gray-to-gray)",
+			table(experiments.ResponseAblation, experiments.WriteResponse)},
+		{"ablations", "A13 — rate vs perceptibility trade-off (§5)",
+			table(experiments.Tradeoff, experiments.WriteTradeoff)},
+		{"robustness", "Robustness — impairment sweep with graceful degradation",
+			table(experiments.Robustness, experiments.WriteRobustness)},
+		{"pose", "Pose — availability vs camera tilt, rigid vs registered receiver",
+			table(experiments.Pose, experiments.WritePose)},
+		{"fleet", "Fleet — one rendered stream, N-receiver broadcast population",
+			func(w io.Writer, s experiments.Setup) error {
+				start := time.Now()
+				res, err := experiments.Fleet(s, fleetN)
+				if err != nil {
+					return err
+				}
+				elapsed := time.Since(start).Seconds()
+				experiments.WriteFleet(w, res)
+				fmt.Fprintf(w, "receivers/sec: %.2f (N=%d in %.1fs, render included)\n",
+					float64(res.N)/elapsed, res.N, elapsed)
+				return nil
+			}},
+	}
+}
+
+// run is the testable entry point: parses args, runs the selected
+// experiments, prints their tables to stdout and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("inframe-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: all, fig3, fig5, fig6a, fig6b, fig7, ablations, robustness, pose, fleet, speedup")
+	seconds := fs.Float64("seconds", 2.0, "simulated seconds per throughput setting")
+	flickerSeconds := fs.Float64("flicker-seconds", 1.0, "simulated seconds per flicker rating")
+	seed := fs.Int64("seed", 1, "global random seed")
+	scale := fs.Int("scale", 2, "paper-geometry divisor (1 = full 1080p, 2 = half)")
+	workers := fs.Int("workers", 0, "worker pool bound (0 = GOMAXPROCS, 1 = sequential)")
+	fleetN := fs.Int("fleet-n", 16, "fleet experiment population size")
+	jsonPath := fs.String("json", "", "write a BENCH_*.json baseline (EndToEnd, DecodeCaptures and Fleet ns/op at workers=1 and GOMAXPROCS) to this path and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "inframe-bench:", err)
+		return 1
+	}
 
 	if *jsonPath != "" {
-		if err := writeBaseline(*jsonPath, *scale); err != nil {
-			fatal(err)
+		if err := writeBaseline(stdout, *jsonPath, *scale); err != nil {
+			return fatal(err)
 		}
-		return
+		return 0
 	}
 
 	s := experiments.DefaultSetup()
@@ -63,245 +167,59 @@ func main() {
 	s.ScaleDiv = *scale
 	s.Workers = *workers
 	if err := s.Validate(); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	if *exp == "speedup" {
-		if err := speedupReport(os.Stdout, *scale, *seconds); err != nil {
-			fatal(err)
+		if err := speedupReport(stdout, s); err != nil {
+			return fatal(err)
 		}
-		return
+		return 0
 	}
 
-	run := func(name string, fn func() error) {
+	var selected []section
+	for _, sec := range sections(*fleetN) {
+		if *exp == "all" || *exp == sec.exp {
+			selected = append(selected, sec)
+		}
+	}
+	if len(selected) == 0 {
+		return fatal(fmt.Errorf("unknown experiment %q (use all, fig3, fig5, fig6a, fig6b, fig7, ablations, robustness, pose, fleet or speedup)", *exp))
+	}
+	for _, sec := range selected {
 		start := time.Now()
-		fmt.Printf("=== %s ===\n", name)
-		if err := fn(); err != nil {
-			fatal(err)
+		fmt.Fprintf(stdout, "=== %s ===\n", sec.title)
+		if err := sec.print(stdout, s); err != nil {
+			return fatal(err)
 		}
-		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "(%.1fs)\n\n", time.Since(start).Seconds())
 	}
-
-	matched := false
-	want := func(name string) bool {
-		ok := *exp == "all" || *exp == name
-		matched = matched || ok
-		return ok
-	}
-
-	if want("fig3") {
-		run("Fig. 3 — naive designs vs complementary frames (flicker 0-4)", func() error {
-			rows, err := experiments.NaiveDesigns(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteNaive(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("fig5") {
-		run("Fig. 5 — temporal smoothing waveform through electronic LPF", func() error {
-			series := experiments.SmoothingWaveform()
-			// The full series is long; print the transition region and
-			// the stability summary.
-			fmt.Printf("samples: %d, residual ripple %.3f drive units (input p-p 40)\n",
-				len(series.Raw), series.Ripple)
-			experiments.WriteEnvelopes(os.Stdout, experiments.EnvelopeAblation())
-			return nil
-		})
-	}
-	if want("fig6a") {
-		run("Fig. 6 (left) — flicker vs color brightness", func() error {
-			rows, err := experiments.FlickerVsBrightness(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteFlicker(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("fig6b") {
-		run("Fig. 6 (right) — flicker vs waveform amplitude", func() error {
-			rows, err := experiments.FlickerVsAmplitude(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteFlicker(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("fig7") {
-		run("Fig. 7 — secondary channel throughput", func() error {
-			rows, err := experiments.Throughput(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteThroughput(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("ablations") {
-		run("A2 — Pixel pitch vs phantom array", func() error {
-			rows, err := experiments.PixelSizeAblation(s)
-			if err != nil {
-				return err
-			}
-			experiments.WritePixelSizes(os.Stdout, rows)
-			return nil
-		})
-		run("A3 — confidence band sweep (availability vs errors)", func() error {
-			rows, err := experiments.ThresholdSweep(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteBands(os.Stdout, rows)
-			return nil
-		})
-		run("A4 — shutter regimes", func() error {
-			rows, err := experiments.ShutterAblation(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteShutter(os.Stdout, rows)
-			return nil
-		})
-		run("A5 — GOB protection: XOR parity vs Reed-Solomon", func() error {
-			rows, err := experiments.CodingAblation(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteCoding(os.Stdout, rows)
-			return nil
-		})
-		run("A6 — sensor noise sweep", func() error {
-			rows, err := experiments.NoiseSweep(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteNoise(os.Stdout, rows)
-			return nil
-		})
-		run("A7 — detector comparison", func() error {
-			rows, err := experiments.DetectorAblation(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteDetectors(os.Stdout, rows)
-			return nil
-		})
-		run("A8 — blind frame synchronization", func() error {
-			rows, err := experiments.SyncAccuracy(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteSync(os.Stdout, rows)
-			return nil
-		})
-		run("A9 — barcode baseline comparison", func() error {
-			rows, err := experiments.BarcodeComparison(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteBaseline(os.Stdout, rows)
-			return nil
-		})
-		run("A10 — blind camera registration", func() error {
-			rows, err := experiments.Registration(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteRegistration(os.Stdout, rows)
-			return nil
-		})
-		run("A11 — batch vs streaming receiver", func() error {
-			rows, err := experiments.Streaming(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteStreaming(os.Stdout, rows)
-			return nil
-		})
-		run("A12 — display pixel response (gray-to-gray)", func() error {
-			rows, err := experiments.ResponseAblation(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteResponse(os.Stdout, rows)
-			return nil
-		})
-		run("A13 — rate vs perceptibility trade-off (§5)", func() error {
-			rows, err := experiments.Tradeoff(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteTradeoff(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("robustness") {
-		run("Robustness — impairment sweep with graceful degradation", func() error {
-			rows, err := experiments.Robustness(s)
-			if err != nil {
-				return err
-			}
-			experiments.WriteRobustness(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("pose") {
-		run("Pose — availability vs camera tilt, rigid vs registered receiver", func() error {
-			rows, err := experiments.Pose(s)
-			if err != nil {
-				return err
-			}
-			experiments.WritePose(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("fleet") {
-		run("Fleet — one rendered stream, N-receiver broadcast population", func() error {
-			start := time.Now()
-			res, err := experiments.Fleet(s, *fleetN)
-			if err != nil {
-				return err
-			}
-			elapsed := time.Since(start).Seconds()
-			experiments.WriteFleet(os.Stdout, res)
-			fmt.Printf("receivers/sec: %.2f (N=%d in %.1fs, render included)\n",
-				float64(res.N)/elapsed, res.N, elapsed)
-			return nil
-		})
-	}
-	if !matched {
-		fatal(fmt.Errorf("unknown experiment %q (use all, fig3, fig5, fig6a, fig6b, fig7, ablations, robustness, pose, fleet or speedup)", *exp))
-	}
+	return 0
 }
 
 // speedupReport times the end-to-end pipeline (render → display → camera →
-// decode) at workers=1 and workers=GOMAXPROCS on the scaled paper geometry
-// and prints the ratio, cross-checking that both runs were bit-identical.
-func speedupReport(w *os.File, scale int, seconds float64) error {
-	l, err := core.ScaledPaperLayout(scale)
+// decode) on the experiments' standard link at workers=1 and
+// workers=GOMAXPROCS and prints the ratio and the link's availability,
+// cross-checking that both runs were bit-identical. s sets the geometry
+// (ScaleDiv), length (ThroughputSeconds) and seed; its Workers is ignored.
+func speedupReport(w io.Writer, s experiments.Setup) error {
+	l, err := core.ScaledPaperLayout(s.ScaleDiv)
 	if err != nil {
 		return err
 	}
-	nDisplay := int(seconds * 120)
+	stream := core.NewRandomStream(l, s.Seed)
+	nDisplay := int(s.ThroughputSeconds * 120)
 	var renderStats core.RenderStats
 	runOnce := func(workers int) (*channel.Result, []*core.FrameDecode, time.Duration, error) {
+		s.Workers = workers
+		cfg := s.ChannelConfig(s.CaptureSize())
 		p := core.DefaultParams(l)
 		p.Workers = workers
-		m, err := core.NewMultiplexer(p, video.Gray(l.FrameW, l.FrameH), core.NewRandomStream(l, 1))
+		m, err := core.NewMultiplexer(p, video.Gray(l.FrameW, l.FrameH), stream)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		cfg := channel.DefaultConfig(1280/scale, 720/scale)
-		cfg.Workers = workers
-		cfg.Camera.Workers = workers
-		rcfg := core.DefaultReceiverConfig(p, 1280/scale, 720/scale)
-		rcfg.Exposure = cfg.Camera.Exposure
-		rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-		rcfg.Workers = workers
-		rcv, err := core.NewReceiver(rcfg)
+		rcv, err := core.NewReceiver(cfg.Receiver(p))
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -319,7 +237,7 @@ func speedupReport(w *os.File, scale int, seconds float64) error {
 
 	maxW := runtime.GOMAXPROCS(0)
 	fmt.Fprintf(w, "=== sequential vs parallel pipeline (scale 1/%d, %d display frames, %d cores) ===\n",
-		scale, nDisplay, maxW)
+		s.ScaleDiv, nDisplay, maxW)
 	seqRes, seqDec, seqDur, err := runOnce(1)
 	if err != nil {
 		return err
@@ -335,6 +253,13 @@ func speedupReport(w *os.File, scale int, seconds float64) error {
 		renderStats.Blocks, renderStats.BlocksSkipped, renderStats.SkipRate(),
 		renderStats.HeadroomSkipped, renderStats.HeadroomBlocks+renderStats.HeadroomSkipped,
 		renderStats.VideoSkipped, renderStats.VideoRefreshes+renderStats.VideoSkipped)
+	var stats metrics.GOBStats
+	for d, fd := range parDec {
+		if fd.Captures > 0 {
+			stats.AddWithOracle(fd, stream.DataFrame(d))
+		}
+	}
+	fmt.Fprintf(w, "available: %.4f of %d GOBs over %d data frames\n", stats.AvailableRatio(), stats.Total, stats.Frames)
 
 	if len(seqRes.Captures) != len(parRes.Captures) || len(seqDec) != len(parDec) {
 		return fmt.Errorf("sequential and parallel runs diverged in shape")
@@ -363,7 +288,7 @@ func speedupReport(w *os.File, scale int, seconds float64) error {
 // DecodeCaptures (receive side only) at workers=1 and GOMAXPROCS — via
 // internal/benchcmp, the same measurement inframe-benchdiff performs — and
 // writes the results as JSON to path.
-func writeBaseline(path string, scale int) error {
+func writeBaseline(w io.Writer, path string, scale int) error {
 	base, err := benchcmp.Measure(scale)
 	if err != nil {
 		return err
@@ -371,11 +296,6 @@ func writeBaseline(path string, scale int) error {
 	if err := base.Write(path); err != nil {
 		return err
 	}
-	fmt.Println("wrote", path)
+	fmt.Fprintln(w, "wrote", path)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "inframe-bench:", err)
-	os.Exit(1)
 }

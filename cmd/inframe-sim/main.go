@@ -145,10 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(stderr, err)
 	}
-	rcfg := inframe.DefaultReceiverConfig(p, capW, capH)
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	rcfg.Workers = *workers
+	rcfg := cfg.Receiver(p)
 	if cfg.Impair != nil {
 		// Graceful degradation: gate garbage captures out of aggregation.
 		rcfg.MinCaptureQuality = 0.1
@@ -219,11 +216,7 @@ func runMessage(stdout, stderr io.Writer, p inframe.Params, src inframe.VideoSou
 	if err != nil {
 		return fatal(stderr, err)
 	}
-	rcfg := inframe.DefaultReceiverConfig(p, cfg.Camera.W, cfg.Camera.H)
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	rcfg.Workers = cfg.Workers
-	rx, err := inframe.NewMessageReceiver(rcfg)
+	rx, err := inframe.NewMessageReceiver(cfg.Receiver(p))
 	if err != nil {
 		return fatal(stderr, err)
 	}

@@ -42,10 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rcfg := inframe.DefaultReceiverConfig(params, 640, 360)
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	rx, err := inframe.NewMessageReceiver(rcfg)
+	rx, err := inframe.NewMessageReceiver(cfg.Receiver(params))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,11 +43,9 @@ func main() {
 	fmt.Printf("displayed %d frames (%.1f s), captured %d camera frames\n",
 		nDisplay, float64(nDisplay)/cfg.Display.RefreshHz, len(result.Captures))
 
-	// 4. Receiver: decode the captures and reassemble the message.
-	rcfg := inframe.DefaultReceiverConfig(params, 640, 360)
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	rx, err := inframe.NewMessageReceiver(rcfg)
+	// 4. Receiver: the one matched to the link (its camera's size and
+	//    timing) decodes the captures and reassembles the message.
+	rx, err := inframe.NewMessageReceiver(cfg.Receiver(params))
 	if err != nil {
 		log.Fatal(err)
 	}

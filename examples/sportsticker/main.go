@@ -49,10 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// A viewer joining now: a fresh receiver per update.
-		rcfg := inframe.DefaultReceiverConfig(params, 640, 360)
-		rcfg.Exposure = cfg.Camera.Exposure
-		rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-		rx, err := inframe.NewMessageReceiverParity(rcfg, parityBytes)
+		rx, err := inframe.NewMessageReceiverParity(cfg.Receiver(params), parityBytes)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -79,6 +79,21 @@ func DefaultConfig(capW, capH int) Config {
 	}
 }
 
+// Receiver returns the decoder matched to this link and the transmitter
+// params p: core.DefaultReceiverConfig at the camera's W×H, timed by the
+// display's refresh rate and the camera's exposure and readout, running on
+// the link's Workers and Pool. Per-decode choices (capture gating,
+// recalibration windows, a Pose, the detector) stay the caller's.
+func (c Config) Receiver(p core.Params) core.ReceiverConfig {
+	rcfg := core.DefaultReceiverConfig(p, c.Camera.W, c.Camera.H)
+	rcfg.RefreshHz = c.Display.RefreshHz
+	rcfg.Exposure = c.Camera.Exposure
+	rcfg.ReadoutTime = c.Camera.ReadoutTime
+	rcfg.Workers = c.Workers
+	rcfg.Pool = c.Pool
+	return rcfg
+}
+
 // Link is an instantiated screen→camera channel.
 type Link struct {
 	Display *display.Display

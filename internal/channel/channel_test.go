@@ -626,3 +626,47 @@ func TestDisplayCameraDefaultsCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReceiverMatchesLink builds a link unlike the default on every field
+// the receiver derives from it and checks Receiver carries each one, while
+// the detection constants and per-decode choices stay DefaultReceiverConfig's.
+func TestReceiverMatchesLink(t *testing.T) {
+	cfg := DefaultConfig(320, 180)
+	cfg.Display.RefreshHz = 144
+	cfg.Camera.Exposure = 0.0021
+	cfg.Camera.ReadoutTime = 0.0055
+	cfg.Workers = 3
+	cfg.Pool = frame.NewPool()
+	p := testParams()
+	got := cfg.Receiver(p)
+	def := core.DefaultReceiverConfig(p, 640, 360)
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Layout", got.Layout, p.Layout},
+		{"Tau", got.Tau, p.Tau},
+		{"CaptureW", got.CaptureW, 320},
+		{"CaptureH", got.CaptureH, 180},
+		{"RefreshHz", got.RefreshHz, 144.0},
+		{"Exposure", got.Exposure, 0.0021},
+		{"ReadoutTime", got.ReadoutTime, 0.0055},
+		{"Workers", got.Workers, 3},
+		{"Pool", got.Pool, cfg.Pool},
+		{"MinConfidence", got.MinConfidence, def.MinConfidence},
+		{"AdaptiveBand", got.AdaptiveBand, def.AdaptiveBand},
+		{"MinGap", got.MinGap, def.MinGap},
+		{"SmoothRadius", got.SmoothRadius, def.SmoothRadius},
+		{"Detector", got.Detector, def.Detector},
+		{"Pose", got.Pose, def.Pose},
+		{"MinCaptureQuality", got.MinCaptureQuality, def.MinCaptureQuality},
+		{"RecalibrateEvery", got.RecalibrateEvery, def.RecalibrateEvery},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s = %v, want %v", f.name, f.got, f.want)
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

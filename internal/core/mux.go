@@ -302,20 +302,8 @@ func (m *Multiplexer) refreshVideo(k int) {
 			scanned++
 			head := float32(255)
 			for y := y0; y < y0+h; y++ {
-				pj := y / ps
-				rowBase := y * l.FrameW
-				for x := x0; x < x0+w; x++ {
-					if !ChessOn(x/ps, pj) {
-						continue
-					}
-					v := m.vframe.Pix[rowBase+x]
-					if hi := 255 - v; hi < head {
-						head = hi
-					}
-					if v < head {
-						head = v
-					}
-				}
+				row := m.vframe.Pix[y*l.FrameW : (y+1)*l.FrameW]
+				head = onRunHeadroom(row, x0, x0+w, ps, y/ps, head)
 			}
 			if head < 0 {
 				head = 0
@@ -405,6 +393,23 @@ func firstOnRun(x0, ps, pj int) (pi, s int) {
 		pi++
 	}
 	return pi, max(x0, pi*ps)
+}
+
+// onRunHeadroom lowers head to the distance from 0 and from 255 of every
+// chessboard-on pixel x in [x0, x1) of a panel row in Pixel row pj, visiting
+// them left to right.
+func onRunHeadroom(row []float32, x0, x1, ps, pj int, head float32) float32 {
+	for pi, s := firstOnRun(x0, ps, pj); s < x1; pi, s = pi+2, (pi+2)*ps {
+		for _, v := range row[s:min((pi+1)*ps, x1)] {
+			if hi := 255 - v; hi < head {
+				head = hi
+			}
+			if v < head {
+				head = v
+			}
+		}
+	}
+	return head
 }
 
 // fillOnRuns sets row[x] = a at every chessboard-on pixel x in [x0, x1) of

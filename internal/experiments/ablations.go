@@ -9,59 +9,7 @@ import (
 	"inframe/internal/code/rs"
 	"inframe/internal/core"
 	"inframe/internal/link"
-	"inframe/internal/metrics"
 )
-
-// runVariant simulates one (video, δ, τ) setting with caller-tweaked channel
-// and receiver configurations, returning the GOB statistics and the decoded
-// frames with their oracle.
-func runVariant(s Setup, setting ThroughputSetting,
-	tweakChannel func(*channel.Config), tweakReceiver func(*core.ReceiverConfig)) (*metrics.GOBStats, []*core.FrameDecode, *core.RandomStream, error) {
-	l, err := s.layout()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	p := core.DefaultParams(l)
-	p.Delta = setting.Delta
-	p.Tau = setting.Tau
-	stream := core.NewRandomStream(l, s.Seed)
-	m, err := core.NewMultiplexer(p, setting.Video.source(l, s.Seed), stream)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cfg := s.channelConfig()
-	if tweakChannel != nil {
-		tweakChannel(&cfg)
-	}
-	nDisplay := int(s.ThroughputSeconds * cfg.Display.RefreshHz)
-	res, err := channel.Simulate(m, nDisplay, cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	capW, capH := s.captureSize()
-	rcfg := core.DefaultReceiverConfig(p, capW, capH)
-	rcfg.RefreshHz = cfg.Display.RefreshHz
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	if tweakReceiver != nil {
-		tweakReceiver(&rcfg)
-	}
-	rcv, err := core.NewReceiver(rcfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	decoded := rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nDisplay/p.Tau)
-	stats := &metrics.GOBStats{}
-	var kept []*core.FrameDecode
-	for d, fd := range decoded {
-		if fd.Captures == 0 {
-			continue
-		}
-		stats.AddWithOracle(fd, stream.DataFrame(d))
-		kept = append(kept, fd)
-	}
-	return stats, kept, stream, nil
-}
 
 // BandRow is one confidence-band sweep point (ablation A3: the
 // availability/error trade-off behind the threshold T of §3.3).
@@ -72,20 +20,23 @@ type BandRow struct {
 }
 
 // ThresholdSweep sweeps the receiver's absolute confidence band on the
-// sun-rise video at the paper's δ=20, τ=12 point.
+// sun-rise video at the paper's δ=20, τ=12 point: one transmission, decoded
+// once per band.
 func ThresholdSweep(s Setup) ([]BandRow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	e, err := s.transmit(ThroughputSetting{VideoClip, 20, 12}, s.ChannelConfig(s.CaptureSize()))
+	if err != nil {
+		return nil, err
+	}
 	var out []BandRow
 	for _, band := range []float64{0.05, 0.15, 0.3, 0.6, 1.0, 1.5} {
-		band := band
-		stats, _, _, err := runVariant(s, ThroughputSetting{VideoClip, 20, 12}, nil,
-			func(rc *core.ReceiverConfig) { rc.MinConfidence = band })
+		d, err := e.decode(func(rc *core.ReceiverConfig) { rc.MinConfidence = band })
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, BandRow{Band: band, AvailableRatio: stats.AvailableRatio(), ErrorRate: stats.ErrorRate()})
+		out = append(out, BandRow{Band: band, AvailableRatio: d.perf.AvailableRatio, ErrorRate: d.perf.ErrorRate})
 	}
 	return out, nil
 }
@@ -122,25 +73,27 @@ func ShutterAblation(s Setup) ([]ShutterRow, error) {
 		{"exposure 5ms", func(c *channel.Config) { c.Camera.Exposure = 0.005 }},
 		{"exposure 16.7ms (pair)", func(c *channel.Config) { c.Camera.Exposure = 2.0 / 120 }},
 	}
-	setting := ThroughputSetting{VideoGray, 20, 12}
-	l, err := s.layout()
-	if err != nil {
-		return nil, err
-	}
 	var out []ShutterRow
 	for _, v := range variants {
-		// The receiver's timing model follows the camera tweak via
-		// runVariant's wiring.
-		stats, _, _, err := runVariant(s, setting, v.tweak, nil)
+		// The receiver's timing model follows the camera tweak: the
+		// episode's receiver comes from its link.
+		cfg := s.ChannelConfig(s.CaptureSize())
+		if v.tweak != nil {
+			v.tweak(&cfg)
+		}
+		e, err := s.transmit(ThroughputSetting{VideoGray, 20, 12}, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rep := metrics.Compute(stats, l, setting.Tau, 120)
+		d, err := e.decode(nil)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, ShutterRow{
 			Name:           v.name,
-			AvailableRatio: rep.AvailableRatio,
-			ErrorRate:      rep.ErrorRate,
-			ThroughputBps:  rep.ThroughputBps,
+			AvailableRatio: d.perf.AvailableRatio,
+			ErrorRate:      d.perf.ErrorRate,
+			ThroughputBps:  d.perf.ThroughputBps,
 		})
 	}
 	return out, nil
@@ -169,25 +122,23 @@ func NoiseSweep(s Setup) ([]NoiseRow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	l, err := s.layout()
-	if err != nil {
-		return nil, err
-	}
-	setting := ThroughputSetting{VideoGray, 20, 12}
 	var out []NoiseRow
 	for _, sigma := range []float64{0, 2.5, 5, 8, 12} {
-		sigma := sigma
-		stats, _, _, err := runVariant(s, setting,
-			func(c *channel.Config) { c.Camera.NoiseSigma = sigma }, nil)
+		cfg := s.ChannelConfig(s.CaptureSize())
+		cfg.Camera.NoiseSigma = sigma
+		e, err := s.transmit(ThroughputSetting{VideoGray, 20, 12}, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rep := metrics.Compute(stats, l, setting.Tau, 120)
+		d, err := e.decode(nil)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, NoiseRow{
 			Sigma:          sigma,
-			AvailableRatio: rep.AvailableRatio,
-			ErrorRate:      rep.ErrorRate,
-			ThroughputBps:  rep.ThroughputBps,
+			AvailableRatio: d.perf.AvailableRatio,
+			ErrorRate:      d.perf.ErrorRate,
+			ThroughputBps:  d.perf.ThroughputBps,
 		})
 	}
 	return out, nil
@@ -210,23 +161,25 @@ type DetectorRow struct {
 }
 
 // DetectorAblation compares the paper's energy detector with the matched
-// filter on the textured sun-rise clip.
+// filter on the textured sun-rise clip, both decoding one transmission.
 func DetectorAblation(s Setup) ([]DetectorRow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	e, err := s.transmit(ThroughputSetting{VideoClip, 20, 12}, s.ChannelConfig(s.CaptureSize()))
+	if err != nil {
+		return nil, err
+	}
 	var out []DetectorRow
 	for _, det := range []core.Detector{core.DetectorEnergy, core.DetectorMatched} {
-		det := det
-		stats, _, _, err := runVariant(s, ThroughputSetting{VideoClip, 20, 12}, nil,
-			func(rc *core.ReceiverConfig) { rc.Detector = det })
+		d, err := e.decode(func(rc *core.ReceiverConfig) { rc.Detector = det })
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, DetectorRow{
 			Detector:       det.String(),
-			AvailableRatio: stats.AvailableRatio(),
-			ErrorRate:      stats.ErrorRate(),
+			AvailableRatio: d.perf.AvailableRatio,
+			ErrorRate:      d.perf.ErrorRate,
 		})
 	}
 	return out, nil
@@ -262,16 +215,16 @@ func CodingAblation(s Setup) ([]CodingRow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	l, err := s.layout()
-	if err != nil {
-		return nil, err
-	}
 	setting := ThroughputSetting{VideoGray, 20, 12}
-	stats, decoded, stream, err := runVariant(s, setting, nil, nil)
+	e, err := s.transmit(setting, s.ChannelConfig(s.CaptureSize()))
 	if err != nil {
 		return nil, err
 	}
-	rep := metrics.Compute(stats, l, setting.Tau, 120)
+	d, err := e.decode(nil)
+	if err != nil {
+		return nil, err
+	}
+	l, rep, decoded := e.p.Layout, d.perf, d.frames
 
 	// RS replay: 1500 Block bits → 187 data bytes striped into one
 	// RS(250,187) codeword per frame (catching the same 25% redundancy as
@@ -284,7 +237,7 @@ func CodingAblation(s Setup) ([]CodingRow, error) {
 	frameRate := 120.0 / float64(setting.Tau)
 	success := 0
 	for _, fd := range decoded {
-		sent := stream.DataFrame(fd.Index)
+		sent := e.stream.DataFrame(fd.Index)
 		// Transmitted codeword: the frame's raw 1500 Block bits are the
 		// data portion (zero-padded to 187 bytes), parity appended.
 		dataBytes := link.BitsToBytes(padBits(sent.Bits, k*8))

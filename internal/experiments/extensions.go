@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"inframe/internal/camera"
-	"inframe/internal/channel"
 	"inframe/internal/core"
 	"inframe/internal/frame"
 	"inframe/internal/metrics"
@@ -35,9 +34,6 @@ func Registration(s Setup) ([]RegistrationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := core.DefaultParams(l)
-	stream := core.NewRandomStream(l, s.Seed)
-	capW, capH := s.captureSize()
 
 	// The misregistered variants overscan: the camera films the whole
 	// monitor plus dark surroundings, centered or shifted — the realistic
@@ -61,50 +57,30 @@ func Registration(s Setup) ([]RegistrationRow, error) {
 	}
 	var out []RegistrationRow
 	for _, v := range variants {
-		m, err := core.NewMultiplexer(p, VideoGray.source(l, s.Seed), stream)
-		if err != nil {
-			return nil, err
-		}
-		cfg := s.channelConfig()
+		cfg := s.ChannelConfig(s.CaptureSize())
 		if v.crop != nil {
 			v.crop(&cfg.Camera)
 		}
-		nDisplay := int(s.ThroughputSeconds * cfg.Display.RefreshHz)
-		res, err := channel.Simulate(m, nDisplay, cfg)
+		e, err := s.transmit(ThroughputSetting{VideoGray, 20, 12}, cfg)
 		if err != nil {
 			return nil, err
 		}
-		nData := nDisplay / p.Tau
-		evaluate := func(pose *frame.Homography) (float64, error) {
-			rcfg := core.DefaultReceiverConfig(p, capW, capH)
-			rcfg.Exposure = cfg.Camera.Exposure
-			rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-			rcfg.Pose = pose
-			rcv, err := core.NewReceiver(rcfg)
-			if err != nil {
+		correct := func(pose *frame.Homography) (float64, error) {
+			d, err := e.decode(func(rc *core.ReceiverConfig) { rc.Pose = pose })
+			if err != nil || d.stats.Total == 0 {
 				return 0, err
 			}
-			var stats metrics.GOBStats
-			for d, fd := range rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nData) {
-				if fd.Captures == 0 {
-					continue
-				}
-				stats.AddWithOracle(fd, stream.DataFrame(d))
-			}
-			if stats.Total == 0 {
-				return 0, nil
-			}
-			return float64(stats.OracleCorrect) / float64(stats.Total), nil
+			return float64(d.stats.OracleCorrect) / float64(d.stats.Total), nil
 		}
-		naive, err := evaluate(nil)
+		naive, err := correct(nil)
 		if err != nil {
 			return nil, err
 		}
-		calib, err := register.Calibrate(l, res.Captures[:min(6, len(res.Captures))])
+		calib, err := register.Calibrate(l, e.res.Captures[:min(6, len(e.res.Captures))])
 		calibCorrect := 0.0
 		if err == nil {
 			h := core.AxisAlignedHomography(calib)
-			calibCorrect, err = evaluate(&h)
+			calibCorrect, err = correct(&h)
 			if err != nil {
 				return nil, err
 			}
@@ -136,54 +112,36 @@ func Streaming(s Setup) ([]StreamingRow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	l, err := s.layout()
+	e, err := s.transmit(ThroughputSetting{VideoClip, 20, 12}, s.ChannelConfig(s.CaptureSize()))
 	if err != nil {
 		return nil, err
 	}
-	p := core.DefaultParams(l)
-	stream := core.NewRandomStream(l, s.Seed)
-	m, err := core.NewMultiplexer(p, VideoClip.source(l, s.Seed), stream)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.channelConfig()
-	nDisplay := int(s.ThroughputSeconds * cfg.Display.RefreshHz)
-	res, err := channel.Simulate(m, nDisplay, cfg)
-	if err != nil {
-		return nil, err
-	}
-	capW, capH := s.captureSize()
-	rcfg := core.DefaultReceiverConfig(p, capW, capH)
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	nData := nDisplay / p.Tau
 	const warmup = 12
 
 	// Batch.
-	rcv, err := core.NewReceiver(rcfg)
+	d, err := e.decode(nil)
 	if err != nil {
 		return nil, err
 	}
 	var batch metrics.GOBStats
-	for d, fd := range rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nData) {
-		if fd.Captures == 0 || d < warmup {
-			continue
+	for _, fd := range d.frames {
+		if fd.Index >= warmup {
+			batch.AddWithOracle(fd, e.stream.DataFrame(fd.Index))
 		}
-		batch.AddWithOracle(fd, stream.DataFrame(d))
 	}
 
 	// Streaming.
-	sr, err := core.NewStreamingReceiver(rcfg, warmup)
+	sr, err := core.NewStreamingReceiver(e.link.Receiver(e.p), warmup)
 	if err != nil {
 		return nil, err
 	}
 	var online metrics.GOBStats
-	for i := range res.Captures {
-		for _, fd := range sr.Push(res.Captures[i], res.Times[i], res.Exposure) {
+	for i, f := range e.res.Captures {
+		for _, fd := range sr.Push(f, e.res.Times[i], e.res.Exposure) {
 			if fd.Captures == 0 || fd.Index < warmup {
 				continue
 			}
-			online.AddWithOracle(fd, stream.DataFrame(fd.Index))
+			online.AddWithOracle(fd, e.stream.DataFrame(fd.Index))
 		}
 	}
 	return []StreamingRow{

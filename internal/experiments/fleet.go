@@ -31,7 +31,7 @@ func Fleet(s Setup, n int) (*fleet.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	capW, capH := s.captureSize()
+	capW, capH := s.CaptureSize()
 	cfg := fleet.DefaultConfig(l, capW, capH, n, s.Seed)
 	cfg.Seconds = s.ThroughputSeconds
 	cfg.Workers = s.Workers

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"inframe/internal/camera"
-	"inframe/internal/channel"
 	"inframe/internal/core"
 	"inframe/internal/frame"
 	"inframe/internal/impair"
@@ -47,78 +45,44 @@ func RunPose(s Setup, tiltDeg float64) (PoseRow, error) {
 	if err := s.Validate(); err != nil {
 		return PoseRow{}, err
 	}
-	l, err := s.layout()
-	if err != nil {
-		return PoseRow{}, err
-	}
-	p := core.DefaultParams(l)
-	stream := core.NewRandomStream(l, s.Seed)
-	m, err := core.NewMultiplexer(p, VideoGray.source(l, s.Seed), stream)
-	if err != nil {
-		return PoseRow{}, err
-	}
-	cfg := s.channelConfig()
 	// The pose sweep captures at the paper's native sensor resolution: the
 	// perspective experiment must not be confounded by the sub-Nyquist cell
 	// pitch the spatial downscale would otherwise introduce.
-	capW, capH := s.poseCaptureSize()
-	ccfg := camera.DefaultConfig(capW, capH)
-	ccfg.BlurRadius = 0
-	ccfg.Seed = s.Seed
-	ccfg.Workers = s.Workers
-	cfg.Camera = ccfg
+	cfg := s.ChannelConfig(s.poseCaptureSize())
 	if tiltDeg > 0 {
 		cfg.Impair = &impair.Config{Seed: s.Seed, TiltDeg: tiltDeg}
 	}
-	nDisplay := int(s.ThroughputSeconds * cfg.Display.RefreshHz)
-	res, err := channel.Simulate(m, nDisplay, cfg)
+	e, err := s.transmit(ThroughputSetting{VideoGray, 20, 12}, cfg)
 	if err != nil {
 		return PoseRow{}, err
 	}
-	nData := nDisplay / p.Tau
-	decode := func(pose *frame.Homography) (metrics.Report, core.Registration, error) {
-		rcfg := core.DefaultReceiverConfig(p, capW, capH)
-		rcfg.RefreshHz = cfg.Display.RefreshHz
-		rcfg.Exposure = cfg.Camera.Exposure
-		rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-		rcfg.Workers = s.Workers
-		rcfg.MinCaptureQuality = 0.1
-		rcfg.Pose = pose
-		rcv, err := core.NewReceiver(rcfg)
-		if err != nil {
-			return metrics.Report{}, core.Registration{}, err
-		}
-		decoded, rep := rcv.DecodeCapturesReport(res.Captures, res.Times, res.Exposure, nData)
-		var stats metrics.GOBStats
-		for d, fd := range decoded {
-			if fd.Captures == 0 {
-				continue
-			}
-			stats.AddWithOracle(fd, stream.DataFrame(d))
-		}
-		return metrics.Compute(&stats, l, p.Tau, cfg.Display.RefreshHz), rep.Registration, nil
+	decode := func(pose *frame.Homography) (*decoding, error) {
+		return e.decode(func(rc *core.ReceiverConfig) {
+			rc.MinCaptureQuality = 0.1
+			rc.Pose = pose
+		})
 	}
-	rigid, _, err := decode(nil)
+	rigid, err := decode(nil)
 	if err != nil {
 		return PoseRow{}, err
 	}
-	row := PoseRow{TiltDeg: tiltDeg, Rigid: rigid}
-	pose, err := register.CalibrateProjective(l, res.Captures[:min(10, len(res.Captures))])
+	row := PoseRow{TiltDeg: tiltDeg, Rigid: rigid.perf}
+	pose, err := register.CalibrateProjective(e.p.Layout, e.res.Captures[:min(10, len(e.res.Captures))])
 	if err != nil {
 		// Blind calibration found no usable grid (e.g. grazing tilt): the
 		// registered column degrades to the rigid decode rather than
 		// failing the sweep.
-		row.Registered = rigid
+		row.Registered = rigid.perf
 		return row, nil
 	}
 	row.Calibrated = true
-	reg, regDiag, err := decode(&pose)
+	reg, err := decode(&pose)
 	if err != nil {
 		return PoseRow{}, err
 	}
-	row.Registered = reg
-	row.Projective = regDiag.Projective
-	row.MaxCornerOffsetPx = regDiag.MaxCornerOffsetPx
+	row.Registered = reg.perf
+	row.Projective = reg.report.Registration.Projective
+	row.MaxCornerOffsetPx = reg.report.Registration.MaxCornerOffsetPx
 	return row, nil
 }
 

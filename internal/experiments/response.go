@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"inframe/internal/channel"
-	"inframe/internal/core"
-	"inframe/internal/metrics"
 )
 
 // ResponseRow is one display-panel variant in the pixel-response ablation.
@@ -34,14 +30,6 @@ func ResponseAblation(s Setup) ([]ResponseRow, error) {
 	if small.ThroughputSeconds > 1.0 {
 		small.ThroughputSeconds = 1.0
 	}
-	l, err := small.layout()
-	if err != nil {
-		return nil, err
-	}
-	p := core.DefaultParams(l)
-	stream := core.NewRandomStream(l, small.Seed)
-	capW, capH := small.captureSize()
-
 	variants := []struct {
 		name     string
 		response float64
@@ -53,36 +41,20 @@ func ResponseAblation(s Setup) ([]ResponseRow, error) {
 	}
 	var out []ResponseRow
 	for _, v := range variants {
-		m, err := core.NewMultiplexer(p, VideoGray.source(l, small.Seed), stream)
-		if err != nil {
-			return nil, err
-		}
-		cfg := small.channelConfig()
+		cfg := small.ChannelConfig(small.CaptureSize())
 		cfg.Display.ResponseTime = v.response
-		nDisplay := int(small.ThroughputSeconds * cfg.Display.RefreshHz)
-		res, err := channel.Simulate(m, nDisplay, cfg)
+		e, err := small.transmit(ThroughputSetting{VideoGray, 20, 12}, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rcfg := core.DefaultReceiverConfig(p, capW, capH)
-		rcfg.Exposure = cfg.Camera.Exposure
-		rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-		rcv, err := core.NewReceiver(rcfg)
+		d, err := e.decode(nil)
 		if err != nil {
 			return nil, err
 		}
-		var stats metrics.GOBStats
-		for d, fd := range rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nDisplay/p.Tau) {
-			if fd.Captures == 0 {
-				continue
-			}
-			stats.AddWithOracle(fd, stream.DataFrame(d))
-		}
-		rep := metrics.Compute(&stats, l, p.Tau, cfg.Display.RefreshHz)
 		out = append(out, ResponseRow{
 			Name:           v.name,
-			AvailableRatio: rep.AvailableRatio,
-			ThroughputBps:  rep.ThroughputBps,
+			AvailableRatio: d.perf.AvailableRatio,
+			ThroughputBps:  d.perf.ThroughputBps,
 		})
 	}
 	return out, nil

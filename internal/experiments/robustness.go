@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"inframe/internal/channel"
 	"inframe/internal/core"
 	"inframe/internal/impair"
 	"inframe/internal/metrics"
@@ -63,56 +62,24 @@ func RunRobustness(s Setup, sc RobustnessScenario) (RobustnessRow, error) {
 	if err := s.Validate(); err != nil {
 		return RobustnessRow{}, err
 	}
-	l, err := s.layout()
-	if err != nil {
-		return RobustnessRow{}, err
-	}
-	p := core.DefaultParams(l)
-	stream := core.NewRandomStream(l, s.Seed)
-	m, err := core.NewMultiplexer(p, VideoGray.source(l, s.Seed), stream)
-	if err != nil {
-		return RobustnessRow{}, err
-	}
-	cfg := s.channelConfig()
+	cfg := s.ChannelConfig(s.CaptureSize())
 	cfg.Impair = sc.Impair
-	nDisplay := int(s.ThroughputSeconds * cfg.Display.RefreshHz)
-	res, err := channel.Simulate(m, nDisplay, cfg)
+	e, err := s.transmit(ThroughputSetting{VideoGray, 20, 12}, cfg)
 	if err != nil {
 		return RobustnessRow{}, err
 	}
-	capW, capH := s.captureSize()
-	rcfg := core.DefaultReceiverConfig(p, capW, capH)
-	rcfg.RefreshHz = cfg.Display.RefreshHz
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	rcfg.Workers = s.Workers
 	// Graceful degradation: gate out garbage captures, recalibrate the
 	// per-Block thresholds in windows so lighting and gain drift track.
-	rcfg.MinCaptureQuality = 0.1
-	rcfg.RecalibrateEvery = 10
-	rcv, err := core.NewReceiver(rcfg)
+	d, err := e.decode(func(rc *core.ReceiverConfig) {
+		rc.MinCaptureQuality = 0.1
+		rc.RecalibrateEvery = 10
+	})
 	if err != nil {
 		return RobustnessRow{}, err
 	}
-	nData := nDisplay / p.Tau
-	decoded, rep := rcv.DecodeCapturesReport(res.Captures, res.Times, res.Exposure, nData)
-	var stats metrics.GOBStats
-	var deg metrics.DegradationStats
-	deg.AddReport(rep)
-	frames := 0
-	for d, fd := range decoded {
-		if fd.Captures == 0 {
-			continue // gap or tail frames past the last surviving capture
-		}
-		stats.AddWithOracle(fd, stream.DataFrame(d))
-		frames++
-	}
-	return RobustnessRow{
-		Scenario: sc.Name,
-		Report:   metrics.Compute(&stats, l, p.Tau, cfg.Display.RefreshHz),
-		Degrade:  deg,
-		Frames:   frames,
-	}, nil
+	row := RobustnessRow{Scenario: sc.Name, Report: d.perf, Frames: d.stats.Frames}
+	row.Degrade.AddReport(d.report)
+	return row, nil
 }
 
 // Robustness runs the full impairment sweep.

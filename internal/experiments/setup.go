@@ -28,8 +28,9 @@ type Setup struct {
 	FlickerSeconds float64
 	// PanelSize is the number of simulated study participants (paper: 8).
 	PanelSize int
-	// Workers bounds the channel simulation's worker pools (0 = GOMAXPROCS,
-	// 1 = sequential). Results are bit-identical at any value.
+	// Workers bounds the channel simulation's and every decode's worker
+	// pools (0 = GOMAXPROCS, 1 = sequential). Results are bit-identical at
+	// any value.
 	Workers int
 }
 
@@ -66,8 +67,8 @@ func (s Setup) layout() (core.Layout, error) {
 	return core.ScaledPaperLayout(s.ScaleDiv)
 }
 
-// captureSize returns the Lumia-equivalent capture resolution at scale.
-func (s Setup) captureSize() (int, int) {
+// CaptureSize returns the Lumia-equivalent capture resolution at scale.
+func (s Setup) CaptureSize() (int, int) {
 	return 1280 / s.ScaleDiv, 720 / s.ScaleDiv
 }
 
@@ -81,12 +82,13 @@ func (s Setup) captureSize() (int, int) {
 // sampling rate at every ScaleDiv.
 func (s Setup) poseCaptureSize() (int, int) { return 1280, 720 }
 
-// channelConfig returns the standard simulated link: 120 Hz display,
-// 30 FPS rolling-shutter camera at the paper's office-distance quality.
-// Optical blur is left at 0 because at ScaleDiv ≥ 2 one display pixel
-// already aggregates 2×2 paper pixels — the blur is baked into the scale.
-func (s Setup) channelConfig() channel.Config {
-	capW, capH := s.captureSize()
+// ChannelConfig returns the standard simulated link at a capW×capH
+// capture: 120 Hz display, 30 FPS rolling-shutter camera at the paper's
+// office-distance quality, seeded and bounded by the setup. Optical blur is
+// left at 0 because at ScaleDiv ≥ 2 one display pixel already aggregates
+// 2×2 paper pixels — the blur is baked into the scale. Its Receiver is the
+// decoder every experiment starts from.
+func (s Setup) ChannelConfig(capW, capH int) channel.Config {
 	dcfg := display.DefaultConfig()
 	// Instant pixels: the FG2421 is a fast-GtG panel, and an un-strobed
 	// response smears each complementary pair into the next (A12).

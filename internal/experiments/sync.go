@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"inframe/internal/barcode"
-	"inframe/internal/channel"
 	"inframe/internal/core"
-	"inframe/internal/metrics"
 )
 
 // SyncRow is one frame-synchronization accuracy point: how well the
@@ -26,29 +24,20 @@ func SyncAccuracy(s Setup) ([]SyncRow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	l, err := s.layout()
-	if err != nil {
-		return nil, err
-	}
-	p := core.DefaultParams(l)
-	p.Tau = 12
-	m, err := core.NewMultiplexer(p, VideoGray.source(l, s.Seed), core.NewRandomStream(l, s.Seed))
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.channelConfig()
+	setting := ThroughputSetting{VideoGray, 20, 12}
+	cfg := s.ChannelConfig(s.CaptureSize())
 	// A camera locked at exactly 30 FPS samples only 3 distinct phases of
 	// a τ=12 data period, limiting any blind estimator to ±1/6 period.
 	// Real camera clocks free-run; a 0.3% skew sweeps the phase space.
 	cfg.Camera.FPS = 29.9
-	period := float64(p.Tau) / cfg.Display.RefreshHz
+	period := float64(setting.Tau) / cfg.Display.RefreshHz
 	truePhase := 0.37 * period
 	cfg.CameraStart = truePhase
-	nDisplay := int(s.ThroughputSeconds * cfg.Display.RefreshHz)
-	res, err := channel.Simulate(m, nDisplay, cfg)
+	e, err := s.transmit(setting, cfg)
 	if err != nil {
 		return nil, err
 	}
+	res := e.res
 	var out []SyncRow
 	for _, n := range []int{8, 16, 32, len(res.Captures)} {
 		if n > len(res.Captures) {
@@ -90,17 +79,16 @@ func BarcodeComparison(s Setup) ([]BaselineRow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	l, err := s.layout()
-	if err != nil {
-		return nil, err
-	}
 	// InFrame at the paper's sweet spot on the real video content.
-	stats, _, _, err := runVariant(s, ThroughputSetting{VideoClip, 20, 12}, nil, nil)
+	e, err := s.transmit(ThroughputSetting{VideoClip, 20, 12}, s.ChannelConfig(s.CaptureSize()))
 	if err != nil {
 		return nil, err
 	}
-	rep := metrics.Compute(stats, l, 12, 120)
-
+	d, err := e.decode(nil)
+	if err != nil {
+		return nil, err
+	}
+	l := e.p.Layout
 	bc := barcode.DefaultConfig(l.FrameW, l.FrameH)
 	if err := bc.Validate(); err != nil {
 		return nil, err
@@ -108,7 +96,7 @@ func BarcodeComparison(s Setup) ([]BaselineRow, error) {
 	return []BaselineRow{
 		{
 			System:        "InFrame (full frame)",
-			ThroughputBps: rep.ThroughputBps,
+			ThroughputBps: d.perf.ThroughputBps,
 			ScreenLoss:    0,
 			Perceptible:   false,
 		},

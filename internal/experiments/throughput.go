@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"inframe/internal/channel"
 	"inframe/internal/core"
 	"inframe/internal/metrics"
 	"inframe/internal/video"
@@ -76,51 +75,15 @@ func RunSetting(s Setup, setting ThroughputSetting) (ThroughputRow, error) {
 	if err := s.Validate(); err != nil {
 		return ThroughputRow{}, err
 	}
-	l, err := s.layout()
+	e, err := s.transmit(setting, s.ChannelConfig(s.CaptureSize()))
 	if err != nil {
 		return ThroughputRow{}, err
 	}
-	p := core.DefaultParams(l)
-	p.Delta = setting.Delta
-	p.Tau = setting.Tau
-	stream := core.NewRandomStream(l, s.Seed)
-	src := setting.Video.source(l, s.Seed)
-	m, err := core.NewMultiplexer(p, src, stream)
+	d, err := e.decode(nil)
 	if err != nil {
 		return ThroughputRow{}, err
 	}
-	cfg := s.channelConfig()
-	nDisplay := int(s.ThroughputSeconds * cfg.Display.RefreshHz)
-	res, err := channel.Simulate(m, nDisplay, cfg)
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	capW, capH := s.captureSize()
-	rcfg := core.DefaultReceiverConfig(p, capW, capH)
-	rcfg.RefreshHz = cfg.Display.RefreshHz
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	rcv, err := core.NewReceiver(rcfg)
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	// Only data frames whose steady window the captures can cover.
-	nData := nDisplay / p.Tau
-	decoded := rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nData)
-	var stats metrics.GOBStats
-	frames := 0
-	for d, fd := range decoded {
-		if fd.Captures == 0 {
-			continue // tail frames past the last capture
-		}
-		stats.AddWithOracle(fd, stream.DataFrame(d))
-		frames++
-	}
-	return ThroughputRow{
-		Setting: setting,
-		Report:  metrics.Compute(&stats, l, p.Tau, cfg.Display.RefreshHz),
-		Frames:  frames,
-	}, nil
+	return ThroughputRow{Setting: setting, Report: d.perf, Frames: d.stats.Frames}, nil
 }
 
 // Throughput reproduces Fig. 7: every bar of the paper's throughput chart.

@@ -345,14 +345,10 @@ func (cfg *Config) join(dur float64, nData int, d *display.Display, pool *frame.
 }
 
 // receiverConfig is the decoder of a member with the given spec, running
-// on workers goroutines.
+// on workers goroutines: the receiver of the member's link.
 func (cfg *Config) receiverConfig(spec ReceiverSpec, pool *frame.Pool, workers int) core.ReceiverConfig {
-	rcfg := core.DefaultReceiverConfig(cfg.Params, spec.Camera.W, spec.Camera.H)
-	rcfg.RefreshHz = cfg.Display.RefreshHz
-	rcfg.Exposure = spec.Camera.Exposure
-	rcfg.ReadoutTime = spec.Camera.ReadoutTime
-	rcfg.Workers = workers
-	rcfg.Pool = pool
+	link := channel.Config{Display: cfg.Display, Camera: spec.Camera, Workers: workers, Pool: pool}
+	rcfg := link.Receiver(cfg.Params)
 	rcfg.MinCaptureQuality = cfg.MinCaptureQuality
 	rcfg.RecalibrateEvery = cfg.RecalibrateEvery
 	return rcfg

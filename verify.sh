@@ -19,7 +19,8 @@
 # candidate chains, a coverage floor on internal/register and fuzz
 # smokes of the DLT solve and the inverse warp),
 # the broadcast-fleet determinism suite under -race (N concurrent
-# receivers sharing one pool and one display), one iteration of the
+# receivers sharing one pool and one display), the experiment goldens
+# (every paper table rerun and compared byte for byte), one iteration of the
 # sequential-vs-parallel benchmarks as a smoke test, and the
 # inframe-benchdiff regression gate against the committed BENCH_*.json
 # baseline (+15% ns/op tolerance, allocs/op gated alongside; a slowdown
@@ -29,8 +30,8 @@
 # Usage: ./verify.sh [-short]
 #   -short  gate the race run on `go test -short` (skips the long
 #           full-pipeline experiment suites) and skip the robustness,
-#           fleet, benchmark smoke and benchdiff stages entirely; use
-#           for quick iteration.
+#           fleet, experiment golden, benchmark smoke and benchdiff
+#           stages entirely; use for quick iteration.
 #
 # Each stage prints its wall-clock time on completion so slow stages are
 # visible; a summary repeats all of them — including skipped stages — at
@@ -228,6 +229,16 @@ run_fleet() {
 	go test -race -count=1 ./internal/fleet/
 }
 
+run_goldens() {
+	# The paper's tables as code: every inframe-bench experiment group is
+	# rerun at the command's defaults and compared byte for byte with
+	# cmd/inframe-bench/testdata/*.golden, wall-time lines stripped (~2 min
+	# on two cores). Uninstrumented: the test skips under -race, where it
+	# would take minutes more and add nothing the worker-invariance tests
+	# do not already race.
+	go test -count=1 -run '^TestGoldenTables$' ./cmd/inframe-bench/
+}
+
 run_bench_smoke() {
 	go test -run '^$' -bench 'EndToEnd|DecodeCaptures|Fleet' -benchtime=1x .
 }
@@ -250,12 +261,14 @@ if [[ -n "$short" ]]; then
 	skip "robustness matrix + fuzz smoke"
 	skip "pose robustness (race)"
 	skip "fleet determinism (race)"
+	skip "experiment goldens"
 	skip "benchmarks (1 iteration smoke)"
 	skip "inframe-benchdiff"
 else
 	stage "robustness matrix + fuzz smoke" run_robustness
 	stage "pose robustness (race)" run_pose
 	stage "fleet determinism (race)" run_fleet
+	stage "experiment goldens" run_goldens
 	stage "benchmarks (1 iteration smoke)" run_bench_smoke
 	stage "inframe-benchdiff" run_benchdiff
 fi
