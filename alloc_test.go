@@ -491,6 +491,56 @@ func TestCaptureDrawsNoDisplayPlane(t *testing.T) {
 	}
 }
 
+// TestCaptureNoiseAllocs pins the sensor noise's heap: a capture's read
+// noise draws from pooled generator state (detrng.Stream), so once a
+// camera has captured, a noisy capture allocates exactly what the same
+// capture without noise does. Seeding a math/rand source per capture
+// allocated a 4.9 KB generator every time. It reads the heap, so it runs
+// with the garbage collector off (which would empty the state pool) on one
+// P (a sync.Pool keeps its objects per P), and skips under the race
+// detector.
+func TestCaptureNoiseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate: runs uninstrumented in the alloc stage")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	d, err := display.New(display.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 4; k++ {
+		if err := d.Push(frame.NewFilled(320, 180, float32(90+40*(k%2)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// captureBytes is the heap one warm capture allocates on a camera of
+	// the given noise.
+	captureBytes := func(sigma float64) uint64 {
+		pool := frame.NewPool()
+		cfg := camera.DefaultConfig(160, 90)
+		cfg.BlurRadius = 0
+		cfg.Workers = 1
+		cfg.NoiseSigma = sigma
+		cfg.Pool = pool
+		cam, err := camera.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(cam.Capture(d, 0.004, 0))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pool.Put(cam.Capture(d, 0.007, 1))
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	quiet, noisy := captureBytes(0), captureBytes(2.5)
+	t.Logf("warm capture: %d B without noise, %d B with", quiet, noisy)
+	if noisy != quiet {
+		t.Errorf("a warm noisy capture allocated %d B, the same capture without noise %d B: the noise draws allocate", noisy, quiet)
+	}
+}
+
 // TestSunRiseFrameIntoAllocs: the sun-rise clip renders serially into the
 // caller's buffer with its per-column values on the stack, so FrameInto
 // allocates nothing. It measures the heap, so it runs uninstrumented

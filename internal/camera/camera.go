@@ -17,9 +17,9 @@ package camera
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
+	"inframe/internal/detrng"
 	"inframe/internal/display"
 	"inframe/internal/fixed"
 	"inframe/internal/frame"
@@ -316,14 +316,18 @@ func (c *Camera) encode(row []float32, quantize bool) {
 }
 
 // addNoise adds deterministic Gaussian read noise for capture index to the
-// encoded capture and quantizes it, in one pass in pixel order: pixel i
-// takes the i-th draw of the index-keyed stream, and v + float32(n·σ) then
-// Round8 is the float32 arithmetic of adding the noise and quantizing in
-// two sweeps.
+// encoded capture and quantizes it, row by row in pixel order: pixel i
+// takes the i-th draw of the index-keyed stream (math/rand's stream of
+// that seed, see detrng.Stream), and v + float32(n·σ) then Round8 is the
+// float32 arithmetic of adding the noise and quantizing in two sweeps.
 func (c *Camera) addNoise(f *frame.Frame, index int) {
-	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(index)*1000003))
-	sigma := c.cfg.NoiseSigma
-	for i, v := range f.Pix {
-		f.Pix[i] = float32(fixed.Round8(v + float32(rng.NormFloat64()*sigma)))
+	rng := detrng.NewStream(c.cfg.Seed + int64(index)*1000003)
+	for y := 0; y < f.H; y++ {
+		row := f.Row(y)
+		rng.AddNormal(row, c.cfg.NoiseSigma)
+		for x, v := range row {
+			row[x] = float32(fixed.Round8(v))
+		}
 	}
+	rng.Release()
 }

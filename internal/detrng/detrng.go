@@ -22,6 +22,11 @@
 // stream spaces cannot collide. The impair and fleet blocks preserve the
 // exact values those packages shipped with (impair 1–4 since PR 5, fleet
 // 1–7 since PR 6).
+//
+// Per-pixel streams (the camera's read noise, the impairment noise burst)
+// draw from Stream: math/rand's generator and normal draws copied so that
+// they return the same bits without the Source interface or a fresh
+// generator per stream.
 package detrng
 
 import "math/rand"

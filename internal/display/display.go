@@ -431,9 +431,6 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		panic(fmt.Sprintf("display: window [%v,%v) is not a finite span of refresh intervals", t0, t1))
 	}
 	w := d.w
-	for x := 0; x < w; x++ {
-		dst[x] = 0
-	}
 	k0 := int(math.Floor(t0 / T))
 	k1 := int(math.Ceil(t1 / T))
 	if k1 <= k0 {
@@ -443,6 +440,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 	if duty := d.cfg.StrobeDuty; duty > 0 && duty < 1 {
 		// Strobed backlight: light only during the final duty fraction of
 		// each interval, at target luminance scaled by 1/duty.
+		clear(dst[:w])
 		boost := float32(1 / duty)
 		for k := k0; k < k1; k++ {
 			sOn := (float64(k) + 1 - duty) * T
@@ -465,6 +463,15 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 	useResp := d.cfg.ResponseTime > 0
 	tauR := d.cfg.ResponseTime
 	n := d.base + len(d.drive)
+	// filled says dst holds the sum so far. With ideal pixels every
+	// interval is settled and the first one stores its share: that equals
+	// adding it to a zeroed row, since 0 + p = p for the LUT's finite,
+	// non-negative products, so no clear pass is needed. The response
+	// model accumulates from zero.
+	filled := useResp
+	if useResp {
+		clear(dst[:w])
+	}
 	for k := k0; k < k1; k++ {
 		a := math.Max(t0, float64(k)*T)
 		b := math.Min(t1, float64(k+1)*T)
@@ -475,6 +482,13 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		if !useResp || k < 0 || k >= n {
 			// Settled (held) frame or ideal pixels: constant luminance.
 			wgt := float32((b - a) / total)
+			if !filled {
+				for x := 0; x < w; x++ {
+					dst[x] = d.lut[target[x]] * wgt
+				}
+				filled = true
+				continue
+			}
 			for x := 0; x < w; x++ {
 				dst[x] += d.lut[target[x]] * wgt
 			}
@@ -492,6 +506,10 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 			tg := d.lut[target[x]]
 			dst[x] += tg*cLin + (st[x]-tg)*cExp
 		}
+	}
+	if !filled {
+		// No interval overlapped the window (rounding at its ends).
+		clear(dst[:w])
 	}
 }
 

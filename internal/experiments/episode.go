@@ -30,6 +30,7 @@ func (s Setup) transmit(setting ThroughputSetting, link channel.Config) (*episod
 	p := core.DefaultParams(l)
 	p.Delta = setting.Delta
 	p.Tau = setting.Tau
+	p.Workers = s.Workers
 	stream := core.NewRandomStream(l, s.Seed)
 	m, err := core.NewMultiplexer(p, setting.Video.source(l, s.Seed), stream)
 	if err != nil {

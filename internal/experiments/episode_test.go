@@ -6,10 +6,11 @@ import (
 	"inframe/internal/core"
 )
 
-// TestEpisodeDecodesWithSetupWorkers checks that an episode's receiver runs
-// on the setup's worker budget and its link's timing: each decode
-// experiment used to build its own receiver, and most left Workers at
-// GOMAXPROCS whatever the setup said.
+// TestEpisodeDecodesWithSetupWorkers checks that an episode renders and
+// decodes on the setup's worker budget and that its receiver takes its
+// link's timing: each decode experiment used to build its own receiver and
+// most left Workers at GOMAXPROCS whatever the setup said, and the shared
+// transmit step then still left the multiplexer's at GOMAXPROCS.
 func TestEpisodeDecodesWithSetupWorkers(t *testing.T) {
 	s := DefaultSetup()
 	s.ThroughputSeconds = 0.5
@@ -19,6 +20,9 @@ func TestEpisodeDecodesWithSetupWorkers(t *testing.T) {
 	e, err := s.transmit(ThroughputSetting{VideoGray, 20, 12}, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if e.p.Workers != s.Workers {
+		t.Errorf("episode rendered on %d workers, want the setup's %d", e.p.Workers, s.Workers)
 	}
 	var got core.ReceiverConfig
 	d, err := e.decode(func(rc *core.ReceiverConfig) { got = *rc })

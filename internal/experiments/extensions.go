@@ -92,9 +92,13 @@ func Registration(s Setup) ([]RegistrationRow, error) {
 
 // WriteRegistration prints the registration comparison.
 func WriteRegistration(w io.Writer, rows []RegistrationRow) {
-	fmt.Fprintf(w, "%-12s | %14s %14s\n", "camera", "naive-correct", "calib-correct")
+	width := len("camera")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s | %13.1f%% %13.1f%%\n", r.Name, 100*r.NaiveCorrect, 100*r.CalibCorrect)
+		width = max(width, len(r.Name))
+	}
+	fmt.Fprintf(w, "%-*s | %14s %14s\n", width, "camera", "naive-correct", "calib-correct")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-*s | %13.1f%% %13.1f%%\n", width, r.Name, 100*r.NaiveCorrect, 100*r.CalibCorrect)
 	}
 }
 

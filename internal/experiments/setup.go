@@ -28,9 +28,9 @@ type Setup struct {
 	FlickerSeconds float64
 	// PanelSize is the number of simulated study participants (paper: 8).
 	PanelSize int
-	// Workers bounds the channel simulation's and every decode's worker
-	// pools (0 = GOMAXPROCS, 1 = sequential). Results are bit-identical at
-	// any value.
+	// Workers bounds the render's, the channel simulation's and every
+	// decode's worker pools (0 = GOMAXPROCS, 1 = sequential). Results are
+	// bit-identical at any value.
 	Workers int
 }
 

@@ -371,14 +371,14 @@ func (s *Stack) ApplyFrame(f *frame.Frame, index int, t, exposure float64) {
 		touched = true
 	}
 	if s.cfg.BurstRate > 0 {
-		rng := s.rng(detrng.ImpairBurst, index)
+		// The burst's per-pixel draws come from the allocation-free copy
+		// of the cell's math/rand stream.
+		rng := detrng.NewStream(detrng.Mix(s.cfg.Seed, detrng.ImpairBurst, index))
 		if rng.Float64() < s.cfg.BurstRate {
-			sigma := s.cfg.BurstSigma
-			for i := range f.Pix {
-				f.Pix[i] += float32(rng.NormFloat64() * sigma)
-			}
+			rng.AddNormal(f.Pix, s.cfg.BurstSigma)
 			touched = true
 		}
+		rng.Release()
 	}
 	if touched {
 		f.Quantize()

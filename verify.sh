@@ -137,8 +137,10 @@ run_alloc_tests() {
 	# per Stack and a shared clone scratch, no plane per capture; it skips
 	# under -race. TestSimulateReusesDriveSlots pins the drive-slot
 	# recycling of closed displays: a second Simulate of the same panel
-	# allocates no slot; it skips under -race.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots' -count=1 .
+	# allocates no slot; it skips under -race. TestCaptureNoiseAllocs pins
+	# the sensor noise's pooled generator state: a warm noisy capture
+	# allocates what a noiseless one does; it skips under -race.
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots|TestCaptureNoiseAllocs' -count=1 .
 }
 
 run_kernels() {
@@ -155,7 +157,9 @@ run_kernels() {
 	# and the row-major column passes against column-gather references.
 	# The precomputed warp plan is pinned against WarpInto and a verbatim
 	# copy of the per-pixel projective warp, with eight goroutines sharing
-	# one plan.
+	# one plan. The sensor's read noise generator is pinned against
+	# math/rand's own stream, and the shutter integral without its clear
+	# pass against a verbatim copy of the clear-then-accumulate form.
 	go test -race -count=1 \
 		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestWindowSumsThinPlanes|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
@@ -167,6 +171,8 @@ run_kernels() {
 		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto' \
 		./internal/frame/
 	go test -race -count=1 -run 'TestCaptureMatchesReference' ./internal/camera/
+	go test -race -count=1 -run 'TestNormalMatchesMathRand' ./internal/detrng/
+	go test -race -count=1 -run 'TestRowAverageMatchesReference' ./internal/display/
 	go test -race -count=1 -run 'TestSunRiseMatchesReference' ./internal/video/
 }
 
