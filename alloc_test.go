@@ -561,3 +561,32 @@ func TestSunRiseFrameIntoAllocs(t *testing.T) {
 		t.Errorf("SunRise.FrameInto allocates %.1f times per frame, want 0", allocs)
 	}
 }
+
+// TestImpairDrawAllocs pins the impairment stack's per-capture draws: a
+// capture's start jitter (CaptureTime) and its drop/dup decision (Copies)
+// take their generator state from a pool (detrng.Stream), so on a warm
+// kitchen-sink Stack they allocate nothing, where a math/rand generator
+// per draw costs about 5 KB. It reads the heap with the garbage collector
+// off (which would empty the state pool), and skips under the race
+// detector.
+func TestImpairDrawAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate: runs uninstrumented in the alloc stage")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := impair.New(impair.Config{
+		Seed: 11, ClockDriftPPM: 300, StartJitter: 1e-4, DropRate: 0.1,
+		DupRate: 0.1, AmbientRamp: 6, FlickerAmp: 3, FlickerHz: 100,
+		GainAmp: 0.02, GainHz: 0.7, BurstRate: 0.05, BurstSigma: 5,
+	})
+	period := s.Period(1.0 / 30)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		s.CaptureTime(i, 0.01, period)
+		s.Copies(i)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("a warm CaptureTime + Copies allocates %.1f times per capture, want 0", allocs)
+	}
+}

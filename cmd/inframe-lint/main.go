@@ -1,6 +1,6 @@
 // Command inframe-lint runs the repository's custom static-analysis suite
 // (internal/analysis): a registry of analyzers that enforce the pipeline's
-// determinism, ownership, clamp, concurrency and hot-loop performance
+// determinism, ownership, clamp, concurrency and integer-range
 // invariants across every non-test package of the module.
 //
 // Usage:

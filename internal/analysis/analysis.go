@@ -85,17 +85,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // invariants.
 func DefaultAnalyzers() []*Analyzer {
 	as := []*Analyzer{
-		BoundsHoistAnalyzer,
 		ClampAnalyzer,
-		DeferLoopAnalyzer,
 		DetRandAnalyzer,
 		FloatEqAnalyzer,
-		FrameAllocAnalyzer,
 		GoroutineAnalyzer,
-		HotAllocAnalyzer,
-		LoopInvariantAnalyzer,
 		MapRangeAnalyzer,
-		PreallocateAnalyzer,
 		Intrange,
 		Poolown,
 		Stagekey,

@@ -591,6 +591,22 @@ func isPoolGetCall(info *types.Info, e ast.Expr) bool {
 	return returnsFramePtr(obj)
 }
 
+// returnsFramePtr reports whether any result of the function is a pointer
+// to a named type called Frame.
+func returnsFramePtr(obj *types.Func) bool {
+	sig, ok := obj.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	res := sig.Results()
+	for i := 0; i < res.Len(); i++ {
+		if isFramePtrType(res.At(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
 // isConsumeCallee reports whether the called function releases the frames
 // it is handed: any method or function named Put or Recycle. The name
 // rule is deliberately universal (frame.Pool.Put, Multiplexer.Recycle,

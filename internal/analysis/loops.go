@@ -2,27 +2,17 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
 	"strings"
 )
 
-// This file is the loop-structure layer under the perf analyzer pack
-// (hotalloc, preallocate, deferloop, loopinvariant, boundshoist): it turns
-// each function into a forest of loop nests with enough semantic
-// information — which functions are hot, which loops are innermost, which
-// objects a loop assigns, which expressions are loop-invariant — for the
-// analyzers to stay intraprocedural, precise and fast.
-//
-// Hotness. InFrame's real-time budget concentrates in the per-pixel and
-// per-Block loops of the mux/camera/demux pipeline, so the perf analyzers
-// only fire inside *hot* functions. A function is hot when
+// This file holds the hotness predicate that scopes intrange: which
+// functions run per displayed or captured frame, where fixed-point
+// arithmetic lives and an overflow proof pays for itself. A function is
+// hot when
 //
 //   - its package is on the built-in hot list (the pipeline packages whose
 //     loops run per displayed or captured frame), or
-//   - its doc comment carries a //hot directive, or
-//   - its package doc carries a //hot directive (every function in the
-//     file set is hot).
+//   - its doc comment carries a //hot directive.
 //
 // The //hot convention lets latency-critical code outside the built-in
 // list (e.g. display.RowAverage) opt into the same scrutiny. The canonical
@@ -60,263 +50,4 @@ func hasHotDirective(doc *ast.CommentGroup) bool {
 		}
 	}
 	return false
-}
-
-// loopNode is one for/range statement in a function's loop forest.
-type loopNode struct {
-	// stmt is the *ast.ForStmt or *ast.RangeStmt.
-	stmt ast.Stmt
-	// parent is the enclosing loop in the same function, nil for top level.
-	parent *loopNode
-	// children are the directly nested loops (not crossing func literals).
-	children []*loopNode
-	// assigned holds every object assigned anywhere inside the loop,
-	// including the loop variables themselves and the base variables of
-	// indexed/field/pointer assignment targets (conservative: a mutated
-	// container makes expressions over it variant).
-	assigned map[types.Object]bool
-}
-
-// innermost reports whether the loop contains no nested loop.
-func (l *loopNode) innermost() bool { return len(l.children) == 0 }
-
-// body returns the loop body block.
-func (l *loopNode) body() *ast.BlockStmt {
-	switch s := l.stmt.(type) {
-	case *ast.ForStmt:
-		return s.Body
-	case *ast.RangeStmt:
-		return s.Body
-	}
-	return nil
-}
-
-// funcLoops is one function — declaration or literal — with its loop forest.
-type funcLoops struct {
-	// name labels diagnostics ("DecodeScores", "func literal in Frame").
-	name string
-	// hot reports whether the perf analyzers should inspect this function.
-	hot bool
-	// body is the function's block, the scope for declaration lookups.
-	body *ast.BlockStmt
-	// loops lists every loop in the function in source order.
-	loops []*loopNode
-}
-
-// collectHotFuncs builds the loop forest of every function in the package,
-// resolving hotness from the built-in package list and //hot directives.
-// Function literals become their own entries (their loops run on a separate
-// frame), inheriting the enclosing function's hotness.
-func collectHotFuncs(pass *Pass) []*funcLoops {
-	pkgHot := isHotPackagePath(pass.Path)
-	if !pkgHot {
-		for _, f := range pass.Files {
-			if hasHotDirective(f.Doc) {
-				pkgHot = true
-				break
-			}
-		}
-	}
-	var out []*funcLoops
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			hot := pkgHot || hasHotDirective(fd.Doc)
-			buildFuncLoops(pass.Info, fd.Name.Name, hot, fd.Body, &out)
-		}
-	}
-	return out
-}
-
-// buildFuncLoops walks one function body, appending its funcLoops entry (and
-// those of any nested literals) to out.
-func buildFuncLoops(info *types.Info, name string, hot bool, body *ast.BlockStmt, out *[]*funcLoops) {
-	fn := &funcLoops{name: name, hot: hot, body: body}
-	*out = append(*out, fn)
-	var walk func(n ast.Node, cur *loopNode)
-	walk = func(n ast.Node, cur *loopNode) {
-		if n == nil {
-			return
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			buildFuncLoops(info, "func literal in "+name, hot, n.Body, out)
-			return
-		case *ast.ForStmt:
-			node := &loopNode{stmt: n, parent: cur}
-			fn.loops = append(fn.loops, node)
-			if cur != nil {
-				cur.children = append(cur.children, node)
-			}
-			// Init runs once: it belongs to the enclosing scope.
-			walk(n.Init, cur)
-			walk(n.Cond, node)
-			walk(n.Post, node)
-			walk(n.Body, node)
-			collectAssigned(info, n, node)
-			return
-		case *ast.RangeStmt:
-			node := &loopNode{stmt: n, parent: cur}
-			fn.loops = append(fn.loops, node)
-			if cur != nil {
-				cur.children = append(cur.children, node)
-			}
-			// The ranged expression is evaluated once, before iteration.
-			walk(n.X, cur)
-			walk(n.Body, node)
-			collectAssigned(info, n, node)
-			return
-		}
-		for _, c := range children(n) {
-			walk(c, cur)
-		}
-	}
-	walk(body, nil)
-}
-
-// children returns the direct AST children of n (ast.Inspect with depth 1).
-func children(n ast.Node) []ast.Node {
-	var out []ast.Node
-	depth := 0
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == nil {
-			depth--
-			return true
-		}
-		depth++
-		if depth == 1 {
-			return true
-		}
-		out = append(out, m)
-		return false
-	})
-	return out
-}
-
-// collectAssigned records every object assigned anywhere inside the loop
-// statement (including its init/range clause and nested function literals)
-// into node.assigned.
-func collectAssigned(info *types.Info, loop ast.Stmt, node *loopNode) {
-	node.assigned = make(map[types.Object]bool)
-	record := func(e ast.Expr) {
-		// Peel the target down to the variable whose contents change:
-		// x, x.f, x[i], *x all mark x as assigned.
-		for {
-			switch t := ast.Unparen(e).(type) {
-			case *ast.Ident:
-				if obj := info.Defs[t]; obj != nil {
-					node.assigned[obj] = true
-				}
-				if obj := info.Uses[t]; obj != nil {
-					node.assigned[obj] = true
-				}
-				return
-			case *ast.SelectorExpr:
-				e = t.X
-			case *ast.IndexExpr:
-				e = t.X
-			case *ast.StarExpr:
-				e = t.X
-			default:
-				return
-			}
-		}
-	}
-	ast.Inspect(loop, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				record(lhs)
-			}
-		case *ast.IncDecStmt:
-			record(n.X)
-		case *ast.RangeStmt:
-			if n.Key != nil {
-				record(n.Key)
-			}
-			if n.Value != nil {
-				record(n.Value)
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				record(n.X) // address taken: assume the callee mutates it
-			}
-		}
-		return true
-	})
-}
-
-// loopInvariant reports whether e evaluates to the same value on every
-// iteration of loop: it mentions no object the loop assigns, receives from
-// no channel, and calls only known-pure functions.
-func loopInvariant(info *types.Info, e ast.Expr, loop *loopNode) bool {
-	inv := true
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if obj := info.Uses[n]; obj != nil && loop.assigned[obj] {
-				inv = false
-			}
-			if obj := info.Defs[n]; obj != nil && loop.assigned[obj] {
-				inv = false
-			}
-		case *ast.CallExpr:
-			if !isPureCall(info, n) {
-				inv = false
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				inv = false // channel receive
-			}
-		case *ast.FuncLit:
-			inv = false // closures capture loop state
-		}
-		return inv
-	})
-	return inv
-}
-
-// pureHelperNames are the repo's known-pure frame/waveform/layout helpers:
-// pure arithmetic over their receiver and arguments, no observable state.
-// The list is matched by name for functions defined in module-internal hot
-// packages (or the caller's own package, which is what fixture packages
-// exercise).
-var pureHelperNames = map[string]bool{
-	// core.Layout geometry.
-	"NumBlocks": true, "NumGOBs": true, "GOBsX": true, "GOBsY": true,
-	"BlocksPerGOB": true, "DataBitsPerFrame": true, "BlockPx": true,
-	"MarginX": true, "MarginY": true, "BlockRect": true, "GOBBlocks": true,
-	// core chessboard phase.
-	"ChessOn": true,
-	// waveform.Shape envelopes.
-	"Up": true, "Down": true, "Between": true,
-	// timing helpers.
-	"FramePeriod": true, "DataFramePeriod": true, "FrameDuration": true,
-}
-
-// isPureCall reports whether the call cannot observe or mutate state the
-// loop changes: len/cap builtins, package math functions, and the curated
-// pure repo helpers.
-func isPureCall(info *types.Info, call *ast.CallExpr) bool {
-	if fun, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[fun].(*types.Builtin); ok {
-			return b.Name() == "len" || b.Name() == "cap"
-		}
-	}
-	obj := funcObj(info, call.Fun)
-	if obj == nil {
-		return false
-	}
-	if obj.Pkg() != nil && obj.Pkg().Path() == "math" {
-		return true
-	}
-	return isPureHelper(obj)
-}
-
-// isPureHelper reports whether obj is one of the curated pure helpers.
-func isPureHelper(obj *types.Func) bool {
-	return pureHelperNames[obj.Name()]
 }

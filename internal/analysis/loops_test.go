@@ -1,12 +1,11 @@
 package analysis
 
-// Tests for the loop-structure layer shared by the perf analyzers: the
-// built-in hot-package list, the //hot directive, and the path-dependent
-// activation the fixture files cannot express on their own (their import
-// path is fixed by the harness).
+// Tests for the hotness predicate that scopes intrange: the built-in
+// hot-package list, and the path-dependent activation the fixture files
+// cannot express on their own (their import path is fixed by the harness).
 
 import (
-	"strings"
+	"go/ast"
 	"testing"
 )
 
@@ -21,11 +20,12 @@ func TestIsHotPackagePath(t *testing.T) {
 		{"inframe/internal/waveform", true},
 		{"inframe/internal/hvs", true},
 		{"inframe/internal/parallel", true},
+		{"inframe/internal/fixed", true},
 		{"inframe/internal/display", false},
 		{"inframe/internal/metrics", false},
 		{"inframe/cmd/inframe-bench", false},
 		{"inframe/internal/core/sub", false}, // only the package itself, not children
-		{"hotalloc", false},                  // fixture paths are cold by default
+		{"intrange", false},                  // fixture paths are cold by default
 	}
 	for _, c := range cases {
 		if got := isHotPackagePath(c.path); got != c.hot {
@@ -35,27 +35,36 @@ func TestIsHotPackagePath(t *testing.T) {
 }
 
 // TestHotPathActivation pins that hotness follows the import path: the
-// hotalloc fixture's NotHotScratch function (no //hot directive) is clean
+// intrange fixture's notHotNarrow function (no //hot directive) is clean
 // under the fixture's own path but flagged when the same sources are loaded
 // as a built-in hot package.
 func TestHotPathActivation(t *testing.T) {
-	a := analyzerByName(t, "hotalloc")
-
-	fset, pkg, _ := loadFixture(t, "hotalloc", "inframe/internal/core")
-	var hit bool
-	for _, d := range RunPackage(fset, pkg, []*Analyzer{a}) {
-		if strings.Contains(d.Message, "NotHotScratch") {
-			hit = true
+	a := analyzerByName(t, "intrange")
+	flagged := func(path string) bool {
+		fset, pkg, _ := loadFixture(t, "intrange", path)
+		var fn *ast.FuncDecl
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "notHotNarrow" {
+					fn = fd
+				}
+			}
 		}
-	}
-	if !hit {
-		t.Error("NotHotScratch not flagged under a built-in hot package path")
-	}
-
-	fset, pkg, _ = loadFixture(t, "hotalloc", "hotalloc")
-	for _, d := range RunPackage(fset, pkg, []*Analyzer{a}) {
-		if strings.Contains(d.Message, "NotHotScratch") {
-			t.Errorf("NotHotScratch flagged under a cold path: %s", d)
+		if fn == nil {
+			t.Fatal("intrange fixture lost notHotNarrow")
 		}
+		first, last := fset.Position(fn.Pos()).Line, fset.Position(fn.End()).Line
+		for _, d := range RunPackage(fset, pkg, []*Analyzer{a}) {
+			if d.Pos.Line >= first && d.Pos.Line <= last {
+				return true
+			}
+		}
+		return false
+	}
+	if !flagged("inframe/internal/core") {
+		t.Error("notHotNarrow not flagged under a built-in hot package path")
+	}
+	if flagged("intrange") {
+		t.Error("notHotNarrow flagged under a cold path")
 	}
 }

@@ -144,3 +144,11 @@ func shiftDivide(n int, hist []int) int {
 	half := n / 2 // outside any loop: a one-off divide is not worth a diagnostic
 	return s + half
 }
+
+// notHotNarrow carries no //hot directive, no clamp/quant name and no
+// contract, and the fixture package is off the hot list, so its unguarded
+// narrowing is out of scope here. Loaded under a built-in hot import path
+// (see TestHotPathActivation) the same code is flagged.
+func notHotNarrow(v int) uint8 {
+	return uint8(v)
+}

@@ -337,10 +337,9 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 			x0, y0, w, h := l.BlockRect(bx, by)
 			fx0, fy0 := calib.Apply(float64(x0), float64(y0))
 			fx1, fy1 := calib.Apply(float64(x0+w), float64(y0+h))
-			//lint:ignore hotalloc rect-corner rounding runs once per Block at receiver construction, not per pixel
 			cx0 := int(math.Round(fx0))
-			cy0 := int(math.Round(fy0)) //lint:ignore hotalloc same construction-time rounding
-			cx1 := int(math.Round(fx1)) //lint:ignore hotalloc same construction-time rounding
+			cy0 := int(math.Round(fy0))
+			cx1 := int(math.Round(fx1))
 			cy1 := int(math.Round(fy1))
 			// Inset to keep resample/blur bleed from neighbouring Blocks
 			// out of the measurement.
@@ -480,7 +479,6 @@ func (r *Receiver) rowWeights(t0 float64) []float64 {
 		// Exact range reduction: start may sit thousands of refresh periods
 		// into the run, where a Trunc(start/T)*T rewrite loses the low bits
 		// that decide which side of a sign flip the row landed on.
-		//lint:ignore hotalloc one Mod per sensor row per measurement, not per pixel, and exact reduction is load-bearing
 		phase := math.Mod(start, T)
 		if phase < 0 {
 			phase += T

@@ -649,7 +649,6 @@ func (m *Multiplexer) Render(n int) []*frame.Frame {
 func (m *Multiplexer) PushTo(d *display.Display, n int) error {
 	for k := 0; k < n; k++ {
 		if err := m.PushFrame(d, k); err != nil {
-			//lint:ignore hotalloc error path runs at most once, then the loop exits
 			return fmt.Errorf("core: pushing frame %d: %w", k, err)
 		}
 	}

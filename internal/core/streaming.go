@@ -68,7 +68,6 @@ func (s *StreamingReceiver) Push(capture *frame.Frame, t, exposure float64) []*F
 	period := s.rcv.DataFramePeriod()
 	var out []*FrameDecode
 	for float64(s.emitted)*period+period/2 < t {
-		//lint:ignore preallocate the emit window yields 0–1 frames per push; a hint would overshoot
 		out = append(out, s.finalize(s.emitted))
 		s.emitted++
 	}

@@ -37,7 +37,6 @@ func EstimatePhase(caps []*frame.Frame, times []float64, exposure, period float6
 		var nSteady, nHot int
 		for i, t := range times {
 			mid := t + exposure/2 - phase
-			//lint:ignore hotalloc phase search runs grid×captures times once per sync, not per pixel
 			frac := math.Mod(mid, period)
 			if frac < 0 {
 				frac += period

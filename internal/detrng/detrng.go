@@ -23,10 +23,10 @@
 // exact values those packages shipped with (impair 1–4 since PR 5, fleet
 // 1–7 since PR 6).
 //
-// Per-pixel streams (the camera's read noise, the impairment noise burst)
-// draw from Stream: math/rand's generator and normal draws copied so that
-// they return the same bits without the Source interface or a fresh
-// generator per stream.
+// The camera's read noise and every impairment stream (capture jitter,
+// drop and duplication, the noise burst, pose jitter) draw from Stream:
+// math/rand's generator and normal draws copied so that they return the
+// same bits without the Source interface or a fresh generator per stream.
 package detrng
 
 import "math/rand"
@@ -74,7 +74,10 @@ func Mix(seed int64, stage Stage, index int) int64 {
 
 // Rand returns the random stream of one (seed, stage, index) cell. Each
 // call returns an independent generator positioned at the stream's
-// start, so consuming one cell's stream never advances another's.
+// start, so consuming one cell's stream never advances another's. It
+// allocates a fresh math/rand generator, so the per-capture streams use
+// Stream instead; fleet.Population keeps Rand because it draws Intn and
+// Int63, which Stream does not offer, once per receiver.
 func Rand(seed int64, stage Stage, index int) *rand.Rand {
 	return rand.New(rand.NewSource(Mix(seed, stage, index)))
 }

@@ -49,8 +49,8 @@ const (
 // Stream is the value stream of rand.New(rand.NewSource(seed)) without
 // the Source interface or its allocation: Float64 and NormFloat64 return
 // bit for bit what that generator's methods of the same names return,
-// call for call, in any interleaving. The per-pixel sensor noise and the
-// impairment noise burst draw from it.
+// call for call, in any interleaving. The camera's read noise and every
+// impairment stream draw from it.
 //
 // The generator state is pooled: NewStream takes it, Release hands it
 // back, and a stream must not be used after Release. A Stream is not safe

@@ -106,12 +106,10 @@ func NewGamma(gamma float64) *Gamma {
 	g := &Gamma{invG: 1 / gamma}
 	for i := range g.coarse {
 		v := float64(i) / 16
-		//lint:ignore hotalloc table construction runs once per camera, not per pixel
 		g.coarse[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits))) //lint:ignore intrange the encode curve maps [0,255]→[0,255], so the Q16 node value is bounded by 255·2^16 < 2^24
 	}
 	for i := range g.fine {
 		v := float64(i) / 256
-		//lint:ignore hotalloc table construction runs once per camera, not per pixel
 		g.fine[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits))) //lint:ignore intrange same bound: curve node values stay below 2^24
 	}
 	return g

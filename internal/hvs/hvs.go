@@ -142,7 +142,6 @@ func (o Observer) FlickerAmplitude(samples []float64, fs float64) float64 {
 	win := make([]float64, n)
 	var wsum float64
 	for i := range win {
-		//lint:ignore hotalloc the Hann table is built once per flicker measurement over n temporal samples, not per pixel
 		win[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
 		wsum += win[i]
 	}
@@ -168,7 +167,7 @@ func (o Observer) FlickerAmplitude(samples []float64, fs float64) float64 {
 			// Direct per-bin evaluation keeps the flicker pins bit-stable;
 			// a rotation recurrence would drift the Fig. 3/6 means. n is
 			// temporal samples (hundreds), far off the per-pixel path.
-			re += v * math.Cos(w*float64(i)) //lint:ignore hotalloc exact DFT bin over temporal samples, not pixels; a recurrence would change pinned flicker scores
+			re += v * math.Cos(w*float64(i))
 			im -= v * math.Sin(w*float64(i))
 		}
 		amp := 2 * math.Hypot(re, im) / wsum
@@ -296,10 +295,8 @@ func Panel(n int, seed int64) []Observer {
 	panel := make([]Observer, n)
 	for i := range panel {
 		o := DefaultObserver()
-		//lint:ignore hotalloc panel construction draws once per observer, not per pixel
 		o.Sensitivity = math.Exp(rng.NormFloat64() * 0.25)
 		o.CFFBase += rng.NormFloat64() * 2
-		//lint:ignore hotalloc same once-per-observer draw
 		o.PhantomSensitivity = math.Exp(rng.NormFloat64() * 0.3)
 		panel[i] = o
 	}

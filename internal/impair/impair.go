@@ -20,7 +20,6 @@ package impair
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"inframe/internal/detrng"
@@ -302,12 +301,17 @@ func (s *Stack) Names() []string {
 	return out
 }
 
-// rng returns the random stream of one (stage, capture index) cell via
-// the shared splitmix64 finalizer (detrng.Mix), so adjacent indices land
-// far apart in seed space; keying by index — never worker identity — is
-// what keeps impaired runs bit-identical at any worker count.
-func (s *Stack) rng(stage detrng.Stage, index int) *rand.Rand {
-	return detrng.Rand(s.cfg.Seed, stage, index)
+// uniform returns the first uniform draw of one (stage, capture index)
+// cell's stream. The cell's seed comes from the shared splitmix64
+// finalizer (detrng.Mix), so adjacent indices land far apart in seed
+// space; keying by index — never worker identity — is what keeps impaired
+// runs bit-identical at any worker count. The draw is math/rand's first
+// Float64 of that seed, taken from pooled generator state.
+func (s *Stack) uniform(stage detrng.Stage, index int) float64 {
+	rng := detrng.NewStream(detrng.Mix(s.cfg.Seed, stage, index))
+	u := rng.Float64()
+	rng.Release()
+	return u
 }
 
 // Period returns the impaired camera frame period: the nominal period skewed
@@ -321,7 +325,7 @@ func (s *Stack) Period(base float64) float64 {
 func (s *Stack) CaptureTime(i int, start, period float64) float64 {
 	t := start + float64(i)*period
 	if s.cfg.StartJitter > 0 {
-		t += (2*s.rng(detrng.ImpairJitter, i).Float64() - 1) * s.cfg.StartJitter
+		t += (2*s.uniform(detrng.ImpairJitter, i) - 1) * s.cfg.StartJitter
 	}
 	return t
 }
@@ -455,10 +459,10 @@ func clampIdx(i, n int) int {
 // happened to captures before it — ApplySequence and a consumer streaming
 // captures as they finish read the same decisions.
 func (s *Stack) Copies(i int) int {
-	if s.cfg.DropRate > 0 && s.rng(detrng.ImpairDrop, i).Float64() < s.cfg.DropRate {
+	if s.cfg.DropRate > 0 && s.uniform(detrng.ImpairDrop, i) < s.cfg.DropRate {
 		return 0
 	}
-	if s.cfg.DupRate > 0 && s.rng(detrng.ImpairDup, i).Float64() < s.cfg.DupRate {
+	if s.cfg.DupRate > 0 && s.uniform(detrng.ImpairDup, i) < s.cfg.DupRate {
 		return 2
 	}
 	return 1

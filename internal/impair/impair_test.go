@@ -189,7 +189,8 @@ func TestApplySequenceDropAndDup(t *testing.T) {
 		caps[i] = frame.NewFilled(8, 6, float32(i%200))
 		times[i] = float64(i) * 0.1
 	}
-	s := New(Config{Seed: 3, DropRate: 0.25, DupRate: 0.25})
+	const seed = 3
+	s := New(Config{Seed: seed, DropRate: 0.25, DupRate: 0.25})
 	outCaps, outTimes := s.ApplySequence(caps, times, 0.1, pool)
 	if len(outCaps) != len(outTimes) {
 		t.Fatalf("caps/times length mismatch: %d vs %d", len(outCaps), len(outTimes))
@@ -199,15 +200,16 @@ func TestApplySequenceDropAndDup(t *testing.T) {
 	}
 	// Every dropped frame went back to the pool; every duplicate came out
 	// of it (possibly reusing a dropped buffer). Replay the per-index
-	// decisions from the stage streams and demand the stats balance.
+	// decisions through math/rand itself (detrng.Rand, the generator the
+	// Stack's pooled streams copy) and demand the stats balance.
 	st := pool.Stats()
 	dropped, dups := 0, 0
 	for i := 0; i < n; i++ {
-		if s.rng(detrng.ImpairDrop, i).Float64() < 0.25 {
+		if detrng.Rand(seed, detrng.ImpairDrop, i).Float64() < 0.25 {
 			dropped++
 			continue
 		}
-		if s.rng(detrng.ImpairDup, i).Float64() < 0.25 {
+		if detrng.Rand(seed, detrng.ImpairDup, i).Float64() < 0.25 {
 			dups++
 		}
 	}
@@ -241,6 +243,36 @@ func TestApplySequenceDropAndDup(t *testing.T) {
 	rCaps, rTimes := New(s.Config()).ApplySequence(caps2, append([]float64(nil), times...), 0.1, frame.NewPool())
 	if len(rCaps) != len(outCaps) || !reflect.DeepEqual(rTimes, outTimes) {
 		t.Error("replayed sequence decisions diverge")
+	}
+
+	// The start jitter and the pose jitter draw from their cells' streams
+	// too: the same math/rand values, bit for bit.
+	const jitter, start, period = 2e-4, 0.01, 0.1
+	js := New(Config{Seed: seed, StartJitter: jitter})
+	for i := 0; i < n; i++ {
+		want := start + float64(i)*period
+		want += (2*detrng.Rand(seed, detrng.ImpairJitter, i).Float64() - 1) * jitter
+		if got := js.CaptureTime(i, start, period); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("capture %d: CaptureTime = %v, the math/rand draw gives %v", i, got, want)
+		}
+	}
+	pcfg := Config{Seed: seed, TiltDeg: 20, RotateDeg: 4, Distance: 1.2, PoseJitterDeg: 2}
+	ps := New(pcfg)
+	for i := 0; i < 8; i++ {
+		f := frame.New(48, 32)
+		for j := range f.Pix {
+			f.Pix[j] = float32((j*41 + i) % 256)
+		}
+		want := f.Clone()
+		rng := detrng.Rand(seed, detrng.ImpairPose, i)
+		tilt := pcfg.TiltDeg + (2*rng.Float64()-1)*pcfg.PoseJitterDeg
+		roll := pcfg.RotateDeg + (2*rng.Float64()-1)*pcfg.PoseJitterDeg
+		frame.WarpInto(f, want, poseInverse(f.W, f.H, tilt, roll, pcfg.Distance))
+		want.Quantize()
+		ps.ApplyFrame(f, i, 0.1, 0.001)
+		if !f.Equal(want) {
+			t.Fatalf("capture %d: jittered pose differs from the warp of the math/rand pose draws", i)
+		}
 	}
 }
 

@@ -77,9 +77,10 @@ func (s *Stack) applyPose(f *frame.Frame, index int) {
 	}
 	f.CloneInto(src)
 	if s.cfg.PoseJitterDeg > 0 {
-		rng := s.rng(detrng.ImpairPose, index)
+		rng := detrng.NewStream(detrng.Mix(s.cfg.Seed, detrng.ImpairPose, index))
 		tilt := s.cfg.TiltDeg + (2*rng.Float64()-1)*s.cfg.PoseJitterDeg
 		roll := s.cfg.RotateDeg + (2*rng.Float64()-1)*s.cfg.PoseJitterDeg
+		rng.Release()
 		frame.WarpInto(src, f, poseInverse(f.W, f.H, tilt, roll, s.cfg.Distance))
 	} else {
 		s.posePlanFor(f.W, f.H).Into(src, f)

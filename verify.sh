@@ -139,8 +139,12 @@ run_alloc_tests() {
 	# recycling of closed displays: a second Simulate of the same panel
 	# allocates no slot; it skips under -race. TestCaptureNoiseAllocs pins
 	# the sensor noise's pooled generator state: a warm noisy capture
-	# allocates what a noiseless one does; it skips under -race.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots|TestCaptureNoiseAllocs' -count=1 .
+	# allocates what a noiseless one does; TestImpairDrawAllocs pins that a
+	# warm impairment stack's jitter and drop/dup draws allocate nothing;
+	# both skip under -race. TestWorkerCountInvariancePooled checks pooled
+	# output is bit-identical to unpooled. CI's allocs job runs the same
+	# list: change both together.
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestWorkerCountInvariancePooled|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots|TestCaptureNoiseAllocs|TestImpairDrawAllocs' -count=1 .
 }
 
 run_kernels() {
