@@ -388,6 +388,67 @@ func TestReceiverMeasureAllocs(t *testing.T) {
 	}
 }
 
+// TestEnergyScanAllocs pins the integer energy scan's heap: the shutter
+// weights, the capture's 8-bit codes, the window-sum rows and the Block
+// list come from one package-level scratch pool every receiver shares, so a
+// warm rigid 640×360 MeasureCaptureAt with the timing model on allocates
+// its two result slices and nothing else. It reads allocation counts with
+// the garbage collector off (which would empty the scratch pool), and
+// skips under the race detector.
+func TestEnergyScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate: runs uninstrumented in the alloc stage")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	l, err := ScaledPaperLayout(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := DefaultReceiverConfig(DefaultParams(l), 640, 360)
+	rcfg.Workers = 1
+	rcfg.Exposure, rcfg.ReadoutTime = 0.0007, 0.008
+	rx, err := NewReceiver(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := frame.New(640, 360)
+	for i := range f.Pix {
+		f.Pix[i] = float32((i * 29) % 256)
+	}
+	rx.MeasureCaptureAt(f, 0.01)
+	allocs := testing.AllocsPerRun(20, func() {
+		rx.MeasureCaptureAt(f, 0.01)
+	})
+	if allocs != 2 {
+		t.Errorf("a warm MeasureCaptureAt allocates %.1f times, want 2 (its scores and qualities)", allocs)
+	}
+}
+
+// TestWarpPlanAllocs pins the integer warp's heap: an integral capture's
+// 8-bit codes are narrowed into pooled scratch, so a warm WarpPlan.Into of
+// pose-tilt30's 1280×720 capture onto the 960×540 display plane allocates
+// nothing. It reads allocation counts with the garbage collector off, and
+// skips under the race detector.
+func TestWarpPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate: runs uninstrumented in the alloc stage")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	src := frame.New(1280, 720)
+	for i := range src.Pix {
+		src.Pix[i] = float32((i * 29) % 256)
+	}
+	dst := frame.New(960, 540)
+	plan := frame.NewWarpPlan(poseFixture, 1280, 720, 960, 540)
+	plan.Into(src, dst)
+	allocs := testing.AllocsPerRun(10, func() {
+		plan.Into(src, dst)
+	})
+	if allocs != 0 {
+		t.Errorf("a warm WarpPlan.Into of an integral capture allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestPoseStageAllocs pins the camera-pose stage's memory: a fixed pose
 // warps through one plan per Stack, built on its first posed capture, and
 // the clone of the capture it warps from comes from one package-level

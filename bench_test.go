@@ -255,28 +255,34 @@ var poseFixture = frame.Homography{M: [9]float64{
 // 1280×720 capture once framed head-on (rigid) and once under the fixture
 // pose (registered), where each measurement first rectifies the capture
 // through the receiver's warp plan onto the 960×540 display plane. The
-// registered/rigid ratio is the price of the rectification.
+// registered/rigid ratio is the price of the rectification. fraction is
+// the default capture with a fractional last pixel: the narrowing to 8-bit
+// codes fails only at its end, and the float path follows.
 func BenchmarkMeasureCapture(b *testing.B) {
 	l := benchLayout()
 	p := core.DefaultParams(l)
-	run := func(b *testing.B, w, h int, pose *frame.Homography) {
-		rcfg := core.DefaultReceiverConfig(p, w, h)
+	run := func(b *testing.B, cap *frame.Frame, pose *frame.Homography) {
+		rcfg := core.DefaultReceiverConfig(p, cap.W, cap.H)
 		rcfg.Pose = pose
 		rcfg.Pool = frame.NewPool()
 		rcv, err := core.NewReceiver(rcfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cap := frame.NewFilled(w, h, 127)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rcv.MeasureCapture(cap)
 		}
 	}
-	b.Run("default", func(b *testing.B) { run(b, 640, 360, nil) })
-	b.Run("rigid", func(b *testing.B) { run(b, 1280, 720, nil) })
-	b.Run("registered", func(b *testing.B) { run(b, 1280, 720, &poseFixture) })
+	b.Run("default", func(b *testing.B) { run(b, frame.NewFilled(640, 360, 127), nil) })
+	b.Run("fraction", func(b *testing.B) {
+		cap := frame.NewFilled(640, 360, 127)
+		cap.Pix[len(cap.Pix)-1] = 127.5
+		run(b, cap, nil)
+	})
+	b.Run("rigid", func(b *testing.B) { run(b, frame.NewFilled(1280, 720, 127), nil) })
+	b.Run("registered", func(b *testing.B) { run(b, frame.NewFilled(1280, 720, 127), &poseFixture) })
 }
 
 // BenchmarkWarp measures pose-tilt30's two per-capture warps of an 8-bit

@@ -195,7 +195,8 @@ func (iv interval) shl(o interval) interval {
 	return interval{iv.lo, iv.hi * f}
 }
 
-// shr models x >> k for non-negative x: the result can only shrink.
+// shr models x >> k for non-negative x as floor(x / 2^k): smallest at the
+// widest shift in o, largest at the narrowest.
 func (iv interval) shr(o interval) interval {
 	if iv.isEmpty() || o.isEmpty() {
 		return iv.union(o)
@@ -203,8 +204,10 @@ func (iv interval) shr(o interval) interval {
 	if iv.lo < 0 || o.lo < 0 {
 		return topInterval()
 	}
-	f := math.Pow(2, math.Min(o.lo, 63))
-	return interval{math.Floor(iv.lo / f), iv.hi}
+	return interval{
+		math.Floor(iv.lo / math.Pow(2, math.Min(o.hi, 63))),
+		math.Floor(iv.hi / math.Pow(2, math.Min(o.lo, 63))),
+	}
 }
 
 // and models x & m for non-negative operands: bounded by the smaller of

@@ -81,6 +81,32 @@ func sumCounted(p []uint8) int {
 	return s
 }
 
+// blendQ16 blends two Q16 samples by a Q16 weight and brings the Q32 sum
+// back by a constant shift: the shift divides the non-negative sum's whole
+// range by 2^16, so the narrowing is proven.
+//
+//range:a 0,16711680
+//range:b 0,16711680
+//range:w 0,65536
+func blendQ16(a, b, w int64) int32 {
+	return int32((a*(65536-w) + b*w) >> 16)
+}
+
+// shiftSigned shifts an operand that may be negative, where a right shift
+// floors away from the interval the analyzer can bound.
+//
+//hot:signed shift
+func shiftSigned(a, b uint8) int32 {
+	return int32((int64(a) - int64(b)) << 40 >> 16) // want "cannot prove this conversion to int32"
+}
+
+// shiftTooLittle shifts by less than the narrowing needs.
+//
+//hot:short shift
+func shiftTooLittle(a uint8) int32 {
+	return int32(int64(a) << 40 >> 8) // want "cannot prove this conversion to int32"
+}
+
 // scaled carries a //range contract: the parameter is seeded [0, 255],
 // and every caller must prove its argument stays inside it.
 //

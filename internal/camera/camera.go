@@ -301,17 +301,13 @@ func (c *Camera) resampler(w, h int) *frame.Resampler {
 // gamma-encoded values in place, through the camera's Q16 fixed-point
 // curve table (the error bound against the exact math.Pow curve is in
 // fixed.Gamma's doc), and, with quantize set, rounds each to its 8-bit
-// code in the same store.
+// code.
 func (c *Camera) encode(row []float32, quantize bool) {
-	g := c.gamma
+	c.gamma.EncodeRow(row)
 	if quantize {
 		for i, v := range row {
-			row[i] = float32(fixed.Round8(g.Encode8(v)))
+			row[i] = float32(fixed.Round8(v))
 		}
-		return
-	}
-	for i, v := range row {
-		row[i] = g.Encode8(v)
 	}
 }
 

@@ -256,30 +256,32 @@ type Receiver struct {
 
 type capRect struct{ x0, y0, w, h int }
 
-// intBufs is one measurement's integer scratch: the full-plane window sums
-// and the column-pass scratch of fixed.WindowSums.
-type intBufs struct {
-	sums, col []int32
+// scanBufs is one measurement's scratch: the shutter weights by sensor row
+// and, for the integer energy scan, the plane's 8-bit codes, the window-sum
+// rows of fixed.WindowRows and the Blocks the current row crosses.
+type scanBufs struct {
+	weights []float64
+	pix     []uint8
+	sums    []int
+	active  []int
 }
 
-// intScratch recycles the integer-kernel window-sum buffers across the
-// measurements of every receiver in the process. Measurements run
-// concurrently (DecodeCaptures fans out per capture; a fleet measures each
-// member's captures on one shared pool), so the scratch is a sync.Pool, and
-// one pool for all receivers keeps a fleet of N receivers from missing N
-// times as often. Scratch only: contents never survive a measurement, so
+// scanScratch recycles the measurement scratch across the measurements of
+// every receiver in the process. Measurements run concurrently
+// (DecodeCaptures fans out per capture; a fleet measures each member's
+// captures on one shared pool), so the scratch is a sync.Pool, and one pool
+// for all receivers keeps a fleet of N receivers from missing N times as
+// often. Scratch only: contents never survive a measurement, so
 // scheduling-dependent reuse cannot change an output.
-var intScratch sync.Pool
+var scanScratch sync.Pool
 
-// getIntBufs draws (or grows) the integer scratch for a w×h capture
-// smoothed at radius r: the full-plane sums and WindowSums' column-pass
-// scratch.
-func getIntBufs(w, h, r int) *intBufs {
-	b, _ := intScratch.Get().(*intBufs)
-	if nCol := fixed.WindowScratch(w, h, r); b == nil || len(b.sums) < w*h || len(b.col) < nCol {
-		b = &intBufs{sums: make([]int32, w*h), col: make([]int32, nCol)}
+// resize returns s at length n, reallocated only when its capacity is
+// short; the contents are not kept.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return b
+	return s[:n]
 }
 
 // NewReceiver builds a receiver and precomputes Block→capture geometry.
@@ -378,6 +380,19 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if r.visible == 0 {
 		return nil, fmt.Errorf("core: no block maps into the capture")
 	}
+	// The calibration maps display rows to capture rows with a positive
+	// scale, so Block rows reach the capture top to bottom: the integer
+	// scan relies on meeting the rects' tops in index order.
+	top := 0
+	for _, rect := range r.rects {
+		if rect.w == 0 {
+			continue
+		}
+		if rect.y0 < top {
+			panic("core: Block rects out of top-to-bottom order")
+		}
+		top = rect.y0
+	}
 	return r, nil
 }
 
@@ -462,9 +477,10 @@ const rowAttenuationFloor = 0.15
 // rowWeights returns, for each capture row, the predicted chessboard
 // attenuation caused by the row's exposure straddling a complementary sign
 // flip (1 = clean, 0 = dropped). t0 is the first row's exposure start; rows
-// read out uniformly over ReadoutTime. Returns nil when the timing model is
-// disabled or the capture time is unknown (NaN).
-func (r *Receiver) rowWeights(t0 float64) []float64 {
+// read out uniformly over ReadoutTime. The weights overwrite ws (at least
+// CaptureH long), which is returned resliced, or nil when the timing model
+// is disabled or the capture time is unknown (NaN).
+func (r *Receiver) rowWeights(t0 float64, ws []float64) []float64 {
 	if r.cfg.Exposure <= 0 || math.IsNaN(t0) {
 		return nil
 	}
@@ -473,7 +489,7 @@ func (r *Receiver) rowWeights(t0 float64) []float64 {
 	if r.cfg.CaptureH > 1 {
 		rowDt = r.cfg.ReadoutTime / float64(r.cfg.CaptureH)
 	}
-	ws := make([]float64, r.cfg.CaptureH)
+	ws = ws[:r.cfg.CaptureH]
 	for y := range ws {
 		start := t0 + float64(y)*rowDt
 		// Exact range reduction: start may sit thousands of refresh periods
@@ -541,140 +557,217 @@ func (r *Receiver) MeasureCaptureAt(f *frame.Frame, t0 float64) ([]float64, []fl
 // measureOn runs the §3.3 Block scan over one plane — the capture itself on
 // the rigid path, the pool-borrowed rectified plane in projective mode
 // (warped = true, which adds the spatial-aggregation tent weighting).
+//
+// Each Block's estimate is Σ w·m / Σ w² over its rows in increasing y, m
+// the row's residual sum and w its weight (rowWeight); until the last loop,
+// scores and quality hold those two sums.
 func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64, []float64) {
 	scores := make([]float64, len(r.rects))
 	quality := make([]float64, len(r.rects))
-	// Integer fast path (DESIGN.md §5j): an 8-bit-quantized capture under
-	// the energy detector measures through exact integer window sums
-	// instead of the float box blur — Σ|pix·(2r+1)² − windowsum| / (2r+1)²
-	// is the blur-subtract residual without the float rounding of the
-	// two-pass blur. Matched-detector and non-integral (e.g. analog-gain
-	// impaired) captures keep the float path. The radius bounds restate
-	// ReceiverConfig.Validate so the fixed.WindowSums //range contract is
-	// provable at this call site.
-	sr := r.cfg.SmoothRadius
-	var (
-		sm    *frame.Frame
-		bufs  *intBufs
-		scale int32 = 1
-	)
-	if r.cfg.Detector == DetectorEnergy && sr >= 1 && sr <= 128 && fixed.IsIntegral8(f.Pix) {
-		bufs = getIntBufs(f.W, f.H, sr)
-		fixed.WindowSums(f.Pix, f.W, f.H, sr, bufs.sums, bufs.col)
-		side := int32(2*sr + 1)
-		scale = side * side
-	} else {
-		// The smoothing plane is pure scratch: borrowed from the pool for
-		// the scan below and returned before this measurement ends.
-		sm = r.pool.Get(f.W, f.H)
-		frame.BoxBlurInto(f, sm, r.cfg.SmoothRadius, r.pool)
+	bufs, _ := scanScratch.Get().(*scanBufs)
+	if bufs == nil {
+		bufs = new(scanBufs)
 	}
-	weights := r.rowWeights(t0)
-	l := r.cfg.Layout
-	// Chessboard phase in capture coordinates, for the matched detector:
-	// display Pixel (x/p, y/p) found by inverting the calibration map (in
-	// projective mode the scan runs on the rectified plane, where the
-	// axis-aligned calib is the correct map by construction).
-	calib := r.calib
-	var pose frame.Homography
+	bufs.weights = resize(bufs.weights, r.cfg.CaptureH)
+	weights := r.rowWeights(t0, bufs.weights)
+	var pose *frame.Homography
 	if warped {
-		pose = r.rectify.Homography()
+		h := r.rectify.Homography()
+		pose = &h
 	}
-	sxInv := 1 / calib.ScaleX
-	syInv := 1 / calib.ScaleY
-	offX, offY := calib.OffX, calib.OffY
+	// Integer fast path (DESIGN.md §5j): a plane that narrows to 8-bit codes
+	// under the energy detector is measured through exact integer window
+	// sums instead of the float box blur — Σ|pix·(2r+1)² − windowsum| /
+	// (2r+1)² is the blur-subtract residual without the float rounding of
+	// the two-pass blur. Matched-detector and non-integral (analog-gain
+	// impaired, rectified) planes keep the float path, and so does a radius
+	// above 128, the kernels' range: the bounds make scanCodes' //range
+	// contract provable at its call site.
+	integral := false
+	if sr := r.cfg.SmoothRadius; r.cfg.Detector == DetectorEnergy && sr >= 1 && sr <= 128 {
+		bufs.pix = resize(bufs.pix, f.W*f.H)
+		if fixed.Narrow8(bufs.pix, f.Pix) {
+			bufs.sums = resize(bufs.sums, fixed.WindowRowsScratch(f.W, f.H, sr))
+			bufs.active = resize(bufs.active, len(r.rects))
+			r.scanCodes(bufs, f.W, f.H, sr, weights, pose, scores, quality)
+			integral = true
+		}
+	}
+	if !integral {
+		r.scanFloat(f, weights, pose, scores, quality)
+	}
+	scanScratch.Put(bufs)
 	for i, rect := range r.rects {
 		if rect.w == 0 || rect.h == 0 {
 			scores[i] = math.NaN()
 			continue
 		}
-		var acc float64
-		var n float64
-		// Shutter weights are indexed by *sensor* row. On the rigid path the
-		// scan plane is the sensor; in projective mode each rectified row
-		// images from the sensor row the pose maps it to (taken at the
-		// Block's center column — row-timing varies slowly across a Block).
-		cxMid := float64(rect.x0) + float64(rect.w)/2
-		for y := rect.y0; y < rect.y0+rect.h; y++ {
-			rowW := 1.0
-			if weights != nil {
-				wy := y
-				if warped {
-					_, fy, ok := pose.Apply(cxMid, float64(y)+0.5)
-					if !ok {
-						continue
-					}
-					wy = int(fy)
-					if wy < 0 || wy >= len(weights) {
-						// The row reads only overscan zeros; skip it.
-						continue
-					}
-				}
-				rowW = weights[wy]
-				//lint:ignore floateq rowWeights assigns the exact sentinel 0 below the attenuation floor; this tests that sentinel
-				if rowW == 0 {
-					continue
-				}
-			}
-			if warped {
-				// Spatial-aggregation weighting for residual warp: a tent
-				// over the Block's rows, [0.5, 1] with the peak at the
-				// center. Registration errors displace a Block's edges
-				// first, so edge rows carry the neighbour-mixing risk;
-				// down-weighting them degrades the estimate smoothly with
-				// residual warp instead of cliffing, and the SNR-style
-				// Σw·m / Σw² estimator below stays unbiased for clean rows.
-				fr := float64(2*(y-rect.y0)+1)/float64(rect.h) - 1
-				rowW *= 1 - 0.5*math.Abs(fr)
-			}
-			base := y * f.W
-			var rowAcc float64
-			if bufs != nil {
-				rs := base + rect.x0
-				rowAcc = float64(fixed.RowAbsEnergy(f.Pix[rs:rs+rect.w], bufs.sums[rs:rs+rect.w], scale)) / float64(scale)
-			} else {
-				for x := rect.x0; x < rect.x0+rect.w; x++ {
-					d := float64(f.Pix[base+x] - sm.Pix[base+x])
-					switch r.cfg.Detector {
-					case DetectorMatched:
-						dx := int((float64(x)-offX)*sxInv) / l.PixelSize
-						dy := int((float64(y)-offY)*syInv) / l.PixelSize
-						if ChessOn(dx, dy) {
-							rowAcc += d
-						} else {
-							rowAcc -= d
-						}
-					default:
-						rowAcc += math.Abs(d)
-					}
-				}
-			}
-			// SNR weighting: estimate = Σ w·m / Σ w², which reduces to the
-			// plain mean when every row is clean (w = 1).
-			acc += rowAcc * rowW
-			n += float64(rect.w) * rowW * rowW
-		}
 		// n sums strictly positive terms (rect.w · rowW², rowW ≥ the
 		// attenuation floor), so it is exactly zero iff every row was
 		// skipped — the division guard needs the exact test.
+		n := quality[i]
 		//lint:ignore floateq divide-by-zero guard on a sum of strictly positive terms
 		if n == 0 {
 			scores[i] = math.NaN()
-			quality[i] = 0
 			continue
 		}
-		s := acc / n
+		s := scores[i] / n
 		if r.cfg.Detector == DetectorMatched {
 			s = math.Abs(s)
 		}
 		scores[i] = s
 		quality[i] = n / float64(rect.w*rect.h)
 	}
-	if bufs != nil {
-		intScratch.Put(bufs)
-	}
-	r.pool.Put(sm) // nil on the integer path: a no-op by the Put contract
 	return scores, quality
+}
+
+// scanCodes is the integer energy scan of a w×h plane narrowed to its
+// 8-bit codes (bufs.pix) at smoothing radius sr: one pass down the plane's
+// rows, meeting the Blocks in index order, which NewReceiver checked is
+// the order of their tops. Each Block rect the row crosses folds its row
+// residual Σ|pix·(2sr+1)² − windowsum| / (2sr+1)² into acc and its weight
+// into n,
+// in increasing y per Block as measureOn's estimate requires; the window
+// sums of a row are formed only when some rect reads it.
+//
+//range:sr 1,128
+func (r *Receiver) scanCodes(bufs *scanBufs, w, h, sr int, weights []float64, pose *frame.Homography, acc, n []float64) {
+	side := 2*sr + 1
+	scale := side * side
+	var win fixed.WindowRows
+	win.Reset(bufs.pix, w, h, sr, bufs.sums)
+	active := bufs.active[:0]
+	next := 0 // the first Block not yet met
+	for y := 0; ; y++ {
+		for next < len(r.rects) && r.rects[next].w == 0 {
+			next++
+		}
+		if len(active) == 0 {
+			if next == len(r.rects) {
+				return
+			}
+			y = max(y, r.rects[next].y0)
+		}
+		for next < len(r.rects) && r.rects[next].y0 <= y {
+			if r.rects[next].w > 0 {
+				active = append(active, next)
+			}
+			next++
+		}
+		var sums []int
+		keep := active[:0]
+		for _, i := range active {
+			rect := r.rects[i]
+			if rowW, ok := rowWeight(rect, y, weights, pose); ok {
+				if sums == nil {
+					sums = win.Row(y)
+				}
+				rs := y*w + rect.x0
+				rowAcc := float64(fixed.RowAbsEnergy8(bufs.pix[rs:rs+rect.w], sums[rect.x0:rect.x0+rect.w], scale)) / float64(scale)
+				acc[i] += rowAcc * rowW
+				n[i] += float64(rect.w) * rowW * rowW
+			}
+			if y+1 < rect.y0+rect.h {
+				keep = append(keep, i)
+			}
+		}
+		active = keep
+	}
+}
+
+// scanFloat is the float Block scan: the plane's box blur from the pool,
+// then each Block's rows in increasing y, folding the row residual (|d|
+// summed for the energy detector, d signed by the chessboard phase for the
+// matched one) into acc and its weight into n.
+func (r *Receiver) scanFloat(f *frame.Frame, weights []float64, pose *frame.Homography, acc, n []float64) {
+	// The smoothing plane is pure scratch: borrowed from the pool for the
+	// scan below and returned before this measurement ends.
+	sm := r.pool.Get(f.W, f.H)
+	frame.BoxBlurInto(f, sm, r.cfg.SmoothRadius, r.pool)
+	l := r.cfg.Layout
+	// Chessboard phase in capture coordinates, for the matched detector:
+	// display Pixel (x/p, y/p) found by inverting the calibration map (in
+	// projective mode the scan runs on the rectified plane, where the
+	// axis-aligned calib is the correct map by construction).
+	calib := r.calib
+	sxInv := 1 / calib.ScaleX
+	syInv := 1 / calib.ScaleY
+	offX, offY := calib.OffX, calib.OffY
+	for i, rect := range r.rects {
+		if rect.w == 0 || rect.h == 0 {
+			continue
+		}
+		for y := rect.y0; y < rect.y0+rect.h; y++ {
+			rowW, ok := rowWeight(rect, y, weights, pose)
+			if !ok {
+				continue
+			}
+			base := y * f.W
+			var rowAcc float64
+			for x := rect.x0; x < rect.x0+rect.w; x++ {
+				d := float64(f.Pix[base+x] - sm.Pix[base+x])
+				switch r.cfg.Detector {
+				case DetectorMatched:
+					dx := int((float64(x)-offX)*sxInv) / l.PixelSize
+					dy := int((float64(y)-offY)*syInv) / l.PixelSize
+					if ChessOn(dx, dy) {
+						rowAcc += d
+					} else {
+						rowAcc -= d
+					}
+				default:
+					rowAcc += math.Abs(d)
+				}
+			}
+			// SNR weighting: estimate = Σ w·m / Σ w², which reduces to the
+			// plain mean when every row is clean (w = 1).
+			acc[i] += rowAcc * rowW
+			n[i] += float64(rect.w) * rowW * rowW
+		}
+	}
+	r.pool.Put(sm)
+}
+
+// rowWeight returns the weight of row y of rect in its Block's estimate,
+// and false for a row the estimate skips. weights are the shutter weights
+// by sensor row (nil without a timing model). On the rigid path (pose nil)
+// the scan plane is the sensor; in projective mode each rectified row
+// images from the sensor row pose maps it to (taken at the Block's center
+// column — row-timing varies slowly across a Block), and a tent over the
+// Block's rows scales the weight.
+func rowWeight(rect capRect, y int, weights []float64, pose *frame.Homography) (float64, bool) {
+	rowW := 1.0
+	if weights != nil {
+		wy := y
+		if pose != nil {
+			cxMid := float64(rect.x0) + float64(rect.w)/2
+			_, fy, ok := pose.Apply(cxMid, float64(y)+0.5)
+			if !ok {
+				return 0, false
+			}
+			wy = int(fy)
+			if wy < 0 || wy >= len(weights) {
+				// The row reads only overscan zeros; skip it.
+				return 0, false
+			}
+		}
+		rowW = weights[wy]
+		//lint:ignore floateq rowWeights assigns the exact sentinel 0 below the attenuation floor; this tests that sentinel
+		if rowW == 0 {
+			return 0, false
+		}
+	}
+	if pose != nil {
+		// Spatial-aggregation weighting for residual warp: a tent over the
+		// Block's rows, [0.5, 1] with the peak at the center. Registration
+		// errors displace a Block's edges first, so edge rows carry the
+		// neighbour-mixing risk; down-weighting them degrades the estimate
+		// smoothly with residual warp instead of cliffing, and the SNR-style
+		// Σw·m / Σw² estimator stays unbiased for clean rows.
+		fr := float64(2*(y-rect.y0)+1)/float64(rect.h) - 1
+		rowW *= 1 - 0.5*math.Abs(fr)
+	}
+	return rowW, true
 }
 
 // GOBResult summarizes one Group of Blocks of one decoded data frame.

@@ -17,7 +17,7 @@ func fuzzCaptures(l Layout, seed int64, n int, tBase float64, mode uint8) ([]*fr
 	times := make([]float64, n)
 	for i := range caps {
 		fr := frame.New(l.FrameW, l.FrameH)
-		switch mode % 6 {
+		switch mode % 7 {
 		case 0: // uniform noise
 			for j := range fr.Pix {
 				fr.Pix[j] = float32(rng.Float64() * 255)
@@ -47,6 +47,12 @@ func fuzzCaptures(l Layout, seed int64, n int, tBase float64, mode uint8) ([]*fr
 			for k := 0; k < 16; k++ {
 				fr.Pix[rng.Intn(len(fr.Pix))] = float32(rng.Float64() * 512)
 			}
+		case 6: // 8-bit codes but a fractional last pixel: the narrowing
+			// to the integer scan fails only after a full pass
+			for j := range fr.Pix {
+				fr.Pix[j] = float32(rng.Intn(256))
+			}
+			fr.Pix[len(fr.Pix)-1] = 127.5
 		default: // hostile sizes: nil, empty, wrong-size, short pixel buffer
 			hostile := hostileCaptures(l.FrameW, l.FrameH)
 			fr = hostile[rng.Intn(len(hostile))]
@@ -108,6 +114,7 @@ func FuzzDecodeCaptures(f *testing.F) {
 	f.Add(int64(99), uint8(3), 1e300, math.Inf(1), uint8(3))
 	f.Add(int64(42), uint8(2), math.NaN(), math.NaN(), uint8(4))
 	f.Add(int64(8), uint8(7), 0.0, 1.0/120, uint8(5))
+	f.Add(int64(11), uint8(4), 0.0, 1.0/120, uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, nCaps uint8, tBase, exposure float64, mode uint8) {
 		p := smallParams()
 		l := p.Layout

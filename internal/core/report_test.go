@@ -343,7 +343,7 @@ func TestLinkQuality(t *testing.T) {
 	}
 	black := frame.NewFilled(l.FrameW, l.FrameH, 0)
 	scores, quality = r.MeasureCaptureAt(black, 0)
-	//lint:ignore floateq the clipped-frame score is exactly zeroed by the clip factor
+	// The clipped-frame score is exactly zeroed by the clip factor.
 	if q := r.linkQuality(black, scores, quality); q != 0 {
 		t.Fatalf("all-black link quality %v, want 0", q)
 	}
@@ -364,7 +364,7 @@ func TestDecodeReportEmpty(t *testing.T) {
 	if rep.GOBAvailability() != nil {
 		t.Fatal("empty report returned an availability map")
 	}
-	//lint:ignore floateq empty-report sentinels are exact
+	// Empty-report sentinels are exact.
 	if rep.MeanQuality() != 0 || !math.IsInf(rep.MinQuality(), 1) {
 		t.Fatalf("empty report mean/min = %v/%v", rep.MeanQuality(), rep.MinQuality())
 	}

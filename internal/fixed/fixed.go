@@ -1,18 +1,24 @@
-// Package fixed holds the int32 fixed-point kernels of the InFrame hot
-// path: the float→uint8 quantizer, the camera's gamma-encode lookup table
-// and the demultiplexer's integer box-window energy primitives. The
-// pipeline keeps its float32 frame representation (see package frame);
-// what moves to integer arithmetic is the per-pixel inner loops, where
-// transcendental calls (math.Pow, math.Round) and float rounding dominated
-// the EndToEnd profile.
+// Package fixed holds the integer kernels of the InFrame hot path: the
+// float→uint8 quantizer, the camera's gamma-encode lookup table, the
+// narrowing of integral float planes to 8-bit codes and the byte kernels
+// that read those codes — the demultiplexer's streamed box-window sums and
+// residual energy, and the warp's bilinear tap. The pipeline keeps its
+// float32 frame representation (see package frame); what moves to integer
+// arithmetic is the per-pixel inner loops, where transcendental calls
+// (math.Pow, math.Round) and float rounding dominated the EndToEnd profile.
+// Narrow8 is the one integrality test: a plane that narrows is read as
+// bytes by every integer kernel, and one that does not keeps its float
+// path.
 //
 // Two cutover classes exist, and DESIGN.md §5j keeps the ledger:
 //
 //   - Proven bit-identical: Round8 reproduces the math.Round-based
 //     reference exactly over its whole domain (the proof is in the Round8
-//     doc comment and pinned by TestFixedPointBitIdentity).
+//     doc comment and pinned by TestFixedPointBitIdentity); Narrow8,
+//     EncodeRow, WindowRows and RowAbsEnergy8 reproduce the kernels they
+//     replaced.
 //   - Re-pinned: the Q16 gamma LUT (Gamma) and the integer window-sum
-//     energy kernel are *exact integer* or *bounded-error* replacements
+//     energy detector are *exact integer* or *bounded-error* replacements
 //     whose outputs differ from the float reference in the last bits; the
 //     golden baselines were re-pinned once, with the error-bound argument
 //     recorded in DESIGN.md §5j.
@@ -124,117 +130,185 @@ func (g *Gamma) refEncode(v float32) float32 {
 	return float32(255 * math.Pow(float64(v)/255, g.invG))
 }
 
-// Encode8 gamma-encodes one linear sample on the 0..255 scale. Inputs at
-// or above 255 fall back to the exact math.Pow (the curve passes through
-// (255, 255) exactly, and the table does not extend past its domain);
-// non-positive and NaN inputs encode to 0, as in the reference.
+// Encode8 gamma-encodes one linear sample on the 0..255 scale: EncodeRow
+// on a row of one.
 func (g *Gamma) Encode8(v float32) float32 {
-	if !(v > 0) {
-		return 0
-	}
-	if v >= 255 {
-		//lint:ignore floateq 255 is exactly representable and the guard above already holds; equality selects the exact curve endpoint
-		if v == 255 {
-			return 255
-		}
-		return g.refEncode(v)
-	}
-	// v < 255 ⇒ x < 255·2^16 < 2^24: exact int32, truncated to Q16.
-	x := int32(v * (1 << qBits))
-	var q int32
-	if x < gammaFineMax<<qBits {
-		// Fine table: node step 1/256 = 2^8 in Q16.
-		i := x >> 8
-		f := x & (1<<8 - 1)
-		l0 := g.fine[i]
-		q = l0 + ((g.fine[i+1]-l0)*f)>>8 //lint:ignore intrange table nodes lie in [0, 255·2^16] and adjacent nodes differ by < 2^16, so the interpolation product stays below 2^24
-	} else {
-		// Coarse table: node step 1/16 = 2^12 in Q16.
-		i := x >> gammaTableBits
-		f := x & (1<<gammaTableBits - 1)
-		l0 := g.coarse[i]
-		q = l0 + ((g.coarse[i+1]-l0)*f)>>gammaTableBits //lint:ignore intrange same node bounds as the fine path: the Q16 interpolation product stays below 2^28
-	}
-	return float32(q) * (1.0 / (1 << qBits))
+	row := [1]float32{v}
+	g.EncodeRow(row[:])
+	return row[0]
 }
 
-// IsIntegral8 reports whether every sample is an integer in [0, 255] —
-// the precondition for the exact integer window-sum kernels (quantized
-// captures satisfy it; impaired frames with analog gain generally do not).
-func IsIntegral8(pix []float32) bool {
-	for _, v := range pix {
+// EncodeRow gamma-encodes a row of linear samples on the 0..255 scale in
+// place. Inputs at or above 255 fall back to the exact math.Pow (the curve
+// passes through (255, 255) exactly, and the table does not extend past its
+// domain); non-positive and NaN inputs encode to 0, as in the reference.
+func (g *Gamma) EncodeRow(row []float32) {
+	for i, v := range row {
+		if !(v > 0) {
+			row[i] = 0
+			continue
+		}
+		if v >= 255 {
+			//lint:ignore floateq 255 is exactly representable and the guard above already holds; equality selects the exact curve endpoint
+			if v == 255 {
+				row[i] = 255
+			} else {
+				row[i] = g.refEncode(v)
+			}
+			continue
+		}
+		// v < 255 ⇒ x < 255·2^16 < 2^24: exact int32, truncated to Q16.
+		x := int32(v * (1 << qBits))
+		var q int32
+		if x < gammaFineMax<<qBits {
+			// Fine table: node step 1/256 = 2^8 in Q16.
+			j := x >> 8
+			f := x & (1<<8 - 1)
+			l0 := g.fine[j]
+			q = l0 + ((g.fine[j+1]-l0)*f)>>8 //lint:ignore intrange table nodes lie in [0, 255·2^16] and adjacent nodes differ by < 2^16, so the interpolation product stays below 2^24
+		} else {
+			// Coarse table: node step 1/16 = 2^12 in Q16.
+			j := x >> gammaTableBits
+			f := x & (1<<gammaTableBits - 1)
+			l0 := g.coarse[j]
+			q = l0 + ((g.coarse[j+1]-l0)*f)>>gammaTableBits //lint:ignore intrange same node bounds as the fine path: the Q16 interpolation product stays below 2^28
+		}
+		row[i] = float32(q) * (1.0 / (1 << qBits))
+	}
+}
+
+// Narrow8 is the integrality test of every integer kernel: it reports
+// whether each sample of src is an integer in [0, 255] and, while it is,
+// writes that sample's 8-bit code to dst (len(dst) ≥ len(src)). −0 narrows
+// to 0; a fraction, a value outside [0, 255], NaN or ±Inf stops the scan
+// and returns false, leaving dst partly written. Quantized captures narrow;
+// impaired frames with analog gain and rectified planes generally do not.
+func Narrow8(dst []uint8, src []float32) bool {
+	dst = dst[:len(src)]
+	for i, v := range src {
 		if !(v >= 0 && v <= 255) {
 			return false
 		}
-		//lint:ignore floateq integrality is an exact property: v is integral iff it round-trips through int32
-		if v != float32(int32(v)) {
+		// Truncation never exceeds a non-negative v, so v is an integer iff
+		// it is not above its truncation.
+		u := int32(v)
+		if v > float32(u) {
 			return false
 		}
+		dst[i] = uint8(u)
 	}
 	return true
 }
 
-// WindowScratch returns the length of the col scratch WindowSums needs
-// for a w×h plane at radius r: min(r+1, h) saved row sums plus one row of
-// running column sums, each w wide.
-func WindowScratch(w, h, r int) int {
-	return (min(r+1, h) + 1) * w
+// WindowRows streams the (2r+1)×(2r+1) replicate-padded box window sums of
+// an 8-bit w×h plane, one row at a time, top to bottom: Row(y) is the
+// exact integer numerator of the box blur at row y, so sums[x] / (2r+1)²
+// is the blurred pixel. Each source row's horizontal window sums are
+// computed once, when the first row that needs them is asked for, into a
+// ring of min(2r+1, h) rows; a row's vertical sum adds its 2r+1 window rows
+// and is computed only when that row is asked for. Source rows outside
+// every window asked for are never summed. A WindowRows is ready once
+// Reset.
+type WindowRows struct {
+	pix     []uint8
+	w, h, r int
+	// ring holds the horizontal sums of source row j in slot j mod n; out
+	// is the vertical sum of the last row asked for. A sum is at most
+	// 255·(2r+1)², so plain ints hold it on any platform.
+	ring, out []int
+	n         int
+	// next is the first source row not yet summed into the ring; last is
+	// the last row asked for.
+	next, last int
 }
 
-// WindowSums computes, for every pixel of an integral-valued w×h plane,
-// the (2r+1)×(2r+1) replicate-padded box window sum into sums (len w·h),
-// as two separable integer sliding passes: rows, then columns in place,
-// walked row by row with one running sum per column. col is the column
-// pass's scratch, at least WindowScratch(w, h, r) long. The result is the
-// exact integer numerator of the box blur the float demodulator computed
-// with rounding: sums[i] / (2r+1)² is the blurred plane.
+// WindowRowsScratch returns the scratch length WindowRows needs for
+// a w×h plane at radius r: min(2r+1, h) ring rows and one output row.
+func WindowRowsScratch(w, h, r int) int {
+	return (min(2*r+1, h) + 1) * w
+}
+
+// Reset starts a scan of the w×h plane pix (len ≥ w·h) at radius r, with
+// scratch at least WindowRowsScratch(w, h, r) long.
 //
 //range:r 1,128
-func WindowSums(pix []float32, w, h, r int, sums, col []int32) {
-	// Row pass: sums[y*w+x] = Σ pix[y*w+clamp(x-r..x+r)].
-	for y := 0; y < h; y++ {
-		row := pix[y*w : (y+1)*w]
-		out := sums[y*w : (y+1)*w]
-		var s int32
-		for i := -r; i <= r; i++ {
-			s += int32(row[clampIdx(i, w)])
-		}
-		for x := 0; x < w; x++ {
-			out[x] = s
-			s += int32(row[clampIdx(x+r+1, w)]) - int32(row[clampIdx(x-r, w)])
-		}
+func (s *WindowRows) Reset(pix []uint8, w, h, r int, scratch []int) {
+	n := min(2*r+1, h)
+	*s = WindowRows{pix: pix[:w*h], w: w, h: h, r: r,
+		ring: scratch[:n*w], out: scratch[n*w : (n+1)*w], n: n, last: -1}
+}
+
+// Row returns the window sums of row y, len w, valid until the next call.
+// Rows must be asked for in increasing order.
+func (s *WindowRows) Row(y int) []int {
+	if y <= s.last || y >= s.h {
+		panic("fixed: WindowRows rows must increase within the plane")
 	}
-	// Column pass over the row sums, in place and row-major: acc holds each
-	// column's running window sum. Writing output row y overwrites row sum
-	// y, which the window still subtracts r rows later (row 0 up to row r,
-	// by replicate padding), so each row sum is saved first in a ring of n
-	// rows: slot y mod n is next rewritten at row y+n > y+r. The rows the
-	// window adds lie below y and are still unwritten. Integer sums are
-	// exact, so walking rows instead of columns gives the same integers.
-	n := min(r+1, h)
-	ring := col[:n*w]
-	acc := col[n*w : (n+1)*w]
-	clear(acc)
+	s.last = y
+	w, r := s.w, s.r
+	// A window row j below next was summed earlier and is still resident:
+	// only row j+n, beyond this window, would reuse its slot.
+	for j := max(s.next, y-r); j <= min(y+r, s.h-1); j++ {
+		k := j % s.n
+		rowSums8(s.ring[k*w:(k+1)*w], s.pix[j*w:(j+1)*w], r)
+		s.next = j + 1
+	}
+	slot := func(k int) []int {
+		i := clampIdx(y+k, s.h) % s.n
+		return s.ring[i*w : (i+1)*w]
+	}
+	sum3(s.out, slot(-r), slot(-r+1), slot(-r+2))
+	for k := -r + 3; k <= r; k += 2 {
+		add2(s.out, slot(k), slot(k+1))
+	}
+	return s.out
+}
+
+// rowSums8 writes the (2r+1)-wide replicate-padded window sums of row to
+// out (len(out) = len(row)): one running sum, clamped at the two ends and
+// direct in between.
+func rowSums8(out []int, row []uint8, r int) {
+	w := len(row)
+	out = out[:w]
+	s := 0
 	for i := -r; i <= r; i++ {
-		in := sums[clampIdx(i, h)*w:][:w]
-		for x, v := range in {
-			acc[x] += v
+		s += int(row[clampIdx(i, w)])
+	}
+	// Columns [lo, hi) read row[x−r] and row[x+r+1] inside the row.
+	lo := min(r, w)
+	hi := max(lo, w-r-1)
+	for x := 0; x < lo; x++ {
+		out[x] = s
+		s += int(row[clampIdx(x+r+1, w)]) - int(row[clampIdx(x-r, w)])
+	}
+	if hi > lo {
+		mid := out[lo:hi]
+		in := row[lo+r+1:][:len(mid)]
+		outgoing := row[lo-r:][:len(mid)]
+		for i := range mid {
+			mid[i] = s
+			s += int(in[i]) - int(outgoing[i])
 		}
 	}
-	for y := 0; y < h; y++ {
-		out := sums[y*w : (y+1)*w]
-		saved := ring[(y%n)*w:][:w]
-		if y == h-1 {
-			copy(out, acc)
-			break
-		}
-		in := sums[clampIdx(y+r+1, h)*w:][:w]
-		outgoing := ring[(clampIdx(y-r, h)%n)*w:][:w]
-		for x, s := range acc {
-			saved[x] = out[x]
-			out[x] = s
-			acc[x] = s + (in[x] - outgoing[x])
-		}
+	for x := hi; x < w; x++ {
+		out[x] = s
+		s += int(row[clampIdx(x+r+1, w)]) - int(row[clampIdx(x-r, w)])
+	}
+}
+
+// sum3 writes a + b + c to out, element by element.
+func sum3(out, a, b, c []int) {
+	a, b, c = a[:len(out)], b[:len(out)], c[:len(out)]
+	for x := range out {
+		out[x] = a[x] + b[x] + c[x]
+	}
+}
+
+// add2 adds a + b to out, element by element.
+func add2(out, a, b []int) {
+	a, b = a[:len(out)], b[:len(out)]
+	for x := range out {
+		out[x] += a[x] + b[x]
 	}
 }
 
@@ -250,42 +324,44 @@ func clampIdx(i, n int) int {
 	return i
 }
 
-// BilinearQ16 interpolates one bilinear tap in exact integer Q16: v00..v11
-// are the four integral pixel taps (top-left, top-right, bottom-left,
-// bottom-right, each in [0, 255] under the IsIntegral8 precondition) and
-// wx, wy are the Q16 fractional weights. The result is the Q16 sample;
-// callers convert with float32(q)·2⁻¹⁶, which is exact.
-//
-// Overflow argument: each horizontal lerp v0·2¹⁶ + (v1−v0)·wx is a convex
-// combination in [0, 255·2¹⁶] with every product below 255·2¹⁶ < 2²⁴, so it
-// fits int32; the vertical blend's product (bot−top)·wy reaches 255·2³² and
-// runs in int64 before the shift brings it back under 2²⁴.
-//
-//range:wx 0,65536
-//range:wy 0,65536
-func BilinearQ16(v00, v01, v10, v11, wx, wy int32) int32 {
-	top := v00<<qBits + (v01-v00)*wx
-	bot := v10<<qBits + (v11-v10)*wx //lint:ignore intrange taps are in [0,255] under the IsIntegral8 precondition, so each Q16 lerp product stays below 255·2^16 < 2^24
-	return top + int32((int64(bot-top)*int64(wy))>>qBits)
-}
-
-// RowAbsEnergy accumulates Σ |pix[i]·scale − sums[i]| over one row span in
-// exact integer arithmetic: the high-frequency chessboard energy numerator
-// of the §3.3 detector, scaled by scale = (2r+1)². Each term is bounded by
-// 255·scale (< 2^25 for r ≤ 128), so the int32 difference cannot wrap; the
-// row accumulator is int64 so no row width can overflow it.
+// RowAbsEnergy8 accumulates Σ |pix[i]·scale − sums[i]| over one row span
+// in exact integer arithmetic: the high-frequency chessboard energy
+// numerator of the §3.3 detector, scaled by scale = (2r+1)², with sums a
+// span of WindowRows' window sums at radius r. Each term is below
+// 255·scale < 2^25 and the row total is an int64, so no row a capture can
+// hold overflows it.
 //
 //range:scale 1,66049
-func RowAbsEnergy(pix []float32, sums []int32, scale int32) int64 {
+func RowAbsEnergy8(pix []uint8, sums []int, scale int) int64 {
+	sums = sums[:len(pix)]
 	var acc int64
 	for i, v := range pix {
-		//lint:ignore intrange callers guarantee IsIntegral8(pix), so v converts exactly within [0, 255]
-		d := int32(v)*scale - sums[i] //lint:ignore intrange both terms are bounded by 255·scale ≤ 255·66049 < 2^25 under the IsIntegral8 precondition
+		d := int(v)*scale - sums[i]
 		if d < 0 {
-			//lint:ignore intrange |d| < 2^25 under the IsIntegral8 precondition, so the negation cannot hit the int32 minimum
 			d = -d
 		}
 		acc += int64(d)
 	}
 	return acc
+}
+
+// BilinearQ16 interpolates one bilinear tap in exact integer Q16: v00..v11
+// are the four 8-bit pixel taps (top-left, top-right, bottom-left,
+// bottom-right) and wx, wy are the Q16 fractional weights. The result is
+// the Q16 sample; callers convert with float32(q)·2⁻¹⁶, which is exact.
+//
+// Each lerp is written as the convex combination a·(2¹⁶−w) + b·w, which is
+// a·2¹⁶ + (b−a)·w exactly. Overflow argument: the horizontal lerps have
+// non-negative products below 255·2¹⁶ < 2²⁴, so they fit int32; the
+// vertical blend's products reach 255·2³² and run in int64 before the
+// shift, a floor division of a non-negative sum by 2¹⁶, brings the result
+// back under 2²⁴.
+//
+//range:wx 0,65536
+//range:wy 0,65536
+func BilinearQ16(v00, v01, v10, v11 uint8, wx, wy int32) int32 {
+	const one = 1 << qBits
+	top := int32(v00)*(one-wx) + int32(v01)*wx
+	bot := int32(v10)*(one-wx) + int32(v11)*wx
+	return int32((int64(top)*int64(one-wy) + int64(bot)*int64(wy)) >> qBits)
 }

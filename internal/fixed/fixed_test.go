@@ -110,122 +110,267 @@ func TestGammaErrorBound(t *testing.T) {
 	}
 }
 
-func TestIsIntegral8(t *testing.T) {
-	if !IsIntegral8([]float32{0, 1, 127, 255}) {
-		t.Fatal("integral plane rejected")
+// refEncode8 is the per-sample Encode8 that EncodeRow replaced, verbatim
+// but for the receiver turned parameter and the dropped lint directives.
+func refEncode8(g *Gamma, v float32) float32 {
+	if !(v > 0) {
+		return 0
 	}
-	for _, bad := range [][]float32{
-		{0.5}, {-1}, {256}, {float32(math.NaN())}, {float32(math.Inf(1))},
-		{0, 255, 254.5},
-	} {
-		if IsIntegral8(bad) {
-			t.Fatalf("non-integral plane %v accepted", bad)
+	if v >= 255 {
+		if v == 255 {
+			return 255
 		}
+		return g.refEncode(v)
 	}
-	if !IsIntegral8(nil) {
-		t.Fatal("empty plane should be trivially integral")
+	// v < 255 ⇒ x < 255·2^16 < 2^24: exact int32, truncated to Q16.
+	x := int32(v * (1 << qBits))
+	var q int32
+	if x < gammaFineMax<<qBits {
+		// Fine table: node step 1/256 = 2^8 in Q16.
+		i := x >> 8
+		f := x & (1<<8 - 1)
+		l0 := g.fine[i]
+		q = l0 + ((g.fine[i+1]-l0)*f)>>8
+	} else {
+		// Coarse table: node step 1/16 = 2^12 in Q16.
+		i := x >> gammaTableBits
+		f := x & (1<<gammaTableBits - 1)
+		l0 := g.coarse[i]
+		q = l0 + ((g.coarse[i+1]-l0)*f)>>gammaTableBits
+	}
+	return float32(q) * (1.0 / (1 << qBits))
+}
+
+// TestEncodeRowMatchesEncode8: the row method (and Encode8, now a row of
+// one) must return the bits of the per-sample Encode8 it replaced for every
+// sample: a dense Q16 sweep of the table domain, both sides of the
+// fine/coarse boundary at 16·2¹⁶, and the specials each branch handles
+// (0, −0, negatives, NaN, 255, above 255, +Inf).
+func TestEncodeRowMatchesEncode8(t *testing.T) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), -1, -0.5, -255, float32(math.Inf(-1)),
+		float32(math.NaN()), 1e-45, 1e-38, 1.0 / (1 << 16),
+		math.Nextafter32(16, 0), 16, math.Nextafter32(16, 300),
+		254, math.Nextafter32(255, 0), 255, math.Nextafter32(255, 300),
+		255.5, 256, 1000, 1e20, float32(math.Inf(1)),
+	}
+	for _, gamma := range []float64{1.8, 2.2, 2.4} {
+		g := NewGamma(gamma)
+		check := func(in []float32) {
+			t.Helper()
+			row := append([]float32(nil), in...)
+			g.EncodeRow(row)
+			for i, v := range in {
+				want := math.Float32bits(refEncode8(g, v))
+				if got := math.Float32bits(row[i]); got != want {
+					t.Fatalf("gamma %.1f: EncodeRow(%v) = %v, reference %v", gamma, v, row[i], refEncode8(g, v))
+				}
+				if got := math.Float32bits(g.Encode8(v)); got != want {
+					t.Fatalf("gamma %.1f: Encode8(%v) = %v, reference %v", gamma, v, g.Encode8(v), refEncode8(g, v))
+				}
+			}
+		}
+		check(specials)
+		// Every Q16 step of [0, 255], a 640-sample row at a time.
+		row := make([]float32, 640)
+		for i := 0; i <= 255<<qBits; i += len(row) {
+			for k := range row {
+				row[k] = float32(i+k) / (1 << qBits)
+			}
+			check(row)
+		}
 	}
 }
 
-// naiveWindowSum is the O(r²)-per-pixel reference for the separable kernel:
+// refIsIntegral8 is the integrality scan Narrow8 replaced, verbatim: the
+// reference for its accept set.
+func refIsIntegral8(pix []float32) bool {
+	for _, v := range pix {
+		if !(v >= 0 && v <= 255) {
+			return false
+		}
+		if v != float32(int32(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNarrow8MatchesIsIntegral8: Narrow8 must accept exactly the planes the
+// old integrality scan accepted and write each accepted sample's code. Each
+// hostile sample (every adversarial value: halves and their neighbours,
+// −0, 256, −1, NaN, ±Inf, subnormals, huge magnitudes) sits in an
+// otherwise integral plane as its first, a middle and its last sample.
+func TestNarrow8MatchesIsIntegral8(t *testing.T) {
+	check := func(src []float32) {
+		t.Helper()
+		dst := make([]uint8, len(src))
+		got, want := Narrow8(dst, src), refIsIntegral8(src)
+		if got != want {
+			t.Fatalf("Narrow8 = %v, IsIntegral8 = %v on %v", got, want, src)
+		}
+		if !got {
+			return
+		}
+		for i, v := range src {
+			if float32(dst[i]) != v {
+				t.Fatalf("Narrow8 wrote %d for %v", dst[i], v)
+			}
+		}
+	}
+	all := make([]float32, 256)
+	for i := range all {
+		all[i] = float32(255 - i)
+	}
+	check(all)
+	check(nil)
+	const n = 7
+	for _, v := range adversarialSamples() {
+		for _, at := range []int{0, n / 2, n - 1} {
+			src := make([]float32, n)
+			for i := range src {
+				src[i] = float32((i * 37) % 256)
+			}
+			src[at] = v
+			check(src)
+		}
+	}
+	// −0 narrows to code 0.
+	dst := []uint8{9}
+	if !Narrow8(dst, []float32{float32(math.Copysign(0, -1))}) || dst[0] != 0 {
+		t.Fatalf("Narrow8(−0) wrote %d", dst[0])
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 100000; i++ {
+		check([]float32{math.Float32frombits(rng.Uint32())})
+	}
+}
+
+// naiveWindowSum is the O(r²)-per-pixel reference for the window sums:
 // the replicate-padded box window sum at (x, y).
-func naiveWindowSum(pix []float32, w, h, r, x, y int) int32 {
-	var s int32
+func naiveWindowSum(pix []uint8, w, h, r, x, y int) int {
+	s := 0
 	for dy := -r; dy <= r; dy++ {
 		yy := clampIdx(y+dy, h)
 		for dx := -r; dx <= r; dx++ {
-			s += int32(pix[yy*w+clampIdx(x+dx, w)])
+			s += int(pix[yy*w+clampIdx(x+dx, w)])
 		}
 	}
 	return s
 }
 
-func integralPlanes(w, h int) map[string][]float32 {
+func bytePlanes(w, h int) map[string][]uint8 {
 	n := w * h
-	all0 := make([]float32, n)
-	all255 := make([]float32, n)
-	edges := make([]float32, n)
-	random := make([]float32, n)
+	all0 := make([]uint8, n)
+	all255 := make([]uint8, n)
+	edges := make([]uint8, n)
+	random := make([]uint8, n)
 	rng := rand.New(rand.NewSource(3))
-	edgeVals := []float32{0, 255, 20, 235, 1, 254}
+	edgeVals := []uint8{0, 255, 20, 235, 1, 254}
 	for i := 0; i < n; i++ {
 		all255[i] = 255
 		edges[i] = edgeVals[i%len(edgeVals)]
-		random[i] = float32(rng.Intn(256))
+		random[i] = uint8(rng.Intn(256))
 	}
-	return map[string][]float32{"all0": all0, "all255": all255, "edges": edges, "random": random}
+	return map[string][]uint8{"all0": all0, "all255": all255, "edges": edges, "random": random}
 }
 
-// TestWindowSumsMatchesNaive: the separable sliding-window kernel must equal
-// the direct window sum exactly — integer arithmetic leaves no tolerance.
-func TestWindowSumsMatchesNaive(t *testing.T) {
-	const w, h = 23, 17
-	for name, pix := range integralPlanes(w, h) {
-		if !IsIntegral8(pix) {
-			t.Fatalf("%s: fixture violates the kernel precondition", name)
-		}
-		for _, r := range []int{1, 2, 5, 8, 16} {
-			sums := make([]int32, w*h)
-			col := make([]int32, WindowScratch(w, h, r))
-			WindowSums(pix, w, h, r, sums, col)
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					if want := naiveWindowSum(pix, w, h, r, x, y); sums[y*w+x] != want {
-						t.Fatalf("%s r=%d: sums[%d,%d] = %d, want %d", name, r, x, y, sums[y*w+x], want)
-					}
-				}
+// checkWindowRows asks a WindowRows over pix for the rows in ys and
+// compares each with the direct window sum, through scratch exactly
+// WindowRowsScratch long and dirty.
+func checkWindowRows(t *testing.T, name string, pix []uint8, w, h, r int, ys []int) {
+	t.Helper()
+	scratch := make([]int, WindowRowsScratch(w, h, r))
+	for i := range scratch {
+		scratch[i] = -12345
+	}
+	var s WindowRows
+	s.Reset(pix, w, h, r, scratch)
+	for _, y := range ys {
+		sums := s.Row(y)
+		for x := 0; x < w; x++ {
+			if want := naiveWindowSum(pix, w, h, r, x, y); sums[x] != want {
+				t.Fatalf("%s %dx%d r=%d: row %d sums[%d] = %d, want %d", name, w, h, r, y, x, sums[x], want)
 			}
 		}
 	}
 }
 
-// TestWindowSumsThinPlanes: the row-major column pass keeps min(r+1, h)
-// saved row sums, so planes no taller than the window (one row, two rows)
-// and one column wide take the edge cases of its ring; each must still
-// equal the direct window sum, with the scratch exactly WindowScratch long.
-func TestWindowSumsThinPlanes(t *testing.T) {
-	for _, sz := range [][2]int{{5, 1}, {7, 2}, {1, 9}, {6, 3}} {
+// TestWindowRowsMatchesNaive: the streamed window sums must equal the
+// direct window sum exactly — integer arithmetic leaves no tolerance —
+// whether every row is asked for or only some, as the Block scan does.
+func TestWindowRowsMatchesNaive(t *testing.T) {
+	const w, h = 23, 17
+	every := make([]int, h)
+	for y := range every {
+		every[y] = y
+	}
+	sparse := []int{0, 3, 4, 5, 11, 12, 16}
+	for name, pix := range bytePlanes(w, h) {
+		for _, r := range []int{1, 2, 3, 5, 8, 16} {
+			checkWindowRows(t, name, pix, w, h, r, every)
+			checkWindowRows(t, name, pix, w, h, r, sparse)
+			checkWindowRows(t, name, pix, w, h, r, []int{h - 1})
+		}
+	}
+}
+
+// TestWindowRowsThinPlanes: planes no wider or taller than the window (one
+// row, two rows, one column) clamp every tap; their ring keeps only h rows,
+// and each row must still equal the direct window sum.
+func TestWindowRowsThinPlanes(t *testing.T) {
+	for _, sz := range [][2]int{{5, 1}, {7, 2}, {1, 9}, {6, 3}, {3, 3}, {2, 7}, {1, 1}} {
 		w, h := sz[0], sz[1]
-		pix := integralPlanes(w, h)["random"]
+		pix := bytePlanes(w, h)["random"]
+		ys := make([]int, h)
+		for y := range ys {
+			ys[y] = y
+		}
 		for _, r := range []int{1, 2, 3, 16} {
-			sums := make([]int32, w*h)
-			col := make([]int32, WindowScratch(w, h, r))
-			WindowSums(pix, w, h, r, sums, col)
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					if want := naiveWindowSum(pix, w, h, r, x, y); sums[y*w+x] != want {
-						t.Fatalf("%dx%d r=%d: sums[%d,%d] = %d, want %d", w, h, r, x, y, sums[y*w+x], want)
-					}
-				}
-			}
+			checkWindowRows(t, "random", pix, w, h, r, ys)
 		}
 	}
 }
 
-// TestRowAbsEnergyMatchesNaive: the row kernel must equal the direct
-// Σ|pix·scale − sums| in exact integer arithmetic.
-func TestRowAbsEnergyMatchesNaive(t *testing.T) {
+// TestWindowRowsRowOrder: a row asked for out of order panics, since the
+// ring no longer holds what its window needs.
+func TestWindowRowsRowOrder(t *testing.T) {
+	pix := bytePlanes(6, 6)["random"]
+	var s WindowRows
+	s.Reset(pix, 6, 6, 1, make([]int, WindowRowsScratch(6, 6, 1)))
+	s.Row(3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Row(2) after Row(3) did not panic")
+		}
+	}()
+	s.Row(2)
+}
+
+// TestRowAbsEnergy8MatchesNaive: the row kernel must equal the direct
+// Σ|pix·scale − sums| in exact integer arithmetic, up to the largest
+// radius its contract admits.
+func TestRowAbsEnergy8MatchesNaive(t *testing.T) {
 	const w, h = 23, 17
-	for name, pix := range integralPlanes(w, h) {
+	for name, pix := range bytePlanes(w, h) {
 		for _, r := range []int{1, 5, 128} {
-			sums := make([]int32, w*h)
-			col := make([]int32, WindowScratch(w, h, r))
-			WindowSums(pix, w, h, r, sums, col)
-			side := int32(2*r + 1)
+			var s WindowRows
+			s.Reset(pix, w, h, r, make([]int, WindowRowsScratch(w, h, r)))
+			side := 2*r + 1
 			scale := side * side
 			for y := 0; y < h; y++ {
 				row := pix[y*w : (y+1)*w]
-				srow := sums[y*w : (y+1)*w]
+				srow := s.Row(y)
 				var want int64
-				for i, v := range row {
-					d := int64(int32(v))*int64(scale) - int64(srow[i])
+				for x, v := range row {
+					d := int64(v)*int64(scale) - int64(naiveWindowSum(pix, w, h, r, x, y))
 					if d < 0 {
 						d = -d
 					}
 					want += d
 				}
-				if got := RowAbsEnergy(row, srow, scale); got != want {
-					t.Fatalf("%s r=%d row %d: RowAbsEnergy = %d, want %d", name, r, y, got, want)
+				if got := RowAbsEnergy8(row, srow, scale); got != want {
+					t.Fatalf("%s r=%d row %d: RowAbsEnergy8 = %d, want %d", name, r, y, got, want)
 				}
 			}
 		}
@@ -239,7 +384,7 @@ func TestRowAbsEnergyMatchesNaive(t *testing.T) {
 // well under 2⁻¹² drive units after the exact float conversion).
 func TestBilinearQ16MatchesFloat(t *testing.T) {
 	const qOne = 1 << qBits
-	ref := func(v00, v01, v10, v11 int32, wx, wy float64) float64 {
+	ref := func(v00, v01, v10, v11 uint8, wx, wy float64) float64 {
 		top := float64(v00) + (float64(v01)-float64(v00))*wx
 		bot := float64(v10) + (float64(v11)-float64(v10))*wx
 		return top + (bot-top)*wy
@@ -247,26 +392,26 @@ func TestBilinearQ16MatchesFloat(t *testing.T) {
 	// Corner weights select taps exactly.
 	corners := []struct {
 		wx, wy int32
-		want   func(v00, v01, v10, v11 int32) int32
+		want   func(v00, v01, v10, v11 uint8) uint8
 	}{
-		{0, 0, func(v00, _, _, _ int32) int32 { return v00 }},
-		{qOne, 0, func(_, v01, _, _ int32) int32 { return v01 }},
-		{0, qOne, func(_, _, v10, _ int32) int32 { return v10 }},
-		{qOne, qOne, func(_, _, _, v11 int32) int32 { return v11 }},
+		{0, 0, func(v00, _, _, _ uint8) uint8 { return v00 }},
+		{qOne, 0, func(_, v01, _, _ uint8) uint8 { return v01 }},
+		{0, qOne, func(_, _, v10, _ uint8) uint8 { return v10 }},
+		{qOne, qOne, func(_, _, _, v11 uint8) uint8 { return v11 }},
 	}
-	taps := [][4]int32{{0, 0, 0, 0}, {255, 255, 255, 255}, {0, 255, 255, 0}, {17, 200, 3, 91}}
+	taps := [][4]uint8{{0, 0, 0, 0}, {255, 255, 255, 255}, {0, 255, 255, 0}, {17, 200, 3, 91}}
 	for _, tp := range taps {
 		for _, c := range corners {
 			got := BilinearQ16(tp[0], tp[1], tp[2], tp[3], c.wx, c.wy)
-			if want := c.want(tp[0], tp[1], tp[2], tp[3]) << qBits; got != want {
+			if want := int32(c.want(tp[0], tp[1], tp[2], tp[3])) << qBits; got != want {
 				t.Fatalf("taps %v weights (%d,%d): got %d, want %d", tp, c.wx, c.wy, got, want)
 			}
 		}
 	}
 	rng := rand.New(rand.NewSource(11))
 	for n := 0; n < 20000; n++ {
-		v00, v01 := int32(rng.Intn(256)), int32(rng.Intn(256))
-		v10, v11 := int32(rng.Intn(256)), int32(rng.Intn(256))
+		v00, v01 := uint8(rng.Intn(256)), uint8(rng.Intn(256))
+		v10, v11 := uint8(rng.Intn(256)), uint8(rng.Intn(256))
 		wx, wy := int32(rng.Intn(qOne+1)), int32(rng.Intn(qOne+1))
 		got := float64(BilinearQ16(v00, v01, v10, v11, wx, wy)) / qOne
 		want := ref(v00, v01, v10, v11, float64(wx)/qOne, float64(wy)/qOne)

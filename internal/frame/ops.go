@@ -133,10 +133,18 @@ type Resampler struct {
 	xt, yt axisTaps
 	// span is the most source rows any output row reads.
 	span int
-	// x2 reports that every output column reads exactly two source
-	// columns (the 1.5× and 2× reductions), so two-row output rows take
-	// the unrolled areaRow2.
-	x2 bool
+	// x2, when not nil, holds every output column's two adjacent source
+	// taps (the 1.5× and 2× reductions), so two-row output rows take the
+	// unrolled areaRow2.
+	x2 []pairTap
+}
+
+// pairTap is one output column of a two-tap area reduction: source columns
+// i and i+1 with their overlap weights w0 and w1, axisTaps' entries for
+// that column in one record.
+type pairTap struct {
+	i      int
+	w0, w1 float64
 }
 
 // NewResampler returns the resampler from srcW×srcH to dstW×dstH.
@@ -150,10 +158,7 @@ func NewResampler(srcW, srcH, dstW, dstH int) *Resampler {
 		for o := 0; o < dstH; o++ {
 			r.span = max(r.span, r.yt.off[o+1]-r.yt.off[o])
 		}
-		r.x2 = true
-		for o := 0; o < dstW; o++ {
-			r.x2 = r.x2 && r.xt.off[o+1]-r.xt.off[o] == 2
-		}
+		r.x2 = pairTaps(r.xt, dstW)
 	case dstW == srcW && dstH == srcH:
 		// Output row y is source row y: RowsInto needs no ring.
 	default:
@@ -252,8 +257,8 @@ func (r *Resampler) rows(dst *Frame, lo, hi int, src func(y int) []float32, done
 		case r.area:
 			ys, ye := r.yt.off[oy], r.yt.off[oy+1]
 			wy := r.yt.wgt[ys:ye]
-			if len(wy) == 2 && r.x2 {
-				areaRow2(out, src(r.yt.idx[ys]), src(r.yt.idx[ys+1]), wy[0], wy[1], r.xt)
+			if len(wy) == 2 && r.x2 != nil {
+				areaRow2(out, src(r.yt.idx[ys]), src(r.yt.idx[ys+1]), wy[0], wy[1], r.x2)
 				break
 			}
 			rowsY := taps[:len(wy)]
@@ -335,25 +340,38 @@ func areaRow(out []float32, rowsY [][]float32, wy []float64, xt axisTaps) {
 	}
 }
 
+// pairTaps returns the n output columns of xt as pairTaps when every
+// column reads exactly two adjacent source columns, else nil.
+func pairTaps(xt axisTaps, n int) []pairTap {
+	taps := make([]pairTap, n)
+	for o := range taps {
+		xs := xt.off[o]
+		if xt.off[o+1]-xs != 2 || xt.idx[xs+1] != xt.idx[xs]+1 {
+			return nil
+		}
+		taps[o] = pairTap{i: xt.idx[xs], w0: xt.wgt[xs], w1: xt.wgt[xs+1]}
+	}
+	return taps
+}
+
 // areaRow2 is areaRow unrolled for the 1.5× and 2× reductions, where
-// every output pixel reads two source columns of two source rows: the
-// same four taps, accumulated in the same order.
-func areaRow2(out, row0, row1 []float32, fy0, fy1 float64, xt axisTaps) {
-	for ox := range out {
-		xs := xt.off[ox]
-		i0, i1 := xt.idx[xs], xt.idx[xs+1]
-		w0, w1 := xt.wgt[xs], xt.wgt[xs+1]
+// every output pixel reads two adjacent source columns of two source rows:
+// the same four taps, accumulated in the same order.
+func areaRow2(out, row0, row1 []float32, fy0, fy1 float64, x2 []pairTap) {
+	x2 = x2[:len(out)]
+	for ox, t := range x2 {
+		i0, i1 := t.i, t.i+1
 		var sum, area float64
-		wgt := w0 * fy0
+		wgt := t.w0 * fy0
 		sum += wgt * float64(row0[i0])
 		area += wgt
-		wgt = w1 * fy0
+		wgt = t.w1 * fy0
 		sum += wgt * float64(row0[i1])
 		area += wgt
-		wgt = w0 * fy1
+		wgt = t.w0 * fy1
 		sum += wgt * float64(row1[i0])
 		area += wgt
-		wgt = w1 * fy1
+		wgt = t.w1 * fy1
 		sum += wgt * float64(row1[i1])
 		area += wgt
 		if area > 0 {

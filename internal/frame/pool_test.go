@@ -255,7 +255,7 @@ func TestPoolCapDeterminism(t *testing.T) {
 	a := run(capped)
 	b := run(NewPool())
 	for i := range a {
-		//lint:ignore floateq the contract under test is bit-identity, so the comparison must be exact
+		// The contract under test is bit-identity, so the comparison must be exact.
 		if a[i] != b[i] {
 			t.Fatalf("capped and unbounded pools diverge at %d: %v vs %v", i, a[i], b[i])
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"inframe/internal/fixed"
 )
@@ -274,21 +275,47 @@ func solve8(a *[8][9]float64) ([8]float64, error) {
 // src (or on the map's horizon line) read 0 — the black overscan a camera
 // sees past the screen edge. dst must not alias src; sizes may differ.
 //
-// Integral 8-bit sources (quantized captures, the common case) route through
-// the exact integer Q16 bilinear kernel (fixed.BilinearQ16); non-integral
-// sources take the float taps. Either way the arithmetic depends only on
-// (src, dst geometry, h), never on worker identity, so warped pipelines stay
+// Integral 8-bit sources (quantized captures, the common case) are narrowed
+// once to their 8-bit codes (fixed.Narrow8) and gathered through the exact
+// integer Q16 bilinear kernel (fixed.BilinearQ16); non-integral sources
+// take the float taps. Either way the arithmetic depends only on (src, dst
+// geometry, h), never on worker identity, so warped pipelines stay
 // bit-identical at any worker count. A map applied to many frames of one
 // size is cheaper through a WarpPlan, which gives the same bits.
 func WarpInto(src, dst *Frame, h Homography) {
 	if src == dst || &src.Pix[0] == &dst.Pix[0] {
 		panic("frame.WarpInto: dst aliases src")
 	}
-	if fixed.IsIntegral8(src.Pix) {
-		warpIntegral(src, dst, h)
+	if pix := narrow(src); pix != nil {
+		warpIntegral(*pix, src.W, src.H, dst, h)
+		codes.Put(pix)
 		return
 	}
 	warpFloat(src, dst, h)
+}
+
+// codes recycles the 8-bit copies of the sources the integer warps gather
+// from. Warps run concurrently (every capture of a posed fleet, every
+// projective measurement), so it is a sync.Pool shared by the package.
+// Scratch only: a copy never outlives the warp that narrowed into it.
+var codes sync.Pool // of *[]uint8
+
+// narrow returns src's 8-bit codes in a buffer from codes, or nil, with
+// the buffer already returned, when src is not integral in [0, 255].
+func narrow(src *Frame) *[]uint8 {
+	pix, _ := codes.Get().(*[]uint8)
+	if pix == nil {
+		pix = new([]uint8)
+	}
+	if cap(*pix) < len(src.Pix) {
+		*pix = make([]uint8, len(src.Pix))
+	}
+	*pix = (*pix)[:len(src.Pix)]
+	if !fixed.Narrow8(*pix, src.Pix) {
+		codes.Put(pix)
+		return nil
+	}
+	return pix
 }
 
 // Warp is the allocating convenience form of WarpInto at src's size.
@@ -347,21 +374,21 @@ func warpFloat(src, dst *Frame, h Homography) {
 	}
 }
 
-// warpIntegral is the integer-tap path: source pixels are exact int32 in
-// [0, 255] (the IsIntegral8 precondition), the bilinear weights are Q16, and
-// the interpolation runs in fixed.BilinearQ16's exact integer arithmetic.
-// Each destination row is computed and gathered a chunk of taps at a time,
-// through the same rowTaps and gatherQ16 a WarpPlan is built and applied
-// with, so a plan reproduces this path bit for bit.
-func warpIntegral(src, dst *Frame, h Homography) {
-	checkTapIndex(src.W, src.H)
+// warpIntegral is the integer-tap path over a srcW×srcH source's 8-bit
+// codes pix: the bilinear weights are Q16, and the interpolation runs in
+// fixed.BilinearQ16's exact integer arithmetic. Each destination row is
+// computed and gathered a chunk of taps at a time, through the same rowTaps
+// and gatherQ16 a WarpPlan is built and applied with, so a plan reproduces
+// this path bit for bit.
+func warpIntegral(pix []uint8, srcW, srcH int, dst *Frame, h Homography) {
+	checkTapIndex(srcW, srcH)
 	var taps [tapChunk]warpTap
 	for y := 0; y < dst.H; y++ {
 		orow := dst.Pix[y*dst.W : (y+1)*dst.W]
 		for x := 0; x < dst.W; x += tapChunk {
 			n := min(tapChunk, dst.W-x)
-			rowTaps(taps[:n], &h, x, y, src.W, src.H)
-			gatherQ16(orow[x:x+n], src.Pix, src.W, taps[:n])
+			rowTaps(taps[:n], &h, x, y, srcW, srcH)
+			gatherQ16(orow[x:x+n], pix, srcW, taps[:n])
 		}
 	}
 }
@@ -433,14 +460,14 @@ func rowTaps(taps []warpTap, h *Homography, col, y, srcW, srcH int) {
 	}
 }
 
-// gatherQ16 writes each tap's Q16 bilinear sample of the integral w-wide
+// gatherQ16 writes each tap's Q16 bilinear sample of the w-wide 8-bit
 // plane pix to out, 0 for an overscan tap. The sample at the right (below)
 // is read only under a non-zero wx (wy): a zero weight multiplies that
 // sample's difference by 0, so skipping it leaves the result unchanged, and
 // it is exactly the case where the tap sits on the last column (row) and
 // the per-pixel warp clamped x1 (y1) back onto x0 (y0) — a sample there
 // lies on the edge, so its fractional part and weight are 0.
-func gatherQ16(out, pix []float32, w int, taps []warpTap) {
+func gatherQ16(out []float32, pix []uint8, w int, taps []warpTap) {
 	const qOne = 1 << 16
 	for i, t := range taps {
 		if t.idx < 0 {
@@ -456,9 +483,7 @@ func gatherQ16(out, pix []float32, w int, taps []warpTap) {
 		if wy != 0 {
 			dy = w
 		}
-		//lint:ignore intrange pix is integral in [0, 255] (the IsIntegral8 precondition of every caller), so each tap converts exactly
-		v00, v01, v10, v11 := int32(pix[j]), int32(pix[j+dx]), int32(pix[j+dy]), int32(pix[j+dy+dx])
-		q := fixed.BilinearQ16(v00, v01, v10, v11, wx, wy)
+		q := fixed.BilinearQ16(pix[j], pix[j+dx], pix[j+dy], pix[j+dy+dx], wx, wy)
 		out[i] = float32(q) * (1.0 / qOne)
 	}
 }
@@ -506,10 +531,10 @@ func (p *WarpPlan) Fits(srcW, srcH, dstW, dstH int) bool {
 }
 
 // Into is WarpInto(src, dst, p.Homography()) with the taps precomputed, bit
-// for bit: an integral 8-bit source (the same IsIntegral8 scan) gathers
-// the stored taps through fixed.BilinearQ16, any other source takes the
-// float path through the plan's homography. It panics when src or dst is
-// not the plan's size and when dst aliases src.
+// for bit: an integral 8-bit source (the same fixed.Narrow8 narrowing)
+// gathers the stored taps from its codes through fixed.BilinearQ16, any
+// other source takes the float path through the plan's homography. It
+// panics when src or dst is not the plan's size and when dst aliases src.
 func (p *WarpPlan) Into(src, dst *Frame) {
 	if !p.Fits(src.W, src.H, dst.W, dst.H) {
 		panic(fmt.Sprintf("frame.WarpPlan.Into: %dx%d -> %dx%d, plan is %dx%d -> %dx%d",
@@ -518,8 +543,9 @@ func (p *WarpPlan) Into(src, dst *Frame) {
 	if src == dst || &src.Pix[0] == &dst.Pix[0] {
 		panic("frame.WarpPlan.Into: dst aliases src")
 	}
-	if fixed.IsIntegral8(src.Pix) {
-		gatherQ16(dst.Pix, src.Pix, src.W, p.taps)
+	if pix := narrow(src); pix != nil {
+		gatherQ16(dst.Pix, *pix, src.W, p.taps)
+		codes.Put(pix)
 		return
 	}
 	warpFloat(src, dst, p.h)

@@ -209,9 +209,13 @@ func TestWarpIntegralMatchesFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pix := make([]uint8, len(src.Pix))
+	if !fixed.Narrow8(pix, src.Pix) {
+		t.Fatal("integral source failed to narrow")
+	}
 	di := New(64, 48)
 	df := New(64, 48)
-	warpIntegral(src, di, h)
+	warpIntegral(pix, src.W, src.H, di, h)
 	warpFloat(src, df, h)
 	for i := range di.Pix {
 		if d := math.Abs(float64(di.Pix[i] - df.Pix[i])); d > 0.01 {
@@ -266,6 +270,10 @@ func FuzzWarpInto(f *testing.F) {
 		1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 	f.Add(uint8(16), uint8(12), uint8(20), uint8(14), int64(8),
 		0.7, 0.05, 0.3, -0.04, 0.8, 0.2, 1e-3, 2e-3, 1.0)
+	// A negative even seed keeps the source integral except its last
+	// pixel, which gets a half: the narrowing fails only after a full pass.
+	f.Add(uint8(16), uint8(12), uint8(20), uint8(14), int64(-8),
+		0.7, 0.05, 0.3, -0.04, 0.8, 0.2, 1e-3, 2e-3, 1.0)
 	f.Fuzz(func(t *testing.T, sw, sh, dw, dh uint8, seed int64,
 		m0, m1, m2, m3, m4, m5, m6, m7, m8 float64) {
 		srcW, srcH := int(sw%64)+1, int(sh%64)+1
@@ -279,6 +287,9 @@ func FuzzWarpInto(f *testing.F) {
 			} else {
 				src.Pix[i] = float32(rng.Float64()*300 - 20)
 			}
+		}
+		if integral && seed < 0 {
+			src.Pix[len(src.Pix)-1] += 0.5
 		}
 		dst := New(dstW, dstH)
 		h := Homography{M: [9]float64{m0, m1, m2, m3, m4, m5, m6, m7, m8}}
@@ -310,9 +321,12 @@ func FuzzWarpInto(f *testing.F) {
 // onto the shared rowTaps/gatherQ16 kernels, kept verbatim as the
 // reference the plan and the kernels are pinned against: the per-pixel
 // projective divide, the clamped x1/y1 taps and the truncated Q16 weights
-// for an integral source, warpFloat for any other.
+// for an integral source, warpFloat for any other. Its integrality scan
+// and int32-tap bilinear kernel are verbatim copies too (refIsIntegral8,
+// refBilinearQ16), so the reference does not share the narrowing or the
+// byte-tap kernel it checks.
 func referenceWarpInto(src, dst *Frame, h Homography) {
-	if !fixed.IsIntegral8(src.Pix) {
+	if !refIsIntegral8(src.Pix) {
 		warpFloat(src, dst, h)
 		return
 	}
@@ -356,12 +370,33 @@ func referenceWarpInto(src, dst *Frame, h Homography) {
 			wy := int32((sy - float64(y0)) * qOne)
 			row0 := src.Pix[y0*src.W:]
 			row1 := src.Pix[y1*src.W:]
-			q := fixed.BilinearQ16(
+			q := refBilinearQ16(
 				int32(row0[x0]), int32(row0[x1]),
 				int32(row1[x0]), int32(row1[x1]), wx, wy)
 			orow[x] = float32(q) * (1.0 / qOne)
 		}
 	}
+}
+
+// refIsIntegral8 is the integrality scan fixed.Narrow8 replaced, verbatim.
+func refIsIntegral8(pix []float32) bool {
+	for _, v := range pix {
+		if !(v >= 0 && v <= 255) {
+			return false
+		}
+		if v != float32(int32(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// refBilinearQ16 is fixed.BilinearQ16 as it stood with int32 taps,
+// verbatim.
+func refBilinearQ16(v00, v01, v10, v11, wx, wy int32) int32 {
+	top := v00<<16 + (v01-v00)*wx
+	bot := v10<<16 + (v11-v10)*wx
+	return top + int32((int64(bot-top)*int64(wy))>>16)
 }
 
 // ReferenceWarpInto exports referenceWarpInto to the external frame_test

@@ -56,8 +56,8 @@ func PoseHomography(w, h int, tiltDeg, rollDeg, dist float64) frame.Homography {
 }
 
 // poseScratch recycles the camera-pose stage's warp source plane across
-// the captures of every Stack in the process, as the receiver's integer
-// scratch is shared (core's intScratch): a channel.Simulate builds a new
+// the captures of every Stack in the process, as the receiver's energy-scan
+// scratch is shared (core's scanScratch): a channel.Simulate builds a new
 // Stack per call and runs two posed captures at once, so a per-Stack pool
 // would allocate a fresh clone plane per concurrent capture of every run.
 // Scratch only — pixel contents never survive a capture — so sync.Pool's

@@ -295,7 +295,7 @@ func TestSeriesPercentile(t *testing.T) {
 			s.Add(x)
 		}
 		got := s.Percentile(tc.p)
-		//lint:ignore floateq percentile returns an exact element of the input, so the comparison is exact
+		// Percentile returns an exact element of the input, so the comparison is exact.
 		if got != tc.want {
 			t.Errorf("%s: Percentile(%v) = %v, want %v", tc.name, tc.p, got, tc.want)
 		}

@@ -141,10 +141,14 @@ run_alloc_tests() {
 	# the sensor noise's pooled generator state: a warm noisy capture
 	# allocates what a noiseless one does; TestImpairDrawAllocs pins that a
 	# warm impairment stack's jitter and drop/dup draws allocate nothing;
-	# both skip under -race. TestWorkerCountInvariancePooled checks pooled
-	# output is bit-identical to unpooled. CI's allocs job runs the same
-	# list: change both together.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestWorkerCountInvariancePooled|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots|TestCaptureNoiseAllocs|TestImpairDrawAllocs' -count=1 .
+	# both skip under -race. TestEnergyScanAllocs pins that a warm rigid
+	# receiver measurement allocates only its two result slices, and
+	# TestWarpPlanAllocs that a warm plan warp of an integral capture
+	# allocates nothing: both keep their 8-bit scratch pooled and skip under
+	# -race. TestWorkerCountInvariancePooled checks pooled output is
+	# bit-identical to unpooled. CI's allocs job runs the same list: change
+	# both together.
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestWorkerCountInvariancePooled|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots|TestCaptureNoiseAllocs|TestImpairDrawAllocs|TestEnergyScanAllocs|TestWarpPlanAllocs' -count=1 .
 }
 
 run_kernels() {
@@ -163,12 +167,17 @@ run_kernels() {
 	# copy of the per-pixel projective warp, with eight goroutines sharing
 	# one plan. The sensor's read noise generator is pinned against
 	# math/rand's own stream, and the shutter integral without its clear
-	# pass against a verbatim copy of the clear-then-accumulate form.
+	# pass against a verbatim copy of the clear-then-accumulate form. The
+	# 8-bit narrowing, the gamma encode row and the streamed window sums
+	# are pinned against verbatim copies of the integrality scan and the
+	# per-sample encode and against direct window sums, and the receiver's
+	# streamed energy scan against a verbatim copy of the measurement it
+	# replaced.
 	go test -race -count=1 \
-		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestWindowSumsThinPlanes|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
+		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestEncodeRowMatchesEncode8|TestNarrow8MatchesIsIntegral8|TestWindowRowsMatchesNaive|TestWindowRowsThinPlanes|TestWindowRowsRowOrder|TestRowAbsEnergy8MatchesNaive' \
 		./internal/fixed/
 	go test -race -count=1 \
-		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush|TestDriveMatchesReference' \
+		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush|TestDriveMatchesReference|TestEnergyScanMatchesReference' \
 		./internal/core/
 	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
