@@ -360,35 +360,18 @@ func benchWorkerCounts() []int {
 	return []int{1}
 }
 
-// benchPipeline builds the half-scale paper pipeline (960×540 display,
-// 640×360 capture) with every stage's worker pool set to w and one shared
-// frame pool threaded through every stage — the steady-state configuration
-// the allocs/op gate pins.
+// benchPipeline builds the half-scale link the baseline gate times
+// (benchcmp.Pipeline: 960×540 display, 640×360 capture at BlurRadius 0)
+// with every stage's worker pool set to w and one shared frame pool
+// threaded through every stage — the steady-state configuration the
+// allocs/op gate pins.
 func benchPipeline(b *testing.B, w int) (*core.Multiplexer, channel.Config, *core.Receiver, int, *frame.Pool) {
 	b.Helper()
-	l := benchLayout()
-	pool := frame.NewPool()
-	p := core.DefaultParams(l)
-	p.Workers = w
-	p.Pool = pool
-	m, err := core.NewMultiplexer(p, video.Gray(l.FrameW, l.FrameH), core.NewRandomStream(l, 1))
+	m, cfg, rcv, nDisplay, pool, err := benchcmp.Pipeline(2, w)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := channel.DefaultConfig(640, 360)
-	cfg.Workers = w
-	cfg.Pool = pool
-	cfg.Camera.Workers = w
-	rcfg := core.DefaultReceiverConfig(p, 640, 360)
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	rcfg.Workers = w
-	rcfg.Pool = pool
-	rcv, err := core.NewReceiver(rcfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, cfg, rcv, 4 * p.Tau, pool
+	return m, cfg, rcv, nDisplay, pool
 }
 
 // BenchmarkEndToEnd measures render + channel simulation + decode at the

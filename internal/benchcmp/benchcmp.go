@@ -21,6 +21,9 @@ const Schema = "inframe-bench-baseline/v2"
 // Baseline is one measured seed point: the environment it was taken in and
 // the ns/op and allocs/op of each pipeline stage benchmark.
 //
+// Link names the timed pipeline's channel configuration (see the Link
+// constant); empty in baselines recorded before it was named.
+//
 // CalibNsPerOp is the ns/op of the fixed calibration kernel (Calibrate)
 // measured alongside the benchmarks. Shared containers drift between speed
 // states minutes apart (CPU steal, frequency scaling), so two runs of
@@ -35,6 +38,7 @@ type Baseline struct {
 	GoArch       string  `json:"goarch"`
 	GoMaxProcs   int     `json:"gomaxprocs"`
 	Scale        int     `json:"scale"`
+	Link         string  `json:"link,omitempty"`
 	CalibNsPerOp int64   `json:"calib_ns_per_op,omitempty"`
 	Benchmarks   []Entry `json:"benchmarks"`
 }

@@ -132,9 +132,10 @@ func TestCompareEnvironmentWarnings(t *testing.T) {
 	cur.GoVersion = "go1.25.0"
 	cur.GoMaxProcs = 8
 	cur.Scale = 4
+	cur.Link = Link
 	r := Compare(base, cur, 0.15)
 	joined := strings.Join(r.Warnings, "\n")
-	for _, want := range []string{"go version", "GOMAXPROCS", "scale"} {
+	for _, want := range []string{"go version", "GOMAXPROCS", "scale", "link differs: baseline unrecorded, current " + Link} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("warnings missing %q mismatch: %q", want, joined)
 		}
@@ -148,6 +149,7 @@ func TestRoundTrip(t *testing.T) {
 		Entry{Name: "EndToEnd/workers=1", Iterations: 2, NsPerOp: 775382860, AllocsPerOp: 412, BytesPerOp: 1 << 20},
 		Entry{Name: "DecodeCaptures/workers=1", Iterations: 74, NsPerOp: 15323870, AllocsPerOp: 9, BytesPerOp: 2048},
 	)
+	b.Link = Link
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
 	if err := b.Write(path); err != nil {
 		t.Fatalf("Write: %v", err)
@@ -156,7 +158,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.Schema != Schema || got.GoVersion != b.GoVersion || got.Scale != b.Scale {
+	if got.Schema != Schema || got.GoVersion != b.GoVersion || got.Scale != b.Scale || got.Link != b.Link {
 		t.Errorf("header mismatch: %+v vs %+v", got, b)
 	}
 	if len(got.Benchmarks) != len(b.Benchmarks) {

@@ -85,6 +85,9 @@ func Compare(base, cur *Baseline, tol float64) *Report {
 	if base.Scale != cur.Scale {
 		r.Warnings = append(r.Warnings, fmt.Sprintf("geometry scale differs: baseline 1/%d, current 1/%d — deltas are not meaningful", base.Scale, cur.Scale))
 	}
+	if base.Link != cur.Link {
+		r.Warnings = append(r.Warnings, fmt.Sprintf("link differs: baseline %s, current %s — deltas are not meaningful", linkName(base.Link), linkName(cur.Link)))
+	}
 	curByName := make(map[string]Entry, len(cur.Benchmarks))
 	for _, e := range cur.Benchmarks {
 		curByName[e.Name] = e

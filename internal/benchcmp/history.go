@@ -109,7 +109,10 @@ func (h *History) entry(i int, name string) *Entry {
 // WriteMarkdown renders the trend table as a GitHub-flavored pipe table
 // (equally readable in a terminal): one row per baseline file with ns/op
 // and the delta against the previous file carrying that benchmark, and a
-// closing newest-vs-oldest row summarizing the whole series.
+// closing newest-vs-oldest row summarizing the series. A file that times a
+// different link than the one before it opens a new series: a "link"
+// row marks the break, deltas never reach across it, and the closing row
+// covers only the newest link's files.
 func (h *History) WriteMarkdown(w io.Writer) {
 	names := h.Names()
 	fmt.Fprint(w, "| baseline |")
@@ -123,6 +126,9 @@ func (h *History) WriteMarkdown(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	for i, file := range h.Files {
+		if i > 0 && h.Baselines[i].Link != h.Baselines[i-1].Link {
+			fmt.Fprintf(w, "| link: %s → %s |\n", linkName(h.Baselines[i-1].Link), linkName(h.Baselines[i].Link))
+		}
 		fmt.Fprintf(w, "| %s |", strings.TrimSuffix(strings.TrimPrefix(file, "BENCH_"), ".json"))
 		for _, n := range names {
 			e := h.entry(i, n)
@@ -152,9 +158,9 @@ func (h *History) WriteMarkdown(w io.Writer) {
 }
 
 // previous returns the most recent result for name strictly before
-// baseline i, nil when i is the first sighting.
+// baseline i on the same link, nil when i is the first sighting.
 func (h *History) previous(i int, name string) *Entry {
-	for j := i - 1; j >= 0; j-- {
+	for j := i - 1; j >= 0 && h.Baselines[j].Link == h.Baselines[i].Link; j-- {
 		if e := h.entry(j, name); e != nil {
 			return e
 		}
@@ -162,9 +168,14 @@ func (h *History) previous(i int, name string) *Entry {
 	return nil
 }
 
-// bookends returns the oldest and newest results for name.
+// bookends returns the oldest and newest results for name among the
+// baselines on the newest file's link.
 func (h *History) bookends(name string) (first, last *Entry) {
+	link := h.Baselines[len(h.Baselines)-1].Link
 	for i := range h.Files {
+		if h.Baselines[i].Link != link {
+			continue
+		}
 		if e := h.entry(i, name); e != nil {
 			if first == nil {
 				first = e
@@ -173,6 +184,14 @@ func (h *History) bookends(name string) (first, last *Entry) {
 		}
 	}
 	return first, last
+}
+
+// linkName renders a baseline's link for reports.
+func linkName(link string) string {
+	if link == "" {
+		return "unrecorded"
+	}
+	return link
 }
 
 // formatNs renders ns/op at millisecond scale, the natural unit of the

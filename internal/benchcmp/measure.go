@@ -32,11 +32,24 @@ func FleetConfig(scale, w int) (fleet.Config, error) {
 	return cfg, nil
 }
 
-// pipeline builds the scaled paper pipeline with every stage's worker pool
-// set to w and one shared frame pool — the same shape benchPipeline gives
-// the BenchmarkEndToEnd / BenchmarkDecodeCaptures tests, so baseline
-// numbers are directly comparable to `go test -bench` output.
-func pipeline(scale, w int) (*core.Multiplexer, channel.Config, *core.Receiver, int, *frame.Pool, error) {
+// Link names the channel configuration Pipeline builds. Measure records it
+// in every baseline, so neither the gate nor the history sets timings of
+// two different links against each other. Baselines recorded before it
+// existed carry none: they timed channel.DefaultConfig's camera at
+// BlurRadius 1, whose optical blur erases the chessboard at the half-scale
+// capture, so that link decoded nothing.
+const Link = "camera-blur-0"
+
+// Pipeline builds the link the gate times: the scaled paper geometry's
+// multiplexer over static gray, channel.DefaultConfig at the 1280×720
+// capture divided by scale with the camera's optical blur off (BlurRadius
+// 0, the experiments' standard link), the receiver that link implies, every
+// stage's worker pool set to w, and one shared frame pool. It also returns
+// the display-frame count one iteration transmits (four data frames) and
+// the pool. BenchmarkEndToEnd and BenchmarkDecodeCaptures build the same
+// pipeline, so baseline numbers compare directly with `go test -bench`
+// output.
+func Pipeline(scale, w int) (*core.Multiplexer, channel.Config, *core.Receiver, int, *frame.Pool, error) {
 	l, err := core.ScaledPaperLayout(scale)
 	if err != nil {
 		return nil, channel.Config{}, nil, 0, nil, err
@@ -50,15 +63,11 @@ func pipeline(scale, w int) (*core.Multiplexer, channel.Config, *core.Receiver, 
 		return nil, channel.Config{}, nil, 0, nil, err
 	}
 	cfg := channel.DefaultConfig(1280/scale, 720/scale)
+	cfg.Camera.BlurRadius = 0
+	cfg.Camera.Workers = w
 	cfg.Workers = w
 	cfg.Pool = pool
-	cfg.Camera.Workers = w
-	rcfg := core.DefaultReceiverConfig(p, 1280/scale, 720/scale)
-	rcfg.Exposure = cfg.Camera.Exposure
-	rcfg.ReadoutTime = cfg.Camera.ReadoutTime
-	rcfg.Workers = w
-	rcfg.Pool = pool
-	rcv, err := core.NewReceiver(rcfg)
+	rcv, err := core.NewReceiver(cfg.Receiver(p))
 	if err != nil {
 		return nil, channel.Config{}, nil, 0, nil, err
 	}
@@ -156,10 +165,11 @@ func Measure(scale int) (*Baseline, error) {
 		GoArch:       runtime.GOARCH,
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		Scale:        scale,
+		Link:         Link,
 		CalibNsPerOp: Calibrate(),
 	}
 	for _, w := range counts {
-		m, cfg, rcv, nDisplay, pool, err := pipeline(scale, w)
+		m, cfg, rcv, nDisplay, pool, err := Pipeline(scale, w)
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +199,7 @@ func Measure(scale int) (*Baseline, error) {
 	}
 	// Decode-only: one captured sequence (full pool), then time the decode
 	// at each worker count.
-	m, cfg, _, nDisplay, _, err := pipeline(scale, 0)
+	m, cfg, _, nDisplay, _, err := Pipeline(scale, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +208,7 @@ func Measure(scale int) (*Baseline, error) {
 		return nil, err
 	}
 	for _, w := range counts {
-		_, _, rcv, _, _, err := pipeline(scale, w)
+		_, _, rcv, _, _, err := Pipeline(scale, w)
 		if err != nil {
 			return nil, err
 		}

@@ -149,9 +149,10 @@ func FullFrame(l Layout, capW, capH int) CaptureMapping {
 	}
 }
 
-// Apply maps a display coordinate to capture coordinates.
+// Apply maps a display coordinate to capture coordinates. The conversions
+// keep arm64 from fusing each multiply-add, as on amd64.
 func (m CaptureMapping) Apply(x, y float64) (float64, float64) {
-	return m.OffX + x*m.ScaleX, m.OffY + y*m.ScaleY
+	return m.OffX + float64(x*m.ScaleX), m.OffY + float64(y*m.ScaleY)
 }
 
 // AxisAlignedHomography lifts a CaptureMapping into homography form.

@@ -134,10 +134,13 @@ type Result struct {
 	// Degrade merges every receiver's degradation stats in index order.
 	Degrade metrics.DegradationStats
 	// Pool and PoolHighWater snapshot the shared frame pool after the
-	// run. Gets/Puts/Evicted and the high-water are deterministic for a
-	// fixed config at Workers=1; under concurrent captures the Hit/Miss
-	// split (and therefore the exact high-water) depends on interleaving,
-	// while every decode output remains bit-identical.
+	// run. They are scheduling gauges, not work counters: how many frames
+	// are live at once depends on how the captures interleave across the
+	// Workers, so the misses, evictions and high-water vary with Workers
+	// (inframe-bench -exp fleet reads misses=6, high-water=5 frames at one
+	// worker and 11 and 10 at two) and can vary between runs at more than
+	// one. They repeat for a fixed config at Workers=1, and every decode
+	// output is bit-identical at any Workers.
 	Pool          frame.PoolStats
 	PoolHighWater frame.PoolHighWater
 	// Render snapshots the transmitter's incremental-render counters for

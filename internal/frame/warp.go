@@ -18,7 +18,9 @@ import (
 // full perspective: the display→capture geometry of an off-axis camera
 // (tilt, rotation, distance) is exactly a homography between the two planes.
 // The type lives here, in the lowest shared layer, because the impair stack,
-// the registration package and the receiver all consume it.
+// the registration package and the receiver all consume it. Its arithmetic
+// and the DLT solve write every multiply-add as float64(x*y) + z, which no
+// architecture may fuse into one FMA (see package register).
 type Homography struct {
 	M [9]float64
 }
@@ -46,12 +48,12 @@ func AxisAlignedHomography(sx, sy, ox, oy float64) Homography {
 // Apply maps one point. ok is false when the point sits on (or numerically
 // at) the map's horizon line, where the projective denominator vanishes.
 func (h Homography) Apply(x, y float64) (fx, fy float64, ok bool) {
-	w := h.M[6]*x + h.M[7]*y + h.M[8]
+	w := float64(h.M[6]*x) + float64(h.M[7]*y) + h.M[8]
 	if !(math.Abs(w) > 1e-12) { // NaN-safe: a non-finite w also fails
 		return 0, 0, false
 	}
 	inv := 1 / w
-	return (h.M[0]*x + h.M[1]*y + h.M[2]) * inv, (h.M[3]*x + h.M[4]*y + h.M[5]) * inv, true
+	return (float64(h.M[0]*x) + float64(h.M[1]*y) + h.M[2]) * inv, (float64(h.M[3]*x) + float64(h.M[4]*y) + h.M[5]) * inv, true
 }
 
 // Mul returns the composition h∘g as a map: (h.Mul(g)).Apply(p) equals
@@ -60,7 +62,7 @@ func (h Homography) Mul(g Homography) Homography {
 	var out Homography
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 3; c++ {
-			out.M[3*r+c] = h.M[3*r]*g.M[c] + h.M[3*r+1]*g.M[3+c] + h.M[3*r+2]*g.M[6+c]
+			out.M[3*r+c] = float64(h.M[3*r]*g.M[c]) + float64(h.M[3*r+1]*g.M[3+c]) + float64(h.M[3*r+2]*g.M[6+c])
 		}
 	}
 	return out
@@ -69,9 +71,9 @@ func (h Homography) Mul(g Homography) Homography {
 // Det returns the matrix determinant.
 func (h Homography) Det() float64 {
 	m := &h.M
-	return m[0]*(m[4]*m[8]-m[5]*m[7]) -
-		m[1]*(m[3]*m[8]-m[5]*m[6]) +
-		m[2]*(m[3]*m[7]-m[4]*m[6])
+	return float64(m[0]*(float64(m[4]*m[8])-float64(m[5]*m[7]))) -
+		float64(m[1]*(float64(m[3]*m[8])-float64(m[5]*m[6]))) +
+		float64(m[2]*(float64(m[3]*m[7])-float64(m[4]*m[6])))
 }
 
 // Invert returns the inverse map (the adjugate over the determinant), or
@@ -82,24 +84,24 @@ func (h Homography) Invert() (Homography, error) {
 	det := h.Det()
 	var norm float64
 	for _, v := range m {
-		norm += v * v
+		norm += float64(v * v)
 	}
 	// The determinant scales with the cube of the matrix magnitude; compare
 	// against norm^1.5 so the test is invariant to the projective scale.
-	if !(math.Abs(det) > 1e-12*math.Pow(norm, 1.5)+1e-300) {
+	if !(math.Abs(det) > float64(1e-12*math.Pow(norm, 1.5))+1e-300) {
 		return Homography{}, ErrSingularHomography
 	}
 	inv := 1 / det
 	return Homography{M: [9]float64{
-		(m[4]*m[8] - m[5]*m[7]) * inv,
-		(m[2]*m[7] - m[1]*m[8]) * inv,
-		(m[1]*m[5] - m[2]*m[4]) * inv,
-		(m[5]*m[6] - m[3]*m[8]) * inv,
-		(m[0]*m[8] - m[2]*m[6]) * inv,
-		(m[2]*m[3] - m[0]*m[5]) * inv,
-		(m[3]*m[7] - m[4]*m[6]) * inv,
-		(m[1]*m[6] - m[0]*m[7]) * inv,
-		(m[0]*m[4] - m[1]*m[3]) * inv,
+		(float64(m[4]*m[8]) - float64(m[5]*m[7])) * inv,
+		(float64(m[2]*m[7]) - float64(m[1]*m[8])) * inv,
+		(float64(m[1]*m[5]) - float64(m[2]*m[4])) * inv,
+		(float64(m[5]*m[6]) - float64(m[3]*m[8])) * inv,
+		(float64(m[0]*m[8]) - float64(m[2]*m[6])) * inv,
+		(float64(m[2]*m[3]) - float64(m[0]*m[5])) * inv,
+		(float64(m[3]*m[7]) - float64(m[4]*m[6])) * inv,
+		(float64(m[1]*m[6]) - float64(m[0]*m[7])) * inv,
+		(float64(m[0]*m[4]) - float64(m[1]*m[3])) * inv,
 	}}, nil
 }
 
@@ -210,15 +212,15 @@ func hartleyNormalize(pts [4][2]float64) (similarity, [4][2]float64, error) {
 		cx += p[0]
 		cy += p[1]
 	}
-	cx /= 4
-	cy /= 4
+	cx = float64(cx / 4)
+	cy = float64(cy / 4)
 	var md float64
 	for _, p := range pts {
 		dx := p[0] - cx
 		dy := p[1] - cy
 		// Plain Sqrt, not Hypot: corner coordinates are pixel-scale, far
 		// from the overflow regime Hypot exists to handle.
-		md += math.Sqrt(dx*dx + dy*dy)
+		md += math.Sqrt(float64(dx*dx) + float64(dy*dy))
 	}
 	md /= 4
 	if !(md > 1e-9) {
@@ -255,14 +257,14 @@ func solve8(a *[8][9]float64) ([8]float64, error) {
 		for r := col + 1; r < 8; r++ {
 			f := a[r][col] * inv
 			for c := col; c < 9; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
 		}
 	}
 	for r := 7; r >= 0; r-- {
 		v := a[r][8]
 		for c := r + 1; c < 8; c++ {
-			v -= a[r][c] * x[c]
+			v -= float64(a[r][c] * x[c])
 		}
 		x[r] = v / a[r][r]
 	}

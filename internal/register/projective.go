@@ -50,7 +50,7 @@ func temporalMean(caps []*frame.Frame) *frame.Frame {
 	inv := 1 / float32(len(caps))
 	for _, c := range caps {
 		for i, v := range c.Pix {
-			mean.Pix[i] += v * inv
+			mean.Pix[i] += float32(v * inv)
 		}
 	}
 	return mean
@@ -195,9 +195,9 @@ func refineQuad(acc *frame.Frame, q Quad) Quad {
 			var sxx, sxy, syy float64
 			for _, p := range pts {
 				ux, uy := p[0]-mx, p[1]-my
-				sxx += ux * ux
-				sxy += ux * uy
-				syy += uy * uy
+				sxx += float64(ux * ux)
+				sxy += float64(ux * uy)
+				syy += float64(uy * uy)
 			}
 			th := 0.5 * math.Atan2(2*sxy, sxx-syy)
 			return line{px: mx, py: my, dx: math.Cos(th), dy: math.Sin(th), ok: true}
@@ -207,7 +207,7 @@ func refineQuad(acc *frame.Frame, q Quad) Quad {
 		// fit (corner blur, a noisy profile) and refit from the rest.
 		kept := pts[:0]
 		for _, p := range pts {
-			if math.Abs((p[0]-l.px)*l.dy-(p[1]-l.py)*l.dx) <= 2 {
+			if math.Abs(float64((p[0]-l.px)*l.dy)-float64((p[1]-l.py)*l.dx)) <= 2 {
 				kept = append(kept, p)
 			}
 		}
@@ -230,7 +230,7 @@ func refineQuad(acc *frame.Frame, q Quad) Quad {
 		var crossings [][2]float64
 		for s := 0; s < stations; s++ {
 			f := 0.15 + 0.7*float64(s)/float64(stations-1)
-			bx, by := p0[0]+f*ex, p0[1]+f*ey
+			bx, by := p0[0]+float64(f*ex), p0[1]+float64(f*ey)
 			// Profile along the outward normal, deep interior to past the
 			// panel edge. Index i holds t = (i−nIn)·marchStep.
 			const (
@@ -241,7 +241,7 @@ func refineQuad(acc *frame.Frame, q Quad) Quad {
 			var prof, dil [nIn + nOut + 1]float64
 			for i := range prof {
 				t := float64(i-nIn) * marchStep
-				prof[i] = sample(bx+nx*t, by+ny*t)
+				prof[i] = sample(bx+float64(nx*t), by+float64(ny*t))
 			}
 			// Flatten the moiré bands: dilate with a max filter wider than a
 			// band period so the interior reads as one high plateau.
@@ -277,7 +277,7 @@ func refineQuad(acc *frame.Frame, q Quad) Quad {
 			// profile starts at the interior plateau (above the level by
 			// construction) and steps down once per real boundary; the first
 			// crossing is the grid edge, shifted outward by dilR.
-			level := outerRef + 0.5*(innerRef-outerRef)
+			level := outerRef + float64(0.5*(innerRef-outerRef))
 			pick := -1
 			for i := dilK; i < len(dil)-1-dilK; i++ {
 				if dil[i] >= level && dil[i+1] < level {
@@ -289,8 +289,8 @@ func refineQuad(acc *frame.Frame, q Quad) Quad {
 				continue
 			}
 			frac := (dil[pick] - level) / (dil[pick] - dil[pick+1])
-			tc := (float64(pick-nIn)+frac)*marchStep - dilR
-			crossings = append(crossings, [2]float64{bx + nx*tc, by + ny*tc})
+			tc := float64((float64(pick-nIn)+frac)*marchStep) - dilR
+			crossings = append(crossings, [2]float64{bx + float64(nx*tc), by + float64(ny*tc)})
 		}
 		if len(crossings) >= minStation {
 			lines[k] = fitLine(crossings)
@@ -312,12 +312,12 @@ func refineQuad(acc *frame.Frame, q Quad) Quad {
 	for k := 0; k < 4; k++ {
 		// Corner k is where edge k−1 meets edge k.
 		a, b := lines[(k+3)%4], lines[k]
-		den := a.dx*b.dy - a.dy*b.dx
+		den := float64(a.dx*b.dy) - float64(a.dy*b.dx)
 		if math.Abs(den) < 1e-9 {
 			continue
 		}
-		t := ((b.px-a.px)*b.dy - (b.py-a.py)*b.dx) / den
-		cx, cy := a.px+t*a.dx, a.py+t*a.dy
+		t := (float64((b.px-a.px)*b.dy) - float64((b.py-a.py)*b.dx)) / den
+		cx, cy := a.px+float64(t*a.dx), a.py+float64(t*a.dy)
 		if math.Hypot(cx-q[k][0], cy-q[k][1]) <= maxTravel {
 			out[k] = [2]float64{cx, cy}
 		}
@@ -330,9 +330,12 @@ const mfPlanes = 6
 
 // mfTable is the matched filter's input: one interleaved summed-area table
 // over the mean-subtracted planes of the first n ≤ mfPlanes captures. Entry
-// (y·(w+1)+x)·n+i is plane i's sum over [0,x)×[0,y), so the four nodes a
-// bilinear lookup reads hold every plane side by side and one resolved box
-// corner serves all planes.
+// (y·(w+1)+x)·mfPlanes+i is plane i's sum over [0,x)×[0,y), so the four
+// nodes a bilinear lookup reads hold every plane side by side and one
+// resolved box corner serves all planes. Every node has mfPlanes slots
+// whatever n is (slots n and up stay zero): with a fixed node width, two
+// neighbouring nodes are one fixed-size array and the filter's plane loop
+// runs a constant count with no bounds checks.
 type mfTable struct {
 	w, h, n int
 	sum     []float64
@@ -349,15 +352,15 @@ type mfTable struct {
 func diffIntegrals(caps []*frame.Frame, mean *frame.Frame) *mfTable {
 	w, h := mean.W, mean.H
 	n := min(len(caps), mfPlanes)
-	t := &mfTable{w: w, h: h, n: n, sum: make([]float64, (w+1)*(h+1)*n)}
-	rs := (w + 1) * n
+	t := &mfTable{w: w, h: h, n: n, sum: make([]float64, (w+1)*(h+1)*mfPlanes)}
+	rs := (w + 1) * mfPlanes
 	for y := 0; y < h; y++ {
 		above := t.sum[y*rs : (y+1)*rs]
 		row := t.sum[(y+1)*rs : (y+2)*rs]
 		m := mean.Pix[y*w : (y+1)*w]
 		var rowSum [mfPlanes]float64
 		for x, mv := range m {
-			k := (x + 1) * n
+			k := (x + 1) * mfPlanes
 			for i := 0; i < n; i++ {
 				rowSum[i] += float64(caps[i].Pix[y*w+x] - mv)
 				row[k+i] = above[k+i] + rowSum[i]
@@ -379,7 +382,7 @@ func diffIntegrals(caps []*frame.Frame, mean *frame.Frame) *mfTable {
 // gamed by spatially smooth energy fields, which is what a misaligned
 // frontal hypothesis produces on real camera captures.
 func mfScore(l core.Layout, t *mfTable, h frame.Homography) float64 {
-	return mfScoreStride(l, t, h, 1)
+	return mfScoreStride(l, t, h, 1, newLattice(l))
 }
 
 // warpedPt is one display point mapped through a homography; ok is false
@@ -387,6 +390,12 @@ func mfScore(l core.Layout, t *mfTable, h frame.Homography) float64 {
 type warpedPt struct {
 	x, y float64
 	ok   bool
+}
+
+// newLattice returns scratch for one Block's warped cell-corner lattice,
+// (BlockSize+1)² points.
+func newLattice(l core.Layout) []warpedPt {
+	return make([]warpedPt, (l.BlockSize+1)*(l.BlockSize+1))
 }
 
 // mfScoreStride is mfScore sampled on every stride-th Block in each axis — a
@@ -398,21 +407,20 @@ type warpedPt struct {
 // only a couple of pixels across, so integer boxes would quantize the
 // polish objective into a staircase, while the fractional mean keeps it
 // smooth in sub-pixel corner moves. A Block's cell corners are warped once
-// as one lattice, since neighbouring cells share corners at the same
-// integer display coordinates. Per cell, each box corner's node and
-// fraction are resolved once and every plane is read from the same table
-// rows. A cell with a corner on the horizon line (impossible for validated
+// into lat (newLattice's size) as one lattice, since neighbouring cells
+// share corners at the same integer display coordinates. Per cell, each box
+// corner's node and fraction are resolved once and every plane is read from
+// the same table rows. A cell with a corner on the horizon line (impossible for validated
 // poses, reachable for fuzzed homographies) contributes nothing, and so
 // does a box that clips to nothing.
 //
 //hot:the blind pose solve spends nearly all its time in this objective
-func mfScoreStride(l core.Layout, t *mfTable, h frame.Homography, stride int) float64 {
+func mfScoreStride(l core.Layout, t *mfTable, h frame.Homography, stride int, lat []warpedPt) float64 {
 	ps := l.PixelSize
 	n, sum := t.n, t.sum
 	fw, fh := float64(t.w), float64(t.h)
-	rs := (t.w + 1) * n // table stride between node rows
-	nc := l.BlockSize   // cells per Block side
-	lat := make([]warpedPt, (nc+1)*(nc+1))
+	rs := (t.w + 1) * mfPlanes // table stride between node rows
+	nc := l.BlockSize          // cells per Block side
 	var accs [mfPlanes]float64
 	for by := 0; by < l.BlocksY; by += stride {
 		for bx := 0; bx < l.BlocksX; bx += stride {
@@ -457,19 +465,21 @@ func mfScoreStride(l core.Layout, t *mfTable, h frame.Homography, stride int) fl
 					ix1, fx1 := nodeFrac(maxX, t.w)
 					iy0, fy0 := nodeFrac(minY, t.h)
 					iy1, fy1 := nodeFrac(maxY, t.h)
-					// Node offsets of the four box corners S(x1,y1), S(x0,y1),
+					// Node rows of the four box corners S(x1,y1), S(x0,y1),
 					// S(x1,y0), S(x0,y0), combined as a − b − c + d.
-					pa := iy1*rs + ix1*n
-					pb := iy1*rs + ix0*n
-					pc := iy0*rs + ix1*n
-					pd := iy0*rs + ix0*n
+					ta, ba := nodeRows(sum, iy1*rs+ix1*mfPlanes, rs)
+					tb, bb := nodeRows(sum, iy1*rs+ix0*mfPlanes, rs)
+					tc, bc := nodeRows(sum, iy0*rs+ix1*mfPlanes, rs)
+					td, bd := nodeRows(sum, iy0*rs+ix0*mfPlanes, rs)
 					area := (maxX - minX) * (maxY - minY)
 					on := core.ChessOn(pi0+ci, pj0+cj)
-					for i := 0; i < n; i++ {
-						a := bilerp(sum, pa+i, n, rs, fx1, fy1)
-						b := bilerp(sum, pb+i, n, rs, fx0, fy1)
-						c := bilerp(sum, pc+i, n, rs, fx1, fy0)
-						d := bilerp(sum, pd+i, n, rs, fx0, fy0)
+					// Every slot, planes n and up included: theirs are zero
+					// sums, and their accumulators are never read.
+					for i := range accs {
+						a := bilerp(ta, ba, i, fx1, fy1)
+						b := bilerp(tb, bb, i, fx0, fy1)
+						c := bilerp(tc, bc, i, fx1, fy0)
+						d := bilerp(td, bd, i, fx0, fy0)
 						s := a - b - c + d
 						if on {
 							accs[i] += s / area
@@ -524,18 +534,90 @@ func nodeFrac(v float64, size int) (int, float64) {
 	return i, v - float64(i)
 }
 
-// bilerp interpolates one plane of an interleaved table at node offset p,
-// fraction (fx, fy) toward the next node in x (n entries on) and the next
-// node row (rs entries on) in y: integralImage.sumAt's arithmetic in the
-// same order.
-func bilerp(sum []float64, p, n, rs int, fx, fy float64) float64 {
-	s00 := sum[p]
-	s01 := sum[p+n]
-	s10 := sum[p+rs]
-	s11 := sum[p+rs+n]
-	top := s00 + (s01-s00)*fx
-	bot := s10 + (s11-s10)*fx
-	return top + (bot-top)*fy
+// nodeRows returns the table's node pair at offset p — nodes (x, y) and
+// (x+1, y), mfPlanes slots each — and the pair one node row (rs entries)
+// below. Callers resolve x < w and y < h (nodeFrac), so both pairs exist.
+func nodeRows(sum []float64, p, rs int) (top, bot *[2 * mfPlanes]float64) {
+	return (*[2 * mfPlanes]float64)(sum[p:]), (*[2 * mfPlanes]float64)(sum[p+rs:])
+}
+
+// bilerp interpolates plane i of the node rows top and bot (nodeRows) at
+// fraction (fx, fy) toward the next node in x and the next row in y:
+// integralImage.sumAt's arithmetic in the same order.
+func bilerp(top, bot *[2 * mfPlanes]float64, i int, fx, fy float64) float64 {
+	s00 := top[i]
+	s01 := top[mfPlanes+i]
+	s10 := bot[i]
+	s11 := bot[mfPlanes+i]
+	t := s00 + float64((s01-s00)*fx)
+	b := s10 + float64((s11-s10)*fx)
+	return t + float64((b-t)*fy)
+}
+
+// scoreKey names one candidate of a chain's search: the exact bits of the
+// quad's eight corner coordinates and the matched-filter stride.
+type scoreKey struct {
+	q      [8]uint64
+	stride int
+}
+
+// scored is one candidate's evaluation: the homography solved for its quad,
+// that homography's matched-filter score, and whether the quad solved at
+// all (h and score are zero when it did not).
+type scored struct {
+	h     frame.Homography
+	score float64
+	ok    bool
+}
+
+// scorer evaluates the candidates of one search chain. An evaluation — the
+// DLT solve and the matched filter — is a pure function of (quad, stride),
+// and the searches revisit quads: a descent round that adopts nothing runs
+// again unchanged (polishSteps holds 0.5 twice), a scan round that moves no
+// edge re-scans the same offsets, and after a descent adopts −d its +d
+// trial lands back on the quad it came from. So the scorer remembers every
+// evaluation by the quad's exact bits and the stride, and runs each at most
+// once; a repeat returns the remembered result, bit for bit what a fresh
+// evaluation would give. It also owns the lattice scratch the matched
+// filter warps into. A scorer belongs to one chain and one goroutine.
+type scorer struct {
+	l     core.Layout
+	t     *mfTable
+	src   Quad
+	chain int
+	lat   []warpedPt
+	memo  map[scoreKey]scored
+}
+
+// testHookEval, when non-nil, is called once for every evaluation a scorer
+// runs (not for the repeats it answers from memory), with the scorer's chain
+// and the candidate's key. Tests set it; it may be called concurrently.
+var testHookEval func(chain int, k scoreKey)
+
+func newScorer(l core.Layout, t *mfTable, src Quad, chain int) *scorer {
+	return &scorer{l: l, t: t, src: src, chain: chain, lat: newLattice(l), memo: make(map[scoreKey]scored)}
+}
+
+// eval returns the homography solving src → q, its stride-subsampled
+// matched-filter score, and whether q solved.
+func (s *scorer) eval(q Quad, stride int) (frame.Homography, float64, bool) {
+	k := scoreKey{stride: stride}
+	for i, c := range q {
+		k.q[2*i] = math.Float64bits(c[0])
+		k.q[2*i+1] = math.Float64bits(c[1])
+	}
+	if r, ok := s.memo[k]; ok {
+		return r.h, r.score, r.ok
+	}
+	var r scored
+	if h, err := frame.SolveHomography(s.src, q); err == nil {
+		r = scored{h: h, score: mfScoreStride(s.l, s.t, h, stride, s.lat), ok: true}
+	}
+	s.memo[k] = r
+	if testHookEval != nil {
+		testHookEval(s.chain, k)
+	}
+	return r.h, r.score, r.ok
 }
 
 // polishSteps is the corner polish's search schedule in units of the
@@ -555,26 +637,22 @@ var polishSteps = [4]float64{1, 0.5, 0.5, 0.25}
 // homography: for each round, each corner axis tries ± the round's step (in
 // capture pixels, pre-scaled by the cell pitch); an improved solve is adopted
 // immediately. The iteration count is fixed (rounds × corners × axes × 2
-// candidate offsets), never data-dependent. Returns the descended quad, its
-// homography and score; ok is false when no corner configuration solved.
-func descendQuad(l core.Layout, t *mfTable, src, start Quad, pitch float64, steps []float64, stride int) (Quad, frame.Homography, float64, bool) {
-	h, err := frame.SolveHomography(src, start)
-	if err != nil {
+// candidate offsets), never data-dependent; s answers the candidates it has
+// already scored. Returns the descended quad, its homography and score; ok
+// is false when start does not solve.
+func descendQuad(s *scorer, start Quad, pitch float64, steps []float64, stride int) (Quad, frame.Homography, float64, bool) {
+	h, score, ok := s.eval(start, stride)
+	if !ok {
 		return start, frame.Homography{}, 0, false
 	}
-	score := mfScoreStride(l, t, h, stride)
 	for _, step := range steps {
 		for c := 0; c < 4; c++ {
 			for axis := 0; axis < 2; axis++ {
 				for _, d := range [2]float64{-step * pitch, step * pitch} {
 					cand := start
 					cand[c][axis] += d
-					hc, err := frame.SolveHomography(src, cand)
-					if err != nil {
-						continue
-					}
-					if s := mfScoreStride(l, t, hc, stride); s > score {
-						score = s
+					if hc, sc, ok := s.eval(cand, stride); ok && sc > score {
+						score = sc
 						h = hc
 						start = cand
 					}
@@ -596,15 +674,14 @@ func descendQuad(l core.Layout, t *mfTable, src, start Quad, pitch float64, step
 // lockstep and the true tooth is guaranteed to be sampled. Coordinate-wise
 // per-corner moves cannot find these offsets — moving one corner alone
 // tilts the edge and gains almost nothing. Two rounds over the four edges,
-// argmax on the stride-2 score; the evaluation count is fixed by the window
+// argmax on the stride-2 score; the candidate count is fixed by the window
 // and step, never data-dependent.
-func scanEdges(l core.Layout, t *mfTable, src, start Quad, pitch, spanPx float64) (Quad, float64, bool) {
+func scanEdges(s *scorer, start Quad, pitch, spanPx float64) (Quad, float64, bool) {
 	q := start
-	h, err := frame.SolveHomography(src, q)
-	if err != nil {
+	_, best, ok := s.eval(q, 2)
+	if !ok {
 		return q, 0, false
 	}
-	best := mfScoreStride(l, t, h, 2)
 	step := pitch / 3
 	span := int(math.Ceil(spanPx / step))
 	for round := 0; round < 2; round++ {
@@ -623,23 +700,19 @@ func scanEdges(l core.Layout, t *mfTable, src, start Quad, pitch, spanPx float64
 				}
 				d := float64(o) * step
 				cand := q
-				cand[k][0] += nx * d
-				cand[k][1] += ny * d
-				cand[j][0] += nx * d
-				cand[j][1] += ny * d
-				hc, err := frame.SolveHomography(src, cand)
-				if err != nil {
-					continue
-				}
-				if s := mfScoreStride(l, t, hc, 2); s > best {
-					best = s
+				cand[k][0] += float64(nx * d)
+				cand[k][1] += float64(ny * d)
+				cand[j][0] += float64(nx * d)
+				cand[j][1] += float64(ny * d)
+				if _, sc, ok := s.eval(cand, 2); ok && sc > best {
+					best = sc
 					bestOff = d
 				}
 			}
-			q[k][0] += nx * bestOff
-			q[k][1] += ny * bestOff
-			q[j][0] += nx * bestOff
-			q[j][1] += ny * bestOff
+			q[k][0] += float64(nx * bestOff)
+			q[k][1] += float64(ny * bestOff)
+			q[j][0] += float64(nx * bestOff)
+			q[j][1] += float64(ny * bestOff)
 		}
 	}
 	return q, best, true
@@ -649,13 +722,12 @@ func scanEdges(l core.Layout, t *mfTable, src, start Quad, pitch, spanPx float64
 // is phase-locked, each corner coordinate is swept independently over a
 // small ±spanPx window to absorb the residual shear and perspective the
 // per-edge translations cannot express.
-func scanCorners(l core.Layout, t *mfTable, src, start Quad, pitch, spanPx float64) (Quad, float64, bool) {
+func scanCorners(s *scorer, start Quad, pitch, spanPx float64) (Quad, float64, bool) {
 	q := start
-	h, err := frame.SolveHomography(src, q)
-	if err != nil {
+	_, best, ok := s.eval(q, 2)
+	if !ok {
 		return q, 0, false
 	}
-	best := mfScoreStride(l, t, h, 2)
 	step := pitch / 3
 	span := int(math.Ceil(spanPx / step))
 	for round := 0; round < 2; round++ {
@@ -668,13 +740,9 @@ func scanCorners(l core.Layout, t *mfTable, src, start Quad, pitch, spanPx float
 						continue
 					}
 					cand := q
-					cand[c][axis] = base + float64(o)*step
-					hc, err := frame.SolveHomography(src, cand)
-					if err != nil {
-						continue
-					}
-					if s := mfScoreStride(l, t, hc, 2); s > best {
-						best = s
+					cand[c][axis] = base + float64(float64(o)*step)
+					if _, sc, ok := s.eval(cand, 2); ok && sc > best {
+						best = sc
 						bestOff = float64(o) * step
 					}
 				}
@@ -741,37 +809,34 @@ func calibrateProjective(l core.Layout, caps []*frame.Frame, workers int) (frame
 	// descended scores compare.
 	frontal := Quad{}
 	for i, c := range src {
-		frontal[i][0] = ff.OffX + c[0]*ff.ScaleX
-		frontal[i][1] = ff.OffY + c[1]*ff.ScaleY
+		frontal[i][0] = ff.OffX + float64(c[0]*ff.ScaleX)
+		frontal[i][1] = ff.OffY + float64(c[1]*ff.ScaleY)
 	}
 	starts := [3]Quad{refineQuad(energy, quad), quad, frontal}
 	// Chain 2k descends start k directly; chain 2k+1 scans it first. The
-	// chains share only the read-only table and each writes its own slot.
-	type chain struct {
-		h     frame.Homography
-		score float64
-		ok    bool
-	}
-	var chains [2 * len(starts)]chain
+	// chains share only the read-only table, and each scores through its own
+	// scorer and writes its own slot.
+	var chains [2 * len(starts)]scored
 	parallel.For(workers, len(chains), func(k int) {
+		s := newScorer(l, t, src, k)
 		start := starts[k/2]
 		if k%2 == 1 {
 			// Scan bridge for the biased-detection regime: coherent
 			// per-edge offsets first, then per-corner shear, then the same
 			// leashed descent.
-			q, _, ok := scanEdges(l, t, src, start, pitch, 9)
+			q, _, ok := scanEdges(s, start, pitch, 9)
 			if !ok {
 				return
 			}
-			if start, _, ok = scanCorners(l, t, src, q, pitch, 3); !ok {
+			if start, _, ok = scanCorners(s, q, pitch, 3); !ok {
 				return
 			}
 		}
 		// Leashed descent: straight from the coarse quad, it is the winning
 		// strategy when detection landed within a couple of pixels, where
 		// any longer-range move risks hopping onto an aliased comb tooth.
-		_, h, s, ok := descendQuad(l, t, src, start, pitch, polishSteps[:], 1)
-		chains[k] = chain{h, s, ok}
+		_, h, sc, ok := descendQuad(s, start, pitch, polishSteps[:], 1)
+		chains[k] = scored{h, sc, ok}
 	})
 	// All six final candidates are scored by the identical full-resolution
 	// descended matched filter, so the regimes compete on equal terms. The

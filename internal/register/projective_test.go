@@ -3,6 +3,7 @@ package register
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"inframe/internal/core"
@@ -297,6 +298,9 @@ func TestMFScoreMatchesReference(t *testing.T) {
 		}
 	}
 	shift := frame.AxisAlignedHomography(1, 1, 0.37, -0.61)
+	// One lattice serves every score, as it does a scorer's evaluations: each
+	// Block overwrites it before reading it.
+	lat := newLattice(l)
 	for _, pc := range []struct{ tilt, roll, dist float64 }{
 		{0, 0, 1}, {10, -4, 1}, {20, 5, 1.1}, {30, -8, 1.2}, {45, 10, 1}, {60, 3, 1.3},
 	} {
@@ -316,14 +320,14 @@ func TestMFScoreMatchesReference(t *testing.T) {
 			}
 			for i, ii := range iis {
 				for k, v := range ii.sum {
-					if math.Float64bits(tab.sum[k*tab.n+i]) != math.Float64bits(v) {
-						t.Fatalf("%d captures, plane %d node %d: %v, reference %v", ncaps, i, k, tab.sum[k*tab.n+i], v)
+					if math.Float64bits(tab.sum[k*mfPlanes+i]) != math.Float64bits(v) {
+						t.Fatalf("%d captures, plane %d node %d: %v, reference %v", ncaps, i, k, tab.sum[k*mfPlanes+i], v)
 					}
 				}
 			}
 			for hi, h := range []frame.Homography{pose, shift.Mul(pose), zoom, zoom.Mul(pose), horizon, horizon.Mul(pose)} {
 				for _, stride := range []int{1, 2} {
-					got := mfScoreStride(l, tab, h, stride)
+					got := mfScoreStride(l, tab, h, stride, lat)
 					want := referenceMFScoreStride(l, iis, h, stride)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("tilt %v roll %v, %d captures, homography %d, stride %d: score %v, reference %v",
@@ -366,6 +370,114 @@ func TestCalibrateProjectiveWorkerInvariance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// solvePin is one blind solve's expected outcome: the homography's
+// Float64bits and, per candidate chain, how many distinct (quad bits,
+// stride) candidates it evaluates. Both were recorded from the search
+// before its scorers remembered evaluations, when every repeat was solved
+// and scored again: the memo must change neither the solve nor the set of
+// candidates, only how often each is evaluated.
+type solvePin struct {
+	h     [9]uint64
+	evals [6]int
+}
+
+// checkSolvePin solves caps at the given worker budget and checks the
+// result against pin: the homography bit for bit, and that every chain
+// evaluates each of its candidates exactly once.
+func checkSolvePin(t *testing.T, l core.Layout, caps []*frame.Frame, workers int, pin solvePin) {
+	t.Helper()
+	var (
+		mu   sync.Mutex
+		seen [6]map[scoreKey]int
+	)
+	testHookEval = func(chain int, k scoreKey) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[chain] == nil {
+			seen[chain] = map[scoreKey]int{}
+		}
+		seen[chain][k]++
+	}
+	defer func() { testHookEval = nil }()
+	h, err := calibrateProjective(l, caps, workers)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	var got [9]uint64
+	for i, v := range h.M {
+		got[i] = math.Float64bits(v)
+	}
+	if got != pin.h {
+		t.Errorf("workers=%d: solved %v (bits %#x), pinned %#x", workers, h.M, got, pin.h)
+	}
+	for c, keys := range seen {
+		for k, n := range keys {
+			if n > 1 {
+				t.Errorf("workers=%d: chain %d evaluated quad %#x stride %d %d times", workers, c, k.q, k.stride, n)
+			}
+		}
+		if len(keys) != pin.evals[c] {
+			t.Errorf("workers=%d: chain %d evaluated %d candidates, pinned %d", workers, c, len(keys), pin.evals[c])
+		}
+	}
+}
+
+// TestCalibrateProjectivePinned pins two posed solves on the test layout at
+// one and two workers: see solvePin.
+func TestCalibrateProjectivePinned(t *testing.T) {
+	l := testLayout()
+	for _, tc := range []struct {
+		name             string
+		tilt, roll, dist float64
+		pin              solvePin
+	}{
+		{"tilt-20", 20, 0, 1, solvePin{
+			h: [9]uint64{
+				0x3fefb8ef0a17c737, 0x3fbaed53d038c85c, 0xc0160e21c6c75398,
+				0xbf8ed6684a6ecdc7, 0x3ff0053a3570d4d7, 0xbff097ed32ea47a0,
+				0xbf23d9be6e588220, 0x3f5c077be92e0753, 0x3fee4cf3641cf944,
+			},
+			evals: [6]int{48, 424, 57, 288, 49, 306},
+		}},
+		{"tilt-25-roll-5-far", 25, 5, 1.3, solvePin{
+			h: [9]uint64{
+				0x3fe8d5bcc7629a45, 0x3fa4c2d6047e5d21, 0x40266aaf7f6ad884,
+				0x3fb260260064453c, 0x3fe85ca651204112, 0x4009d429cb574f30,
+				0x3f25e16c79c7d206, 0x3f5fb1dbefc22132, 0x3fed78e98d7a1e4b,
+			},
+			evals: [6]int{60, 529, 48, 424, 49, 521},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			caps, _ := posedCaptures(t, l, tc.tilt, tc.roll, tc.dist, 10)
+			for _, w := range []int{1, 2} {
+				checkSolvePin(t, l, caps, w, tc.pin)
+			}
+		})
+	}
+}
+
+// TestCalibrateProjectiveHalfScalePinned pins BenchmarkCalibrateProjective's
+// solve — 30° tilt on the half-scale paper layout — the same way.
+func TestCalibrateProjectiveHalfScalePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("blind solve of half-scale captures takes several seconds")
+	}
+	l, err := core.ScaledPaperLayout(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps, _ := posedCaptures(t, l, 30, 0, 1, 10)
+	checkSolvePin(t, l, caps, 0, solvePin{
+		h: [9]uint64{
+			0x3feff1367b88fad7, 0x3fc0f9bdcc0615bc, 0xc03e89031f6e2510,
+			0x3f17978425fac312, 0x3fedd5e6cdf746ea, 0x40329ef9ee897ae0,
+			0x3ef1101c635e6994, 0x3f32e6165eed05f6, 0x3fed422e22879e6b,
+		},
+		evals: [6]int{58, 395, 52, 441, 49, 265},
+	})
 }
 
 // BenchmarkCalibrateProjective times one blind solve on posed 30° captures

@@ -2,7 +2,6 @@ package register
 
 import (
 	"math"
-	"sort"
 
 	"inframe/internal/core"
 	"inframe/internal/frame"
@@ -77,9 +76,9 @@ func (ii *integralImage) sumAt(x, y float64) float64 {
 	s01 := ii.sum[y0*stride+x0+1]
 	s10 := ii.sum[(y0+1)*stride+x0]
 	s11 := ii.sum[(y0+1)*stride+x0+1]
-	top := s00 + (s01-s00)*fx
-	bot := s10 + (s11-s10)*fx
-	return top + (bot-top)*fy
+	top := s00 + float64((s01-s00)*fx)
+	bot := s10 + float64((s11-s10)*fx)
+	return top + float64((bot-top)*fy)
 }
 
 // rectMeanFrac returns the mean over the fractional rectangle
@@ -109,7 +108,8 @@ func (ii *integralImage) rectMeanFrac(x0, y0, x1, y1 float64) float64 {
 
 // alignScore measures how well a candidate mapping lines up with the Block
 // grid by decoding it: per-Block mean energies are thresholded at their
-// median into bits, and the score is the fraction of GOBs whose XOR parity
+// median (the element sort.Float64s would leave at n/2, found by selection)
+// into bits, and the score is the fraction of GOBs whose XOR parity
 // holds. A correctly aligned grid scores near the channel's availability;
 // any misalignment beyond a fraction of a Block mixes neighbours and decays
 // toward the 50% random-parity floor. (A shift by exactly one GOB pitch
@@ -118,6 +118,7 @@ func (ii *integralImage) rectMeanFrac(x0, y0, x1, y1 float64) float64 {
 func alignScore(l core.Layout, iis []*integralImage, m core.CaptureMapping) float64 {
 	nBlocks := l.NumBlocks()
 	energies := make([]float64, nBlocks)
+	sel := make([]float64, nBlocks)
 	bits := make([]bool, nBlocks)
 	var total float64
 	for _, ii := range iis {
@@ -126,23 +127,28 @@ func alignScore(l core.Layout, iis []*integralImage, m core.CaptureMapping) floa
 				x0, y0, w, h := l.BlockRect(bx, by)
 				fx0, fy0 := m.Apply(float64(x0), float64(y0))
 				fx1, fy1 := m.Apply(float64(x0+w), float64(y0+h))
-				dx := (fx1 - fx0) / 4
-				dy := (fy1 - fy0) / 4
+				dx := float64((fx1 - fx0) / 4)
+				dy := float64((fy1 - fy0) / 4)
 				energies[by*l.BlocksX+bx] = ii.rectMean(int(fx0+dx), int(fy0+dy), int(fx1-dx), int(fy1-dy))
 			}
 		}
-		sorted := append([]float64(nil), energies...)
-		sort.Float64s(sorted)
-		thr := sorted[len(sorted)/2]
+		copy(sel, energies)
+		// thr is only compared with >, so whichever zero or NaN the
+		// selection returns sets the same bits.
+		thr := nthFloat64(sel, nBlocks/2)
 		for i, e := range energies {
 			bits[i] = e > thr
 		}
 		pass := 0
 		for gy := 0; gy < l.GOBsY(); gy++ {
 			for gx := 0; gx < l.GOBsX(); gx++ {
+				// The GOB's Blocks in GOBBlocks order, by row-major index.
 				parity := false
-				for _, blk := range l.GOBBlocks(gx, gy) {
-					parity = parity != bits[blk[1]*l.BlocksX+blk[0]]
+				for j := 0; j < l.GOBSize; j++ {
+					row := (gy*l.GOBSize+j)*l.BlocksX + gx*l.GOBSize
+					for _, b := range bits[row : row+l.GOBSize] {
+						parity = parity != b
+					}
 				}
 				if !parity {
 					pass++
@@ -152,6 +158,48 @@ func alignScore(l core.Layout, iis []*integralImage, m core.CaptureMapping) floa
 		total += float64(pass) / float64(l.NumGOBs())
 	}
 	return total / float64(len(iis))
+}
+
+// floatLess is sort.Float64s' order: ascending, with NaN before every
+// number; ±0 are equal, and so are any two NaNs.
+func floatLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
+// nthFloat64 returns the element sort.Float64s would leave at a[k],
+// 0 ≤ k < len(a), by quickselect in expected linear time: Hoare partitions
+// around the middle element, reordering a in place. Elements equal under
+// floatLess are interchangeable, so the result can be another zero or
+// another NaN than the sort's a[k], never a different number.
+func nthFloat64(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		p := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(a[i], p) {
+				i++
+			}
+			for floatLess(p, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo:j+1] ≤ p ≤ a[i:hi+1], and everything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // Refine polishes a coarse mapping by two-stage local search over offsets

@@ -9,6 +9,12 @@
 // axis-aligned core.CaptureMapping; CalibrateProjective solves the full
 // display→capture homography of a tilted and rolled camera (perspective
 // and rotation) from the captures alone.
+//
+// Every multiply feeding an add is written float64(x*y) + z: Go may fuse
+// x*y + z into one fused multiply-add that rounds once (arm64 does, amd64
+// never), and the explicit conversion forbids it, so the solve's pinned
+// homographies hold on every architecture. verify.sh's arm64 stage fails
+// on any fused instruction in this package.
 package register
 
 import (
@@ -64,14 +70,14 @@ func TemporalEnergy(caps []*frame.Frame) (*frame.Frame, error) {
 		for i, v := range c.Pix {
 			r := v - sm.Pix[i]
 			sum.Pix[i] += r
-			sum2.Pix[i] += r * r
+			sum2.Pix[i] += float32(r * r)
 		}
 	}
 	n := float32(len(caps))
 	out := frame.New(w, h)
 	for i := range out.Pix {
 		mean := sum.Pix[i] / n
-		out.Pix[i] = sum2.Pix[i]/n - mean*mean
+		out.Pix[i] = sum2.Pix[i]/n - float32(mean*mean)
 	}
 	return frame.BoxBlur(out, 3), nil
 }
@@ -132,7 +138,7 @@ func profileSpan(profile []float64) (lo, hi int, ok bool) {
 	if fg-bg < 0.3 {
 		return 0, 0, false
 	}
-	thr := bg + 0.7*(fg-bg)
+	thr := bg + float64(0.7*(fg-bg))
 	// The data grid is a wide plateau above threshold; thin spikes (the
 	// display's own border against a dark room, content edges) are short
 	// runs. Take the longest run, bridging gaps of up to 3 samples.
@@ -179,8 +185,8 @@ func Solve(l core.Layout, region Rect) (core.CaptureMapping, error) {
 		ScaleY: float64(region.H) / gridH,
 	}
 	// Region origin corresponds to the grid origin (MarginX, MarginY).
-	m.OffX = float64(region.X0) - float64(l.MarginX())*m.ScaleX
-	m.OffY = float64(region.Y0) - float64(l.MarginY())*m.ScaleY
+	m.OffX = float64(region.X0) - float64(float64(l.MarginX())*m.ScaleX)
+	m.OffY = float64(region.Y0) - float64(float64(l.MarginY())*m.ScaleY)
 	if err := m.Validate(); err != nil {
 		return core.CaptureMapping{}, err
 	}

@@ -4,7 +4,9 @@
 # inframe-lint invariant suite with per-analyzer timings), a full build,
 # vet and short tests of the separately moduled cmd/inframe-perf benchmark
 # (which `go build ./...` never compiles) plus its bit-identity check of the
-# blind pose solve on the benchmark's own captures, the complete test suite
+# blind pose solve on the benchmark's own captures, an arm64 cross-compile
+# of the solve path checked free of fused multiply-adds (which round
+# differently from amd64's separate instructions), the complete test suite
 # under the race detector (the worker pools in internal/parallel make data
 # races a correctness class, not a theoretical one), a coverage floor on
 # internal/analysis (the lint gate's own engine), the steady-state
@@ -93,6 +95,37 @@ run_perf_module() {
 	GOFLAGS=-mod=readonly go -C cmd/inframe-perf vet ./...
 	GOFLAGS=-mod=readonly go -C cmd/inframe-perf test -short ./...
 	GOFLAGS=-mod=readonly go -C cmd/inframe-perf test -count=1 -run '^TestPoseFixtureIsTheSolve$' ./...
+}
+
+run_arm64_fma() {
+	# Go may fuse x*y + z into one fused multiply-add, which rounds once
+	# where separate instructions round twice; amd64 never fuses, arm64
+	# does, so a bit-identical result on amd64 says nothing about arm64
+	# unless the code forbids fusion with explicit float64(x*y) conversions.
+	# The blind pose solve's pinned homographies must hold on both: cross-
+	# compile inframe-bench for arm64 and fail on any FMADD/FMSUB/FNMADD/
+	# FNMSUB in an internal/register function or in frame's homography
+	# arithmetic (Apply, Mul, Det, Invert, the normalized DLT solve).
+	local dir dis fused
+	dir=$(mktemp -d)
+	GOARCH=arm64 go build -o "$dir/inframe-bench" ./cmd/inframe-bench
+	dis=$(go tool objdump \
+		-s '^inframe/internal/(register\.|frame\.(Homography\.|SolveHomography|hartleyNormalize|solve8))' \
+		"$dir/inframe-bench")
+	rm -rf "$dir"
+	# An empty listing (a renamed package, a pattern that no longer
+	# matches) must not pass as clean.
+	if ! grep -q '^TEXT inframe/internal/register\.mfScoreStride' <<<"$dis"; then
+		echo "arm64 disassembly lacks register.mfScoreStride; fix the objdump pattern" >&2
+		return 1
+	fi
+	fused=$(awk '/^TEXT / { fn = $2 } /\t(FMADD|FMSUB|FNMADD|FNMSUB)/ { print fn, $1 }' <<<"$dis")
+	if [[ -n "$fused" ]]; then
+		echo "fused multiply-adds in the arm64 solve path (add float64(x*y) conversions):" >&2
+		echo "$fused" >&2
+		return 1
+	fi
+	echo "no fused multiply-adds in the arm64 solve path"
 }
 
 run_tests() {
@@ -271,6 +304,7 @@ stage "go vet ./..." go vet ./...
 stage "go build ./..." go build ./...
 stage "inframe-lint ./..." run_lint
 stage "cmd/inframe-perf vet + short tests" run_perf_module
+stage "arm64 solve path FMA-free" run_arm64_fma
 stage "go test -race $short ./..." run_tests
 stage "internal/analysis coverage floor" run_analysis_cover
 stage "internal/register coverage floor" run_register_cover
