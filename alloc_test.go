@@ -449,15 +449,20 @@ func TestWarpPlanAllocs(t *testing.T) {
 	}
 }
 
-// TestPoseStageAllocs pins the camera-pose stage's memory: a fixed pose
-// warps through one plan per Stack, built on its first posed capture, and
-// the clone of the capture it warps from comes from one package-level
-// scratch pool. So after a Stack's first capture a posed ApplyFrame
-// allocates nothing frame-sized, and a second Stack with the same config —
-// channel.Simulate builds one per call — allocates its plan (8 bytes per
-// pixel) but no clone plane. It reads the heap, so it runs with the
-// garbage collector off (which would empty the scratch pool) on one P (a
-// sync.Pool keeps its last Put per P), and skips under the race detector.
+// TestPoseStageAllocs pins the camera-pose stage's memory: the stage warps
+// an integral capture in place and, as the stack's last pixel stage,
+// writes its 8-bit codes in the same pass, so it needs no copy of the
+// capture and takes none from any pool; the one scratch it reads is the
+// warp's own 8-bit copy of the capture, which frame keeps pooled
+// (TestWarpPlanAllocs). A fixed pose builds one plan per Stack on its
+// first posed capture, 8 bytes per pixel. So after that capture a posed
+// ApplyFrame allocates nothing at all, fixed or jittered; once two
+// collections have emptied every pool it allocates that 8-bit copy and
+// nothing else, so no plane hides in a pool; and a second Stack with the
+// same config — channel.Simulate builds one per call — allocates its plan
+// and nothing else. It reads the heap, so it runs with the garbage
+// collector off (which would empty frame's pool) on one P (a sync.Pool
+// keeps its last Put per P), and skips under the race detector.
 func TestPoseStageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap gate: runs uninstrumented in the alloc stage")
@@ -465,11 +470,11 @@ func TestPoseStageAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const w, h = 320, 180
-	planeBytes := uint64(w * h * 4)
+	codesBytes := uint64(w * h)
 	planBytes := uint64(w * h * 8)
 	cfg := impair.Config{Seed: 5, TiltDeg: 30}
 	f := frame.New(w, h)
-	apply := func(s *impair.Stack, i int) uint64 {
+	apply := func(s *impair.Stack, i int) (bytes, mallocs uint64) {
 		for j := range f.Pix {
 			f.Pix[j] = float32((j*29 + i) % 256)
 		}
@@ -477,21 +482,34 @@ func TestPoseStageAllocs(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		s.ApplyFrame(f, i, 0.01*float64(i), 0.001)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
 	first := impair.New(cfg)
-	if b := apply(first, 0); b < planBytes {
+	if b, _ := apply(first, 0); b < planBytes {
 		t.Errorf("first posed capture allocated %d B, want at least the %d B plan", b, planBytes)
 	}
+	jittered := impair.New(impair.Config{Seed: 5, TiltDeg: 30, RotateDeg: 4, PoseJitterDeg: 2})
+	apply(jittered, 0)
 	for i := 1; i <= 4; i++ {
-		if b := apply(first, i); b >= planeBytes/8 {
-			t.Errorf("posed capture %d allocated %d B, want nothing frame-sized (a clone plane is %d B)", i, b, planeBytes)
+		for _, s := range []struct {
+			name  string
+			stack *impair.Stack
+		}{{"fixed", first}, {"jittered", jittered}} {
+			if b, n := apply(s.stack, i); b != 0 || n != 0 {
+				t.Errorf("%s posed capture %d allocated %d B in %d objects, want nothing", s.name, i, b, n)
+			}
 		}
 	}
+	runtime.GC() // a sync.Pool survives one collection in its victim cache
+	runtime.GC()
+	if b, _ := apply(first, 5); b < codesBytes || b >= codesBytes*3/2 {
+		t.Errorf("a posed capture on emptied pools allocated %d B, want the %d B 8-bit copy and nothing else (a float plane is %d B)",
+			b, codesBytes, 4*codesBytes)
+	}
 	second := impair.New(cfg)
-	if b := apply(second, 0); b < planBytes || b >= planBytes+planeBytes/2 {
-		t.Errorf("a second Stack's first posed capture allocated %d B, want its %d B plan and no %d B clone plane",
-			b, planBytes, planeBytes)
+	if b, _ := apply(second, 0); b < planBytes || b >= planBytes+codesBytes/2 {
+		t.Errorf("a second Stack's first posed capture allocated %d B, want its %d B plan and nothing else (an 8-bit copy is %d B)",
+			b, planBytes, codesBytes)
 	}
 }
 

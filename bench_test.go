@@ -289,7 +289,10 @@ func BenchmarkMeasureCapture(b *testing.B) {
 // 1280×720 capture: the camera-pose impairment's 30° inverse warp onto
 // the same size (pose), and the projective receiver's rectification onto
 // the 960×540 display plane (rectify). direct is frame.WarpInto, plan a
-// prebuilt frame.WarpPlan's Into (bit-identical).
+// prebuilt frame.WarpPlan's Into (bit-identical). pose/stage is the whole
+// camera-pose stage as the pipeline runs it: impair.Stack.ApplyFrame of
+// the fixed 30° pose with its plan built, on a fresh copy of the capture
+// each iteration (copied with the timer stopped).
 func BenchmarkWarp(b *testing.B) {
 	poseInv, err := impair.PoseHomography(1280, 720, 30, 0, 1).Invert()
 	if err != nil {
@@ -323,6 +326,19 @@ func BenchmarkWarp(b *testing.B) {
 			}
 		})
 	}
+	b.Run("pose/stage", func(b *testing.B) {
+		s := impair.New(impair.Config{TiltDeg: 30})
+		f := src.Clone()
+		s.ApplyFrame(f, 0, 0, 0.001)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			src.CloneInto(f)
+			b.StartTimer()
+			s.ApplyFrame(f, i, 0, 0.001)
+		}
+	})
 }
 
 // BenchmarkFlickerAmplitude measures one spectral observer evaluation.

@@ -14,9 +14,9 @@
 //
 //   - Proven bit-identical: Round8 reproduces the math.Round-based
 //     reference exactly over its whole domain (the proof is in the Round8
-//     doc comment and pinned by TestFixedPointBitIdentity); Narrow8,
-//     EncodeRow, WindowRows and RowAbsEnergy8 reproduce the kernels they
-//     replaced.
+//     doc comment and pinned by TestFixedPointBitIdentity); RoundQ16 is
+//     Round8 of a Q16 sample; Narrow8, EncodeRow, WindowRows and
+//     RowAbsEnergy8 reproduce the kernels they replaced.
 //   - Re-pinned: the Q16 gamma LUT (Gamma) and the integer window-sum
 //     energy detector are *exact integer* or *bounded-error* replacements
 //     whose outputs differ from the float reference in the last bits; the
@@ -348,7 +348,8 @@ func RowAbsEnergy8(pix []uint8, sums []int, scale int) int64 {
 // BilinearQ16 interpolates one bilinear tap in exact integer Q16: v00..v11
 // are the four 8-bit pixel taps (top-left, top-right, bottom-left,
 // bottom-right) and wx, wy are the Q16 fractional weights. The result is
-// the Q16 sample; callers convert with float32(q)·2⁻¹⁶, which is exact.
+// the Q16 sample in [0, 255·2¹⁶]; callers convert with float32(q)·2⁻¹⁶,
+// which is exact, or round it to an 8-bit code with RoundQ16.
 //
 // Each lerp is written as the convex combination a·(2¹⁶−w) + b·w, which is
 // a·2¹⁶ + (b−a)·w exactly. Overflow argument: the horizontal lerps have
@@ -364,4 +365,19 @@ func BilinearQ16(v00, v01, v10, v11 uint8, wx, wy int32) int32 {
 	top := int32(v00)*(one-wx) + int32(v01)*wx
 	bot := int32(v10)*(one-wx) + int32(v11)*wx
 	return int32((int64(top)*int64(one-wy) + int64(bot)*int64(wy)) >> qBits)
+}
+
+// RoundQ16 returns the 8-bit code of a Q16 sample q in [0, 255·2¹⁶] (the
+// range of BilinearQ16) rounded half up: exactly Round8(float32(q)·2⁻¹⁶),
+// the code the sample's float value would quantize to.
+//
+// Bit-identity argument: q < 2²⁴, so float32(q)·2⁻¹⁶ is exact and Round8
+// sees x = q/2¹⁶. At q = 0 it returns 0 = (0 + 2¹⁵) >> 16. For
+// 0 < x < 254.5 it returns ⌊x + 0.5⌋ = ⌊(q + 2¹⁵)/2¹⁶⌋, which is the shift
+// of a non-negative integer. For x ≥ 254.5 it returns 255, and there
+// q + 2¹⁵ lies in [255·2¹⁶, 255·2¹⁶ + 2¹⁵], whose shift is 255 as well.
+//
+//range:q 0,16711680
+func RoundQ16(q int32) uint8 {
+	return uint8((q + 1<<(qBits-1)) >> qBits)
 }

@@ -61,6 +61,17 @@ func TestFixedPointBitIdentity(t *testing.T) {
 	}
 }
 
+// TestRoundQ16MatchesRound8 checks RoundQ16 against Round8 of the sample's
+// float value on every Q16 sample BilinearQ16 can return: all 255·2¹⁶ + 1
+// of them, each half-way tie included.
+func TestRoundQ16MatchesRound8(t *testing.T) {
+	for q := int32(0); q <= 255<<16; q++ {
+		if got, want := RoundQ16(q), Round8(float32(q)*(1.0/(1<<16))); got != want {
+			t.Fatalf("RoundQ16(%d) = %d, Round8 of %v = %d", q, got, float32(q)*(1.0/(1<<16)), want)
+		}
+	}
+}
+
 // TestGammaErrorBound pins the re-pinned cutover class: the two-level Q16
 // table must stay within the §5j interpolation bounds of the math.Pow
 // reference on every supported curve, and must be exact at the endpoints.

@@ -7,6 +7,13 @@
 // encode → display → integrate → capture chain; values are clamped and
 // quantized only where the physical system does (the display's drive value
 // and the camera's ADC).
+//
+// Every float multiply feeding an add is written float64(x*y) + z (or
+// float32(x*y) + z): Go may fuse x*y + z into one fused multiply-add that
+// rounds once (arm64 does, amd64 never), and the explicit conversion
+// forbids it, so the resampler, the warps and the homography arithmetic
+// give the same bits on every architecture. verify.sh's arm64 stage fails
+// on any fused instruction in this package.
 package frame
 
 import (

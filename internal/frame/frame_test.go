@@ -455,12 +455,15 @@ func refBilinearResample(f *Frame, w, h int) *Frame {
 // TestResamplerMatchesReference: one Resampler reused across frames equals
 // the direct reference bit for bit, on random and on cancelling planes — area averaging at the fleet's three
 // capture geometries from the half-scale panel (1.5×, 2×, 3×), from a crop
-// window and onto a 1×1 sensor, bilinear at the pose enlargement and a
-// mixed-axis size, and a copy at equal size — through all three entry
-// points: Into, ResampleInto and the row-source RowsInto. RowsInto runs in
-// three row chunks through a dirty ring (none at equal size, where it
-// fills output rows in place), and must fill each source row at most once
-// per call, in increasing order, and hand back every output row.
+// window and onto a 1×1 sensor, bilinear at the pose enlargement, at an
+// exact 2× enlargement whose last column and row land on the source's last
+// ones (x1 and y1 clamp), onto 1-wide and 1-tall targets (the max(n−1, 1)
+// divisor) and at two mixed-axis sizes, and a copy at equal size — through
+// all three entry points: Into, ResampleInto and the row-source RowsInto.
+// RowsInto runs in three row chunks through a dirty ring (none at equal
+// size, where it fills output rows in place), and must fill each source
+// row at most once per call, in increasing order, and hand back every
+// output row.
 func TestResamplerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cancelling := []float32{1e20, -1e20, 1, -3, 0.25}
@@ -471,7 +474,12 @@ func TestResamplerMatchesReference(t *testing.T) {
 		{701, 397, 640, 360}, // crop window onto the sensor
 		{97, 61, 1, 1},
 		{960, 540, 1280, 720}, // enlargement
+		{5, 4, 9, 7},          // sx = sy = 0.5: the last column and row clamp x1, y1
+		{1, 5, 1, 9},          // 1-wide source and target
+		{7, 3, 1, 5},          // 1-wide target from a wider source
+		{4, 6, 9, 1},          // 1-tall target from a taller source
 		{40, 30, 20, 45},      // wider source, taller target: bilinear
+		{30, 40, 45, 20},      // taller source, wider target: bilinear
 		{33, 21, 33, 21},
 	} {
 		r := NewResampler(c.sw, c.sh, c.dw, c.dh)

@@ -137,6 +137,16 @@ type Resampler struct {
 	// taps (the 1.5× and 2× reductions), so two-row output rows take the
 	// unrolled areaRow2.
 	x2 []pairTap
+	// lerp holds every output column's taps for the bilinear enlargement
+	// (and mixed-axis) path; nil otherwise.
+	lerp []lerpTap
+}
+
+// lerpTap is one output column of the bilinear path: source columns x0
+// and x1 = min(x0+1, srcW−1) and the float32 weight wx of x1.
+type lerpTap struct {
+	x0, x1 int32
+	wx     float32
 }
 
 // pairTap is one output column of a two-tap area reduction: source columns
@@ -163,6 +173,7 @@ func NewResampler(srcW, srcH, dstW, dstH int) *Resampler {
 		// Output row y is source row y: RowsInto needs no ring.
 	default:
 		r.span = 2 // the bilinear pair y0, y0+1
+		r.lerp = lerpTaps(srcW, dstW)
 	}
 	return r
 }
@@ -302,7 +313,7 @@ func buildAxisTaps(inN, outN int, scale float64) axisTaps {
 		off: make([]int, outN+1),
 	}
 	for o := 0; o < outN; o++ {
-		b0 := float64(o) * scale
+		b0 := float64(float64(o) * scale)
 		b1 := b0 + scale
 		for i := int(b0); i < int(math.Ceil(b1)) && i < inN; i++ {
 			f := overlap(float64(i), float64(i+1), b0, b1)
@@ -329,8 +340,8 @@ func areaRow(out []float32, rowsY [][]float32, wy []float64, xt axisTaps) {
 		for k, row := range rowsY {
 			fy := wy[k]
 			for j, i := range xi {
-				wgt := xw[j] * fy
-				sum += wgt * float64(row[i])
+				wgt := float64(xw[j] * fy)
+				sum += float64(wgt * float64(row[i]))
 				area += wgt
 			}
 		}
@@ -362,17 +373,17 @@ func areaRow2(out, row0, row1 []float32, fy0, fy1 float64, x2 []pairTap) {
 	for ox, t := range x2 {
 		i0, i1 := t.i, t.i+1
 		var sum, area float64
-		wgt := t.w0 * fy0
-		sum += wgt * float64(row0[i0])
+		wgt := float64(t.w0 * fy0)
+		sum += float64(wgt * float64(row0[i0]))
 		area += wgt
-		wgt = t.w1 * fy0
-		sum += wgt * float64(row0[i1])
+		wgt = float64(t.w1 * fy0)
+		sum += float64(wgt * float64(row0[i1]))
 		area += wgt
-		wgt = t.w0 * fy1
-		sum += wgt * float64(row1[i0])
+		wgt = float64(t.w0 * fy1)
+		sum += float64(wgt * float64(row1[i0]))
 		area += wgt
-		wgt = t.w1 * fy1
-		sum += wgt * float64(row1[i1])
+		wgt = float64(t.w1 * fy1)
+		sum += float64(wgt * float64(row1[i1]))
 		area += wgt
 		if area > 0 {
 			out[ox] = float32(sum / area)
@@ -389,29 +400,45 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 	return hi - lo
 }
 
+// lerpTaps tabulates the bilinear path's dstW output columns over a
+// srcW-wide source, with the expressions bilinearRow evaluated per pixel
+// before: fx = ox·sx, x0 = ⌊fx⌋, x1 = min(x0+1, srcW−1) and
+// wx = float32(fx − x0), where sx = (srcW−1)/max(dstW−1, 1).
+func lerpTaps(srcW, dstW int) []lerpTap {
+	checkTapIndex(srcW, 1)
+	sx := float64(srcW-1) / float64(max(dstW-1, 1))
+	taps := make([]lerpTap, dstW)
+	for ox := range taps {
+		fx := float64(float64(ox) * sx)
+		x0 := int(fx)
+		taps[ox] = lerpTap{
+			x0: int32(x0),                //lint:ignore intrange x0 = ⌊ox·sx⌋ ≤ srcW−1 ≤ MaxInt32, which checkTapIndex asserts
+			x1: int32(min(x0+1, srcW-1)), //lint:ignore intrange x1 ≤ srcW−1 ≤ MaxInt32, which checkTapIndex asserts
+			wx: float32(fx - float64(x0)),
+		}
+	}
+	return taps
+}
+
 // bilinearRow interpolates output row oy from source rows y0 and
-// min(y0+1, srcH-1): the enlargement (and mixed-axis) path.
+// min(y0+1, srcH-1) through the column taps: the enlargement (and
+// mixed-axis) path.
 func (r *Resampler) bilinearRow(out []float32, oy int, src func(y int) []float32) {
-	sx := float64(r.srcW-1) / float64(max(r.dstW-1, 1))
 	sy := float64(r.srcH-1) / float64(max(r.dstH-1, 1))
-	fy := float64(oy) * sy
+	fy := float64(float64(oy) * sy)
 	y0 := int(fy)
 	y1 := min(y0+1, r.srcH-1)
 	wy := float32(fy - float64(y0))
 	row0 := src(y0)
 	row1 := src(y1)
-	for ox := range out {
-		fx := float64(ox) * sx
-		x0 := int(fx)
-		x1 := min(x0+1, r.srcW-1)
-		wx := float32(fx - float64(x0))
-		v00 := row0[x0]
-		v01 := row0[x1]
-		v10 := row1[x0]
-		v11 := row1[x1]
-		top := v00 + (v01-v00)*wx
-		bot := v10 + (v11-v10)*wx
-		out[ox] = top + (bot-top)*wy
+	for ox, t := range r.lerp[:len(out)] {
+		v00 := row0[t.x0]
+		v01 := row0[t.x1]
+		v10 := row1[t.x0]
+		v11 := row1[t.x1]
+		top := v00 + float32((v01-v00)*t.wx)
+		bot := v10 + float32((v11-v10)*t.wx)
+		out[ox] = top + float32((bot-top)*wy)
 	}
 }
 

@@ -275,25 +275,46 @@ func solve8(a *[8][9]float64) ([8]float64, error) {
 // (x, y) is bilinearly sampled from src at h.Apply(x, y), so h maps
 // destination coordinates into source coordinates. Samples falling outside
 // src (or on the map's horizon line) read 0 — the black overscan a camera
-// sees past the screen edge. dst must not alias src; sizes may differ.
+// sees past the screen edge. Sizes may differ, and dst may be src itself:
+// the result is the same bits either way.
 //
 // Integral 8-bit sources (quantized captures, the common case) are narrowed
 // once to their 8-bit codes (fixed.Narrow8) and gathered through the exact
-// integer Q16 bilinear kernel (fixed.BilinearQ16); non-integral sources
-// take the float taps. Either way the arithmetic depends only on (src, dst
-// geometry, h), never on worker identity, so warped pipelines stay
-// bit-identical at any worker count. A map applied to many frames of one
-// size is cheaper through a WarpPlan, which gives the same bits.
-func WarpInto(src, dst *Frame, h Homography) {
-	if src == dst || &src.Pix[0] == &dst.Pix[0] {
-		panic("frame.WarpInto: dst aliases src")
-	}
+// integer Q16 bilinear kernel (fixed.BilinearQ16); the gather reads only
+// that copy, so it may write over src. Non-integral sources take the float
+// taps, from a copy of src when dst is src (an allocation, on a path no
+// quantized capture takes). Either way the arithmetic depends only on
+// (src, dst geometry, h), never on worker identity, so warped pipelines
+// stay bit-identical at any worker count. A map applied to many frames of
+// one size is cheaper through a WarpPlan, which gives the same bits.
+func WarpInto(src, dst *Frame, h Homography) { warp(src, dst, h, nil, false) }
+
+// WarpInto8 is WarpInto followed by dst.Quantize(), bit for bit: dst
+// receives 8-bit codes. An integral source's gather rounds each Q16 sample
+// to its code directly (fixed.RoundQ16), so the codes cost no second pass.
+func WarpInto8(src, dst *Frame, h Homography) { warp(src, dst, h, nil, true) }
+
+// warp is the body of WarpInto, WarpInto8 and the WarpPlan forms: the
+// integer gather through plan's taps, or through taps computed row by row
+// when plan is nil, and otherwise the float path; round quantizes the
+// result to 8-bit codes.
+func warp(src, dst *Frame, h Homography, plan *WarpPlan, round bool) {
 	if pix := narrow(src); pix != nil {
-		warpIntegral(*pix, src.W, src.H, dst, h)
+		if plan != nil {
+			gatherQ16(dst.Pix, *pix, src.W, plan.taps, round)
+		} else {
+			warpIntegral(*pix, src.W, src.H, dst, h, round)
+		}
 		codes.Put(pix)
 		return
 	}
+	if src == dst || &src.Pix[0] == &dst.Pix[0] {
+		src = src.Clone()
+	}
 	warpFloat(src, dst, h)
+	if round {
+		dst.Quantize()
+	}
 }
 
 // codes recycles the 8-bit copies of the sources the integer warps gather
@@ -335,20 +356,20 @@ func warpFloat(src, dst *Frame, h Homography) {
 	maxY := float64(src.H - 1)
 	for y := 0; y < dst.H; y++ {
 		fy := float64(y)
-		nx0 := m1*fy + m2
-		ny0 := m4*fy + m5
-		d0 := m7*fy + m8
+		nx0 := float64(m1*fy) + m2
+		ny0 := float64(m4*fy) + m5
+		d0 := float64(m7*fy) + m8
 		orow := dst.Pix[y*dst.W : (y+1)*dst.W]
 		for x := 0; x < dst.W; x++ {
 			fx := float64(x)
-			d := m6*fx + d0
+			d := float64(m6*fx) + d0
 			if !(math.Abs(d) > 1e-12) {
 				orow[x] = 0
 				continue
 			}
 			inv := 1 / d
-			sx := (m0*fx + nx0) * inv
-			sy := (m3*fx + ny0) * inv
+			sx := float64((float64(m0*fx) + nx0) * inv)
+			sy := float64((float64(m3*fx) + ny0) * inv)
 			// The guard is NaN-safe: a non-finite sample coordinate fails
 			// both comparisons and reads the black overscan.
 			if !(sx >= 0 && sx <= maxX && sy >= 0 && sy <= maxY) {
@@ -369,9 +390,9 @@ func warpFloat(src, dst *Frame, h Homography) {
 			wy := float32(sy - float64(y0))
 			row0 := src.Pix[y0*src.W:]
 			row1 := src.Pix[y1*src.W:]
-			top := row0[x0] + (row0[x1]-row0[x0])*wx
-			bot := row1[x0] + (row1[x1]-row1[x0])*wx
-			orow[x] = top + (bot-top)*wy
+			top := row0[x0] + float32((row0[x1]-row0[x0])*wx)
+			bot := row1[x0] + float32((row1[x1]-row1[x0])*wx)
+			orow[x] = top + float32((bot-top)*wy)
 		}
 	}
 }
@@ -381,8 +402,8 @@ func warpFloat(src, dst *Frame, h Homography) {
 // fixed.BilinearQ16's exact integer arithmetic. Each destination row is
 // computed and gathered a chunk of taps at a time, through the same rowTaps
 // and gatherQ16 a WarpPlan is built and applied with, so a plan reproduces
-// this path bit for bit.
-func warpIntegral(pix []uint8, srcW, srcH int, dst *Frame, h Homography) {
+// this path bit for bit; round writes 8-bit codes, as gatherQ16 does.
+func warpIntegral(pix []uint8, srcW, srcH int, dst *Frame, h Homography, round bool) {
 	checkTapIndex(srcW, srcH)
 	var taps [tapChunk]warpTap
 	for y := 0; y < dst.H; y++ {
@@ -390,7 +411,7 @@ func warpIntegral(pix []uint8, srcW, srcH int, dst *Frame, h Homography) {
 		for x := 0; x < dst.W; x += tapChunk {
 			n := min(tapChunk, dst.W-x)
 			rowTaps(taps[:n], &h, x, y, srcW, srcH)
-			gatherQ16(orow[x:x+n], pix, srcW, taps[:n])
+			gatherQ16(orow[x:x+n], pix, srcW, taps[:n], round)
 		}
 	}
 }
@@ -409,11 +430,11 @@ type warpTap struct {
 // a few KB of stack scratch that stays in L1 between the two loops.
 const tapChunk = 256
 
-// checkTapIndex panics when a srcW×srcH source has more pixels than a
-// warpTap's int32 index can address.
+// checkTapIndex panics when a srcW×srcH source has more pixels than an
+// int32 tap index (a warpTap's, a lerpTap's column) can address.
 func checkTapIndex(srcW, srcH int) {
 	if int64(srcW)*int64(srcH) > math.MaxInt32 {
-		panic(fmt.Sprintf("frame: warp source %dx%d exceeds the tap index range", srcW, srcH))
+		panic(fmt.Sprintf("frame: source %dx%d exceeds the tap index range", srcW, srcH))
 	}
 }
 
@@ -432,19 +453,19 @@ func rowTaps(taps []warpTap, h *Homography, col, y, srcW, srcH int) {
 	maxY := float64(srcH - 1)
 	const qOne = 1 << 16
 	fy := float64(y)
-	nx0 := m1*fy + m2
-	ny0 := m4*fy + m5
-	d0 := m7*fy + m8
+	nx0 := float64(m1*fy) + m2
+	ny0 := float64(m4*fy) + m5
+	d0 := float64(m7*fy) + m8
 	for i := range taps {
 		fx := float64(col + i)
-		d := m6*fx + d0
+		d := float64(m6*fx) + d0
 		if !(math.Abs(d) > 1e-12) {
 			taps[i] = warpTap{idx: -1}
 			continue
 		}
 		inv := 1 / d
-		sx := (m0*fx + nx0) * inv
-		sy := (m3*fx + ny0) * inv
+		sx := float64((float64(m0*fx) + nx0) * inv)
+		sy := float64((float64(m3*fx) + ny0) * inv)
 		if !(sx >= 0 && sx <= maxX && sy >= 0 && sy <= maxY) {
 			taps[i] = warpTap{idx: -1}
 			continue
@@ -463,13 +484,15 @@ func rowTaps(taps []warpTap, h *Homography, col, y, srcW, srcH int) {
 }
 
 // gatherQ16 writes each tap's Q16 bilinear sample of the w-wide 8-bit
-// plane pix to out, 0 for an overscan tap. The sample at the right (below)
-// is read only under a non-zero wx (wy): a zero weight multiplies that
-// sample's difference by 0, so skipping it leaves the result unchanged, and
-// it is exactly the case where the tap sits on the last column (row) and
-// the per-pixel warp clamped x1 (y1) back onto x0 (y0) — a sample there
-// lies on the edge, so its fractional part and weight are 0.
-func gatherQ16(out []float32, pix []uint8, w int, taps []warpTap) {
+// plane pix to out, 0 for an overscan tap; with round it writes the
+// sample's 8-bit code instead, which is Quantize of the sample (see
+// fixed.RoundQ16) and leaves an overscan 0. The sample at the right
+// (below) is read only under a non-zero wx (wy): a zero weight multiplies
+// that sample's difference by 0, so skipping it leaves the result
+// unchanged, and it is exactly the case where the tap sits on the last
+// column (row) and the per-pixel warp clamped x1 (y1) back onto x0 (y0) —
+// a sample there lies on the edge, so its fractional part and weight are 0.
+func gatherQ16(out []float32, pix []uint8, w int, taps []warpTap, round bool) {
 	const qOne = 1 << 16
 	for i, t := range taps {
 		if t.idx < 0 {
@@ -486,7 +509,11 @@ func gatherQ16(out []float32, pix []uint8, w int, taps []warpTap) {
 			dy = w
 		}
 		q := fixed.BilinearQ16(pix[j], pix[j+dx], pix[j+dy], pix[j+dy+dx], wx, wy)
-		out[i] = float32(q) * (1.0 / qOne)
+		if round {
+			out[i] = float32(fixed.RoundQ16(q)) //lint:ignore intrange BilinearQ16 returns a convex combination of 8-bit codes in Q16, which lies in [0, 255·2^16]
+		} else {
+			out[i] = float32(q) * (1.0 / qOne)
+		}
 	}
 }
 
@@ -535,20 +562,24 @@ func (p *WarpPlan) Fits(srcW, srcH, dstW, dstH int) bool {
 // Into is WarpInto(src, dst, p.Homography()) with the taps precomputed, bit
 // for bit: an integral 8-bit source (the same fixed.Narrow8 narrowing)
 // gathers the stored taps from its codes through fixed.BilinearQ16, any
-// other source takes the float path through the plan's homography. It
-// panics when src or dst is not the plan's size and when dst aliases src.
+// other source takes the float path through the plan's homography. dst may
+// be src, as in WarpInto. It panics when src or dst is not the plan's size.
 func (p *WarpPlan) Into(src, dst *Frame) {
+	p.check(src, dst)
+	warp(src, dst, p.h, p, false)
+}
+
+// Into8 is Into followed by dst.Quantize(), bit for bit, as WarpInto8 is
+// for WarpInto.
+func (p *WarpPlan) Into8(src, dst *Frame) {
+	p.check(src, dst)
+	warp(src, dst, p.h, p, true)
+}
+
+// check panics unless src and dst are the plan's sizes.
+func (p *WarpPlan) check(src, dst *Frame) {
 	if !p.Fits(src.W, src.H, dst.W, dst.H) {
 		panic(fmt.Sprintf("frame.WarpPlan.Into: %dx%d -> %dx%d, plan is %dx%d -> %dx%d",
 			src.W, src.H, dst.W, dst.H, p.srcW, p.srcH, p.dstW, p.dstH))
 	}
-	if src == dst || &src.Pix[0] == &dst.Pix[0] {
-		panic("frame.WarpPlan.Into: dst aliases src")
-	}
-	if pix := narrow(src); pix != nil {
-		gatherQ16(dst.Pix, *pix, src.W, p.taps)
-		codes.Put(pix)
-		return
-	}
-	warpFloat(src, dst, p.h)
 }

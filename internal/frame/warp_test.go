@@ -215,7 +215,7 @@ func TestWarpIntegralMatchesFloat(t *testing.T) {
 	}
 	di := New(64, 48)
 	df := New(64, 48)
-	warpIntegral(pix, src.W, src.H, di, h)
+	warpIntegral(pix, src.W, src.H, di, h, false)
 	warpFloat(src, df, h)
 	for i := range di.Pix {
 		if d := math.Abs(float64(di.Pix[i] - df.Pix[i])); d > 0.01 {
@@ -238,17 +238,6 @@ func TestWarpIntoOutOfBounds(t *testing.T) {
 			t.Fatalf("pixel %d = %v, want 0 (overscan)", i, v)
 		}
 	}
-}
-
-// TestWarpIntoAliasPanics pins the no-alias contract.
-func TestWarpIntoAliasPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("aliased WarpInto did not panic")
-		}
-	}()
-	f := New(4, 4)
-	WarpInto(f, f, IdentityHomography())
 }
 
 // FuzzWarpInto shakes the warp with arbitrary pixel content and arbitrary
@@ -312,6 +301,26 @@ func FuzzWarpInto(f *testing.F) {
 			}
 			if math.Float32bits(planned.Pix[i]) != math.Float32bits(dst.Pix[i]) {
 				t.Fatalf("integral=%v pixel %d: plan %v, WarpInto %v", integral, i, planned.Pix[i], dst.Pix[i])
+			}
+		}
+		// WarpInto8 is WarpInto then Quantize, and at equal sizes the warp
+		// of a frame onto itself is the warp into a separate destination.
+		want8 := dst.Clone()
+		want8.Quantize()
+		got8 := NewFilled(dstW, dstH, -7)
+		WarpInto8(src, got8, h)
+		for i := range want8.Pix {
+			if math.Float32bits(got8.Pix[i]) != math.Float32bits(want8.Pix[i]) {
+				t.Fatalf("integral=%v pixel %d: WarpInto8 %v, WarpInto+Quantize %v", integral, i, got8.Pix[i], want8.Pix[i])
+			}
+		}
+		if srcW == dstW && srcH == dstH {
+			in := src.Clone()
+			WarpInto(in, in, h)
+			for i := range in.Pix {
+				if math.Float32bits(in.Pix[i]) != math.Float32bits(dst.Pix[i]) {
+					t.Fatalf("integral=%v pixel %d: in place %v, WarpInto %v", integral, i, in.Pix[i], dst.Pix[i])
+				}
 			}
 		}
 	})

@@ -65,6 +65,10 @@ func planCases(t *testing.T) []planCase {
 		{"1x1-from-plane", frame.AxisAlignedHomography(1, 1, 6.25, 3.5), 9, 7, 1, 1},
 		{"1xN-column", frame.AxisAlignedHomography(1, 0.75, 0, 0.125), 1, 23, 1, 29},
 		{"1xN-onto-row", frame.Homography{M: [9]float64{0, 0, 0, 0.5, 0, 0.25, 0, 0, 1}}, 1, 17, 31, 1},
+		// Half a pixel right of every source pixel: each sample weighs two
+		// neighbours equally, so odd-sum pairs round from an exact half,
+		// and the last column reads the overscan.
+		{"half-pixel", frame.AxisAlignedHomography(1, 1, 0.5, 0), 64, 46, 64, 46},
 	}
 }
 
@@ -142,9 +146,8 @@ func TestWarpPlanMatchesWarpInto(t *testing.T) {
 }
 
 // TestWarpPlanPanics pins Into's contract: a source or destination of
-// another size than the plan's, or a destination aliasing the source, is a
-// plumbing bug and panics, as WarpInto does on aliasing; so does building
-// a plan for a non-positive size.
+// another size than the plan's is a plumbing bug and panics, on Into and
+// Into8 alike; so does building a plan for a non-positive size.
 func TestWarpPlanPanics(t *testing.T) {
 	plan := frame.NewWarpPlan(frame.IdentityHomography(), 8, 6, 8, 6)
 	f := frame.New(8, 6)
@@ -154,8 +157,8 @@ func TestWarpPlanPanics(t *testing.T) {
 	}{
 		{"source size", func() { plan.Into(frame.New(6, 8), f) }},
 		{"destination size", func() { plan.Into(f, frame.New(8, 5)) }},
-		{"alias", func() { plan.Into(f, f) }},
-		{"alias through Pix", func() { plan.Into(f, &frame.Frame{W: 8, H: 6, Pix: f.Pix}) }},
+		{"Into8 source size", func() { plan.Into8(frame.New(6, 8), f) }},
+		{"Into8 destination size", func() { plan.Into8(f, frame.New(8, 5)) }},
 		{"zero size", func() { frame.NewWarpPlan(frame.IdentityHomography(), 0, 6, 8, 6) }},
 	} {
 		func() {
@@ -166,5 +169,95 @@ func TestWarpPlanPanics(t *testing.T) {
 			}()
 			c.fn()
 		}()
+	}
+}
+
+// warped returns WarpInto(src, ·, h) and that result quantized: the
+// references of the float and the 8-bit warps.
+func warped(src *frame.Frame, h frame.Homography, dstW, dstH int) (raw, codes *frame.Frame) {
+	raw = frame.New(dstW, dstH)
+	frame.WarpInto(src, raw, h)
+	codes = raw.Clone()
+	codes.Quantize()
+	return raw, codes
+}
+
+// TestWarpInto8MatchesQuantize: WarpInto8 and a plan's Into8 are WarpInto
+// followed by Quantize, bit for bit, on every plan case, integral and
+// non-integral sources, into dirty destinations. The integral gather rounds
+// each Q16 sample itself (fixed.RoundQ16), so the test also counts the
+// samples that sit exactly half-way between two codes, where rounding down
+// instead of up would show, and requires some.
+func TestWarpInto8MatchesQuantize(t *testing.T) {
+	ties := 0
+	for _, c := range planCases(t) {
+		plan := frame.NewWarpPlan(c.h, c.srcW, c.srcH, c.dstW, c.dstH)
+		for _, integral := range []bool{true, false} {
+			name := fmt.Sprintf("%s/integral=%v", c.name, integral)
+			src := source(c.srcW, c.srcH, integral, int64(c.srcW*17+c.dstW))
+			raw, want := warped(src, c.h, c.dstW, c.dstH)
+			direct := frame.NewFilled(c.dstW, c.dstH, 999)
+			frame.WarpInto8(src, direct, c.h)
+			planned := frame.NewFilled(c.dstW, c.dstH, -3)
+			plan.Into8(src, planned)
+			if i := equalBits(direct, want); i >= 0 {
+				t.Errorf("%s: WarpInto8 pixel %d = %v, WarpInto+Quantize %v", name, i, direct.Pix[i], want.Pix[i])
+			}
+			if i := equalBits(planned, want); i >= 0 {
+				t.Errorf("%s: Into8 pixel %d = %v, WarpInto+Quantize %v", name, i, planned.Pix[i], want.Pix[i])
+			}
+			if integral {
+				for _, v := range raw.Pix {
+					if v-float32(math.Floor(float64(v))) == 0.5 {
+						ties++
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no integral sample sits half-way between two codes; the cases no longer test the rounding of ties")
+	}
+}
+
+// TestWarpInPlaceMatchesWarpInto pins warping a frame onto itself: WarpInto,
+// WarpInto8, a plan's Into and Into8 with dst = src (the same Frame, or
+// another Frame over the same pixels) give what the call into a separate
+// destination gives, bit for bit. An integral source is gathered from its
+// 8-bit copy, so writing over it is safe; a non-integral one is copied
+// before its float warp, so its aliased result is also the separate one.
+func TestWarpInPlaceMatchesWarpInto(t *testing.T) {
+	for _, c := range planCases(t) {
+		if c.srcW != c.dstW || c.srcH != c.dstH {
+			continue
+		}
+		plan := frame.NewWarpPlan(c.h, c.srcW, c.srcH, c.dstW, c.dstH)
+		for _, integral := range []bool{true, false} {
+			src := source(c.srcW, c.srcH, integral, int64(c.srcW*29+c.srcH))
+			want, want8 := warped(src, c.h, c.dstW, c.dstH)
+			for _, w := range []struct {
+				name string
+				warp func(src, dst *frame.Frame)
+				want *frame.Frame
+			}{
+				{"WarpInto", func(s, d *frame.Frame) { frame.WarpInto(s, d, c.h) }, want},
+				{"WarpInto8", func(s, d *frame.Frame) { frame.WarpInto8(s, d, c.h) }, want8},
+				{"Into", plan.Into, want},
+				{"Into8", plan.Into8, want8},
+			} {
+				for _, viaPix := range []bool{false, true} {
+					f := src.Clone()
+					dst := f
+					if viaPix {
+						dst = &frame.Frame{W: f.W, H: f.H, Pix: f.Pix}
+					}
+					w.warp(f, dst)
+					if i := equalBits(f, w.want); i >= 0 {
+						t.Errorf("%s/integral=%v/%s/via-Pix=%v: pixel %d = %v, separate destination %v",
+							c.name, integral, w.name, viaPix, i, f.Pix[i], w.want.Pix[i])
+					}
+				}
+			}
+		}
 	}
 }

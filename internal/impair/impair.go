@@ -15,6 +15,11 @@
 // The pixel-domain stages corrupt the camera's finished 8-bit output — a
 // post-ISP fault model. That keeps the stack composable with any camera
 // configuration: it never needs to reach inside the exposure integral.
+//
+// Every float multiply feeding an add is written float64(x*y) + z, which
+// no architecture may fuse into one multiply-add (see package frame), so
+// capture times, the pose homography and the pixel stages give the same
+// bits on every architecture; verify.sh's arm64 stage checks this package.
 package impair
 
 import (
@@ -118,6 +123,16 @@ type Config struct {
 // skew, two orders of magnitude past a real oscillator's and far past
 // the 100–500 ppm the robustness scenarios use.
 const MaxClockDriftPPM = 1e4
+
+// laterPixelStage reports whether a pixel-domain stage that runs after the
+// camera pose is active: motion blur, occlusion, gain drift, ambient ramp,
+// flicker or noise burst. The burst counts whether or not it fires on a
+// given capture.
+func (c *Config) laterPixelStage() bool {
+	return c.MotionBlurLen > 0 || (c.OccludeW > 0 && c.OccludeH > 0) ||
+		c.GainAmp > 0 || math.Abs(c.AmbientRamp) > 0 || c.FlickerAmp > 0 ||
+		c.BurstRate > 0
+}
 
 // poseEnabled reports whether the camera-pose stage is active.
 func (c *Config) poseEnabled() bool {
@@ -323,9 +338,9 @@ func (s *Stack) Period(base float64) float64 {
 // CaptureTime returns capture i's exposure start: the drift-skewed schedule
 // plus this capture's independent uniform start jitter.
 func (s *Stack) CaptureTime(i int, start, period float64) float64 {
-	t := start + float64(i)*period
+	t := start + float64(float64(i)*period)
 	if s.cfg.StartJitter > 0 {
-		t += (2*s.uniform(detrng.ImpairJitter, i) - 1) * s.cfg.StartJitter
+		t += float64((2*s.uniform(detrng.ImpairJitter, i) - 1) * s.cfg.StartJitter)
 	}
 	return t
 }
@@ -337,12 +352,14 @@ func (s *Stack) CaptureTime(i int, start, period float64) float64 {
 // lens, before any sensor-domain fault), then motion blur, occlusion, gain
 // drift, ambient ramp + flicker, noise burst; if any stage fired, the frame
 // is re-quantized to 8 bits (the corruption happens in the camera's integer
-// output domain).
+// output domain). When the pose is the last pixel stage configured, its
+// warp writes those 8-bit codes itself and the frame takes no second pass.
 func (s *Stack) ApplyFrame(f *frame.Frame, index int, t, exposure float64) {
 	touched := false
 	if s.cfg.poseEnabled() {
-		s.applyPose(f, index)
-		touched = true
+		last := !s.cfg.laterPixelStage()
+		s.applyPose(f, index, last)
+		touched = !last
 	}
 	if s.cfg.MotionBlurLen > 0 {
 		motionBlur(f, s.cfg.MotionBlurLen)
@@ -353,7 +370,7 @@ func (s *Stack) ApplyFrame(f *frame.Frame, index int, t, exposure float64) {
 		touched = true
 	}
 	if s.cfg.GainAmp > 0 {
-		g := 1 + s.cfg.GainAmp*math.Sin(2*math.Pi*s.cfg.GainHz*t)
+		g := 1 + float64(s.cfg.GainAmp*math.Sin(2*math.Pi*s.cfg.GainHz*t))
 		scale := float32(g)
 		for i := range f.Pix {
 			f.Pix[i] *= scale
@@ -362,7 +379,7 @@ func (s *Stack) ApplyFrame(f *frame.Frame, index int, t, exposure float64) {
 	}
 	offset := 0.0
 	if math.Abs(s.cfg.AmbientRamp) > 0 {
-		offset += s.cfg.AmbientRamp * t
+		offset += float64(s.cfg.AmbientRamp * t)
 	}
 	if s.cfg.FlickerAmp > 0 {
 		offset += s.flickerLevel(t, exposure)

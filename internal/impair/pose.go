@@ -3,7 +3,6 @@ package impair
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"inframe/internal/detrng"
 	"inframe/internal/frame"
@@ -48,44 +47,50 @@ func PoseHomography(w, h int, tiltDeg, rollDeg, dist float64) frame.Homography {
 	// Projection as a homography on centered coordinates, composed with the
 	// shift into pixel coordinates: x' = (f·p'x + cx·(f·d + p'z))/(f·d + p'z).
 	centered := frame.Homography{M: [9]float64{
-		f*r00 + cx*r20, f*r01 + cx*r21, cx * fd,
-		f*r10 + cy*r20, f*r11 + cy*r21, cy * fd,
+		float64(f*r00) + float64(cx*r20), float64(f*r01) + float64(cx*r21), cx * fd,
+		float64(f*r10) + float64(cy*r20), float64(f*r11) + float64(cy*r21), cy * fd,
 		r20, r21, fd,
 	}}
 	return centered.Mul(frame.AxisAlignedHomography(1, 1, -cx, -cy))
 }
 
-// poseScratch recycles the camera-pose stage's warp source plane across
-// the captures of every Stack in the process, as the receiver's energy-scan
-// scratch is shared (core's scanScratch): a channel.Simulate builds a new
-// Stack per call and runs two posed captures at once, so a per-Stack pool
-// would allocate a fresh clone plane per concurrent capture of every run.
-// Scratch only — pixel contents never survive a capture — so sync.Pool's
-// scheduling-dependent reuse cannot affect outputs.
-var poseScratch sync.Pool
-
-// applyPose warps one capture through the (possibly jittered) camera pose.
-// The jitter stream is keyed by (Seed, ImpairPose, capture index), so
-// whether and how capture i shakes never depends on any other capture or on
-// worker identity. A fixed pose warps through the Stack's plan, which is
-// WarpInto through the same inverse bit for bit; a jittered pose is a new
-// map per capture and warps directly.
-func (s *Stack) applyPose(f *frame.Frame, index int) {
-	src, _ := poseScratch.Get().(*frame.Frame)
-	if src == nil || src.W != f.W || src.H != f.H {
-		src = frame.New(f.W, f.H)
-	}
-	f.CloneInto(src)
+// applyPose warps one capture through the (possibly jittered) camera pose,
+// in place: the warp gathers an integral capture from its own 8-bit copy
+// (frame.WarpInto), so it may write over the capture, and a non-integral
+// one is copied before its float warp. With round the warp writes the
+// 8-bit codes ApplyFrame's re-quantize would (frame.WarpInto8), so the
+// caller skips that pass. The jitter stream is keyed by (Seed, ImpairPose,
+// capture index), so whether and how capture i shakes never depends on any
+// other capture or on worker identity. A fixed pose warps through the
+// Stack's plan, which is WarpInto through the same inverse bit for bit; a
+// jittered pose is a new map per capture and warps directly.
+func (s *Stack) applyPose(f *frame.Frame, index int, round bool) {
 	if s.cfg.PoseJitterDeg > 0 {
-		rng := detrng.NewStream(detrng.Mix(s.cfg.Seed, detrng.ImpairPose, index))
-		tilt := s.cfg.TiltDeg + (2*rng.Float64()-1)*s.cfg.PoseJitterDeg
-		roll := s.cfg.RotateDeg + (2*rng.Float64()-1)*s.cfg.PoseJitterDeg
-		rng.Release()
-		frame.WarpInto(src, f, poseInverse(f.W, f.H, tilt, roll, s.cfg.Distance))
-	} else {
-		s.posePlanFor(f.W, f.H).Into(src, f)
+		tilt, roll := s.jitteredPose(index)
+		inv := poseInverse(f.W, f.H, tilt, roll, s.cfg.Distance)
+		if round {
+			frame.WarpInto8(f, f, inv)
+		} else {
+			frame.WarpInto(f, f, inv)
+		}
+		return
 	}
-	poseScratch.Put(src)
+	plan := s.posePlanFor(f.W, f.H)
+	if round {
+		plan.Into8(f, f)
+	} else {
+		plan.Into(f, f)
+	}
+}
+
+// jitteredPose returns capture index's tilt and roll under PoseJitterDeg:
+// the configured pose plus two uniform draws of the capture's own stream.
+func (s *Stack) jitteredPose(index int) (tilt, roll float64) {
+	rng := detrng.NewStream(detrng.Mix(s.cfg.Seed, detrng.ImpairPose, index))
+	tilt = s.cfg.TiltDeg + float64((2*rng.Float64()-1)*s.cfg.PoseJitterDeg)
+	roll = s.cfg.RotateDeg + float64((2*rng.Float64()-1)*s.cfg.PoseJitterDeg)
+	rng.Release()
+	return tilt, roll
 }
 
 // posePlanFor returns the Stack's warp plan of its fixed pose for w×h

@@ -1,7 +1,9 @@
 package impair
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -228,5 +230,123 @@ func TestApplyPosePlanMatchesDirectWarp(t *testing.T) {
 		if !f.Equal(direct(mk(64, 48, k))) {
 			t.Errorf("concurrent capture %d: planned pose differs from the direct warp", k)
 		}
+	}
+}
+
+// poseCapture returns a seeded w×h capture holding both 8-bit extremes:
+// a band of code 0 along the top, a band of 255 down the left, and random
+// codes elsewhere, or, when not integral, values off the integer lattice
+// and outside [0, 255] (the camera never delivers those; the stage must
+// still warp them as a copy would).
+func poseCapture(w, h int, integral bool, seed int64) *frame.Frame {
+	rng := rand.New(rand.NewSource(seed))
+	f := frame.New(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := float32(rng.Intn(256))
+			switch {
+			case y < h/6:
+				v = 0
+			case x < w/6:
+				v = 255
+			}
+			if !integral {
+				v += float32(rng.Float64()*1.5 - 0.6)
+			}
+			f.Set(x, y, v)
+		}
+	}
+	return f
+}
+
+// refPose is the camera-pose stage as a copy and a separate warp: the
+// capture's copy warped through the inverse of the capture's pose into a
+// new frame, unrounded.
+func refPose(s *Stack, f *frame.Frame, index int) *frame.Frame {
+	tilt, roll := s.cfg.TiltDeg, s.cfg.RotateDeg
+	if s.cfg.PoseJitterDeg > 0 {
+		tilt, roll = s.jitteredPose(index)
+	}
+	out := frame.New(f.W, f.H)
+	frame.WarpInto(f.Clone(), out, poseInverse(f.W, f.H, tilt, roll, s.cfg.Distance))
+	return out
+}
+
+// TestPoseStageMatchesReference pins the in-place, self-rounding pose
+// stage: ApplyFrame of a posed capture equals copy → WarpInto through the
+// pose's inverse → Quantize by Float32bits, for fixed and jittered poses
+// with tilt, roll and distance, on captures holding codes 0 and 255 whose
+// warps read the overscan, on non-integral captures (the float fallback,
+// which must warp from a copy), and at the benchmark's 1280×720. With a
+// later pixel stage (gain drift) configured the warp must not round: the
+// reference then runs the gain stage alone on the unrounded warp. The test
+// requires its cases to hold half-way samples, overscan pixels and both
+// extreme codes, so rounding ties down, folding the rounding into a stack
+// with a later stage, or warping a float capture over itself all fail it.
+func TestPoseStageMatchesReference(t *testing.T) {
+	gain := Config{GainAmp: 0.2, GainHz: 3}
+	withGain := func(c Config) Config {
+		c.GainAmp, c.GainHz = gain.GainAmp, gain.GainHz
+		return c
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		w, h int
+	}{
+		{"tilt30-1280x720", Config{Seed: 1, TiltDeg: 30}, 1280, 720},
+		{"tilt-roll-far", Config{Seed: 2, TiltDeg: -25, RotateDeg: 7, Distance: 1.4}, 97, 61},
+		{"half-size", Config{Seed: 3, Distance: 2}, 64, 48},
+		{"near-rolled", Config{Seed: 4, TiltDeg: 12, RotateDeg: -40, Distance: 0.6}, 80, 45},
+		{"jitter", Config{Seed: 5, TiltDeg: 20, RotateDeg: 4, Distance: 1.2, PoseJitterDeg: 2}, 96, 54},
+		{"jitter-far", Config{Seed: 6, Distance: 2.5, PoseJitterDeg: 5}, 64, 48},
+		{"tilt30+gain", withGain(Config{Seed: 7, TiltDeg: 30}), 96, 54},
+		{"jitter+gain", withGain(Config{Seed: 8, TiltDeg: -15, PoseJitterDeg: 3}), 64, 48},
+	}
+	var ties, overscan, zeros, fulls int
+	for _, c := range cases {
+		s := New(c.cfg)
+		for _, integral := range []bool{true, false} {
+			for index := 0; index < 3; index++ {
+				name := fmt.Sprintf("%s/integral=%v/capture %d", c.name, integral, index)
+				const tt, exposure = 0.37, 0.001
+				f := poseCapture(c.w, c.h, integral, int64(index*7+c.w))
+				want := refPose(s, f, index)
+				if c.cfg.laterPixelStage() {
+					New(gain).ApplyFrame(want, index, tt, exposure)
+				} else {
+					if integral {
+						for _, v := range want.Pix {
+							if v-float32(math.Floor(float64(v))) == 0.5 {
+								ties++
+							}
+						}
+					}
+					want.Quantize()
+				}
+				s.ApplyFrame(f, index, tt, exposure)
+				for i := range want.Pix {
+					if math.Float32bits(f.Pix[i]) != math.Float32bits(want.Pix[i]) {
+						t.Fatalf("%s: pixel %d = %v, copy+warp+quantize %v", name, i, f.Pix[i], want.Pix[i])
+					}
+					switch want.Pix[i] {
+					case 0:
+						zeros++
+					case 255:
+						fulls++
+					}
+				}
+				lit := refPose(s, frame.NewFilled(c.w, c.h, 255), index)
+				for _, v := range lit.Pix {
+					if v == 0 {
+						overscan++
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 || overscan == 0 || zeros == 0 || fulls == 0 {
+		t.Errorf("cases lost their edge content: %d half-way samples, %d overscan pixels, %d zeros, %d codes 255 (each must be > 0)",
+			ties, overscan, zeros, fulls)
 	}
 }

@@ -101,31 +101,31 @@ run_arm64_fma() {
 	# Go may fuse x*y + z into one fused multiply-add, which rounds once
 	# where separate instructions round twice; amd64 never fuses, arm64
 	# does, so a bit-identical result on amd64 says nothing about arm64
-	# unless the code forbids fusion with explicit float64(x*y) conversions.
-	# The blind pose solve's pinned homographies must hold on both: cross-
-	# compile inframe-bench for arm64 and fail on any FMADD/FMSUB/FNMADD/
-	# FNMSUB in an internal/register function or in frame's homography
-	# arithmetic (Apply, Mul, Det, Invert, the normalized DLT solve).
-	local dir dis fused
+	# unless the code forbids fusion with explicit float64(x*y) (or
+	# float32(x*y)) conversions. The blind pose solve's pinned homographies
+	# and the posed capture path must hold on both: cross-compile
+	# inframe-bench for arm64 and fail on any FMADD/FMSUB/FNMADD/FNMSUB in
+	# an internal/register, internal/frame or internal/impair function.
+	local dir dis fused fn
 	dir=$(mktemp -d)
 	GOARCH=arm64 go build -o "$dir/inframe-bench" ./cmd/inframe-bench
-	dis=$(go tool objdump \
-		-s '^inframe/internal/(register\.|frame\.(Homography\.|SolveHomography|hartleyNormalize|solve8))' \
-		"$dir/inframe-bench")
+	dis=$(go tool objdump -s '^inframe/internal/(register|frame|impair)\.' "$dir/inframe-bench")
 	rm -rf "$dir"
-	# An empty listing (a renamed package, a pattern that no longer
-	# matches) must not pass as clean.
-	if ! grep -q '^TEXT inframe/internal/register\.mfScoreStride' <<<"$dis"; then
-		echo "arm64 disassembly lacks register.mfScoreStride; fix the objdump pattern" >&2
-		return 1
-	fi
+	# An empty or partial listing (a renamed package or function, a
+	# pattern that no longer matches) must not pass as clean.
+	for fn in 'register.mfScoreStride' 'frame.areaRow2' 'impair.(*Stack).ApplyFrame'; do
+		if ! grep -qF "TEXT inframe/internal/$fn(SB)" <<<"$dis"; then
+			echo "arm64 disassembly lacks $fn; fix the objdump pattern" >&2
+			return 1
+		fi
+	done
 	fused=$(awk '/^TEXT / { fn = $2 } /\t(FMADD|FMSUB|FNMADD|FNMSUB)/ { print fn, $1 }' <<<"$dis")
 	if [[ -n "$fused" ]]; then
-		echo "fused multiply-adds in the arm64 solve path (add float64(x*y) conversions):" >&2
+		echo "fused multiply-adds in the arm64 solve and capture path (add float64(x*y) conversions):" >&2
 		echo "$fused" >&2
 		return 1
 	fi
-	echo "no fused multiply-adds in the arm64 solve path"
+	echo "no fused multiply-adds in the arm64 solve and capture path"
 }
 
 run_tests() {
@@ -167,8 +167,8 @@ run_alloc_tests() {
 	# borrows (no display-resolution plane); TestSunRiseFrameIntoAllocs pins
 	# the clip's allocation-free render and skips under -race.
 	# TestPoseStageAllocs pins the camera-pose stage's heap: one warp plan
-	# per Stack and a shared clone scratch, no plane per capture; it skips
-	# under -race. TestSimulateReusesDriveSlots pins the drive-slot
+	# per Stack, and a warm posed capture, warped in place, allocates
+	# nothing and takes no plane from any pool; it skips under -race. TestSimulateReusesDriveSlots pins the drive-slot
 	# recycling of closed displays: a second Simulate of the same panel
 	# allocates no slot; it skips under -race. TestCaptureNoiseAllocs pins
 	# the sensor noise's pooled generator state: a warm noisy capture
@@ -198,7 +198,11 @@ run_kernels() {
 	# and the row-major column passes against column-gather references.
 	# The precomputed warp plan is pinned against WarpInto and a verbatim
 	# copy of the per-pixel projective warp, with eight goroutines sharing
-	# one plan. The sensor's read noise generator is pinned against
+	# one plan; the 8-bit warps against WarpInto then Quantize (and the Q16
+	# rounding against Round8 on every sample), the in-place warps against
+	# a separate destination, the camera-pose stage against copy, warp and
+	# Quantize, and the tabulated enlargement taps against the whole-plane
+	# resample. The sensor's read noise generator is pinned against
 	# math/rand's own stream, and the shutter integral without its clear
 	# pass against a verbatim copy of the clear-then-accumulate form. The
 	# 8-bit narrowing, the gamma encode row and the streamed window sums
@@ -207,15 +211,16 @@ run_kernels() {
 	# streamed energy scan against a verbatim copy of the measurement it
 	# replaced.
 	go test -race -count=1 \
-		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestEncodeRowMatchesEncode8|TestNarrow8MatchesIsIntegral8|TestWindowRowsMatchesNaive|TestWindowRowsThinPlanes|TestWindowRowsRowOrder|TestRowAbsEnergy8MatchesNaive' \
+		-run 'TestFixedPointBitIdentity|TestRoundQ16MatchesRound8|TestGammaErrorBound|TestEncodeRowMatchesEncode8|TestNarrow8MatchesIsIntegral8|TestWindowRowsMatchesNaive|TestWindowRowsThinPlanes|TestWindowRowsRowOrder|TestRowAbsEnergy8MatchesNaive' \
 		./internal/fixed/
 	go test -race -count=1 \
 		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush|TestDriveMatchesReference|TestEnergyScanMatchesReference' \
 		./internal/core/
 	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
-		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto' \
+		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto|TestWarpInto8MatchesQuantize|TestWarpInPlaceMatchesWarpInto' \
 		./internal/frame/
+	go test -race -count=1 -run 'TestPoseStageMatchesReference' ./internal/impair/
 	go test -race -count=1 -run 'TestCaptureMatchesReference' ./internal/camera/
 	go test -race -count=1 -run 'TestNormalMatchesMathRand' ./internal/detrng/
 	go test -race -count=1 -run 'TestRowAverageMatchesReference' ./internal/display/
@@ -304,7 +309,7 @@ stage "go vet ./..." go vet ./...
 stage "go build ./..." go build ./...
 stage "inframe-lint ./..." run_lint
 stage "cmd/inframe-perf vet + short tests" run_perf_module
-stage "arm64 solve path FMA-free" run_arm64_fma
+stage "arm64 solve and capture path FMA-free" run_arm64_fma
 stage "go test -race $short ./..." run_tests
 stage "internal/analysis coverage floor" run_analysis_cover
 stage "internal/register coverage floor" run_register_cover
