@@ -1,6 +1,6 @@
 // Command inframe-lint runs the repository's custom static-analysis suite
 // (internal/analysis): a registry of analyzers that enforce the pipeline's
-// determinism, ownership, clamp, concurrency and integer-range
+// determinism, ownership, clamp, float-comparison and concurrency
 // invariants across every non-test package of the module.
 //
 // Usage:
@@ -34,7 +34,8 @@
 // "summaries" row), composing with any -format on stdout.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load/type-check or
-// usage failure. Suppress a single finding with a trailing or preceding
+// usage failure (an unknown flag or -format value, or an unknown -only
+// name). Suppress a single finding with a trailing or preceding
 // comment:
 //
 //	//lint:ignore <analyzer> <reason>
@@ -133,6 +134,9 @@ type config struct {
 	format  string
 	dir     string
 	timings bool
+	// unknown lists the flags parseArgs did not recognize, space-separated
+	// in the order given; run rejects a non-empty list.
+	unknown string
 }
 
 func main() {
@@ -140,7 +144,7 @@ func main() {
 }
 
 // parseArgs parses flags without the global flag set so run stays
-// testable; unknown flags surface through config validation in run.
+// testable; it records unknown flags in cfg.unknown, and run rejects them.
 func parseArgs(args []string) config {
 	cfg := config{format: "text", dir: "."}
 	i := 0
@@ -170,6 +174,8 @@ func parseArgs(args []string) config {
 			cfg.format = strings.TrimPrefix(arg, "format=")
 		case arg == "timings":
 			cfg.timings = true
+		default:
+			cfg.unknown = strings.TrimSpace(cfg.unknown + " " + args[i])
 		}
 	}
 	return cfg
@@ -177,6 +183,10 @@ func parseArgs(args []string) config {
 
 // run executes one lint invocation and returns the process exit code.
 func run(cfg config, stdout, stderr io.Writer) int {
+	if cfg.unknown != "" {
+		fmt.Fprintf(stderr, "inframe-lint: unknown flag(s) %s (use -list, -only, -format or -timings)\n", cfg.unknown)
+		return 2
+	}
 	if cfg.format != "text" && cfg.format != "json" && cfg.format != "sarif" {
 		fmt.Fprintf(stderr, "inframe-lint: unknown format %q (use text, json or sarif)\n", cfg.format)
 		return 2

@@ -24,6 +24,8 @@ func TestParseArgs(t *testing.T) {
 		{[]string{"--format=json"}, config{format: "json", dir: "."}},
 		{[]string{"-format=sarif"}, config{format: "sarif", dir: "."}},
 		{[]string{"-timings", "./..."}, config{format: "text", dir: ".", timings: true}},
+		{[]string{"-bogus", "./..."}, config{format: "text", dir: ".", unknown: "-bogus"}},
+		{[]string{"-timing", "-fromat=json", "-list"}, config{list: true, format: "text", dir: ".", unknown: "-timing -fromat=json"}},
 	}
 	for _, c := range cases {
 		if got := parseArgs(c.args); got != c.want {
@@ -88,6 +90,15 @@ func TestRunBadUsage(t *testing.T) {
 	}
 	if code := run(config{only: "nosuch", format: "text", dir: "."}, &out, &errOut); code != 2 {
 		t.Errorf("unknown -only exited %d, want 2", code)
+	}
+	// A mistyped flag must not run a default lint and exit 0: -fromat=json
+	// would print text, and -timing would drop the timings.
+	errOut.Reset()
+	if code := run(parseArgs([]string{"-fromat=json", "-timing", "./..."}), &out, &errOut); code != 2 {
+		t.Errorf("unknown flags exited %d, want 2", code)
+	}
+	if msg := errOut.String(); !strings.Contains(msg, "-fromat=json -timing") {
+		t.Errorf("unknown-flag error %q does not name the flags", msg)
 	}
 }
 
@@ -195,7 +206,7 @@ func TestRunModuleSARIF(t *testing.T) {
 	if len(log.Runs) != 1 || len(log.Runs[0].Results) != 0 {
 		t.Errorf("clean tree produced SARIF results: %+v", log.Runs)
 	}
-	for _, want := range []string{"timing summaries", "timing intrange", "timing total"} {
+	for _, want := range []string{"timing summaries", "timing poolown", "timing total"} {
 		if !strings.Contains(errOut.String(), want) {
 			t.Errorf("timing output missing %q:\n%s", want, errOut.String())
 		}

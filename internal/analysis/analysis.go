@@ -90,7 +90,6 @@ func DefaultAnalyzers() []*Analyzer {
 		FloatEqAnalyzer,
 		GoroutineAnalyzer,
 		MapRangeAnalyzer,
-		Intrange,
 		Poolown,
 		Stagekey,
 		Splitbudget,

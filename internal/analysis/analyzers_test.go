@@ -209,7 +209,7 @@ func TestRepoIsLintClean(t *testing.T) {
 // registrySize pins the registry: growing or shrinking it is a deliberate
 // act that updates this constant, README § Lint, and DESIGN.md §5h
 // together.
-const registrySize = 9
+const registrySize = 8
 
 // TestDefaultAnalyzersRegistry pins the registry contract: exactly
 // registrySize analyzers, sorted, unique names, docs present.

@@ -58,12 +58,6 @@ type pathHooks struct {
 	// cond interprets an expression evaluated for control flow (an if or
 	// loop condition, a switch tag, a case expression, a ranged operand).
 	cond func(e ast.Expr, st pathState)
-	// branch, when non-nil, observes a condition's polarity on the state
-	// that took it: after an if or for condition forks the paths, the hook
-	// runs with taken=true on the then/body state and taken=false on the
-	// else/exit state, so clients can refine their store by what the
-	// comparison just proved (intrange narrows variable intervals here).
-	branch func(cond ast.Expr, taken bool, st pathState)
 	// exit observes a function exit: an explicit return (ret non-nil,
 	// already interpreted for its result expressions) or falling off the
 	// end of the body (ret nil, end is the closing brace).
@@ -203,10 +197,7 @@ func (e *pathEngine) execStmt(s ast.Stmt, st pathState) []pathFlow {
 			e.hooks.stmt(s.Init, st)
 		}
 		e.hooks.cond(s.Cond, st)
-		thenSt := e.hooks.copy(st)
-		e.refine(s.Cond, true, thenSt)
-		e.refine(s.Cond, false, st)
-		flows := e.execBlock(s.Body.List, []pathState{thenSt})
+		flows := e.execBlock(s.Body.List, []pathState{e.hooks.copy(st)})
 		if s.Else != nil {
 			flows = append(flows, e.execStmt(s.Else, st)...)
 		} else {
@@ -222,7 +213,7 @@ func (e *pathEngine) execStmt(s ast.Stmt, st pathState) []pathFlow {
 		if s.Cond != nil {
 			e.hooks.cond(s.Cond, st)
 		}
-		return e.execLoop(s, s.Body, st, s.Cond != nil, s.Cond, func(backSt pathState) {
+		return e.execLoop(s, s.Body, st, s.Cond != nil, func(backSt pathState) {
 			if s.Post != nil {
 				e.hooks.stmt(s.Post, backSt)
 			}
@@ -235,7 +226,7 @@ func (e *pathEngine) execStmt(s ast.Stmt, st pathState) []pathFlow {
 		e.hooks.cond(s.X, st)
 		// The key/value clause assigns on every iteration; the client sees
 		// the whole RangeStmt as one leaf to interpret those targets.
-		return e.execLoop(s, s.Body, st, true, nil, func(backSt pathState) {
+		return e.execLoop(s, s.Body, st, true, func(backSt pathState) {
 			e.hooks.stmt(s, backSt)
 		})
 
@@ -323,32 +314,20 @@ func (e *pathEngine) execStmt(s ast.Stmt, st pathState) []pathFlow {
 	}
 }
 
-// refine applies the branch hook, if the client installed one.
-func (e *pathEngine) refine(cond ast.Expr, taken bool, st pathState) {
-	if e.hooks.branch != nil && cond != nil {
-		e.hooks.branch(cond, taken, st)
-	}
-}
-
 // execLoop runs a loop body for up to maxLoopIters abstract iterations.
 // canSkip reports whether zero iterations are possible (a condition or
-// range that may be immediately exhausted); cond is the for condition (nil
-// for range loops), refined true into the body and false onto the exits;
-// back runs the post/condition work on each state that reaches the back
-// edge.
-func (e *pathEngine) execLoop(loop ast.Stmt, body *ast.BlockStmt, st pathState, canSkip bool, cond ast.Expr, back func(pathState)) []pathFlow {
+// range that may be immediately exhausted); back runs the post/condition
+// work on each state that reaches the back edge.
+func (e *pathEngine) execLoop(loop ast.Stmt, body *ast.BlockStmt, st pathState, canSkip bool, back func(pathState)) []pathFlow {
 	var after []pathFlow
 	entry := e.hooks.snapshot(st)
 	if canSkip {
-		exitSt := e.hooks.copy(st)
-		e.refine(cond, false, exitSt)
-		after = append(after, pathFlow{flowFall, exitSt})
+		after = append(after, pathFlow{flowFall, e.hooks.copy(st)})
 	}
 	cur := []pathState{st}
 	for iter := 0; iter < maxLoopIters && len(cur) > 0 && !e.dead; iter++ {
 		var backStates []pathState
 		for _, s := range cur {
-			e.refine(cond, true, s)
 			for _, f := range e.execBlock(body.List, []pathState{s}) {
 				switch f.kind {
 				case flowFall, flowContinue:
@@ -357,9 +336,7 @@ func (e *pathEngine) execLoop(loop ast.Stmt, body *ast.BlockStmt, st pathState, 
 					backStates = append(backStates, f.st)
 					// The condition may also exit here.
 					if canSkip {
-						exitSt := e.hooks.copy(f.st)
-						e.refine(cond, false, exitSt)
-						after = append(after, pathFlow{flowFall, exitSt})
+						after = append(after, pathFlow{flowFall, e.hooks.copy(f.st)})
 					}
 				case flowBreak:
 					after = append(after, pathFlow{flowFall, f.st})

@@ -1,7 +1,7 @@
 package analysis
 
 // This file is the module-wide summary engine under the interprocedural
-// analyzers (poolown, splitbudget, stagekey, intrange). Where the first
+// analyzers (poolown, splitbudget, stagekey). Where the first
 // generation of summaries was one hop and same-package — a function's
 // summary reflected only its own body — the engine here computes
 // summaries bottom-up over the whole module:
@@ -60,12 +60,6 @@ type moduleSummaries struct {
 	// seed domain across all module call sites (stagekey reports them at
 	// the declaration).
 	mixed map[*types.Func][]stageMixFinding
-	// contracts maps declared functions to their parsed //range parameter
-	// contracts (intrange.go).
-	contracts map[*types.Func]rangeContract
-	// contractDiags holds malformed //range directives per package import
-	// path, reported by intrange when it visits that package.
-	contractDiags map[string][]contractDiag
 	// rounds is the largest number of fixpoint rounds any package needed.
 	rounds int
 	// bounded records that some package hit maxSummaryRounds and its
@@ -85,11 +79,9 @@ func (m *Module) Summaries() *moduleSummaries {
 // import-DAG order (dependencies first).
 func computeSummaries(fset *token.FileSet, pkgs []*Package) *moduleSummaries {
 	s := &moduleSummaries{
-		own:           make(map[*types.Func]ownSummary),
-		spawn:         make(map[*types.Func]spawnSummary),
-		mixed:         make(map[*types.Func][]stageMixFinding),
-		contracts:     make(map[*types.Func]rangeContract),
-		contractDiags: make(map[string][]contractDiag),
+		own:   make(map[*types.Func]ownSummary),
+		spawn: make(map[*types.Func]spawnSummary),
+		mixed: make(map[*types.Func][]stageMixFinding),
 	}
 	for _, pkg := range pkgs {
 		if pkg.Info == nil {
@@ -135,7 +127,6 @@ func computeSummaries(fset *token.FileSet, pkgs []*Package) *moduleSummaries {
 		}
 	}
 	computeStageMix(s, fset, pkgs)
-	collectRangeContracts(s, fset, pkgs)
 	return s
 }
 
@@ -180,17 +171,6 @@ func (p *Pass) spawnSummaries() map[*types.Func]spawnSummary {
 // stageMixFindings returns the module-wide stage-domain-mixing facts.
 func (p *Pass) stageMixFindings() map[*types.Func][]stageMixFinding {
 	return p.moduleSummaries().mixed
-}
-
-// rangeContracts returns the parsed //range contracts.
-func (p *Pass) rangeContracts() map[*types.Func]rangeContract {
-	return p.moduleSummaries().contracts
-}
-
-// contractDiagsFor returns the malformed-directive diagnostics for the
-// pass's package.
-func (p *Pass) contractDiagsFor() []contractDiag {
-	return p.moduleSummaries().contractDiags[p.Path]
 }
 
 // moduleSummaries returns the summary set backing this pass. Run wires the

@@ -50,7 +50,6 @@ func loadFixtureModule(t *testing.T, name string) (*Module, []*wantSpec) {
 // two-package fixture module.
 func TestCrossPackageFixtures(t *testing.T) {
 	cases := []struct{ fixture, analyzer string }{
-		{"intrange_xpkg", "intrange"},
 		{"poolown_xpkg", "poolown"},
 		{"splitbudget_xpkg", "splitbudget"},
 		{"stagekey_xpkg", "stagekey"},

@@ -132,7 +132,7 @@ func Calibrate() int64 {
 		for n := 0; n < b.N; n++ {
 			for p := 0; p < calibPasses; p++ {
 				for i, v := range buf {
-					v = v*1.0009766 + 0.5
+					v = float32(v*1.0009766) + 0.5
 					if v > 255 {
 						v -= 255
 					}

@@ -279,7 +279,7 @@ type shutter struct {
 // integrate writes display row y's mean light over its exposure window.
 func (s shutter) integrate(y int, dst []float32) {
 	sensorRow := y * s.sensorH / s.panelH
-	a := s.t0 + float64(sensorRow)*s.rowDt
+	a := s.t0 + float64(float64(sensorRow)*s.rowDt)
 	s.d.RowAverage(y, a, a+s.exposure, dst)
 }
 

@@ -492,7 +492,7 @@ func (r *Receiver) rowWeights(t0 float64, ws []float64) []float64 {
 	}
 	ws = ws[:r.cfg.CaptureH]
 	for y := range ws {
-		start := t0 + float64(y)*rowDt
+		start := t0 + float64(float64(y)*rowDt)
 		// Exact range reduction: start may sit thousands of refresh periods
 		// into the run, where a Trunc(start/T)*T rewrite loses the low bits
 		// that decide which side of a sign flip the row landed on.
@@ -582,8 +582,7 @@ func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64
 	// (2r+1)² is the blur-subtract residual without the float rounding of
 	// the two-pass blur. Matched-detector and non-integral (analog-gain
 	// impaired, rectified) planes keep the float path, and so does a radius
-	// above 128, the kernels' range: the bounds make scanCodes' //range
-	// contract provable at its call site.
+	// above 128: the window-sum kernels document [1, 128] as their range.
 	integral := false
 	if sr := r.cfg.SmoothRadius; r.cfg.Detector == DetectorEnergy && sr >= 1 && sr <= 128 {
 		bufs.pix = resize(bufs.pix, f.W*f.H)
@@ -629,9 +628,8 @@ func (r *Receiver) measureOn(f *frame.Frame, t0 float64, warped bool) ([]float64
 // residual Σ|pix·(2sr+1)² − windowsum| / (2sr+1)² into acc and its weight
 // into n,
 // in increasing y per Block as measureOn's estimate requires; the window
-// sums of a row are formed only when some rect reads it.
-//
-//range:sr 1,128
+// sums of a row are formed only when some rect reads it. sr must lie in
+// [1, 128], the window-sum kernels' documented range.
 func (r *Receiver) scanCodes(bufs *scanBufs, w, h, sr int, weights []float64, pose *frame.Homography, acc, n []float64) {
 	side := 2*sr + 1
 	scale := side * side
@@ -665,8 +663,8 @@ func (r *Receiver) scanCodes(bufs *scanBufs, w, h, sr int, weights []float64, po
 				}
 				rs := y*w + rect.x0
 				rowAcc := float64(fixed.RowAbsEnergy8(bufs.pix[rs:rs+rect.w], sums[rect.x0:rect.x0+rect.w], scale)) / float64(scale)
-				acc[i] += rowAcc * rowW
-				n[i] += float64(rect.w) * rowW * rowW
+				acc[i] += float64(rowAcc * rowW)
+				n[i] += float64(float64(rect.w) * rowW * rowW)
 			}
 			if y+1 < rect.y0+rect.h {
 				keep = append(keep, i)
@@ -722,8 +720,8 @@ func (r *Receiver) scanFloat(f *frame.Frame, weights []float64, pose *frame.Homo
 			}
 			// SNR weighting: estimate = Σ w·m / Σ w², which reduces to the
 			// plain mean when every row is clean (w = 1).
-			acc[i] += rowAcc * rowW
-			n[i] += float64(rect.w) * rowW * rowW
+			acc[i] += float64(rowAcc * rowW)
+			n[i] += float64(float64(rect.w) * rowW * rowW)
 		}
 	}
 	r.pool.Put(sm)
@@ -741,7 +739,7 @@ func rowWeight(rect capRect, y int, weights []float64, pose *frame.Homography) (
 	if weights != nil {
 		wy := y
 		if pose != nil {
-			cxMid := float64(rect.x0) + float64(rect.w)/2
+			cxMid := float64(rect.x0) + float64(float64(rect.w)/2)
 			_, fy, ok := pose.Apply(cxMid, float64(y)+0.5)
 			if !ok {
 				return 0, false
@@ -766,7 +764,7 @@ func rowWeight(rect capRect, y int, weights []float64, pose *frame.Homography) (
 		// smoothly with residual warp instead of cliffing, and the SNR-style
 		// Σw·m / Σw² estimator stays unbiased for clean rows.
 		fr := float64(2*(y-rect.y0)+1)/float64(rect.h) - 1
-		rowW *= 1 - 0.5*math.Abs(fr)
+		rowW *= 1 - float64(0.5*math.Abs(fr))
 	}
 	return rowW, true
 }
@@ -870,11 +868,11 @@ func buildGOBs(fd *FrameDecode, l Layout) {
 // half.
 func (r *Receiver) steadyWindow(d int, exposure float64) (t0, t1 float64) {
 	period := r.DataFramePeriod()
-	start := float64(d) * period
-	lo := exposure / 2
-	hi := period/2 - exposure/2
+	start := float64(float64(d) * period)
+	lo := float64(exposure / 2)
+	hi := float64(period/2) - float64(exposure/2)
 	if hi < lo {
-		mid := period / 4
+		mid := float64(period / 4)
 		return start + mid, start + mid
 	}
 	return start + lo, start + hi
@@ -892,7 +890,7 @@ func (r *Receiver) frameOf(t, exposure float64) (d int, ok bool) {
 	if math.IsNaN(t) || math.IsInf(t, 0) || !(exposure >= 0) || math.IsInf(exposure, 1) {
 		return 0, false
 	}
-	mid := t + exposure/2
+	mid := t + float64(exposure/2)
 	q := math.Floor(mid / r.DataFramePeriod())
 	// math.MaxInt32 keeps int(q)+1 representable on every platform.
 	if !(q >= -1 && q < math.MaxInt32) {
@@ -1108,7 +1106,7 @@ func (r *Receiver) registration() Registration {
 		}
 		ax, ay := r.calib.Apply(c[0], c[1])
 		// Compare squared distances in the loop; one Sqrt at the end.
-		if d := (px-ax)*(px-ax) + (py-ay)*(py-ay); d > worst {
+		if d := float64((px-ax)*(px-ax)) + float64((py-ay)*(py-ay)); d > worst {
 			worst = d
 		}
 	}
@@ -1332,7 +1330,7 @@ func (r *Receiver) decideFrame(d int, a *frameAcc, lo, hi []float64) *FrameDecod
 			fd.BlockCauses[j] = CauseNoSwing
 			continue // no usable swing: saturated or constant payload
 		}
-		thr := (lo[j] + hi[j]) / 2
+		thr := float64((lo[j] + hi[j]) / 2)
 		band := r.cfg.AdaptiveBand * gap
 		if band < r.minConf {
 			band = r.minConf

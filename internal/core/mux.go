@@ -482,7 +482,7 @@ func (m *Multiplexer) Frame(k int) *frame.Frame {
 		dr := m.chessRow(y)[:len(vr)]
 		op = op[:len(vr)]
 		for x, v := range vr {
-			v += sign * dr[x]
+			v += float32(sign * dr[x])
 			if v < 0 {
 				v = 0
 			} else if v > 255 {

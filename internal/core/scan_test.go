@@ -19,11 +19,11 @@ import (
 // the float box blur for planes that fail the scan. Scores and qualities
 // must agree by Float64bits on real camera captures at the four benchmark
 // sensor sizes and smoothing radii 1, 2, 3 and 5, with and without shutter
-// weights; on planes no wider or taller than the window; with Blocks
-// outside the view and clamped at its edges; on an integral plane measured
-// with warped set; and on captures carrying one hostile pixel in the
-// first, a middle or the last row, each of which must take the old path
-// with the old bits.
+// weights; at radii 127 and 128, the top of the kernels' range; on planes
+// no wider or taller than the window; with Blocks outside the view and
+// clamped at its edges; on an integral plane measured with warped set; and
+// on captures carrying one hostile pixel in the first, a middle or the last
+// row, each of which must take the old path with the old bits.
 func TestEnergyScanMatchesReference(t *testing.T) {
 	l, err := ScaledPaperLayout(2)
 	if err != nil {
@@ -76,6 +76,14 @@ func TestEnergyScanMatchesReference(t *testing.T) {
 		rcfg := DefaultReceiverConfig(p, 640, 360)
 		rcfg.Detector = DetectorMatched
 		checkMeasure(t, "matched", receiver(t, rcfg), f, math.NaN())
+		// The top of the window-sum kernels' range, where the scale
+		// (2r+1)² = 66049 no longer fits 16 bits, and the radius below it.
+		f, _ = capture(320, 180)
+		for _, r := range []int{127, 128} {
+			rcfg := DefaultReceiverConfig(p, 320, 180)
+			rcfg.SmoothRadius = r
+			checkMeasure(t, fmt.Sprintf("320x180 r=%d", r), receiver(t, rcfg), f, math.NaN())
+		}
 	})
 
 	t.Run("thin", func(t *testing.T) {
@@ -202,7 +210,7 @@ type refIntBufs struct {
 
 // The reference measurement, verbatim but for the renames, fresh scratch
 // (window sums and shutter weights) in place of the pooled one, and the
-// dropped lint directives and range contracts (this file is not linted).
+// dropped lint directives (this file is not linted).
 
 // refIsIntegral8 reports whether every sample is an integer in [0, 255] —
 // the precondition for the exact integer window-sum kernels (quantized
@@ -319,8 +327,7 @@ func referenceMeasureOn(r *Receiver, f *frame.Frame, t0 float64, warped bool) ([
 	// is the blur-subtract residual without the float rounding of the
 	// two-pass blur. Matched-detector and non-integral (e.g. analog-gain
 	// impaired) captures keep the float path. The radius bounds restate
-	// ReceiverConfig.Validate so the fixed.WindowSums //range contract is
-	// provable at this call site.
+	// ReceiverConfig.Validate: the window-sum kernels' documented range.
 	sr := r.cfg.SmoothRadius
 	var (
 		sm    *frame.Frame

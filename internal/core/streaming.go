@@ -67,7 +67,7 @@ func (s *StreamingReceiver) Push(capture *frame.Frame, t, exposure float64) []*F
 	}
 	period := s.rcv.DataFramePeriod()
 	var out []*FrameDecode
-	for float64(s.emitted)*period+period/2 < t {
+	for float64(float64(s.emitted)*period)+float64(period/2) < t {
 		out = append(out, s.finalize(s.emitted))
 		s.emitted++
 	}

@@ -36,7 +36,7 @@ func EstimatePhase(caps []*frame.Frame, times []float64, exposure, period float6
 		var steady, hot float64
 		var nSteady, nHot int
 		for i, t := range times {
-			mid := t + exposure/2 - phase
+			mid := t + float64(exposure/2) - phase
 			frac := math.Mod(mid, period)
 			if frac < 0 {
 				frac += period

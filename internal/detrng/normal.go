@@ -1,5 +1,6 @@
 // The ziggurat tables kn, wn and fn, the constant rn, absInt32 and the
-// body of NormFloat64 are copied verbatim from the Go standard library's
+// body of NormFloat64 (but for three conversions that forbid fused
+// multiply-adds) are copied verbatim from the Go standard library's
 // math/rand/normal.go, which carries this notice:
 //
 // Copyright 2009 The Go Authors.
@@ -129,7 +130,11 @@ func (s *Stream) Float64() float64 {
 
 // NormFloat64 returns the next value of rand.Rand.NormFloat64, a standard
 // normal draw by Marsaglia and Tsang's ziggurat: math/rand's code,
-// verbatim.
+// verbatim but for three explicit conversions that keep a compiler from
+// fusing a multiply-add. math/rand's own code may be fused where the target
+// fuses (arm64 does), so the bit-for-bit match with math/rand that
+// TestNormalMatchesMathRand pins is an amd64 fact, where nothing fuses;
+// this code's values are the same on every target.
 func (s *Stream) NormFloat64() float64 {
 	for {
 		j := s.int32() // Possibly negative
@@ -150,11 +155,11 @@ func (s *Stream) NormFloat64() float64 {
 				}
 			}
 			if j > 0 {
-				return rn + x
+				return rn + float64(x)
 			}
-			return -rn - x
+			return -rn - float64(x)
 		}
-		if fn[i]+float32(s.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+		if fn[i]+float32(float32(s.Float64())*(fn[i-1]-fn[i])) < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
 	}

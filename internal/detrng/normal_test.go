@@ -27,7 +27,10 @@ func (p *zigguratPaths) note(s *Stream) {
 }
 
 // TestNormalMatchesMathRand pins Stream to math/rand bit for bit, in two
-// parts.
+// parts. The pin holds where the compiler fuses no multiply-add, as on
+// amd64: NormFloat64 carries explicit conversions that forbid fusion, and
+// math/rand's copy of the ziggurat does not, so on arm64 the two may part
+// in the last bit of a slow-path draw.
 //
 // Seeds: for each seed, in the sensor's shape (normal draws only) and the
 // noise burst's (one Float64 gate, then normal draws), every NormFloat64

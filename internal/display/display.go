@@ -398,7 +398,7 @@ func (d *Display) extendState() {
 		next := d.newState()
 		for i := range next.Pix {
 			tg := d.lut[target[i]]
-			next.Pix[i] = tg + (prev.Pix[i]-tg)*alpha
+			next.Pix[i] = tg + float32((prev.Pix[i]-tg)*alpha)
 		}
 		d.state = append(d.state, next)
 	}
@@ -411,8 +411,6 @@ func (d *Display) extendState() {
 // that is NaN, infinite or beyond ±2⁵³ refresh intervals (about 2.4 million
 // years at 120 Hz), whose interval loop could never finish, and any read
 // after Close.
-//
-//hot:the camera synthesizes every captured row through this path
 func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -453,7 +451,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 			target := d.driveFrame(k)[y*w : y*w+w]
 			wgt := float32((b-a)/total) * boost
 			for x := 0; x < w; x++ {
-				dst[x] += d.lut[target[x]] * wgt
+				dst[x] += float32(d.lut[target[x]] * wgt)
 			}
 		}
 		return
@@ -490,13 +488,13 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 				continue
 			}
 			for x := 0; x < w; x++ {
-				dst[x] += d.lut[target[x]] * wgt
+				dst[x] += float32(d.lut[target[x]] * wgt)
 			}
 			continue
 		}
 		// Exponential approach from the interval-start state:
 		// ∫ target + (s−target)·e^{−(t−tk)/τ} dt over [a,b].
-		tk := float64(k) * T
+		tk := float64(float64(k) * T)
 		ea := math.Exp(-(a - tk) / tauR)
 		eb := math.Exp(-(b - tk) / tauR)
 		cLin := float32((b - a) / total)
@@ -504,7 +502,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		st := d.state[k-d.base].Pix[y*w : y*w+w]
 		for x := 0; x < w; x++ {
 			tg := d.lut[target[x]]
-			dst[x] += tg*cLin + (st[x]-tg)*cExp
+			dst[x] += float32(tg*cLin) + float32((st[x]-tg)*cExp)
 		}
 	}
 	if !filled {
@@ -559,7 +557,7 @@ func (d *Display) PixelWaveformInto(x, y int, t0, t1 float64, out []float64, row
 	}
 	dt := (t1 - t0) / float64(n)
 	for i := 0; i < n; i++ {
-		a := t0 + float64(i)*dt
+		a := t0 + float64(float64(i)*dt)
 		d.RowAverage(y, a, a+dt, row)
 		out[i] = float64(row[x])
 	}

@@ -151,14 +151,25 @@ func TestWindowAverageSpansFrames(t *testing.T) {
 func TestWindowAverageHoldsBeyondEnds(t *testing.T) {
 	d := mustNew(t, idealConfig())
 	d.Push(frame.NewFilled(2, 2, 60))
+	d.Push(frame.NewFilled(2, 2, 200))
 	T := d.FrameDuration()
 	before := d.WindowAverage(-5*T, -4*T)
 	if math.Abs(float64(before.At(0, 0))-60) > 1e-4 {
 		t.Fatalf("pre-start hold = %v, want 60", before.At(0, 0))
 	}
 	after := d.WindowAverage(10*T, 12*T)
-	if math.Abs(float64(after.At(1, 1))-60) > 1e-4 {
-		t.Fatalf("post-end hold = %v, want 60", after.At(1, 1))
+	if math.Abs(float64(after.At(1, 1))-200) > 1e-4 {
+		t.Fatalf("post-end hold = %v, want 200", after.At(1, 1))
+	}
+	// 2⁴⁰ and 2⁵⁰ refresh intervals out: past where a 32-bit interval
+	// index wraps, inside maxInterval.
+	for _, k := range []float64{1 << 40, 1 << 50} {
+		if v := d.WindowAverage(-k*T, -k*T+2*T).At(0, 0); math.Abs(float64(v)-60) > 1e-3 {
+			t.Errorf("hold %v intervals before the start = %v, want 60", k, v)
+		}
+		if v := d.WindowAverage(k*T, k*T+2*T).At(1, 1); math.Abs(float64(v)-200) > 1e-3 {
+			t.Errorf("hold %v intervals past the end = %v, want 200", k, v)
+		}
 	}
 }
 

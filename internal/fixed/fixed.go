@@ -25,8 +25,9 @@
 //
 // Q-format. Kernels use Q16 (16 fractional bits) in int32: pixel values
 // live in [0, 255], so Q16 magnitudes stay below 2^24 and every
-// interpolation product fits int32 with headroom (the //range contracts
-// below make the bounds checkable by the intrange analyzer).
+// interpolation product fits int32 with headroom. Each kernel's doc comment
+// states the operand range its bound needs, and the tests sweep each
+// kernel to the edges of that range.
 package fixed
 
 import "math"
@@ -110,13 +111,15 @@ type Gamma struct {
 // NewGamma builds the encode table for exponent gamma (> 0).
 func NewGamma(gamma float64) *Gamma {
 	g := &Gamma{invG: 1 / gamma}
+	// The encode curve maps [0, 255] onto [0, 255], so every Q16 node lies
+	// in [0, 255·2^16] and fits int32.
 	for i := range g.coarse {
 		v := float64(i) / 16
-		g.coarse[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits))) //lint:ignore intrange the encode curve maps [0,255]→[0,255], so the Q16 node value is bounded by 255·2^16 < 2^24
+		g.coarse[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits)))
 	}
 	for i := range g.fine {
 		v := float64(i) / 256
-		g.fine[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits))) //lint:ignore intrange same bound: curve node values stay below 2^24
+		g.fine[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits)))
 	}
 	return g
 }
@@ -158,6 +161,9 @@ func (g *Gamma) EncodeRow(row []float32) {
 			continue
 		}
 		// v < 255 ⇒ x < 255·2^16 < 2^24: exact int32, truncated to Q16.
+		// Table nodes lie in [0, 255·2^16] and adjacent nodes differ by
+		// less than 2^16, so each interpolation product stays below 2^24
+		// (fine) or 2^28 (coarse).
 		x := int32(v * (1 << qBits))
 		var q int32
 		if x < gammaFineMax<<qBits {
@@ -165,13 +171,13 @@ func (g *Gamma) EncodeRow(row []float32) {
 			j := x >> 8
 			f := x & (1<<8 - 1)
 			l0 := g.fine[j]
-			q = l0 + ((g.fine[j+1]-l0)*f)>>8 //lint:ignore intrange table nodes lie in [0, 255·2^16] and adjacent nodes differ by < 2^16, so the interpolation product stays below 2^24
+			q = l0 + ((g.fine[j+1]-l0)*f)>>8
 		} else {
 			// Coarse table: node step 1/16 = 2^12 in Q16.
 			j := x >> gammaTableBits
 			f := x & (1<<gammaTableBits - 1)
 			l0 := g.coarse[j]
-			q = l0 + ((g.coarse[j+1]-l0)*f)>>gammaTableBits //lint:ignore intrange same node bounds as the fine path: the Q16 interpolation product stays below 2^28
+			q = l0 + ((g.coarse[j+1]-l0)*f)>>gammaTableBits
 		}
 		row[i] = float32(q) * (1.0 / (1 << qBits))
 	}
@@ -229,9 +235,7 @@ func WindowRowsScratch(w, h, r int) int {
 }
 
 // Reset starts a scan of the w×h plane pix (len ≥ w·h) at radius r, with
-// scratch at least WindowRowsScratch(w, h, r) long.
-//
-//range:r 1,128
+// scratch at least WindowRowsScratch(w, h, r) long. r must lie in [1, 128].
 func (s *WindowRows) Reset(pix []uint8, w, h, r int, scratch []int) {
 	n := min(2*r+1, h)
 	*s = WindowRows{pix: pix[:w*h], w: w, h: h, r: r,
@@ -329,9 +333,7 @@ func clampIdx(i, n int) int {
 // numerator of the §3.3 detector, scaled by scale = (2r+1)², with sums a
 // span of WindowRows' window sums at radius r. Each term is below
 // 255·scale < 2^25 and the row total is an int64, so no row a capture can
-// hold overflows it.
-//
-//range:scale 1,66049
+// hold overflows it. scale must lie in [1, 66049], the (2r+1)² of r ≤ 128.
 func RowAbsEnergy8(pix []uint8, sums []int, scale int) int64 {
 	sums = sums[:len(pix)]
 	var acc int64
@@ -356,10 +358,7 @@ func RowAbsEnergy8(pix []uint8, sums []int, scale int) int64 {
 // non-negative products below 255·2¹⁶ < 2²⁴, so they fit int32; the
 // vertical blend's products reach 255·2³² and run in int64 before the
 // shift, a floor division of a non-negative sum by 2¹⁶, brings the result
-// back under 2²⁴.
-//
-//range:wx 0,65536
-//range:wy 0,65536
+// back under 2²⁴. wx and wy must each lie in [0, 2¹⁶].
 func BilinearQ16(v00, v01, v10, v11 uint8, wx, wy int32) int32 {
 	const one = 1 << qBits
 	top := int32(v00)*(one-wx) + int32(v01)*wx
@@ -376,8 +375,7 @@ func BilinearQ16(v00, v01, v10, v11 uint8, wx, wy int32) int32 {
 // 0 < x < 254.5 it returns ⌊x + 0.5⌋ = ⌊(q + 2¹⁵)/2¹⁶⌋, which is the shift
 // of a non-negative integer. For x ≥ 254.5 it returns 255, and there
 // q + 2¹⁵ lies in [255·2¹⁶, 255·2¹⁶ + 2¹⁵], whose shift is 255 as well.
-//
-//range:q 0,16711680
+// q must lie in [0, 255·2¹⁶]: the kernel does not saturate.
 func RoundQ16(q int32) uint8 {
 	return uint8((q + 1<<(qBits-1)) >> qBits)
 }

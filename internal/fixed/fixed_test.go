@@ -360,7 +360,8 @@ func TestWindowRowsRowOrder(t *testing.T) {
 
 // TestRowAbsEnergy8MatchesNaive: the row kernel must equal the direct
 // Σ|pix·scale − sums| in exact integer arithmetic, up to the largest
-// radius its contract admits.
+// radius its doc comment admits, and at that radius's extreme terms across
+// a whole 1280-wide capture row.
 func TestRowAbsEnergy8MatchesNaive(t *testing.T) {
 	const w, h = 23, 17
 	for name, pix := range bytePlanes(w, h) {
@@ -384,6 +385,43 @@ func TestRowAbsEnergy8MatchesNaive(t *testing.T) {
 					t.Fatalf("%s r=%d row %d: RowAbsEnergy8 = %d, want %d", name, r, y, got, want)
 				}
 			}
+		}
+	}
+	// The documented extremes on a 1280-wide row: every term at its bound
+	// 255·66049, half of them from a negative difference, so the row total
+	// is ≈ 2.2·10¹⁰, about ten times 2³¹ — a narrower accumulator wraps.
+	const wide, maxScale = 1280, 66049
+	full, alt := make([]uint8, wide), make([]uint8, wide)
+	zero, opposite := make([]int, wide), make([]int, wide)
+	for i := range full {
+		full[i] = 255
+		if i%2 == 1 {
+			alt[i] = 255
+		} else {
+			opposite[i] = 255 * maxScale
+		}
+	}
+	for _, c := range []struct {
+		name string
+		pix  []uint8
+		sums []int
+	}{
+		{"all 255, sums 0", full, zero},
+		{"alternating 0/255, sums at the opposite extreme", alt, opposite},
+	} {
+		var want int64
+		for i, v := range c.pix {
+			d := int64(v)*maxScale - int64(c.sums[i])
+			if d < 0 {
+				d = -d
+			}
+			want += d
+		}
+		if want <= math.MaxInt32 {
+			t.Fatalf("%s: total %d does not exceed 2³¹", c.name, want)
+		}
+		if got := RowAbsEnergy8(c.pix, c.sums, maxScale); got != want {
+			t.Fatalf("%s: RowAbsEnergy8 = %d, want %d", c.name, got, want)
 		}
 	}
 }

@@ -164,11 +164,11 @@ func (p *Population) Spec(i int, base camera.Config) ReceiverSpec {
 	sz := p.Sizes[p.rng(detrng.FleetSize, i).Intn(len(p.Sizes))]
 	cam.W, cam.H = sz[0], sz[1]
 	if p.ExposureJitter > 0 {
-		cam.Exposure = base.Exposure * (1 + p.ExposureJitter*(2*p.rng(detrng.FleetExposure, i).Float64()-1))
+		cam.Exposure = base.Exposure * (1 + float64(p.ExposureJitter*(2*float64(p.rng(detrng.FleetExposure, i).Float64())-1)))
 	}
-	cam.NoiseSigma = p.NoiseMin + (p.NoiseMax-p.NoiseMin)*p.rng(detrng.FleetNoise, i).Float64()
+	cam.NoiseSigma = p.NoiseMin + float64((p.NoiseMax-p.NoiseMin)*p.rng(detrng.FleetNoise, i).Float64())
 	cam.Seed = p.rng(detrng.FleetCamSeed, i).Int63()
-	start := p.StartMin + (p.StartMax-p.StartMin)*p.rng(detrng.FleetStart, i).Float64()
+	start := p.StartMin + float64((p.StartMax-p.StartMin)*p.rng(detrng.FleetStart, i).Float64())
 
 	spec := ReceiverSpec{Index: i, Camera: cam, Start: start, Profile: "clean"}
 	prng := p.rng(detrng.FleetProfile, i)

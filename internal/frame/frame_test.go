@@ -481,6 +481,7 @@ func TestResamplerMatchesReference(t *testing.T) {
 		{40, 30, 20, 45},      // wider source, taller target: bilinear
 		{30, 40, 45, 20},      // taller source, wider target: bilinear
 		{33, 21, 33, 21},
+		{1<<16 + 3, 2, 1<<16 + 5, 3}, // enlargement taps past 16-bit columns
 	} {
 		r := NewResampler(c.sw, c.sh, c.dw, c.dh)
 		for rep := 0; rep < 2; rep++ {

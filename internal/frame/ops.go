@@ -412,8 +412,8 @@ func lerpTaps(srcW, dstW int) []lerpTap {
 		fx := float64(float64(ox) * sx)
 		x0 := int(fx)
 		taps[ox] = lerpTap{
-			x0: int32(x0),                //lint:ignore intrange x0 = ⌊ox·sx⌋ ≤ srcW−1 ≤ MaxInt32, which checkTapIndex asserts
-			x1: int32(min(x0+1, srcW-1)), //lint:ignore intrange x1 ≤ srcW−1 ≤ MaxInt32, which checkTapIndex asserts
+			x0: int32(x0), // x0 ≤ x1 ≤ srcW−1 ≤ MaxInt32, which checkTapIndex asserts
+			x1: int32(min(x0+1, srcW-1)),
 			wx: float32(fx - float64(x0)),
 		}
 	}

@@ -473,11 +473,11 @@ func rowTaps(taps []warpTap, h *Homography, col, y, srcW, srcH int) {
 		x0 := int(sx)
 		y0 := int(sy)
 		taps[i] = warpTap{
-			idx: int32(y0*srcW + x0), //lint:ignore intrange y0·srcW + x0 < srcW·srcH ≤ MaxInt32, which checkTapIndex asserts before any tap is built
+			idx: int32(y0*srcW + x0), // < srcW·srcH ≤ MaxInt32, which checkTapIndex asserts
 			// x0 and y0 truncate non-negative coordinates, so sx − x0 and
 			// sy − y0 are exact fractional parts in [0, 1), and each
 			// weight truncates into [0, 65535].
-			wx: uint16((sx - float64(x0)) * qOne), //lint:ignore intrange a fraction in [0, 1) times 2^16, truncated, lies in [0, 65535]
+			wx: uint16((sx - float64(x0)) * qOne),
 			wy: uint16((sy - float64(y0)) * qOne),
 		}
 	}
@@ -510,7 +510,7 @@ func gatherQ16(out []float32, pix []uint8, w int, taps []warpTap, round bool) {
 		}
 		q := fixed.BilinearQ16(pix[j], pix[j+dx], pix[j+dy], pix[j+dy+dx], wx, wy)
 		if round {
-			out[i] = float32(fixed.RoundQ16(q)) //lint:ignore intrange BilinearQ16 returns a convex combination of 8-bit codes in Q16, which lies in [0, 255·2^16]
+			out[i] = float32(fixed.RoundQ16(q))
 		} else {
 			out[i] = float32(q) * (1.0 / qOne)
 		}

@@ -94,7 +94,7 @@ func (o Observer) CFF(lcd float64) float64 {
 	if lcd < 1e-3 {
 		lcd = 1e-3
 	}
-	cff := o.CFFBase + o.CFFSlope*math.Log10(lcd)
+	cff := o.CFFBase + float64(o.CFFSlope*math.Log10(lcd))
 	if cff < 10 {
 		cff = 10
 	}
@@ -142,7 +142,7 @@ func (o Observer) FlickerAmplitude(samples []float64, fs float64) float64 {
 	win := make([]float64, n)
 	var wsum float64
 	for i := range win {
-		win[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
+		win[i] = float64(0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1))))
 		wsum += win[i]
 	}
 	windowed := make([]float64, n)
@@ -167,12 +167,12 @@ func (o Observer) FlickerAmplitude(samples []float64, fs float64) float64 {
 			// Direct per-bin evaluation keeps the flicker pins bit-stable;
 			// a rotation recurrence would drift the Fig. 3/6 means. n is
 			// temporal samples (hundreds), far off the per-pixel path.
-			re += v * math.Cos(w*float64(i))
-			im -= v * math.Sin(w*float64(i))
+			re += float64(v * math.Cos(w*float64(i)))
+			im -= float64(v * math.Sin(w*float64(i)))
 		}
 		amp := 2 * math.Hypot(re, im) / wsum
 		wa := amp * h
-		energy += wa * wa
+		energy += float64(wa * wa)
 	}
 	// The Hann window spreads each tone across a 1.5-bin equivalent noise
 	// bandwidth; dividing the summed energy by it makes the measure exact
@@ -322,7 +322,7 @@ func jitterRating(score float64, seed int64) int {
 	// depend on evaluation order and stay bit-identical under the
 	// parallel experiment sweeps.
 	rng := rand.New(rand.NewSource(seed))
-	r := int(math.Round(score + rng.NormFloat64()*0.3))
+	r := int(math.Round(score + float64(rng.NormFloat64()*0.3)))
 	if r < 0 {
 		r = 0
 	} else if r > 4 {
@@ -343,7 +343,7 @@ func MeanStd(ratings []int) (mean, std float64) {
 	mean /= float64(len(ratings))
 	for _, r := range ratings {
 		d := float64(r) - mean
-		std += d * d
+		std += float64(d * d)
 	}
 	std = math.Sqrt(std / float64(len(ratings)))
 	return mean, std

@@ -332,7 +332,11 @@ func (s *Stack) uniform(stage detrng.Stage, index int) float64 {
 // Period returns the impaired camera frame period: the nominal period skewed
 // by the configured clock drift.
 func (s *Stack) Period(base float64) float64 {
-	return base * (1 + s.cfg.ClockDriftPPM*1e-6)
+	// The outer conversion forbids a fused multiply-add. The inner one
+	// changes no value; it keeps the amd64 code the same as the plain
+	// expression's, whose sum would otherwise take its operands in the
+	// other register order.
+	return base * (1 + float64(float64(s.cfg.ClockDriftPPM)*1e-6))
 }
 
 // CaptureTime returns capture i's exposure start: the drift-skewed schedule

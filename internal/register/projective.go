@@ -413,8 +413,6 @@ func newLattice(l core.Layout) []warpedPt {
 // the same table rows. A cell with a corner on the horizon line (impossible for validated
 // poses, reachable for fuzzed homographies) contributes nothing, and so
 // does a box that clips to nothing.
-//
-//hot:the blind pose solve spends nearly all its time in this objective
 func mfScoreStride(l core.Layout, t *mfTable, h frame.Homography, stride int, lat []warpedPt) float64 {
 	ps := l.PixelSize
 	n, sum := t.n, t.sum

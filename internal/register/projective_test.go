@@ -339,6 +339,37 @@ func TestMFScoreMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMFScoreWideTable pins the fused matched filter on a capture wider
+// than 2¹⁵/mfPlanes pixels, where a 16-bit table row stride would wrap: the
+// test grid, shifted to the far right of a 5,600-pixel-wide capture, must
+// score as the per-plane reference does.
+func TestMFScoreWideTable(t *testing.T) {
+	l := testLayout()
+	const w = 5600
+	caps := make([]*frame.Frame, 3)
+	for i := range caps {
+		c := frame.New(w, l.FrameH)
+		for j := range c.Pix {
+			c.Pix[j] = float32((j*7919+i*104729)%256) + float32(j%997)/997
+		}
+		caps[i] = c
+	}
+	tab := diffIntegrals(caps, temporalMean(caps))
+	iis := referenceDiffIntegrals(caps)
+	h := frame.AxisAlignedHomography(1, 1, w-float64(l.FrameW)-3.5, 0.25)
+	lat := newLattice(l)
+	for _, stride := range []int{1, 2} {
+		got := mfScoreStride(l, tab, h, stride, lat)
+		want := referenceMFScoreStride(l, iis, h, stride)
+		if !(want > 0) {
+			t.Fatalf("stride %d: reference score %v; the grid misses the table", stride, want)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("stride %d: score %v, reference %v", stride, got, want)
+		}
+	}
+}
+
 // TestCalibrateProjectiveWorkerInvariance: the six candidate chains run
 // concurrently, and the solve must not depend on how many workers run them.
 func TestCalibrateProjectiveWorkerInvariance(t *testing.T) {

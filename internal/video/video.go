@@ -164,7 +164,7 @@ func NewSunRise(w, h int, seed int64) *SunRise {
 	for i := range cells {
 		// Heavy-tailed: most cells mild, some strong.
 		u := rng.Float32()
-		cells[i] = 15 + 200*u*u
+		cells[i] = 15 + float32(200*u*u)
 	}
 	s.strength = make([]float32, w*h)
 	for y := 0; y < h; y++ {
@@ -199,19 +199,25 @@ const sunRiseBlock = 256
 // outside it max(|dx|, |dy|) ≥ 3·sunR, and Hypot(dx, dy) = p·√(1+q²) ≥ p
 // for p = max(|dx|, |dy|) (the square root of a value ≥ 1 is ≥ 1), so the
 // disc and halo tests cannot fire there.
+//
+// Every product that feeds an addition is rounded by an explicit
+// conversion, so no target fuses the two into one multiply-add. A product
+// held in a variable for the whole frame (sunX, halo, phase, ...) is
+// converted where it is added, not where it is defined: a conversion on
+// the definition gives the value a new spill slot in amd64 code.
 func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 	t := math.Mod(float64(i)/s.Rate, 20) / 20 // progress 0..1
 	w, h := float64(s.W), float64(s.H)
 	horizon := 0.65 * h
-	sunX := w * (0.25 + 0.5*t)
-	sunY := horizon - (0.05+0.45*t)*horizon
+	sunX := w * (0.25 + float64(0.5*t))
+	sunY := float64(horizon) - float64((0.05+float64(0.45*t))*horizon)
 	sunR := 0.09 * w
-	skyBase := 90 + 80*t
+	skyBase := 90 + float64(80*t)
 	glareH := 0.10 * h // saturated glare band above the horizon
 	halo := 3 * sunR
 	fade := 1.1 * sunR
-	bx0, bx1 := within(sunX, halo, s.W)
-	by0, by1 := within(sunY, halo, s.H)
+	bx0, bx1 := within(float64(sunX), float64(halo), s.W)
+	by0, by1 := within(sunY, float64(halo), s.H)
 	ground := 0
 	for ground < s.H && float64(ground) < horizon {
 		ground++
@@ -219,9 +225,9 @@ func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 	for y := 0; y < ground; y++ {
 		fy := float64(y)
 		// Sky: vertical gradient brightening towards the horizon.
-		sky := skyBase + 120*(fy/horizon)
+		sky := skyBase + float64(120*(fy/horizon))
 		// Glare band hugging the horizon: effectively saturated.
-		if fy > horizon-glareH {
+		if fy > float64(horizon)-float64(glareH) {
 			sky = 250
 		}
 		row := f.Pix[y*s.W : (y+1)*s.W]
@@ -233,12 +239,12 @@ func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 		dy := fy - sunY
 		for x := bx0; x < bx1; x++ {
 			v := sky
-			d := math.Hypot(float64(x)-sunX, dy)
+			d := math.Hypot(float64(x)-float64(sunX), dy)
 			switch {
 			case d < sunR:
 				v = 252
 			case d < halo:
-				v += (252 - v) * math.Exp(-(d-sunR)/fade)
+				v += float64((252 - v) * math.Exp(-(d-float64(sunR))/fade))
 			}
 			row[x] = clamp255(v)
 		}
@@ -247,13 +253,13 @@ func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 	// motion), plus gentle luminance waves. The drift matters to the
 	// secondary channel: moving texture defeats temporal background
 	// subtraction the way real footage does.
-	phase := 3 * t * 2 * math.Pi
+	phase := float64(3*t) * 2 * math.Pi
 	drift := int(float64(i) / s.Rate * 45) // 1.5 px per frame
 	var wave [sunRiseBlock]float64
 	for x0 := 0; x0 < s.W; x0 += sunRiseBlock {
 		n := min(sunRiseBlock, s.W-x0)
 		for j := range wave[:n] {
-			wave[j] = 55 + 18*math.Sin(float64(x0+j)/17+phase)
+			wave[j] = 55 + float64(18*math.Sin(float64(x0+j)/17+float64(phase)))
 		}
 		tx0 := ((x0+drift)%s.W + s.W) % s.W
 		for y := ground; y < s.H; y++ {
@@ -263,7 +269,7 @@ func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 			texture := s.texture[base : base+s.W]
 			tx := tx0
 			for j, st := range strength {
-				row[j] = clamp255(wave[j] + float64(st)*float64(texture[tx]))
+				row[j] = clamp255(wave[j] + float64(float64(st)*float64(texture[tx])))
 				if tx++; tx == s.W {
 					tx = 0
 				}

@@ -89,9 +89,9 @@ func (s Shape) Between(a0, a1, u float64) float64 {
 		return a0
 	}
 	if a1 > a0 {
-		return a0 + (a1-a0)*s.Up(u)
+		return a0 + float64((a1-a0)*s.Up(u))
 	}
-	return a1 + (a0-a1)*s.Down(u)
+	return a1 + float64((a0-a1)*s.Down(u))
 }
 
 func clamp01(u float64) float64 {
@@ -183,7 +183,7 @@ func (lp *LowPass) Step(x float64) float64 {
 		lp.prime = true
 		return lp.y
 	}
-	lp.y += lp.alpha * (x - lp.y)
+	lp.y += float64(lp.alpha * (x - lp.y))
 	return lp.y
 }
 

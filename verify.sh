@@ -5,7 +5,7 @@
 # vet and short tests of the separately moduled cmd/inframe-perf benchmark
 # (which `go build ./...` never compiles) plus its bit-identity check of the
 # blind pose solve on the benchmark's own captures, an arm64 cross-compile
-# of the solve path checked free of fused multiply-adds (which round
+# of the simulator checked free of fused multiply-adds (which round
 # differently from amd64's separate instructions), the complete test suite
 # under the race detector (the worker pools in internal/parallel make data
 # races a correctness class, not a theoretical one), a coverage floor on
@@ -102,18 +102,19 @@ run_arm64_fma() {
 	# where separate instructions round twice; amd64 never fuses, arm64
 	# does, so a bit-identical result on amd64 says nothing about arm64
 	# unless the code forbids fusion with explicit float64(x*y) (or
-	# float32(x*y)) conversions. The blind pose solve's pinned homographies
-	# and the posed capture path must hold on both: cross-compile
-	# inframe-bench for arm64 and fail on any FMADD/FMSUB/FNMADD/FNMSUB in
-	# an internal/register, internal/frame or internal/impair function.
+	# float32(x*y)) conversions. Every pinned output — goldens, digests,
+	# robustness windows, the pose fixture — must hold on both:
+	# cross-compile inframe-bench for arm64 and fail on any
+	# FMADD/FMSUB/FNMADD/FNMSUB in a function of this module it links.
 	local dir dis fused fn
 	dir=$(mktemp -d)
 	GOARCH=arm64 go build -o "$dir/inframe-bench" ./cmd/inframe-bench
-	dis=$(go tool objdump -s '^inframe/internal/(register|frame|impair)\.' "$dir/inframe-bench")
+	dis=$(go tool objdump -s '^inframe/' "$dir/inframe-bench")
 	rm -rf "$dir"
 	# An empty or partial listing (a renamed package or function, a
 	# pattern that no longer matches) must not pass as clean.
-	for fn in 'register.mfScoreStride' 'frame.areaRow2' 'impair.(*Stack).ApplyFrame'; do
+	for fn in 'register.mfScoreStride' 'frame.areaRow2' 'impair.(*Stack).ApplyFrame' \
+		'video.(*SunRise).FrameInto' 'core.(*Receiver).scanCodes'; do
 		if ! grep -qF "TEXT inframe/internal/$fn(SB)" <<<"$dis"; then
 			echo "arm64 disassembly lacks $fn; fix the objdump pattern" >&2
 			return 1
@@ -121,11 +122,11 @@ run_arm64_fma() {
 	done
 	fused=$(awk '/^TEXT / { fn = $2 } /\t(FMADD|FMSUB|FNMADD|FNMSUB)/ { print fn, $1 }' <<<"$dis")
 	if [[ -n "$fused" ]]; then
-		echo "fused multiply-adds in the arm64 solve and capture path (add float64(x*y) conversions):" >&2
+		echo "fused multiply-adds in the arm64 build (add float64(x*y) conversions):" >&2
 		echo "$fused" >&2
 		return 1
 	fi
-	echo "no fused multiply-adds in the arm64 solve and capture path"
+	echo "no fused multiply-adds in the arm64 build"
 }
 
 run_tests() {
@@ -309,7 +310,7 @@ stage "go vet ./..." go vet ./...
 stage "go build ./..." go build ./...
 stage "inframe-lint ./..." run_lint
 stage "cmd/inframe-perf vet + short tests" run_perf_module
-stage "arm64 solve and capture path FMA-free" run_arm64_fma
+stage "arm64 build FMA-free" run_arm64_fma
 stage "go test -race $short ./..." run_tests
 stage "internal/analysis coverage floor" run_analysis_cover
 stage "internal/register coverage floor" run_register_cover
