@@ -34,9 +34,9 @@
 // "summaries" row), composing with any -format on stdout.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load/type-check or
-// usage failure (an unknown flag or -format value, or an unknown -only
-// name). Suppress a single finding with a trailing or preceding
-// comment:
+// usage failure (an unknown flag or -format value, or an -only value that
+// is empty or names an unknown analyzer). Suppress a single finding with a
+// trailing or preceding comment:
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -129,8 +129,11 @@ type sarifRegion struct {
 
 // config is one parsed invocation.
 type config struct {
-	list    bool
-	only    string
+	list bool
+	// only holds the -only value split at commas; nil when -only was not
+	// given, so an empty value ("-only=", or -only last) is told apart from
+	// none and rejected instead of selecting the whole registry.
+	only    []string
 	format  string
 	dir     string
 	timings bool
@@ -165,9 +168,9 @@ func parseArgs(args []string) config {
 		case arg == "list":
 			cfg.list = true
 		case arg == "only":
-			cfg.only = next()
+			cfg.only = strings.Split(next(), ",")
 		case strings.HasPrefix(arg, "only="):
-			cfg.only = strings.TrimPrefix(arg, "only=")
+			cfg.only = strings.Split(strings.TrimPrefix(arg, "only="), ",")
 		case arg == "format":
 			cfg.format = next()
 		case strings.HasPrefix(arg, "format="):
@@ -313,11 +316,11 @@ func writeSARIF(w io.Writer, root string, analyzers []*analysis.Analyzer, diags 
 	return enc.Encode(log)
 }
 
-// selectAnalyzers resolves -only against the registry; an empty spec
-// selects everything.
-func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
+// selectAnalyzers resolves -only against the registry: nil (no -only)
+// selects everything, and a list naming no analyzer is an error.
+func selectAnalyzers(only []string) ([]*analysis.Analyzer, error) {
 	all := analysis.DefaultAnalyzers()
-	if only == "" {
+	if only == nil {
 		return all, nil
 	}
 	byName := make(map[string]*analysis.Analyzer, len(all))
@@ -325,7 +328,7 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 		byName[a.Name] = a
 	}
 	var out []*analysis.Analyzer
-	for _, name := range strings.Split(only, ",") {
+	for _, name := range only {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -337,7 +340,7 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 		out = append(out, a)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("-only selected no analyzers")
+		return nil, fmt.Errorf("-only selected no analyzers (give comma-separated names; use -list for the registry)")
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"go/token"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,8 +19,10 @@ func TestParseArgs(t *testing.T) {
 		{[]string{"./..."}, config{format: "text", dir: "."}},
 		{[]string{"-list"}, config{list: true, format: "text", dir: "."}},
 		{[]string{"--list"}, config{list: true, format: "text", dir: "."}},
-		{[]string{"-only", "poolown"}, config{only: "poolown", format: "text", dir: "."}},
-		{[]string{"-only=poolown,stagekey"}, config{only: "poolown,stagekey", format: "text", dir: "."}},
+		{[]string{"-only", "poolown"}, config{only: []string{"poolown"}, format: "text", dir: "."}},
+		{[]string{"-only=poolown,stagekey"}, config{only: []string{"poolown", "stagekey"}, format: "text", dir: "."}},
+		{[]string{"-list", "-only"}, config{list: true, only: []string{""}, format: "text", dir: "."}},
+		{[]string{"-only="}, config{only: []string{""}, format: "text", dir: "."}},
 		{[]string{"-format", "json", "./..."}, config{format: "json", dir: "."}},
 		{[]string{"--format=json"}, config{format: "json", dir: "."}},
 		{[]string{"-format=sarif"}, config{format: "sarif", dir: "."}},
@@ -28,32 +31,34 @@ func TestParseArgs(t *testing.T) {
 		{[]string{"-timing", "-fromat=json", "-list"}, config{list: true, format: "text", dir: ".", unknown: "-timing -fromat=json"}},
 	}
 	for _, c := range cases {
-		if got := parseArgs(c.args); got != c.want {
+		if got := parseArgs(c.args); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("parseArgs(%q) = %+v, want %+v", c.args, got, c.want)
 		}
 	}
 }
 
 func TestSelectAnalyzers(t *testing.T) {
-	all, err := selectAnalyzers("")
+	all, err := selectAnalyzers(nil)
 	if err != nil {
-		t.Fatalf("empty -only: %v", err)
+		t.Fatalf("no -only: %v", err)
 	}
 	if len(all) != len(analysis.DefaultAnalyzers()) {
-		t.Errorf("empty -only selected %d analyzers, want the full registry", len(all))
+		t.Errorf("no -only selected %d analyzers, want the full registry", len(all))
 	}
-	subset, err := selectAnalyzers("poolown, stagekey")
+	subset, err := selectAnalyzers([]string{"poolown", " stagekey"})
 	if err != nil {
 		t.Fatalf("subset: %v", err)
 	}
 	if len(subset) != 2 || subset[0].Name != "poolown" || subset[1].Name != "stagekey" {
 		t.Errorf("subset = %v", subset)
 	}
-	if _, err := selectAnalyzers("nosuch"); err == nil {
+	if _, err := selectAnalyzers([]string{"nosuch"}); err == nil {
 		t.Error("unknown analyzer name did not error")
 	}
-	if _, err := selectAnalyzers(","); err == nil {
-		t.Error("empty selection did not error")
+	for _, empty := range [][]string{{""}, {"", ""}} {
+		if _, err := selectAnalyzers(empty); err == nil {
+			t.Errorf("empty selection %q did not error", empty)
+		}
 	}
 }
 
@@ -75,11 +80,23 @@ func TestRunList(t *testing.T) {
 
 func TestRunListOnly(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run(config{list: true, only: "poolown", format: "text", dir: "."}, &out, &errOut); code != 0 {
+	if code := run(config{list: true, only: []string{"poolown"}, format: "text", dir: "."}, &out, &errOut); code != 0 {
 		t.Fatalf("-list -only exited %d: %s", code, errOut.String())
 	}
 	if got := strings.TrimSpace(out.String()); !strings.HasPrefix(got, "poolown") || strings.Contains(got, "\n") {
 		t.Errorf("-list -only poolown printed %q, want the one analyzer", got)
+	}
+	// An empty -only value, missing or after '=', must not fall back to
+	// the whole registry.
+	for _, args := range [][]string{{"-list", "-only"}, {"-list", "-only="}} {
+		out.Reset()
+		errOut.Reset()
+		if code := run(parseArgs(args), &out, &errOut); code != 2 {
+			t.Errorf("%q exited %d, want 2", args, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errOut.String(), "-only selected no analyzers") {
+			t.Errorf("%q printed %q, stderr %q; want only an -only error", args, out.String(), errOut.String())
+		}
 	}
 }
 
@@ -88,7 +105,7 @@ func TestRunBadUsage(t *testing.T) {
 	if code := run(config{format: "yaml", dir: "."}, &out, &errOut); code != 2 {
 		t.Errorf("bad -format exited %d, want 2", code)
 	}
-	if code := run(config{only: "nosuch", format: "text", dir: "."}, &out, &errOut); code != 2 {
+	if code := run(config{only: []string{"nosuch"}, format: "text", dir: "."}, &out, &errOut); code != 2 {
 		t.Errorf("unknown -only exited %d, want 2", code)
 	}
 	// A mistyped flag must not run a default lint and exit 0: -fromat=json
@@ -220,7 +237,7 @@ func TestRunModuleOnly(t *testing.T) {
 		t.Skip("module-wide type-check in -short mode")
 	}
 	var out, errOut strings.Builder
-	if code := run(config{only: "splitbudget", format: "json", dir: "."}, &out, &errOut); code != 0 {
+	if code := run(config{only: []string{"splitbudget"}, format: "json", dir: "."}, &out, &errOut); code != 0 {
 		t.Fatalf("-only splitbudget exited %d: %s%s", code, out.String(), errOut.String())
 	}
 	var report jsonReport

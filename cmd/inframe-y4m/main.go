@@ -90,9 +90,7 @@ func render(args []string) {
 	fatalIf(err)
 	n := *cycles * tx.DisplayFramesPerCycle()
 	for k := 0; k < n; k++ {
-		f, err := cm.FrameRGB(k)
-		fatalIf(err)
-		fatalIf(wr.WriteFrame(f))
+		fatalIf(wr.WriteFrame(cm.FrameRGB(k)))
 	}
 	fatalIf(wr.Flush())
 	fatalIf(fh.Close())

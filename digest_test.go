@@ -6,6 +6,9 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"inframe/internal/video"
+	"inframe/internal/y4m"
 )
 
 // decodeDigest is an FNV-64a hash over everything a decode emits: every
@@ -174,5 +177,60 @@ func TestDecodeDigestsPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pinnedColorExportDigests holds, per color source, the FNV-64a digest of the
+// Y4M (C420) bytes y4m.Writer writes for four data frames of the color
+// multiplexer at ScaledPaperLayout(4): the export inframe-y4m and
+// examples/realfootage produce. A render refactor must reproduce them at any
+// worker count; a deliberate change re-pins them and says why.
+var pinnedColorExportDigests = map[string]uint64{
+	"colorsunrise": 0xc75a22b928e81a3f,
+	"textcard":     0x8387afa99446a6e1,
+}
+
+// TestColorExportDigestsPinned pins the color transmitter's exported bytes
+// over a textured clip whose channels are not integers (ColorSunRise) and
+// over a colorized gray card, at one and eight workers.
+func TestColorExportDigestsPinned(t *testing.T) {
+	l, err := ScaledPaperLayout(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []struct {
+		name string
+		src  func() RGBVideoSource
+	}{
+		{"colorsunrise", func() RGBVideoSource { return video.NewColorSunRise(l.FrameW, l.FrameH, 3) }},
+		{"textcard", func() RGBVideoSource { return video.Colorize{Src: video.NewTextCard(l.FrameW, l.FrameH, 3)} }},
+	}
+	for _, tc := range sources {
+		for _, workers := range []int{1, 8} {
+			p := DefaultParams(l)
+			p.Workers = workers
+			m, err := NewRGBMultiplexer(p, tc.src(), NewRandomStream(l, 11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			wr, err := y4m.NewWriter(h, y4m.Header{
+				W: l.FrameW, H: l.FrameH, FPSNum: 120, FPSDen: 1, ColorSpace: y4m.C420,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 4*p.Tau; k++ {
+				if err := wr.WriteFrame(m.FrameRGB(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := wr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := h.Sum64(), pinnedColorExportDigests[tc.name]; got != want {
+				t.Errorf("%s workers=%d: export digest %#016x, want %#016x", tc.name, workers, got, want)
+			}
+		}
 	}
 }

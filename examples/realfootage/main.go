@@ -84,11 +84,7 @@ func main() {
 	}
 	n := 16 * tx.DisplayFramesPerCycle()
 	for k := 0; k < n; k++ {
-		f, err := cm.FrameRGB(k)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := wr.WriteFrame(f); err != nil {
+		if err := wr.WriteFrame(cm.FrameRGB(k)); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -11,13 +11,19 @@ import (
 	"inframe/internal/video"
 )
 
-// refRender renders display frame k the pre-refactor way — clone the video
-// frame, add the signed clipped envelope at every chessboard-on pixel, clamp
-// — with the same float expressions the fused path uses, so any divergence
-// is the fusion's fault, not the reference's.
-func refRender(p Params, v *frame.Frame, data Stream, k int) *frame.Frame {
+// refRender renders display frame k the pre-refactor way — clone each
+// video plane, add the signed clipped envelope at every chessboard-on pixel,
+// clamp — with the same float expressions the fused path uses, so any
+// divergence is the fusion's fault, not the reference's. planes are the
+// video frame's channels (one for gray; R, G and B for color), and each
+// Block's headroom is the minimum over every chessboard-on pixel of every
+// plane.
+func refRender(p Params, data Stream, k int, planes ...*frame.Frame) []*frame.Frame {
 	l := p.Layout
-	out := v.Clone()
+	outs := make([]*frame.Frame, len(planes))
+	for c, v := range planes {
+		outs[c] = v.Clone()
+	}
 	sign := float32(1)
 	if k%2 == 1 {
 		sign = -1
@@ -36,12 +42,14 @@ func refRender(p Params, v *frame.Frame, data Stream, k int) *frame.Frame {
 					if !ChessOn(x/ps, pj) {
 						continue
 					}
-					pv := v.Pix[rowBase+x]
-					if hi := 255 - pv; hi < head {
-						head = hi
-					}
-					if pv < head {
-						head = pv
+					for _, v := range planes {
+						pv := v.Pix[rowBase+x]
+						if hi := 255 - pv; hi < head {
+							head = hi
+						}
+						if pv < head {
+							head = pv
+						}
 					}
 				}
 			}
@@ -62,20 +70,24 @@ func refRender(p Params, v *frame.Frame, data Stream, k int) *frame.Frame {
 				for x := x0; x < x0+w; x++ {
 					if ChessOn(x/ps, pj) {
 						i := rowBase + x
-						out.Pix[i] = v.Pix[i] + sign*want
+						for c, v := range planes {
+							outs[c].Pix[i] = v.Pix[i] + sign*want
+						}
 					}
 				}
 			}
 		}
 	}
-	for i, pv := range out.Pix {
-		if pv < 0 {
-			out.Pix[i] = 0
-		} else if pv > 255 {
-			out.Pix[i] = 255
+	for _, out := range outs {
+		for i, pv := range out.Pix {
+			if pv < 0 {
+				out.Pix[i] = 0
+			} else if pv > 255 {
+				out.Pix[i] = 255
+			}
 		}
 	}
-	return out
+	return outs
 }
 
 // adversarialVideo builds a short clip of the frames the fused clamp must
@@ -113,7 +125,7 @@ func TestFusedRenderMatchesReference(t *testing.T) {
 		m := newMux(t, p, src, data)
 		for k := 0; k < 3*p.Tau; k++ {
 			got := m.Frame(k)
-			want := refRender(p, src.Frame(k/p.VideoFrameRatio), data, k)
+			want := refRender(p, data, k, src.Frame(k/p.VideoFrameRatio))[0]
 			for i := range want.Pix {
 				if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
 					t.Fatalf("workers=%d frame %d pixel %d: fused %v, reference %v",
@@ -235,45 +247,66 @@ func TestDeltaCacheFrozenPool(t *testing.T) {
 	}
 }
 
-// TestRGBFusedMatchesCloneAdd: the color multiplexer's fused render must be
-// bit-identical to the pre-refactor DeltaFrame + Clone + AddLumaDelta path,
-// and LumaFrame to that frame's Luma().
-func TestRGBFusedMatchesCloneAdd(t *testing.T) {
-	p := smallParams()
-	p.Workers = 2
-	l := p.Layout
-	data := NewRandomStream(l, 5)
-	m, err := NewRGBMultiplexer(p, rgbTestSource(l), data)
-	if err != nil {
-		t.Fatal(err)
+// rgbEdgeVideo is the color clamp-edge clip: the adversarial gray frames on
+// all three channels, then frames in which one channel per Block, rotating
+// with the Block and the frame, sits within a delta of a clamp edge while
+// the other two stay mid-range, so each channel alone sets some Blocks'
+// headroom.
+func rgbEdgeVideo(l Layout, delta float32) *video.RGBClip {
+	gray := adversarialVideo(l, delta)
+	var frames []*frame.RGB
+	for i := 0; i < 4; i++ {
+		frames = append(frames, frame.FromLuma(gray.Frame(i)))
 	}
-	for k := 0; k < 2*p.Tau; k++ {
-		got, err := m.FrameRGB(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		delta := m.DeltaFrame(k)
-		want := m.vframe.Clone()
-		if err := want.AddLumaDelta(delta); err != nil {
-			t.Fatal(err)
-		}
-		m.Recycle(delta)
-		for i := range want.R {
-			if got.R[i] != want.R[i] || got.G[i] != want.G[i] || got.B[i] != want.B[i] {
-				t.Fatalf("frame %d pixel %d: fused (%v,%v,%v), reference (%v,%v,%v)", k, i,
-					got.R[i], got.G[i], got.B[i], want.R[i], want.G[i], want.B[i])
+	bp := l.BlockPx()
+	edge := []float32{255 - delta/2, delta / 3, 255 - delta/4, delta - 0.5}
+	for i := 0; i < 3; i++ {
+		f := frame.NewRGB(l.FrameW, l.FrameH)
+		for y := 0; y < l.FrameH; y++ {
+			for x := 0; x < l.FrameW; x++ {
+				bx, by := max(x-l.MarginX(), 0)/bp, max(y-l.MarginY(), 0)/bp
+				ch := [3]float32{100.0 / 3, 128, 200.0 / 7}
+				ch[(bx+by+i)%3] = edge[(bx+2*by+i)%len(edge)]
+				f.Set(x, y, ch[0], ch[1], ch[2])
 			}
 		}
-		luma, err := m.LumaFrame(k)
+		frames = append(frames, f)
+	}
+	return video.NewRGBClip(frames, 30)
+}
+
+// TestRGBRenderMatchesReference: the color multiplexer's render must be
+// bit-identical, channel by channel, to the direct clone+add+clamp reference
+// over all three planes — the headroom taken across R, G and B — over the
+// color clamp-edge clip at every worker count, across video-frame switches.
+func TestRGBRenderMatchesReference(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		p := smallParams()
+		p.Workers = workers
+		p.VideoFrameRatio = 2
+		src := rgbEdgeVideo(p.Layout, float32(p.Delta))
+		data := NewRandomStream(p.Layout, 5)
+		m, err := NewRGBMultiplexer(p, src, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !luma.Equal(want.Luma()) {
-			t.Fatalf("frame %d: LumaShifted diverges from the two-step luma", k)
+		for k := 0; k < 3*p.Tau; k++ {
+			got := m.FrameRGB(k)
+			v := src.FrameRGB(k / p.VideoFrameRatio)
+			plane := func(pix []float32) *frame.Frame { return &frame.Frame{W: v.W, H: v.H, Pix: pix} }
+			want := refRender(p, data, k, plane(v.R), plane(v.G), plane(v.B))
+			for c, g := range [][]float32{got.R, got.G, got.B} {
+				for i, w := range want[c].Pix {
+					if math.Float32bits(g[i]) != math.Float32bits(w) {
+						t.Fatalf("workers=%d frame %d channel %c pixel %d: render %v, reference %v",
+							workers, k, "RGB"[c], i, g[i], w)
+					}
+				}
+			}
 		}
-	}
-	if m.RenderStats().BlocksSkipped == 0 {
-		t.Error("RGB delta cache never skipped a Block")
+		if m.RenderStats().BlocksSkipped == 0 {
+			t.Error("RGB amplitude cache never skipped a Block")
+		}
 	}
 }
 
@@ -386,7 +419,7 @@ func TestDriveMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, op := range driveWalk(p.Tau) {
-					want := refRender(p, vsrc.Frame(op.k/p.VideoFrameRatio), data, op.k)
+					want := refRender(p, data, op.k, vsrc.Frame(op.k/p.VideoFrameRatio))[0]
 					ref.Recycle(ref.Frame(op.k))
 					if op.frame {
 						got := m.Frame(op.k)

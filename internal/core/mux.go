@@ -31,14 +31,16 @@ type Params struct {
 	// goroutines. 0 means GOMAXPROCS; 1 forces the sequential path. Output
 	// is bit-identical at any worker count (see internal/parallel).
 	Workers int
-	// Pool supplies the multiplexer's frame buffers: the persistent video
-	// buffer, and every float frame Frame returns, which Recycle Puts back
-	// so a Frame+Recycle loop reuses the same buffers forever. PushTo and
-	// the channel simulator copy the multiplexer's 8-bit drive planes
-	// straight into the display's drive slots (PushFrame) and take no
-	// output frame at all. Nil means a private pool: callers that keep
-	// every rendered frame (Render) simply never recycle. Share one pool
-	// across mux, camera and receiver to share buffers end to end.
+	// Pool supplies the grayscale multiplexer's frame buffers: the
+	// persistent video buffer, and every float frame Frame returns, which
+	// Recycle Puts back so a Frame+Recycle loop reuses the same buffers
+	// forever. PushTo and the channel simulator copy the multiplexer's 8-bit
+	// drive planes straight into the display's drive slots (PushFrame) and
+	// take no output frame at all. The color multiplexer takes nothing from
+	// it: its source and its output frames are plain color allocations. Nil
+	// means a private pool: callers that keep every rendered frame (Render)
+	// simply never recycle. Share one pool across mux, camera and receiver
+	// to share buffers end to end.
 	Pool *frame.Pool
 }
 
@@ -68,64 +70,64 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Multiplexer combines a video source and a data stream into the displayed
-// frame sequence (Fig. 2): each video frame is duplicated VideoFrameRatio
-// times, and every displayed frame carries ±D with the complementary sign
-// alternating per display frame.
-//
-// Rendering is incremental (DESIGN.md §5j). deltaAmp caches the clipped
-// amplitude every Block carries, and a Block whose amplitude is unchanged
-// since the previous frame costs no pixel work. The drive path keeps each
-// complementary sign as a persistent 8-bit plane, Quant8(V + D) and
-// Quant8(V − D): PushFrame re-rounds only the pixels whose video or
-// amplitude changed since its previous push, then copies the plane of the
-// frame's sign into the display. Frame renders float output straight from
-// deltaAmp and never touches the planes.
-type Multiplexer struct {
-	p     Params
-	video video.Source
-	data  Stream
-	pool  *frame.Pool
+// modulator is the amplitude engine the grayscale and color multiplexers
+// embed (DESIGN.md §5j). It holds each Block's clipping headroom and the
+// clipped amplitude its chessboard-on pixels carry, spreads those
+// amplitudes over the chess rows, and renders clamp(V + sign·D) one video
+// plane at a time: once for gray, once per channel for color.
+type modulator struct {
+	p    Params
+	data Stream
 
-	// cached per-video-frame state
+	// videoIdx is the video frame headroom was scanned from (-1 before the
+	// first); headroom is each Block's clipping-limited amplitude bound.
 	videoIdx int
-	vframe   *frame.Frame
-	// vbuf is the persistent video buffer when the source supports
-	// in-place rendering (video.IntoSource); nil means the source
-	// allocates each video frame itself.
-	vbuf     *frame.Frame
-	headroom []float32 // per-block clipping-limited amplitude bound
+	headroom []float32
 
 	// deltaAmp remembers the clipped amplitude each Block's chessboard-on
 	// pixels carry; -1 means "never rendered", which no clipped amplitude
-	// (>= 0) can equal, forcing the first write.
-	deltaAmp []float32
-
-	// plus and minus are the drive planes of even and odd frames,
-	// Quant8(V + D) and Quant8(V − D), exact except where marked stale:
-	// every pixel (staleAll), the video pixels refreshed since the last push
-	// (staleVideo), and the chessboard-on pixels of each Block whose
-	// amplitude changed since (staleBlock; blocksStale says whether any
-	// did). prepare marks and only PushFrame rewrites and clears, so any
-	// order of Frame and PushFrame calls keeps the planes exact.
-	plus, minus []uint8
-	staleAll    bool
-	staleVideo  video.Region
+	// (>= 0) can equal, forcing the first write. The amplitude step marks
+	// every Block whose amplitude changed in staleBlock and sets
+	// blocksStale; only the grayscale drive planes read and clear the marks.
+	deltaAmp    []float32
 	staleBlock  []bool
 	blocksStale bool
 
 	// chess holds the unsigned chessboard delta D one panel row at a time:
 	// row 2·by+q is D of every pixel row of Block row by whose Pixel row
-	// has parity q, and the last row is the margins' zero. Frame and a
-	// video rewrite read D from it; it is built on their first use.
+	// has parity q, and the last row is the margins' zero.
 	chess []float32
 
-	// rowBlocks / rowSkips are per-Block-row scratch counters for the render
-	// fan-out: workers write disjoint rows, and the sequential sum into
-	// stats afterwards keeps the totals deterministic at any worker count.
-	rowBlocks []int64
-	rowSkips  []int64
-	stats     RenderStats
+	// rowSkips is per-Block-row scratch for the fan-outs: workers write
+	// disjoint rows, and the sequential sum into stats afterwards keeps the
+	// totals deterministic at any worker count.
+	rowSkips []int64
+	stats    RenderStats
+}
+
+// newModulator validates p and the source's size and sizes the engine's
+// tables for the layout.
+func newModulator(p Params, src interface{ Size() (int, int) }, data Stream) (modulator, error) {
+	if err := p.Validate(); err != nil {
+		return modulator{}, err
+	}
+	l := p.Layout
+	if w, h := src.Size(); w != l.FrameW || h != l.FrameH {
+		return modulator{}, fmt.Errorf("core: video %dx%d does not match layout panel %dx%d",
+			w, h, l.FrameW, l.FrameH)
+	}
+	amps := make([]float32, l.NumBlocks())
+	for i := range amps {
+		amps[i] = -1
+	}
+	return modulator{
+		p: p, data: data, videoIdx: -1,
+		headroom:   make([]float32, l.NumBlocks()),
+		deltaAmp:   amps,
+		staleBlock: make([]bool, l.NumBlocks()),
+		chess:      make([]float32, (2*l.BlocksY+1)*l.FrameW),
+		rowSkips:   make([]int64, l.BlocksY),
+	}, nil
 }
 
 // RenderStats counts the incremental renderer's work avoidance since the
@@ -147,7 +149,7 @@ type RenderStats struct {
 }
 
 // RenderStats returns a snapshot of the incremental-render counters.
-func (m *Multiplexer) RenderStats() RenderStats { return m.stats }
+func (m *modulator) RenderStats() RenderStats { return m.stats }
 
 // SkipRate returns the fraction of Block renders avoided by the amplitude
 // cache, or 0 before any frame has been rendered.
@@ -158,34 +160,112 @@ func (s RenderStats) SkipRate() float64 {
 	return float64(s.BlocksSkipped) / float64(s.Blocks)
 }
 
-// NewMultiplexer builds a multiplexer. The video source must match the
-// layout's panel size.
-func NewMultiplexer(p Params, src video.Source, data Stream) (*Multiplexer, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// Params returns the transmitter parameters.
+func (m *modulator) Params() Params { return m.p }
+
+// nextVideo returns the video frame display frame k shows and the one the
+// headroom table was last scanned from, and records vi as scanned.
+func (m *modulator) nextVideo(k int) (vi, prev int) {
+	if k < 0 {
+		panic("core: negative display frame index")
 	}
-	w, h := src.Size()
-	if w != p.Layout.FrameW || h != p.Layout.FrameH {
-		return nil, fmt.Errorf("core: video %dx%d does not match layout panel %dx%d",
-			w, h, p.Layout.FrameW, p.Layout.FrameH)
-	}
-	pool := p.Pool
-	if pool == nil {
-		pool = frame.NewPool()
-	}
-	return &Multiplexer{p: p, video: src, data: data, pool: pool, videoIdx: -1}, nil
+	vi, prev = k/m.p.VideoFrameRatio, m.videoIdx
+	m.videoIdx = vi
+	return vi, prev
 }
 
-// Params returns the transmitter parameters.
-func (m *Multiplexer) Params() Params { return m.p }
+// scanHeadroom recomputes the per-Block clipping headroom from the planes
+// of a freshly loaded video frame: the largest amplitude a such that v±a
+// stays within [0,255] at every chessboard-on pixel of the Block in every
+// plane (§3.3's local amplitude adjustment for bright and dark areas; for
+// color, a saturated red sky limits the amplitude just like a saturated
+// gray one). With dirtyOK, a Block the dirty region misses keeps its
+// headroom: every certified transition left its pixels unchanged.
+func (m *modulator) scanHeadroom(dirty video.Region, dirtyOK bool, planes ...[]float32) {
+	l := m.p.Layout
+	w, ps := l.FrameW, l.PixelSize
+	// Each Block row writes a disjoint headroom span, so the fan-out is an
+	// ordered merge: bit-identical at any worker count.
+	parallel.For(m.p.Workers, l.BlocksY, func(by int) {
+		var skipped int64
+		for bx := 0; bx < l.BlocksX; bx++ {
+			x0, y0, bw, bh := l.BlockRect(bx, by)
+			if dirtyOK && !dirty.Intersects(x0, y0, bw, bh) {
+				skipped++
+				continue
+			}
+			head := float32(255)
+			for y := y0; y < y0+bh; y++ {
+				for _, pl := range planes {
+					head = onRunHeadroom(pl[y*w:(y+1)*w], x0, x0+bw, ps, y/ps, head)
+				}
+			}
+			if head < 0 {
+				head = 0
+			}
+			m.headroom[by*l.BlocksX+bx] = head
+		}
+		m.rowSkips[by] = skipped
+	})
+	for _, s := range m.rowSkips {
+		m.stats.HeadroomBlocks += int64(l.BlocksX) - s
+		m.stats.HeadroomSkipped += s
+	}
+}
 
-// DataFrameIndex returns which data frame display frame k belongs to.
-func (m *Multiplexer) DataFrameIndex(k int) int { return k / m.p.Tau }
+// step is the amplitude step for display frame k, run once the headroom
+// table holds k's video frame: each Block's envelope amplitude, clipped to
+// its headroom, is compared against the amplitude its pixels already carry
+// (deltaAmp), and only a changed Block is stored and marked stale. Block
+// rows own disjoint spans and counter slots, so the fan-out is an ordered
+// merge, bit-identical at any worker count. step returns k's complementary
+// sign: +1 on even frames, −1 on odd.
+func (m *modulator) step(k int) float32 {
+	l := m.p.Layout
+	// Resolve the two data frames once: workers must not touch the Stream
+	// (implementations may cache or whiten per call).
+	cur := m.data.DataFrame(k / m.p.Tau)
+	next := m.data.DataFrame(k/m.p.Tau + 1)
+	parallel.For(m.p.Workers, l.BlocksY, func(by int) {
+		var skipped int64
+		i0 := by * l.BlocksX
+		amps := m.deltaAmp[i0 : i0+l.BlocksX]
+		for bx, head := range m.headroom[i0 : i0+l.BlocksX] {
+			a := envelopeBetween(m.p, cur, next, bx, by, k)
+			if h := float64(head); a > h {
+				a = h
+			}
+			if a < 0 {
+				a = 0
+			}
+			want := float32(a)
+			//lint:ignore floateq cache key: both sides are the same clipped envelope computation, equal means the stored pixels are exactly right
+			if want == amps[bx] {
+				skipped++
+				continue
+			}
+			amps[bx] = want
+			m.staleBlock[i0+bx] = true
+		}
+		m.rowSkips[by] = skipped
+	})
+	for _, s := range m.rowSkips {
+		m.stats.Blocks += int64(l.BlocksX)
+		m.stats.BlocksSkipped += s
+		if s < int64(l.BlocksX) {
+			m.blocksStale = true
+		}
+	}
+	if k%2 == 1 {
+		return -1
+	}
+	return 1
+}
 
 // envelopeAmplitude computes §3.2's smoothed pre-clipping amplitude of
 // Block (bx, by) at display frame k: steady during the first τ/2 frames of
 // the data period, transitioning toward the next data frame's level
-// afterwards. Shared by the grayscale and color multiplexers.
+// afterwards.
 func envelopeAmplitude(p Params, data Stream, bx, by, k int) float64 {
 	d := k / p.Tau
 	return envelopeBetween(p, data.DataFrame(d), data.DataFrame(d+1), bx, by, k)
@@ -218,166 +298,6 @@ func envelopeBetween(p Params, cur, next *DataFrame, bx, by, k int) float64 {
 	}
 	u := float64(j-half+1) / float64(half)
 	return p.Shape.Between(a0, a1, u)
-}
-
-// refreshVideo loads the video frame for display frame k and recomputes the
-// per-block clipping headroom: the largest amplitude a such that v±a stays
-// within [0,255] for every chessboard-on pixel of the block (§3.3's local
-// amplitude adjustment for bright and dark areas).
-//
-// When the source is a video.RegionSource and certifies every video-frame
-// transition since the cached frame, the refresh narrows to the accumulated
-// dirty region: an empty union skips the load and all headroom scans, a
-// partial union reloads the frame but rescans only intersecting Blocks.
-// Either way the reloaded pixels — the union, or the whole panel — are
-// marked stale in the drive planes.
-func (m *Multiplexer) refreshVideo(k int) {
-	vi := k / m.p.VideoFrameRatio
-	if vi == m.videoIdx {
-		return
-	}
-	prev := m.videoIdx
-	m.videoIdx = vi
-	l := m.p.Layout
-	// Accumulate the dirty hint across every skipped-over video frame: the
-	// multiplexer may jump several video indices between renders (Frame is
-	// random-access), and soundness requires covering each transition. Any
-	// uncertified step — including backwards jumps — degrades to a full
-	// refresh.
-	var dirty video.Region
-	dirtyOK := false
-	if rs, ok := m.video.(video.RegionSource); ok && m.vframe != nil && m.headroom != nil && vi > prev {
-		dirtyOK = true
-		for j := prev + 1; j <= vi; j++ {
-			r, ok := rs.DirtyRegion(j)
-			if !ok {
-				dirtyOK = false
-				break
-			}
-			dirty = dirty.Union(r)
-		}
-	}
-	if dirtyOK && dirty.Empty() {
-		// Frame vi is pixel-identical to the cached frame: keep the video
-		// buffer, the headroom table and the drive planes untouched.
-		m.stats.VideoSkipped++
-		m.stats.HeadroomSkipped += int64(l.NumBlocks())
-		return
-	}
-	m.stats.VideoRefreshes++
-	if dirtyOK {
-		m.staleVideo = m.staleVideo.Union(dirty)
-	} else {
-		m.staleAll = true
-	}
-	if src, ok := m.video.(video.IntoSource); ok {
-		// In-place-capable source: render into one persistent pooled
-		// buffer instead of allocating a frame per video frame.
-		if m.vbuf == nil {
-			m.vbuf = m.pool.Get(m.p.Layout.FrameW, m.p.Layout.FrameH)
-		}
-		src.FrameInto(vi, m.vbuf)
-		m.vframe = m.vbuf
-	} else {
-		m.vframe = m.video.Frame(vi)
-	}
-	if m.headroom == nil {
-		m.headroom = make([]float32, l.NumBlocks())
-	}
-	ps := l.PixelSize
-	m.ensureScratch()
-	// Each Block row writes a disjoint headroom span, so the fan-out is an
-	// ordered merge: bit-identical at any worker count.
-	parallel.For(m.p.Workers, l.BlocksY, func(by int) {
-		var scanned, skipped int64
-		for bx := 0; bx < l.BlocksX; bx++ {
-			x0, y0, w, h := l.BlockRect(bx, by)
-			if dirtyOK && !dirty.Intersects(x0, y0, w, h) {
-				// Every certified transition left this Block's pixels
-				// unchanged, so its headroom (computed from exactly those
-				// pixels) is still valid.
-				skipped++
-				continue
-			}
-			scanned++
-			head := float32(255)
-			for y := y0; y < y0+h; y++ {
-				row := m.vframe.Pix[y*l.FrameW : (y+1)*l.FrameW]
-				head = onRunHeadroom(row, x0, x0+w, ps, y/ps, head)
-			}
-			if head < 0 {
-				head = 0
-			}
-			m.headroom[by*l.BlocksX+bx] = head
-		}
-		m.rowBlocks[by] = scanned
-		m.rowSkips[by] = skipped
-	})
-	for by := 0; by < l.BlocksY; by++ {
-		m.stats.HeadroomBlocks += m.rowBlocks[by]
-		m.stats.HeadroomSkipped += m.rowSkips[by]
-	}
-}
-
-// ensureScratch sizes the per-Block-row counter scratch and the amplitude
-// cache on first use.
-func (m *Multiplexer) ensureScratch() {
-	l := m.p.Layout
-	if m.rowBlocks == nil {
-		m.rowBlocks = make([]int64, l.BlocksY)
-		m.rowSkips = make([]int64, l.BlocksY)
-		m.deltaAmp = newDeltaAmp(l)
-		m.staleBlock = make([]bool, l.NumBlocks())
-	}
-}
-
-// newDeltaAmp returns a per-Block amplitude cache that forces every Block's
-// first write: -1 equals no clipped amplitude.
-func newDeltaAmp(l Layout) []float32 {
-	a := make([]float32, l.NumBlocks())
-	for i := range a {
-		a[i] = -1
-	}
-	return a
-}
-
-// refreshAmplitudes is the amplitude step the grayscale and color
-// multiplexers share for display frame k: each Block's envelope amplitude,
-// clipped to its headroom, is compared against the amplitude its pixels
-// already carry (deltaAmp), and only a changed Block is stored and reported
-// through changed(bx, by, want), on the worker of its Block row. Block rows
-// own disjoint deltaAmp spans and counter slots, so the fan-out is an
-// ordered merge — bit-identical at any worker count — and changed may write
-// any per-Block-row state. rowBlocks[by] / rowSkips[by] receive each row's
-// evaluated and skipped Block counts for the caller to fold into its stats.
-// headroom is whatever channel-aware bound the caller computed.
-func refreshAmplitudes(p Params, cur, next *DataFrame, k int, headroom, deltaAmp []float32, rowBlocks, rowSkips []int64, changed func(bx, by int, want float32)) {
-	l := p.Layout
-	parallel.For(p.Workers, l.BlocksY, func(by int) {
-		var total, skipped int64
-		heads := headroom[by*l.BlocksX : (by+1)*l.BlocksX]
-		amps := deltaAmp[by*l.BlocksX : (by+1)*l.BlocksX]
-		for bx, head := range heads {
-			total++
-			a := envelopeBetween(p, cur, next, bx, by, k)
-			if h := float64(head); a > h {
-				a = h
-			}
-			if a < 0 {
-				a = 0
-			}
-			want := float32(a)
-			//lint:ignore floateq cache key: both sides are the same clipped envelope computation, equal means the stored pixels are exactly right
-			if want == amps[bx] {
-				skipped++
-				continue
-			}
-			amps[bx] = want
-			changed(bx, by, want)
-		}
-		rowBlocks[by] = total
-		rowSkips[by] = skipped
-	})
 }
 
 // firstOnRun returns where the chessboard-on runs of Pixel row pj begin in
@@ -426,14 +346,11 @@ func fillOnRuns(row []float32, x0, x1, ps, pj int, a float32) {
 // fillChess brings the chess rows up to date with deltaAmp: row 2·by+q
 // holds Block (bx, by)'s amplitude at every chessboard-on pixel of the
 // Block row for Pixel rows of parity q. Which pixels are on never changes,
-// so the zeros of the first allocation stay put everywhere else — margins
-// and the last (all-margin) row included. Block rows own disjoint rows.
-func (m *Multiplexer) fillChess() {
+// so the zeros of the allocation stay put everywhere else — margins and
+// the last (all-margin) row included. Block rows own disjoint rows.
+func (m *modulator) fillChess() {
 	l := m.p.Layout
 	w, ps := l.FrameW, l.PixelSize
-	if m.chess == nil {
-		m.chess = make([]float32, (2*l.BlocksY+1)*w)
-	}
 	parallel.For(m.p.Workers, l.BlocksY, func(by int) {
 		amps := m.deltaAmp[by*l.BlocksX : (by+1)*l.BlocksX]
 		for q := 0; q < 2; q++ {
@@ -448,7 +365,7 @@ func (m *Multiplexer) fillChess() {
 
 // chessRow returns the chess row holding D for panel row y (fillChess must
 // have run since deltaAmp last changed).
-func (m *Multiplexer) chessRow(y int) []float32 {
+func (m *modulator) chessRow(y int) []float32 {
 	l := m.p.Layout
 	w := l.FrameW
 	r := 2 * l.BlocksY
@@ -458,29 +375,18 @@ func (m *Multiplexer) chessRow(y int) []float32 {
 	return m.chess[r*w : (r+1)*w]
 }
 
-// Frame renders display frame k: the current video frame plus the signed,
-// clipped, smoothed chessboard of every Block. The returned frame is drawn
-// from the multiplexer's pool; the caller owns it until it hands it back
-// via Recycle (or keeps it forever — Render's contract).
-//
-// The render is incremental: the amplitude step re-evaluates every Block
-// but stores only the changed ones, the chess rows spread the amplitudes
-// over one panel row per (Block row, Pixel-row parity), and one fused sweep
-// writes out = clamp(V + sign·D). The output is bit-identical to the direct
-// clone+add+clamp formulation — see DESIGN.md §5j for the argument and
-// TestFusedRenderMatchesReference for the adversarial check. Frame leaves
-// the drive planes and their stale marks to PushFrame.
-func (m *Multiplexer) Frame(k int) *frame.Frame {
-	sign := m.prepare(k)
-	m.fillChess()
-	// Fused output pass: clone, signed add and clamp in one sweep. Pixel
-	// rows are disjoint, so the fan-out is again an ordered merge.
-	l := m.p.Layout
-	out := m.pool.Get(l.FrameW, l.FrameH)
-	parallel.For(m.p.Workers, l.FrameH, func(y int) {
-		vr, op := m.vframe.Row(y), out.Row(y)
-		dr := m.chessRow(y)[:len(vr)]
-		op = op[:len(vr)]
+// render writes clamp(v + sign·D) for every pixel v of the video plane src
+// into dst, D read from the chess rows (fillChess must have run since the
+// amplitude step): the clone, signed add and clamp in one sweep. The output
+// is bit-identical to the direct clone+add+clamp formulation — see DESIGN.md
+// §5j for the argument and TestFusedRenderMatchesReference for the
+// adversarial check. Pixel rows are disjoint, so the fan-out is an ordered
+// merge.
+func (m *modulator) render(dst, src []float32, sign float32) {
+	w := m.p.Layout.FrameW
+	parallel.For(m.p.Workers, m.p.Layout.FrameH, func(y int) {
+		vr := src[y*w : (y+1)*w]
+		dr, op := m.chessRow(y)[:len(vr)], dst[y*w : (y+1)*w][:len(vr)]
 		for x, v := range vr {
 			v += float32(sign * dr[x])
 			if v < 0 {
@@ -491,6 +397,134 @@ func (m *Multiplexer) Frame(k int) *frame.Frame {
 			op[x] = v
 		}
 	})
+}
+
+// Multiplexer combines a video source and a data stream into the displayed
+// frame sequence (Fig. 2): each video frame is duplicated VideoFrameRatio
+// times, and every displayed frame carries ±D with the complementary sign
+// alternating per display frame.
+//
+// Rendering is incremental (DESIGN.md §5j). The embedded amplitude engine
+// caches the clipped amplitude every Block carries, and a Block whose
+// amplitude is unchanged since the previous frame costs no pixel work. The
+// drive path keeps each complementary sign as a persistent 8-bit plane,
+// Quant8(V + D) and Quant8(V − D): PushFrame re-rounds only the pixels
+// whose video or amplitude changed since its previous push, then copies the
+// plane of the frame's sign into the display. Frame renders float output
+// from the chess rows and never touches the planes.
+type Multiplexer struct {
+	modulator
+	video video.Source
+	pool  *frame.Pool
+
+	// vframe is the cached video frame; vbuf is its persistent buffer when
+	// the source supports in-place rendering (video.IntoSource), nil when
+	// the source allocates each video frame itself.
+	vframe, vbuf *frame.Frame
+
+	// plus and minus are the drive planes of even and odd frames,
+	// Quant8(V + D) and Quant8(V − D), exact except where marked stale:
+	// every pixel (staleAll), the video pixels refreshed since the last push
+	// (staleVideo), and the chessboard-on pixels of each Block whose
+	// amplitude changed since (staleBlock; blocksStale says whether any
+	// did). prepare marks and only PushFrame rewrites and clears, so any
+	// order of Frame and PushFrame calls keeps the planes exact.
+	plus, minus []uint8
+	staleAll    bool
+	staleVideo  video.Region
+}
+
+// NewMultiplexer builds a multiplexer. The video source must match the
+// layout's panel size.
+func NewMultiplexer(p Params, src video.Source, data Stream) (*Multiplexer, error) {
+	mod, err := newModulator(p, src, data)
+	if err != nil {
+		return nil, err
+	}
+	pool := p.Pool
+	if pool == nil {
+		pool = frame.NewPool()
+	}
+	return &Multiplexer{modulator: mod, video: src, pool: pool}, nil
+}
+
+// DataFrameIndex returns which data frame display frame k belongs to.
+func (m *Multiplexer) DataFrameIndex(k int) int { return k / m.p.Tau }
+
+// refreshVideo loads the video frame for display frame k and rescans the
+// headroom table.
+//
+// When the source is a video.RegionSource and certifies every video-frame
+// transition since the cached frame, the refresh narrows to the accumulated
+// dirty region: an empty union skips the load and all headroom scans, a
+// partial union reloads the frame but rescans only intersecting Blocks.
+// Either way the reloaded pixels — the union, or the whole panel — are
+// marked stale in the drive planes.
+func (m *Multiplexer) refreshVideo(k int) {
+	vi, prev := m.nextVideo(k)
+	if vi == prev {
+		return
+	}
+	// Accumulate the dirty hint across every skipped-over video frame: the
+	// multiplexer may jump several video indices between renders (Frame is
+	// random-access), and soundness requires covering each transition. Any
+	// uncertified step — including backwards jumps — degrades to a full
+	// refresh.
+	var dirty video.Region
+	dirtyOK := false
+	if rs, ok := m.video.(video.RegionSource); ok && m.vframe != nil && vi > prev {
+		dirtyOK = true
+		for j := prev + 1; j <= vi; j++ {
+			r, ok := rs.DirtyRegion(j)
+			if !ok {
+				dirtyOK = false
+				break
+			}
+			dirty = dirty.Union(r)
+		}
+	}
+	if dirtyOK && dirty.Empty() {
+		// Frame vi is pixel-identical to the cached frame: keep the video
+		// buffer, the headroom table and the drive planes untouched.
+		m.stats.VideoSkipped++
+		m.stats.HeadroomSkipped += int64(m.p.Layout.NumBlocks())
+		return
+	}
+	m.stats.VideoRefreshes++
+	if dirtyOK {
+		m.staleVideo = m.staleVideo.Union(dirty)
+	} else {
+		m.staleAll = true
+	}
+	if src, ok := m.video.(video.IntoSource); ok {
+		// In-place-capable source: render into one persistent pooled
+		// buffer instead of allocating a frame per video frame.
+		if m.vbuf == nil {
+			m.vbuf = m.pool.Get(m.p.Layout.FrameW, m.p.Layout.FrameH)
+		}
+		src.FrameInto(vi, m.vbuf)
+		m.vframe = m.vbuf
+	} else {
+		m.vframe = m.video.Frame(vi)
+	}
+	m.scanHeadroom(dirty, dirtyOK, m.vframe.Pix)
+}
+
+// Frame renders display frame k: the current video frame plus the signed,
+// clipped, smoothed chessboard of every Block. The returned frame is drawn
+// from the multiplexer's pool; the caller owns it until it hands it back
+// via Recycle (or keeps it forever — Render's contract).
+//
+// The render is incremental: the amplitude step re-evaluates every Block
+// but stores only the changed ones, the chess rows spread the amplitudes
+// over one panel row per (Block row, Pixel-row parity), and one fused sweep
+// writes out = clamp(V + sign·D). Frame leaves the drive planes and their
+// stale marks to PushFrame.
+func (m *Multiplexer) Frame(k int) *frame.Frame {
+	sign := m.prepare(k)
+	m.fillChess()
+	out := m.pool.Get(m.p.Layout.FrameW, m.p.Layout.FrameH)
+	m.render(out.Pix, m.vframe.Pix, sign)
 	return out
 }
 
@@ -595,35 +629,12 @@ func roundOnRuns(vr []float32, pr, mr []uint8, x0, x1, ps, pj int, a float32) {
 }
 
 // prepare is the shared first half of Frame and PushFrame: it refreshes the
-// video frame, headroom table and Block amplitudes for display frame k,
-// marks what changed for the drive planes, folds the work counters into the
-// stats, and returns k's complementary sign (+1 on even frames, −1 on odd).
+// video frame and headroom table for display frame k, where the refresh
+// marks the reloaded pixels for the drive planes, then runs the amplitude
+// step, which marks the changed Blocks, and returns k's complementary sign.
 func (m *Multiplexer) prepare(k int) float32 {
-	if k < 0 {
-		panic("core: negative display frame index")
-	}
 	m.refreshVideo(k)
-	l := m.p.Layout
-	m.ensureScratch()
-	// Resolve the two data frames once: workers must not touch the Stream
-	// (implementations may cache or whiten per call).
-	cur := m.data.DataFrame(k / m.p.Tau)
-	next := m.data.DataFrame(k/m.p.Tau + 1)
-	stale := m.staleBlock
-	refreshAmplitudes(m.p, cur, next, k, m.headroom, m.deltaAmp, m.rowBlocks, m.rowSkips, func(bx, by int, _ float32) {
-		stale[by*l.BlocksX+bx] = true
-	})
-	for by := 0; by < l.BlocksY; by++ {
-		m.stats.Blocks += m.rowBlocks[by]
-		m.stats.BlocksSkipped += m.rowSkips[by]
-		if m.rowSkips[by] < m.rowBlocks[by] {
-			m.blocksStale = true
-		}
-	}
-	if k%2 == 1 {
-		return -1
-	}
-	return 1
+	return m.step(k)
 }
 
 // Recycle returns a frame obtained from Frame to the multiplexer's pool

@@ -42,14 +42,7 @@ func TestRGBPairFusesAndPreservesChroma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f0, err := m.FrameRGB(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := m.FrameRGB(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f0, f1 := m.FrameRGB(0), m.FrameRGB(1)
 	orig := src.FrameRGB(0)
 	for i := range orig.R {
 		if avg := (f0.R[i] + f1.R[i]) / 2; math.Abs(float64(avg-orig.R[i])) > 1e-3 {
@@ -92,11 +85,7 @@ func TestRGBLumaMatchesGrayPipeline(t *testing.T) {
 	}
 	for _, k := range []int{0, 1, 5} {
 		want := gm.Frame(k)
-		got, err := cm.LumaFrame(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mae, _ := frame.MAE(want, got)
+		mae, _ := frame.MAE(want, cm.FrameRGB(k).Luma())
 		if mae > 1e-3 {
 			t.Fatalf("frame %d luma MAE %v", k, mae)
 		}
@@ -120,10 +109,7 @@ func TestRGBHeadroomAcrossChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f0, err := m.FrameRGB(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f0 := m.FrameRGB(0)
 	var maxShift float64
 	for i := range f0.R {
 		if d := math.Abs(float64(f0.R[i] - 250)); d > maxShift {

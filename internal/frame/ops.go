@@ -462,7 +462,7 @@ func MSE(a, b *Frame) (float64, error) {
 	var s float64
 	for i, v := range a.Pix {
 		d := float64(v - b.Pix[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(a.Pix)), nil
 }

@@ -2,11 +2,6 @@ package frame
 
 import (
 	"fmt"
-	"image"
-	"image/color"
-	"image/png"
-	"io"
-	"os"
 
 	"inframe/internal/fixed"
 )
@@ -14,7 +9,7 @@ import (
 // RGB is a color frame with planar float32 storage in the nominal range
 // [0, 255] per channel. The InFrame prototype adds the chessboard equally to
 // R, G and B — i.e. purely to luma — so the core pipeline runs on the Y
-// plane and this type carries the presentation path (color demos, Y4M/PNG
+// plane and this type carries the presentation path (color demos, Y4M
 // export, colored video sources).
 type RGB struct {
 	W, H    int
@@ -60,19 +55,6 @@ func (f *RGB) Set(x, y int, r, g, b float32) {
 	f.R[i], f.G[i], f.B[i] = r, g, b
 }
 
-// Clamp limits every channel to [lo, hi].
-func (f *RGB) Clamp(lo, hi float32) {
-	for _, ch := range [][]float32{f.R, f.G, f.B} {
-		for i, v := range ch {
-			if v < lo {
-				ch[i] = lo
-			} else if v > hi {
-				ch[i] = hi
-			}
-		}
-	}
-}
-
 // Rec. 601 luma weights, matching the standard library's conversion and the
 // Y'CbCr encoding used by Y4M.
 const (
@@ -85,96 +67,9 @@ const (
 func (f *RGB) Luma() *Frame {
 	out := New(f.W, f.H)
 	for i := range out.Pix {
-		out.Pix[i] = lumaR*f.R[i] + lumaG*f.G[i] + lumaB*f.B[i]
+		out.Pix[i] = float32(lumaR*f.R[i]) + float32(lumaG*f.G[i]) + float32(lumaB*f.B[i])
 	}
 	return out
-}
-
-// AddLumaDelta shifts every pixel's luma by d[i] while preserving chroma
-// exactly: the delta is added equally to R, G and B (the paper's prototype
-// behaviour), then clamped to [0, 255].
-func (f *RGB) AddLumaDelta(d *Frame) error {
-	if d.W != f.W || d.H != f.H {
-		return ErrSizeMismatch
-	}
-	for i, dv := range d.Pix {
-		f.R[i] += dv
-		f.G[i] += dv
-		f.B[i] += dv
-	}
-	f.Clamp(0, 255)
-	return nil
-}
-
-// AddLumaDeltaOf writes clamp(src + sign·d, 0, 255) into f, one fused pass
-// per pixel: the render-loop form of src.Clone() followed by
-// AddLumaDelta(sign·d), without the intermediate full-frame copy or the
-// separate clamp sweep. The result is bit-identical to the two-step path for
-// every value an 8-bit video source can hold (the lone divergence is
-// src = −0 with a zero delta, which the fused add normalizes to +0).
-// f, src and d must share one size; f may not alias src.
-func (f *RGB) AddLumaDeltaOf(src *RGB, d *Frame, sign float32) error {
-	if d.W != f.W || d.H != f.H || src.W != f.W || src.H != f.H {
-		return ErrSizeMismatch
-	}
-	for i, dv := range d.Pix {
-		a := sign * dv
-		r := src.R[i] + a
-		if r < 0 {
-			r = 0
-		} else if r > 255 {
-			r = 255
-		}
-		g := src.G[i] + a
-		if g < 0 {
-			g = 0
-		} else if g > 255 {
-			g = 255
-		}
-		b := src.B[i] + a
-		if b < 0 {
-			b = 0
-		} else if b > 255 {
-			b = 255
-		}
-		f.R[i], f.G[i], f.B[i] = r, g, b
-	}
-	return nil
-}
-
-// LumaShifted returns the luma plane of the frame AddLumaDeltaOf would
-// produce — Luma() of clamp(f + sign·d) — without materializing the
-// intermediate RGB. Each channel value feeding the Rec. 601 dot product is
-// the same clamped float32 the two-step path computes, so the plane is
-// bit-identical to it.
-func (f *RGB) LumaShifted(d *Frame, sign float32) (*Frame, error) {
-	if d.W != f.W || d.H != f.H {
-		return nil, ErrSizeMismatch
-	}
-	out := New(f.W, f.H)
-	for i, dv := range d.Pix {
-		a := sign * dv
-		r := f.R[i] + a
-		if r < 0 {
-			r = 0
-		} else if r > 255 {
-			r = 255
-		}
-		g := f.G[i] + a
-		if g < 0 {
-			g = 0
-		} else if g > 255 {
-			g = 255
-		}
-		b := f.B[i] + a
-		if b < 0 {
-			b = 0
-		} else if b > 255 {
-			b = 255
-		}
-		out.Pix[i] = lumaR*r + lumaG*g + lumaB*b
-	}
-	return out, nil
 }
 
 // FromLuma lifts a grayscale frame into RGB (equal channels).
@@ -193,7 +88,7 @@ func (f *RGB) YCbCr() (y, cb, cr *Frame) {
 	cr = New(f.W, f.H)
 	for i := range y.Pix {
 		r, g, b := float64(f.R[i]), float64(f.G[i]), float64(f.B[i])
-		yy := lumaR*r + lumaG*g + lumaB*b
+		yy := float64(lumaR*r) + float64(lumaG*g) + float64(lumaB*b)
 		y.Pix[i] = float32(yy)
 		cb.Pix[i] = float32(128 + (b-yy)/1.772)
 		cr.Pix[i] = float32(128 + (r-yy)/1.402)
@@ -211,9 +106,9 @@ func RGBFromYCbCr(y, cb, cr *Frame) (*RGB, error) {
 		yy := float64(y.Pix[i])
 		cbv := float64(cb.Pix[i]) - 128
 		crv := float64(cr.Pix[i]) - 128
-		r := yy + 1.402*crv
-		b := yy + 1.772*cbv
-		g := (yy - lumaR*r - lumaB*b) / lumaG
+		r := yy + float64(1.402*crv)
+		b := yy + float64(1.772*cbv)
+		g := (yy - float64(lumaR*r) - float64(lumaB*b)) / lumaG
 		out.R[i] = float32(clamp255(r))
 		out.G[i] = float32(clamp255(g))
 		out.B[i] = float32(clamp255(b))
@@ -231,20 +126,6 @@ func clamp255(v float64) float64 {
 	return v
 }
 
-// ToImageRGB converts to an 8-bit RGBA image, clamping each channel.
-func ToImageRGB(f *RGB) *image.RGBA {
-	img := image.NewRGBA(image.Rect(0, 0, f.W, f.H))
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			i := y*f.W + x
-			img.SetRGBA(x, y, color.RGBA{
-				R: Quant8(f.R[i]), G: Quant8(f.G[i]), B: Quant8(f.B[i]), A: 255,
-			})
-		}
-	}
-	return img
-}
-
 // Quant8 rounds v to the nearest integer and saturates to [0,255]. It is
 // the blessed float→uint8 clamp helper (enforced by the clamp analyzer):
 // every conversion from the float pixel domain to 8-bit storage must
@@ -253,57 +134,4 @@ func ToImageRGB(f *RGB) *image.RGBA {
 // math.Round path (see fixed.Round8).
 func Quant8(v float32) uint8 {
 	return fixed.Round8(v)
-}
-
-// RGBFromImage converts any image to an RGB frame.
-func RGBFromImage(img image.Image) *RGB {
-	b := img.Bounds()
-	f := NewRGB(b.Dx(), b.Dy())
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			r, g, bb, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			i := y*f.W + x
-			f.R[i] = float32(r >> 8)
-			f.G[i] = float32(g >> 8)
-			f.B[i] = float32(bb >> 8)
-		}
-	}
-	return f
-}
-
-// EncodePNGRGB writes f as a color PNG.
-func EncodePNGRGB(w io.Writer, f *RGB) error {
-	return png.Encode(w, ToImageRGB(f))
-}
-
-// DecodePNGRGB reads a PNG into an RGB frame.
-func DecodePNGRGB(r io.Reader) (*RGB, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("frame: decoding png: %w", err)
-	}
-	return RGBFromImage(img), nil
-}
-
-// WritePNGRGB saves f as a color PNG at path.
-func WritePNGRGB(path string, f *RGB) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("frame: creating %s: %w", path, err)
-	}
-	defer fh.Close()
-	if err := EncodePNGRGB(fh, f); err != nil {
-		return fmt.Errorf("frame: encoding %s: %w", path, err)
-	}
-	return fh.Close()
-}
-
-// ReadPNGRGB loads the PNG at path into an RGB frame.
-func ReadPNGRGB(path string) (*RGB, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("frame: opening %s: %w", path, err)
-	}
-	defer fh.Close()
-	return DecodePNGRGB(fh)
 }

@@ -1,10 +1,8 @@
 package frame
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -46,15 +44,6 @@ func TestRGBAtSetClone(t *testing.T) {
 	}
 }
 
-func TestRGBClamp(t *testing.T) {
-	f := NewRGBFilled(2, 2, -5, 100, 300)
-	f.Clamp(0, 255)
-	r, g, b := f.At(0, 0)
-	if r != 0 || g != 100 || b != 255 {
-		t.Fatalf("Clamp = %v,%v,%v", r, g, b)
-	}
-}
-
 func TestLumaWeights(t *testing.T) {
 	f := NewRGBFilled(1, 1, 255, 0, 0)
 	if y := f.Luma().At(0, 0); math.Abs(float64(y)-0.299*255) > 1e-3 {
@@ -63,33 +52,6 @@ func TestLumaWeights(t *testing.T) {
 	white := NewRGBFilled(1, 1, 255, 255, 255)
 	if y := white.Luma().At(0, 0); math.Abs(float64(y)-255) > 1e-3 {
 		t.Fatalf("white luma = %v", y)
-	}
-}
-
-// TestAddLumaDeltaPreservesChroma: the paper's equal-channel embedding
-// shifts Y exactly and leaves Cb/Cr untouched (away from clipping).
-func TestAddLumaDeltaPreservesChroma(t *testing.T) {
-	f := NewRGBFilled(4, 4, 120, 80, 160)
-	_, cb0, cr0 := f.YCbCr()
-	y0 := f.Luma()
-	d := NewFilled(4, 4, 20)
-	if err := f.AddLumaDelta(d); err != nil {
-		t.Fatal(err)
-	}
-	y1, cb1, cr1 := f.YCbCr()
-	if math.Abs(float64(y1.At(1, 1)-y0.At(1, 1))-20) > 1e-3 {
-		t.Fatalf("luma shift = %v, want 20", y1.At(1, 1)-y0.At(1, 1))
-	}
-	if math.Abs(float64(cb1.At(1, 1)-cb0.At(1, 1))) > 1e-3 ||
-		math.Abs(float64(cr1.At(1, 1)-cr0.At(1, 1))) > 1e-3 {
-		t.Fatal("chroma drifted under luma-only delta")
-	}
-}
-
-func TestAddLumaDeltaSizeCheck(t *testing.T) {
-	f := NewRGB(2, 2)
-	if err := f.AddLumaDelta(New(3, 3)); err != ErrSizeMismatch {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -139,98 +101,5 @@ func TestYCbCrGrayIsNeutral(t *testing.T) {
 func TestRGBFromYCbCrSizeCheck(t *testing.T) {
 	if _, err := RGBFromYCbCr(New(2, 2), New(3, 3), New(2, 2)); err != ErrSizeMismatch {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRGBPNGRoundTrip(t *testing.T) {
-	f := randomRGB(7, 10, 6)
-	var buf bytes.Buffer
-	if err := EncodePNGRGB(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodePNGRGB(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f.R {
-		if f.R[i] != back.R[i] || f.G[i] != back.G[i] || f.B[i] != back.B[i] {
-			t.Fatalf("pixel %d changed", i)
-		}
-	}
-}
-
-func TestRGBPNGFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.png")
-	f := NewRGBFilled(4, 4, 10, 200, 90)
-	if err := WritePNGRGB(path, f); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPNGRGB(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, g, b := back.At(2, 2)
-	if r != 10 || g != 200 || b != 90 {
-		t.Fatalf("file round trip = %v,%v,%v", r, g, b)
-	}
-	if _, err := ReadPNGRGB(filepath.Join(t.TempDir(), "missing.png")); err == nil {
-		t.Fatal("missing file read")
-	}
-}
-
-func TestDecodePNGRGBGarbage(t *testing.T) {
-	if _, err := DecodePNGRGB(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage decoded")
-	}
-}
-
-// TestAddLumaDeltaOfMatchesCloneAdd: the fused render helper must be
-// bit-identical to Clone + AddLumaDelta even when the delta drives channels
-// through both clamp edges.
-func TestAddLumaDeltaOfMatchesCloneAdd(t *testing.T) {
-	src := randomRGB(21, 9, 7)
-	d := New(9, 7)
-	deltas := []float32{0, 20, 255, 300, 0.5, 127.25, 1.0 / 3}
-	for i := range d.Pix {
-		d.Pix[i] = deltas[i%len(deltas)]
-	}
-	for _, sign := range []float32{1, -1} {
-		want := src.Clone()
-		signed := New(9, 7)
-		for i, dv := range d.Pix {
-			signed.Pix[i] = sign * dv
-		}
-		if err := want.AddLumaDelta(signed); err != nil {
-			t.Fatal(err)
-		}
-		got := NewRGB(9, 7)
-		if err := got.AddLumaDeltaOf(src, d, sign); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.R {
-			if got.R[i] != want.R[i] || got.G[i] != want.G[i] || got.B[i] != want.B[i] {
-				t.Fatalf("sign %v pixel %d: fused (%v,%v,%v), reference (%v,%v,%v)", sign, i,
-					got.R[i], got.G[i], got.B[i], want.R[i], want.G[i], want.B[i])
-			}
-		}
-		luma, err := src.LumaShifted(d, sign)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !luma.Equal(want.Luma()) {
-			t.Fatalf("sign %v: LumaShifted diverges from Luma of the clamped RGB", sign)
-		}
-	}
-}
-
-func TestAddLumaDeltaOfSizeCheck(t *testing.T) {
-	if err := NewRGB(4, 4).AddLumaDeltaOf(NewRGB(4, 4), New(3, 4), 1); err != ErrSizeMismatch {
-		t.Fatalf("mismatched delta: got %v, want ErrSizeMismatch", err)
-	}
-	if err := NewRGB(4, 4).AddLumaDeltaOf(NewRGB(5, 4), New(4, 4), 1); err != ErrSizeMismatch {
-		t.Fatalf("mismatched source: got %v, want ErrSizeMismatch", err)
-	}
-	if _, err := NewRGB(4, 4).LumaShifted(New(3, 4), 1); err != ErrSizeMismatch {
-		t.Fatalf("LumaShifted mismatched delta: got %v, want ErrSizeMismatch", err)
 	}
 }

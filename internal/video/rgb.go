@@ -111,9 +111,9 @@ func (s *ColorSunRise) FrameRGB(i int) *frame.RGB {
 			if sky {
 				// Sky: blue high up, amber near the horizon/sun.
 				warm := math.Min(1, v/255*1.2)
-				r = v * (0.75 + 0.35*warm)
+				r = v * (0.75 + float64(0.35*warm))
 				g = v * 0.92
-				b = v * (1.25 - 0.45*warm)
+				b = v * (1.25 - float64(0.45*warm))
 			} else {
 				// Ground: muted green.
 				r = v * 0.85

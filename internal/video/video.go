@@ -348,7 +348,7 @@ func (n *Noise) FrameInto(i int, f *frame.Frame) {
 	rng := rand.New(rand.NewSource(n.seed ^ int64(i)*0x9e3779b97f4a7c))
 	span := n.Hi - n.Lo
 	for j := range f.Pix {
-		f.Pix[j] = n.Lo + rng.Float32()*span
+		f.Pix[j] = n.Lo + float32(rng.Float32()*span)
 	}
 }
 
@@ -385,7 +385,7 @@ func (m *MovingBars) FrameInto(i int, f *frame.Frame) {
 	off := m.Speed * float64(i)
 	p := float64(m.Period)
 	for x := 0; x < m.W; x++ {
-		phase := math.Mod(float64(x)+off, p) / p
+		phase := math.Mod(float64(x)+float64(off), p) / p
 		v := m.Lo
 		if phase >= 0.5 {
 			v = m.Hi

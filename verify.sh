@@ -5,8 +5,8 @@
 # vet and short tests of the separately moduled cmd/inframe-perf benchmark
 # (which `go build ./...` never compiles) plus its bit-identity check of the
 # blind pose solve on the benchmark's own captures, an arm64 cross-compile
-# of the simulator checked free of fused multiply-adds (which round
-# differently from amd64's separate instructions), the complete test suite
+# of every command and example checked free of fused multiply-adds (which
+# round differently from amd64's separate instructions), the complete test suite
 # under the race detector (the worker pools in internal/parallel make data
 # races a correctness class, not a theoretical one), a coverage floor on
 # internal/analysis (the lint gate's own engine), the steady-state
@@ -103,30 +103,36 @@ run_arm64_fma() {
 	# does, so a bit-identical result on amd64 says nothing about arm64
 	# unless the code forbids fusion with explicit float64(x*y) (or
 	# float32(x*y)) conversions. Every pinned output — goldens, digests,
-	# robustness windows, the pose fixture — must hold on both:
-	# cross-compile inframe-bench for arm64 and fail on any
-	# FMADD/FMSUB/FNMADD/FNMSUB in a function of this module it links.
-	local dir dis fused fn
+	# robustness windows, the pose fixture, the Y4M export — must hold on
+	# both: cross-compile every command and example for arm64 and fail on
+	# any FMADD/FMSUB/FNMADD/FNMSUB in a function of this module one of
+	# them links.
+	local dir dis fused fn bin
 	dir=$(mktemp -d)
-	GOARCH=arm64 go build -o "$dir/inframe-bench" ./cmd/inframe-bench
-	dis=$(go tool objdump -s '^inframe/' "$dir/inframe-bench")
+	GOARCH=arm64 go build -o "$dir/" ./cmd/... ./examples/...
+	dis=""
+	for bin in "$dir"/*; do
+		dis+=$(go tool objdump -s '^inframe/' "$bin")$'\n'
+	done
 	rm -rf "$dir"
 	# An empty or partial listing (a renamed package or function, a
-	# pattern that no longer matches) must not pass as clean.
+	# pattern that no longer matches, a binary left out) must not pass as
+	# clean.
 	for fn in 'register.mfScoreStride' 'frame.areaRow2' 'impair.(*Stack).ApplyFrame' \
-		'video.(*SunRise).FrameInto' 'core.(*Receiver).scanCodes'; do
+		'video.(*SunRise).FrameInto' 'core.(*Receiver).scanCodes' \
+		'frame.(*RGB).YCbCr' 'video.(*ColorSunRise).FrameRGB'; do
 		if ! grep -qF "TEXT inframe/internal/$fn(SB)" <<<"$dis"; then
 			echo "arm64 disassembly lacks $fn; fix the objdump pattern" >&2
 			return 1
 		fi
 	done
-	fused=$(awk '/^TEXT / { fn = $2 } /\t(FMADD|FMSUB|FNMADD|FNMSUB)/ { print fn, $1 }' <<<"$dis")
+	fused=$(awk '/^TEXT / { fn = $2 } /\t(FMADD|FMSUB|FNMADD|FNMSUB)/ { print fn, $1 }' <<<"$dis" | sort -u)
 	if [[ -n "$fused" ]]; then
 		echo "fused multiply-adds in the arm64 build (add float64(x*y) conversions):" >&2
 		echo "$fused" >&2
 		return 1
 	fi
-	echo "no fused multiply-adds in the arm64 build"
+	echo "no fused multiply-adds in the arm64 builds"
 }
 
 run_tests() {
@@ -189,7 +195,8 @@ run_kernels() {
 	# The fixed-point identity gate in isolation under the race detector:
 	# the int32 kernels' bit-identity/error-bound pins (internal/fixed), the
 	# fused pair-aware renderer's equivalence to the direct clone+add+clamp
-	# formulation at several worker counts (DESIGN.md §5j), and the fused
+	# formulation at several worker counts (DESIGN.md §5j), gray and color
+	# (each channel, the headroom taken over R, G and B), and the fused
 	# drive path's: PushFrame's drive codes equal Push(Frame) and, under any
 	# mix and order of Frame and PushFrame calls, Quant8 of the direct
 	# reference render (the per-sign drive planes, §5j), and the
@@ -215,11 +222,11 @@ run_kernels() {
 		-run 'TestFixedPointBitIdentity|TestRoundQ16MatchesRound8|TestGammaErrorBound|TestEncodeRowMatchesEncode8|TestNarrow8MatchesIsIntegral8|TestWindowRowsMatchesNaive|TestWindowRowsThinPlanes|TestWindowRowsRowOrder|TestRowAbsEnergy8MatchesNaive' \
 		./internal/fixed/
 	go test -race -count=1 \
-		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush|TestDriveMatchesReference|TestEnergyScanMatchesReference' \
+		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBRenderMatchesReference|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush|TestDriveMatchesReference|TestEnergyScanMatchesReference' \
 		./internal/core/
 	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
-		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto|TestWarpInto8MatchesQuantize|TestWarpInPlaceMatchesWarpInto' \
+		-run 'TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto|TestWarpInto8MatchesQuantize|TestWarpInPlaceMatchesWarpInto' \
 		./internal/frame/
 	go test -race -count=1 -run 'TestPoseStageMatchesReference' ./internal/impair/
 	go test -race -count=1 -run 'TestCaptureMatchesReference' ./internal/camera/
