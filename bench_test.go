@@ -149,8 +149,9 @@ func BenchmarkMultiplexFrame(b *testing.B) {
 // BenchmarkPushFrame measures rendering one 960×540 multiplexed frame
 // straight into a display's drive slot, as channel.Simulate does, on a
 // display that retires all but its last frame: gray, where the Block cache
-// leaves most pushes with nothing to re-round, and the sun-rise clip, whose
-// video changes every fourth frame.
+// leaves most pushes with nothing to rewrite and every stale Block is flat,
+// the static text card, whose Blocks are part flat and part textured, and
+// the sun-rise clip, whose video changes every fourth frame.
 func BenchmarkPushFrame(b *testing.B) {
 	l := benchLayout()
 	for _, c := range []struct {
@@ -158,6 +159,7 @@ func BenchmarkPushFrame(b *testing.B) {
 		src  video.Source
 	}{
 		{"gray", video.Gray(l.FrameW, l.FrameH)},
+		{"text-card", video.NewTextCard(l.FrameW, l.FrameH, 1)},
 		{"sun-rise", video.NewSunRise(l.FrameW, l.FrameH, 1)},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -120,8 +120,8 @@ func (c Config) Decode(cap *frame.Frame, sx, sy float64) []bool {
 	bits := make([]bool, cx*cy)
 	for j := 0; j < cy; j++ {
 		for i := 0; i < cx; i++ {
-			centerX := (float64(c.X0+(c.Quiet+i)*c.CellPx) + float64(c.CellPx)/2) * sx
-			centerY := (float64(c.Y0+(c.Quiet+j)*c.CellPx) + float64(c.CellPx)/2) * sy
+			centerX := (float64(c.X0+(c.Quiet+i)*c.CellPx) + float64(float64(c.CellPx)/2)) * sx
+			centerY := (float64(c.Y0+(c.Quiet+j)*c.CellPx) + float64(float64(c.CellPx)/2)) * sy
 			x0 := int(centerX) - pw/2
 			y0 := int(centerY) - ph/2
 			var sum float64

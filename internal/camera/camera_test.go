@@ -113,11 +113,11 @@ func TestNoiseMagnitude(t *testing.T) {
 	var sum, sum2 float64
 	for _, v := range cap.Pix {
 		sum += float64(v)
-		sum2 += float64(v) * float64(v)
+		sum2 += float64(float64(v) * float64(v))
 	}
 	n := float64(len(cap.Pix))
 	mean := sum / n
-	sd := math.Sqrt(sum2/n - mean*mean)
+	sd := math.Sqrt(sum2/n - float64(mean*mean))
 	if sd < 3 || sd > 5 {
 		t.Fatalf("noise sd = %v, want ~4", sd)
 	}

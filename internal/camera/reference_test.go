@@ -32,7 +32,7 @@ func refCapture(c *Camera, d *display.Display, t0 float64, index int) *frame.Fra
 	parallel.ForChunked(c.cfg.Workers, dh, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			sensorRow := y * c.cfg.H / dh
-			a := t0 + float64(sensorRow)*rowDt
+			a := t0 + float64(float64(sensorRow)*rowDt)
 			d.RowAverage(y, a, a+c.cfg.Exposure, lin.Row(y))
 		}
 	})
@@ -155,7 +155,7 @@ func refBuildAxisTaps(inN, outN int, scale float64) refAxisTaps {
 		off: make([]int, outN+1),
 	}
 	for o := 0; o < outN; o++ {
-		b0 := float64(o) * scale
+		b0 := float64(float64(o) * scale)
 		b1 := b0 + scale
 		for i := int(b0); i < int(math.Ceil(b1)) && i < inN; i++ {
 			f := refOverlap(float64(i), float64(i+1), b0, b1)
@@ -181,8 +181,8 @@ func refAreaResample(f, out *frame.Frame, xt, yt refAxisTaps) {
 				fy := yt.wgt[ti]
 				row := f.Pix[yt.idx[ti]*f.W : (yt.idx[ti]+1)*f.W]
 				for tj := xs; tj < xe; tj++ {
-					wgt := xt.wgt[tj] * fy
-					sum += wgt * float64(row[xt.idx[tj]])
+					wgt := float64(xt.wgt[tj] * fy)
+					sum += float64(wgt * float64(row[xt.idx[tj]]))
 					area += wgt
 				}
 			}
@@ -207,7 +207,7 @@ func refBilinearResample(f, out *frame.Frame) {
 	sx := float64(f.W-1) / float64(max(w-1, 1))
 	sy := float64(f.H-1) / float64(max(h-1, 1))
 	for oy := 0; oy < h; oy++ {
-		fy := float64(oy) * sy
+		fy := float64(float64(oy) * sy)
 		y0 := int(fy)
 		y1 := min(y0+1, f.H-1)
 		wy := float32(fy - float64(y0))
@@ -215,7 +215,7 @@ func refBilinearResample(f, out *frame.Frame) {
 		row1 := f.Pix[y1*f.W : (y1+1)*f.W]
 		orow := out.Pix[oy*w : (oy+1)*w]
 		for ox := 0; ox < w; ox++ {
-			fx := float64(ox) * sx
+			fx := float64(float64(ox) * sx)
 			x0 := int(fx)
 			x1 := min(x0+1, f.W-1)
 			wx := float32(fx - float64(x0))
@@ -223,9 +223,9 @@ func refBilinearResample(f, out *frame.Frame) {
 			v01 := row0[x1]
 			v10 := row1[x0]
 			v11 := row1[x1]
-			top := v00 + (v01-v00)*wx
-			bot := v10 + (v11-v10)*wx
-			orow[ox] = top + (bot-top)*wy
+			top := v00 + float32((v01-v00)*wx)
+			bot := v10 + float32((v11-v10)*wx)
+			orow[ox] = top + float32((bot-top)*wy)
 		}
 	}
 }

@@ -279,7 +279,7 @@ func TestScheduleSpacing(t *testing.T) {
 	cfg := quietChannel(8, 8)
 	cam := cfg.Camera
 	period := 1 / cam.FPS
-	dur := 0.5 + cam.Exposure + 3.5*period // room for exactly 3 captures from t=0.5
+	dur := 0.5 + cam.Exposure + float64(3.5*period) // room for exactly 3 captures from t=0.5
 	s := NewSchedule(dur, 0.5, cam, nil)
 	if len(s.Times) != 3 {
 		t.Fatalf("got %d captures, want 3", len(s.Times))

@@ -56,7 +56,7 @@ func refRender(p Params, data Stream, k int, planes ...*frame.Frame) []*frame.Fr
 			if head < 0 {
 				head = 0
 			}
-			a := envelopeBetween(p, cur, next, bx, by, k)
+			a := envelope(p, cur.Bit(bx, by), next.Bit(bx, by), k)
 			if hd := float64(head); a > hd {
 				a = hd
 			}
@@ -71,7 +71,7 @@ func refRender(p Params, data Stream, k int, planes ...*frame.Frame) []*frame.Fr
 					if ChessOn(x/ps, pj) {
 						i := rowBase + x
 						for c, v := range planes {
-							outs[c].Pix[i] = v.Pix[i] + sign*want
+							outs[c].Pix[i] = v.Pix[i] + float32(sign*want)
 						}
 					}
 				}
@@ -259,7 +259,7 @@ func rgbEdgeVideo(l Layout, delta float32) *video.RGBClip {
 		frames = append(frames, frame.FromLuma(gray.Frame(i)))
 	}
 	bp := l.BlockPx()
-	edge := []float32{255 - delta/2, delta / 3, 255 - delta/4, delta - 0.5}
+	edge := []float32{255 - float32(delta/2), delta / 3, 255 - float32(delta/4), delta - 0.5}
 	for i := 0; i < 3; i++ {
 		f := frame.NewRGB(l.FrameW, l.FrameH)
 		for y := 0; y < l.FrameH; y++ {
@@ -308,6 +308,123 @@ func TestRGBRenderMatchesReference(t *testing.T) {
 			t.Error("RGB amplitude cache never skipped a Block")
 		}
 	}
+}
+
+// hintedClip is a looping clip with an exact dirty-region hint: the
+// bounding box of the pixels whose bits differ from the previous frame's.
+type hintedClip struct{ *video.Clip }
+
+// DirtyRegion implements video.RegionSource.
+func (c hintedClip) DirtyRegion(i int) (video.Region, bool) {
+	if i <= 0 {
+		return video.Region{}, false
+	}
+	n := len(c.Frames)
+	a, b := c.Frames[(i-1)%n], c.Frames[i%n]
+	var r video.Region
+	for j := range a.Pix {
+		if math.Float32bits(a.Pix[j]) != math.Float32bits(b.Pix[j]) {
+			r = r.Union(video.Region{X: j % a.W, Y: j / a.W, W: 1, H: 1})
+		}
+	}
+	return r, true
+}
+
+// blockClip builds an n-frame hinted clip of l's panel: the margins hold
+// 90, and fill(f, bx, by, dx, dy, on) returns pixel (dx, dy) of Block
+// (bx, by) in frame f, on saying whether the pixel is chessboard-on.
+func blockClip(l Layout, n int, fill func(f, bx, by, dx, dy int, on bool) float32) hintedClip {
+	frames := make([]*frame.Frame, n)
+	bp, ps := l.BlockPx(), l.PixelSize
+	for f := range frames {
+		fr := frame.NewFilled(l.FrameW, l.FrameH, 90)
+		for by := 0; by < l.BlocksY; by++ {
+			for bx := 0; bx < l.BlocksX; bx++ {
+				x0, y0, _, _ := l.BlockRect(bx, by)
+				for dy := 0; dy < bp; dy++ {
+					for dx := 0; dx < bp; dx++ {
+						x, y := x0+dx, y0+dy
+						fr.Pix[y*l.FrameW+x] = fill(f, bx, by, dx, dy, ChessOn(x/ps, y/ps))
+					}
+				}
+			}
+		}
+		frames[f] = fr
+	}
+	return hintedClip{video.NewClip(frames)}
+}
+
+// oddPixelVideo is a clip of Blocks that are flat but for one pixel: the
+// odd pixel sits on an off-pixel inside the Block, in its last row or in
+// its last column, the choice rotating with the Block and the video frame,
+// and one Block in four is wholly flat. Only the lower half of the Block
+// rows changes between frames, so the exact hint rescans those Blocks and
+// skips the rest.
+func oddPixelVideo(l Layout, delta float32) hintedClip {
+	levels := []float32{180, 127, 0, 255, delta / 2, 255 - float32(delta/2), 100.0 / 3}
+	bp, ps := l.BlockPx(), l.PixelSize
+	return blockClip(l, 6, func(f, bx, by, dx, dy int, _ bool) float32 {
+		if by < l.BlocksY/2 {
+			f = 0
+		}
+		// The odd pixel sits near 255: on an on-pixel it sets the
+		// Block's headroom, so the amplitude changes with its position.
+		v := levels[(bx+l.BlocksX*by)%len(levels)]
+		odd := 255 - float32(v/16)
+		switch (bx + 2*by + f) % 4 {
+		case 0: // the first off-pixel right of the Block's edge in its middle row
+			x0, y0, _, _ := l.BlockRect(bx, by)
+			ox := 1
+			for ChessOn((x0+ox)/ps, (y0+bp/2)/ps) {
+				ox++
+			}
+			if dy == bp/2 && dx == ox {
+				return odd
+			}
+		case 1: // the last row
+			if dy == bp-1 && dx == (f+bx)%bp {
+				return odd
+			}
+		case 2: // the last column
+			if dx == bp-1 && dy == (f+by)%bp {
+				return odd
+			}
+		}
+		return v
+	})
+}
+
+// flatLevelVideo is a clip of wholly flat Blocks at the levels the flat
+// rewrite must round exactly like the per-pixel path: 0, 255, −0, NaN,
+// levels within δ of either clamp edge (so the amplitude clips to the
+// headroom and v ± a lands on 0 or 255), rounding ties and a non-terminating
+// rational. Among them sit Blocks that mix +0 and −0, which are not flat:
+// one alternates the two by pixel column, one holds +0 on its on-pixels and
+// −0 on its off-pixels. The level of each Block rotates with the video
+// frame.
+func flatLevelVideo(l Layout, delta float32) hintedClip {
+	negZero := float32(math.Copysign(0, -1))
+	const mixColumns, mixOnOff = -1, -2
+	levels := []float32{0, 255, negZero, float32(math.NaN()), delta / 2, 255 - float32(delta/2),
+		delta - 0.25, 255.25 - delta, 0.5, 254.5, 127.5, 200.0 / 3, mixColumns, mixOnOff}
+	return blockClip(l, 3, func(f, bx, by, dx, _ int, on bool) float32 {
+		switch v := levels[(bx+l.BlocksX*by+5*f)%len(levels)]; {
+		case v == mixColumns && dx%2 == 1, v == mixOnOff && !on:
+			return negZero
+		case v == mixColumns, v == mixOnOff:
+			return 0
+		default:
+			return v
+		}
+	})
+}
+
+// sameRender reports whether a float render matches its reference: equal
+// bits, except that +0 and −0 match. The fused kernel and the cached
+// amplitude may turn an input −0 into +0 or back (DESIGN.md §5j), and
+// Quant8 maps both to code 0.
+func sameRender(got, want float32) bool {
+	return math.Float32bits(got) == math.Float32bits(want) || (got == 0 && want == 0)
 }
 
 // driveOp is one call in TestDriveMatchesReference's walk: PushFrame(k),
@@ -382,9 +499,12 @@ func driveCodes(t *testing.T, cfg display.Config) map[uint32]uint8 {
 // frame.Quant8 of the direct clone+add+clamp render, whatever calls came
 // before — frames in sequence, then walks with repeats, skipped video
 // frames, backwards jumps and Frame calls between pushes (whose float
-// output must match the reference too). Sources: flat gray, the sun-rise
-// clip (a full refresh per video frame), the adversarial clamp-edge clip
-// and a ticker (partial dirty regions). Layouts: the small layout and one
+// output must match the reference too, ±0 aside). Sources: flat gray, the
+// sun-rise clip (a full refresh per video frame), the adversarial
+// clamp-edge clip, a ticker (partial dirty regions), Blocks flat but for
+// one rotating pixel and flat Blocks at edge levels (both hinted exactly,
+// so flatness is re-judged for the Blocks a partial region touches and
+// kept for the rest). Layouts: the small layout and one
 // whose one-pixel margins cut the grid's first Pixel column and row in
 // two. Workers 1, 2 and 8; the render counters must equal those of a
 // multiplexer that made the same calls through Frame.
@@ -405,6 +525,8 @@ func TestDriveMatchesReference(t *testing.T) {
 			"sun-rise":    func() video.Source { return video.NewSunRise(l.FrameW, l.FrameH, 4) },
 			"adversarial": func() video.Source { return adversarialVideo(l, float32(p0.Delta)) },
 			"ticker":      func() video.Source { return video.NewTicker(l.FrameW, l.FrameH, 5, 3) },
+			"odd-pixel":   func() video.Source { return oddPixelVideo(l, float32(p0.Delta)) },
+			"flat-levels": func() video.Source { return flatLevelVideo(l, float32(p0.Delta)) },
 		}
 		for name, src := range sources {
 			for _, workers := range []int{1, 2, 8} {
@@ -424,7 +546,7 @@ func TestDriveMatchesReference(t *testing.T) {
 					if op.frame {
 						got := m.Frame(op.k)
 						for j := range want.Pix {
-							if math.Float32bits(got.Pix[j]) != math.Float32bits(want.Pix[j]) {
+							if !sameRender(got.Pix[j], want.Pix[j]) {
 								t.Fatalf("%s call %d Frame(%d) pixel %d: %v, reference %v", tag, i, op.k, j, got.Pix[j], want.Pix[j])
 							}
 						}

@@ -203,7 +203,7 @@ func TestDecodeDriversScoreHostileCaptures(t *testing.T) {
 	// A mid-exposure three quarters into a data frame lies in no steady
 	// window, so a good capture there feeds nothing and only advances.
 	period := r.DataFramePeriod()
-	tEnd := (nData+0.75)*period - exp/2
+	tEnd := float64((nData+0.75)*period) - float64(exp/2)
 	for _, h := range hostile {
 		probe, err := NewStreamingReceiver(cfg, 4)
 		if err != nil {

@@ -258,7 +258,7 @@ func TestSteadyWindowLayout(t *testing.T) {
 	}
 	exp := 0.004
 	t0, t1 := r.steadyWindow(3, exp)
-	if t0 < 3*period+exp/2-1e-12 || t1 > 3.5*period-exp/2+1e-12 {
+	if t0 < float64(3*period)+float64(exp/2)-1e-12 || t1 > float64(3.5*period)-float64(exp/2)+1e-12 {
 		t.Fatalf("steady window [%v,%v] outside expectations", t0, t1)
 	}
 	// Over-long exposure degrades to a point at the quarter period.

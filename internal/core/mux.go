@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"inframe/internal/display"
 	"inframe/internal/frame"
@@ -81,8 +82,13 @@ type modulator struct {
 
 	// videoIdx is the video frame headroom was scanned from (-1 before the
 	// first); headroom is each Block's clipping-limited amplitude bound.
+	// flat is what the grayscale drive planes know of each Block's pixels
+	// in the current video frame: a headroom scan resets it for exactly the
+	// Blocks it rescans, and a drive-plane rewrite judges it
+	// (Multiplexer.judgeFlat).
 	videoIdx int
 	headroom []float32
+	flat     []blockFlat
 
 	// deltaAmp remembers the clipped amplitude each Block's chessboard-on
 	// pixels carry; -1 means "never rendered", which no clipped amplitude
@@ -123,6 +129,7 @@ func newModulator(p Params, src interface{ Size() (int, int) }, data Stream) (mo
 	return modulator{
 		p: p, data: data, videoIdx: -1,
 		headroom:   make([]float32, l.NumBlocks()),
+		flat:       make([]blockFlat, l.NumBlocks()),
 		deltaAmp:   amps,
 		staleBlock: make([]bool, l.NumBlocks()),
 		chess:      make([]float32, (2*l.BlocksY+1)*l.FrameW),
@@ -163,15 +170,52 @@ func (s RenderStats) SkipRate() float64 {
 // Params returns the transmitter parameters.
 func (m *modulator) Params() Params { return m.p }
 
-// nextVideo returns the video frame display frame k shows and the one the
-// headroom table was last scanned from, and records vi as scanned.
-func (m *modulator) nextVideo(k int) (vi, prev int) {
+// dirtyRegioner is the one method of video.RegionSource the engine reads:
+// a grayscale source's dirty-region hint, or a color source's
+// (video.Colorize forwards its grayscale source's).
+type dirtyRegioner interface {
+	DirtyRegion(i int) (video.Region, bool)
+}
+
+// nextVideo moves the engine to vi, the video frame display frame k shows,
+// and reports whether the caller must reload it and rescan its headroom.
+// reload is false when vi is the frame the headroom table already holds,
+// or when src certifies every transition since that frame as empty, so
+// frame vi is pixel-identical to it (a counted skip of the load and of
+// every headroom scan). Otherwise the reload is counted, and with dirtyOK
+// every changed pixel lies in dirty, the union of src's hints over each
+// skipped-over transition: Frame is random-access, so the engine may jump
+// several video frames between renders, and soundness needs every one of
+// them covered. The first frame, a backwards jump, a source without
+// hints and any hint with ok false leave dirtyOK false: reload and rescan
+// everything.
+func (m *modulator) nextVideo(k int, src any) (vi int, dirty video.Region, dirtyOK, reload bool) {
 	if k < 0 {
 		panic("core: negative display frame index")
 	}
-	vi, prev = k/m.p.VideoFrameRatio, m.videoIdx
+	vi, prev := k/m.p.VideoFrameRatio, m.videoIdx
+	if vi == prev {
+		return vi, dirty, false, false
+	}
 	m.videoIdx = vi
-	return vi, prev
+	if rs, ok := src.(dirtyRegioner); ok && prev >= 0 && vi > prev {
+		dirtyOK = true
+		for j := prev + 1; j <= vi; j++ {
+			r, ok := rs.DirtyRegion(j)
+			if !ok {
+				dirtyOK = false
+				break
+			}
+			dirty = dirty.Union(r)
+		}
+	}
+	if dirtyOK && dirty.Empty() {
+		m.stats.VideoSkipped++
+		m.stats.HeadroomSkipped += int64(m.p.Layout.NumBlocks())
+		return vi, dirty, true, false
+	}
+	m.stats.VideoRefreshes++
+	return vi, dirty, dirtyOK, true
 }
 
 // scanHeadroom recomputes the per-Block clipping headroom from the planes
@@ -180,12 +224,14 @@ func (m *modulator) nextVideo(k int) (vi, prev int) {
 // plane (§3.3's local amplitude adjustment for bright and dark areas; for
 // color, a saturated red sky limits the amplitude just like a saturated
 // gray one). With dirtyOK, a Block the dirty region misses keeps its
-// headroom: every certified transition left its pixels unchanged.
+// headroom, and its flatness: every certified transition left its pixels
+// unchanged. A rescanned Block's flatness is left unjudged until a drive
+// plane rewrite needs it (Multiplexer.judgeFlat).
 func (m *modulator) scanHeadroom(dirty video.Region, dirtyOK bool, planes ...[]float32) {
 	l := m.p.Layout
 	w, ps := l.FrameW, l.PixelSize
-	// Each Block row writes a disjoint headroom span, so the fan-out is an
-	// ordered merge: bit-identical at any worker count.
+	// Each Block row writes disjoint headroom and flatness spans, so the
+	// fan-out is an ordered merge: bit-identical at any worker count.
 	parallel.For(m.p.Workers, l.BlocksY, func(by int) {
 		var skipped int64
 		for bx := 0; bx < l.BlocksX; bx++ {
@@ -203,7 +249,8 @@ func (m *modulator) scanHeadroom(dirty video.Region, dirtyOK bool, planes ...[]f
 			if head < 0 {
 				head = 0
 			}
-			m.headroom[by*l.BlocksX+bx] = head
+			b := by*l.BlocksX + bx
+			m.headroom[b], m.flat[b] = head, blockFlat{}
 		}
 		m.rowSkips[by] = skipped
 	})
@@ -223,15 +270,22 @@ func (m *modulator) scanHeadroom(dirty video.Region, dirtyOK bool, planes ...[]f
 func (m *modulator) step(k int) float32 {
 	l := m.p.Layout
 	// Resolve the two data frames once: workers must not touch the Stream
-	// (implementations may cache or whiten per call).
+	// (implementations may cache or whiten per call). A Block's envelope
+	// depends on it only through its two bits, so evaluate it once per
+	// (cur, next) pair: env[2·cur+next].
 	cur := m.data.DataFrame(k / m.p.Tau)
 	next := m.data.DataFrame(k/m.p.Tau + 1)
+	var env [4]float64
+	for i := range env {
+		env[i] = envelope(m.p, i>>1 == 1, i&1 == 1, k)
+	}
 	parallel.For(m.p.Workers, l.BlocksY, func(by int) {
 		var skipped int64
 		i0 := by * l.BlocksX
 		amps := m.deltaAmp[i0 : i0+l.BlocksX]
+		curBits, nextBits := cur.Bits[i0:i0+l.BlocksX], next.Bits[i0:i0+l.BlocksX]
 		for bx, head := range m.headroom[i0 : i0+l.BlocksX] {
-			a := envelopeBetween(m.p, cur, next, bx, by, k)
+			a := env[2*bitInt(curBits[bx])+bitInt(nextBits[bx])]
 			if h := float64(head); a > h {
 				a = h
 			}
@@ -262,24 +316,21 @@ func (m *modulator) step(k int) float32 {
 	return 1
 }
 
-// envelopeAmplitude computes §3.2's smoothed pre-clipping amplitude of
-// Block (bx, by) at display frame k: steady during the first τ/2 frames of
-// the data period, transitioning toward the next data frame's level
-// afterwards.
-func envelopeAmplitude(p Params, data Stream, bx, by, k int) float64 {
-	d := k / p.Tau
-	return envelopeBetween(p, data.DataFrame(d), data.DataFrame(d+1), bx, by, k)
+// bitInt is 1 for a set bit and 0 for a clear one.
+func bitInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-// envelopeBetween is envelopeAmplitude over pre-resolved current/next data
-// frames. Resolving the frames once per rendered frame (instead of once per
-// Block) keeps Stream implementations with per-call work (whitening, cache
-// fills) off the per-Block path, and makes the Block fan-out safe: workers
-// read the two frames but never touch the Stream.
-func envelopeBetween(p Params, cur, next *DataFrame, bx, by, k int) float64 {
+// envelope computes §3.2's smoothed pre-clipping amplitude at display
+// frame k of a Block whose bit is c in k's data frame and n in the next:
+// steady during the first τ/2 frames of the data period, transitioning
+// toward the next data frame's level afterwards.
+func envelope(p Params, c, n bool, k int) float64 {
 	tau := p.Tau
 	j := k % tau
-	c := cur.Bit(bx, by)
 	a0 := 0.0
 	if c {
 		a0 = p.Delta
@@ -288,7 +339,6 @@ func envelopeBetween(p Params, cur, next *DataFrame, bx, by, k int) float64 {
 	if j < half {
 		return a0
 	}
-	n := next.Bit(bx, by)
 	if n == c {
 		return a0
 	}
@@ -456,41 +506,16 @@ func (m *Multiplexer) DataFrameIndex(k int) int { return k / m.p.Tau }
 //
 // When the source is a video.RegionSource and certifies every video-frame
 // transition since the cached frame, the refresh narrows to the accumulated
-// dirty region: an empty union skips the load and all headroom scans, a
-// partial union reloads the frame but rescans only intersecting Blocks.
-// Either way the reloaded pixels — the union, or the whole panel — are
-// marked stale in the drive planes.
+// dirty region (nextVideo): an empty union skips the load and all headroom
+// scans, keeping the video buffer, the headroom table and the drive planes
+// untouched; a partial union reloads the frame but rescans only
+// intersecting Blocks. Either way the reloaded pixels — the union, or the
+// whole panel — are marked stale in the drive planes.
 func (m *Multiplexer) refreshVideo(k int) {
-	vi, prev := m.nextVideo(k)
-	if vi == prev {
+	vi, dirty, dirtyOK, reload := m.nextVideo(k, m.video)
+	if !reload {
 		return
 	}
-	// Accumulate the dirty hint across every skipped-over video frame: the
-	// multiplexer may jump several video indices between renders (Frame is
-	// random-access), and soundness requires covering each transition. Any
-	// uncertified step — including backwards jumps — degrades to a full
-	// refresh.
-	var dirty video.Region
-	dirtyOK := false
-	if rs, ok := m.video.(video.RegionSource); ok && m.vframe != nil && vi > prev {
-		dirtyOK = true
-		for j := prev + 1; j <= vi; j++ {
-			r, ok := rs.DirtyRegion(j)
-			if !ok {
-				dirtyOK = false
-				break
-			}
-			dirty = dirty.Union(r)
-		}
-	}
-	if dirtyOK && dirty.Empty() {
-		// Frame vi is pixel-identical to the cached frame: keep the video
-		// buffer, the headroom table and the drive planes untouched.
-		m.stats.VideoSkipped++
-		m.stats.HeadroomSkipped += int64(m.p.Layout.NumBlocks())
-		return
-	}
-	m.stats.VideoRefreshes++
 	if dirtyOK {
 		m.staleVideo = m.staleVideo.Union(dirty)
 	} else {
@@ -547,11 +572,10 @@ func (m *Multiplexer) PushFrame(d *display.Display, k int) error {
 
 // refreshPlanes rewrites what prepare marked stale since the last push and
 // clears the marks: first every pixel of the stale video region, margins
-// included, then the chessboard-on pixels of each Block whose amplitude
-// changed, unless the whole panel was just rewritten. A pixel's codes are a
-// function of its V and D alone, so a pixel rewritten twice or in either
-// pass gets the same codes, and the fan-outs over disjoint rows are
-// bit-identical at any worker count.
+// included, then each Block whose amplitude changed, unless the whole panel
+// was just rewritten. A pixel's codes are a function of its V and D alone,
+// so a pixel rewritten twice or in either pass gets the same codes, and the
+// fan-outs over disjoint rows are bit-identical at any worker count.
 func (m *Multiplexer) refreshPlanes() {
 	l := m.p.Layout
 	w, h := l.FrameW, l.FrameH
@@ -589,28 +613,117 @@ func (m *Multiplexer) refreshPlanes() {
 	m.staleAll, m.blocksStale, m.staleVideo = false, false, video.Region{}
 }
 
-// rewriteBlocks re-rounds, in both drive planes, the chessboard-on pixels
-// of every stale Block of Block row by. Off-chess pixels carry D = 0 at any
-// amplitude, so an amplitude change never touches them. The walk is row by
-// row across the Block row, so the planes and the video are read in panel
-// order.
+// rewriteBlocks rewrites, in both drive planes, every stale Block of Block
+// row by at its new amplitude, judging first the flatness of any stale
+// Block the last headroom scan left unjudged. A flat Block is written from
+// byte patterns (rewriteFlat); the others are re-rounded at their
+// chessboard-on pixels only, since off-chess pixels carry D = 0 at any
+// amplitude and an amplitude change never touches them. That walk is row
+// by row across the Block row, so the planes and the video are read in
+// panel order. Block rows own disjoint flatness spans.
 func (m *Multiplexer) rewriteBlocks(by int) {
 	l := m.p.Layout
 	w, ps, bp := l.FrameW, l.PixelSize, l.BlockPx()
-	stale := m.staleBlock[by*l.BlocksX : (by+1)*l.BlocksX]
-	amps := m.deltaAmp[by*l.BlocksX : (by+1)*l.BlocksX]
+	i0 := by * l.BlocksX
+	stale := m.staleBlock[i0 : i0+l.BlocksX]
+	amps := m.deltaAmp[i0 : i0+l.BlocksX]
+	flat := m.flat[i0 : i0+l.BlocksX]
 	mx, y0 := l.MarginX(), l.MarginY()+by*bp
+	textured := false
+	for bx, st := range stale {
+		if !st {
+			continue
+		}
+		if !flat[bx].judged {
+			flat[bx] = m.judgeFlat(mx+bx*bp, y0)
+		}
+		if flat[bx].ok {
+			m.rewriteFlat(mx+bx*bp, y0, flat[bx].v, amps[bx])
+		} else {
+			textured = true
+		}
+	}
+	if !textured {
+		return
+	}
 	for y := y0; y < y0+bp; y++ {
 		base := y * w
 		vr, pr, mr := m.vframe.Pix[base:base+w], m.plus[base:base+w], m.minus[base:base+w]
 		pj := y / ps
 		for bx, st := range stale {
-			if !st {
+			if !st || flat[bx].ok {
 				continue
 			}
 			x0 := mx + bx*bp
 			roundOnRuns(vr, pr, mr, x0, x0+bp, ps, pj, amps[bx])
 		}
+	}
+}
+
+// blockFlat is a Block's flatness in the current video frame: once
+// judged, whether every pixel holds one float32 value, and that value.
+type blockFlat struct {
+	judged, ok bool
+	v          float32
+}
+
+// judgeFlat judges the Block at (x0, y0) in the current video frame: flat
+// when every pixel holds the bits of the first (Float32bits, so ±0 and two
+// NaN payloads are different values). It reads the Block's rows in panel
+// order and stops at the first pixel that differs, so a textured Block
+// costs a few reads; the headroom scan does no extra work, and a Block no
+// rewrite reaches before the next rescan is never judged.
+func (m *Multiplexer) judgeFlat(x0, y0 int) blockFlat {
+	l := m.p.Layout
+	w, bp := l.FrameW, l.BlockPx()
+	v := m.vframe.Pix[y0*w+x0]
+	ref := math.Float32bits(v)
+	for y := y0; y < y0+bp; y++ {
+		for _, u := range m.vframe.Pix[y*w+x0 : y*w+x0+bp] {
+			if math.Float32bits(u) != ref {
+				return blockFlat{judged: true}
+			}
+		}
+	}
+	return blockFlat{judged: true, ok: true, v: v}
+}
+
+// rewriteFlat writes the codes of the flat Block at (x0, y0), every pixel
+// v, at amplitude a: Quant8(v + a) in plus and Quant8(v − a) in minus at
+// its chessboard-on pixels, and Quant8(v) at the rest, which is what both
+// planes already hold there (V ± 0 is V, or +0 for −0, and Quant8 maps
+// both zeros to 0). Which pixels are on depends on the panel row only
+// through its Pixel-row parity, so each plane's Block rows take one of two
+// byte patterns: the first row of each parity is built in place and the
+// later ones copy it.
+func (m *Multiplexer) rewriteFlat(x0, y0 int, v, a float32) {
+	l := m.p.Layout
+	w, ps, bp := l.FrameW, l.PixelSize, l.BlockPx()
+	off, onP, onM := frame.Quant8(v), frame.Quant8(v+a), frame.Quant8(v-a)
+	// q is the parity of row y's Pixel row, which changes at next; patP[q]
+	// and patM[q] are the rows of parity q built so far.
+	var patP, patM [2][]uint8
+	q, next := (y0/ps)%2, (y0/ps+1)*ps
+	for y := y0; y < y0+bp; y++ {
+		if y == next {
+			q, next = q^1, next+ps
+		}
+		i := y*w + x0
+		pr, mr := m.plus[i:i+bp], m.minus[i:i+bp]
+		if patP[q] != nil {
+			copy(pr, patP[q])
+			copy(mr, patM[q])
+			continue
+		}
+		for x := range pr {
+			pr[x], mr[x] = off, off
+		}
+		for pi, s := firstOnRun(x0, ps, q); s < x0+bp; pi, s = pi+2, (pi+2)*ps {
+			for x := s - x0; x < min((pi+1)*ps, x0+bp)-x0; x++ {
+				pr[x], mr[x] = onP, onM
+			}
+		}
+		patP[q], patM[q] = pr, mr
 	}
 }
 

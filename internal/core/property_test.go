@@ -100,9 +100,10 @@ func TestPropEnvelopeBounds(t *testing.T) {
 		p.Tau = 8
 		stream := NewRandomStream(l, seed)
 		k := int(kRaw) % (20 * p.Tau)
+		cur, next := stream.DataFrame(k/p.Tau), stream.DataFrame(k/p.Tau+1)
 		for by := 0; by < l.BlocksY; by++ {
 			for bx := 0; bx < l.BlocksX; bx++ {
-				a := envelopeAmplitude(p, stream, bx, by, k)
+				a := envelope(p, cur.Bit(bx, by), next.Bit(bx, by), k)
 				if a < -1e-12 || a > p.Delta+1e-12 {
 					return false
 				}

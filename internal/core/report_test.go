@@ -191,7 +191,7 @@ func TestMinCaptureQualityGating(t *testing.T) {
 	// steady window, after the genuine captures so the aggregation order of
 	// the clean prefix is unchanged.
 	garbage := frame.NewFilled(l.FrameW, l.FrameH, 0)
-	gt := times[7*p.Tau] + exp/4
+	gt := times[7*p.Tau] + float64(exp/4)
 	polluted := append(append([]*frame.Frame{}, caps...), garbage)
 	pollutedTimes := append(append([]float64{}, times...), gt)
 

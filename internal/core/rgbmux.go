@@ -31,14 +31,15 @@ func NewRGBMultiplexer(p Params, src video.RGBSource, data Stream) (*RGBMultiple
 }
 
 // FrameRGB renders the multiplexed color frame k: on a new video frame it
-// loads the frame and rescans the headroom across its R, G and B planes,
-// then runs the amplitude step and renders each channel from the cached
-// frame. The caller owns the returned frame.
+// loads the frame and rescans the headroom across its R, G and B planes —
+// skipping both when the source's dirty-region hint certifies the frame
+// unchanged, and rescanning only the Blocks a partial hint touches — then
+// runs the amplitude step and renders each channel from the cached frame.
+// The caller owns the returned frame.
 func (m *RGBMultiplexer) FrameRGB(k int) *frame.RGB {
-	if vi, prev := m.nextVideo(k); vi != prev {
+	if vi, dirty, dirtyOK, reload := m.nextVideo(k, m.video); reload {
 		m.vframe = m.video.FrameRGB(vi)
-		m.stats.VideoRefreshes++
-		m.scanHeadroom(video.Region{}, false, m.vframe.R, m.vframe.G, m.vframe.B)
+		m.scanHeadroom(dirty, dirtyOK, m.vframe.R, m.vframe.G, m.vframe.B)
 	}
 	sign := m.step(k)
 	m.fillChess()

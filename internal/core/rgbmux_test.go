@@ -45,13 +45,13 @@ func TestRGBPairFusesAndPreservesChroma(t *testing.T) {
 	f0, f1 := m.FrameRGB(0), m.FrameRGB(1)
 	orig := src.FrameRGB(0)
 	for i := range orig.R {
-		if avg := (f0.R[i] + f1.R[i]) / 2; math.Abs(float64(avg-orig.R[i])) > 1e-3 {
+		if avg := float32((f0.R[i] + f1.R[i]) / 2); math.Abs(float64(avg-orig.R[i])) > 1e-3 {
 			t.Fatalf("R pixel %d fuses to %v, want %v", i, avg, orig.R[i])
 		}
-		if avg := (f0.G[i] + f1.G[i]) / 2; math.Abs(float64(avg-orig.G[i])) > 1e-3 {
+		if avg := float32((f0.G[i] + f1.G[i]) / 2); math.Abs(float64(avg-orig.G[i])) > 1e-3 {
 			t.Fatalf("G pixel %d fuses to %v, want %v", i, avg, orig.G[i])
 		}
-		if avg := (f0.B[i] + f1.B[i]) / 2; math.Abs(float64(avg-orig.B[i])) > 1e-3 {
+		if avg := float32((f0.B[i] + f1.B[i]) / 2); math.Abs(float64(avg-orig.B[i])) > 1e-3 {
 			t.Fatalf("B pixel %d fuses to %v, want %v", i, avg, orig.B[i])
 		}
 	}
@@ -176,5 +176,84 @@ func TestColorSunRise(t *testing.T) {
 	}
 	if s.FPS() != 30 {
 		t.Fatal("FPS wrong")
+	}
+}
+
+// TestRGBRenderStatsMatchGray: through video.Colorize the color multiplexer
+// reads its grayscale source's dirty-region hint, so over the same source
+// and the same calls — frames in sequence, repeats, skipped video frames and
+// backwards jumps — it skips exactly the loads and headroom scans the
+// grayscale multiplexer skips: their RenderStats are equal, on static gray
+// (every load after the first skipped) and on a ticker (partial regions).
+func TestRGBRenderStatsMatchGray(t *testing.T) {
+	p := smallParams()
+	l := p.Layout
+	for name, src := range map[string]func() video.Source{
+		"gray":   func() video.Source { return video.Gray(l.FrameW, l.FrameH) },
+		"ticker": func() video.Source { return video.NewTicker(l.FrameW, l.FrameH, 5, 3) },
+	} {
+		gray := newMux(t, p, src(), NewRandomStream(l, 4))
+		color, err := NewRGBMultiplexer(p, video.Colorize{Src: src()}, NewRandomStream(l, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range driveWalk(p.Tau) {
+			gray.Recycle(gray.Frame(op.k))
+			color.FrameRGB(op.k)
+		}
+		g, c := gray.RenderStats(), color.RenderStats()
+		if c != g {
+			t.Errorf("%s: color render stats %+v, grayscale %+v", name, c, g)
+		}
+		if g.HeadroomSkipped == 0 {
+			t.Errorf("%s: the grayscale multiplexer skipped no headroom scan (%+v)", name, g)
+		}
+	}
+}
+
+// TestRGBDirtyHintMatchesUnhinted: a colorized ticker, and colorized
+// Blocks flat but for one pixel at clamp-edge levels (whose headroom sets
+// the amplitude, and whose lower half alone changes), render bit for bit
+// like the same sources with the dirty-region hint hidden, which reload and
+// rescan every video frame, under the same calls at Workers 1, 2 and 8.
+func TestRGBDirtyHintMatchesUnhinted(t *testing.T) {
+	p0 := smallParams()
+	p0.VideoFrameRatio = 2
+	l := p0.Layout
+	sources := map[string]func() video.Source{
+		"ticker":    func() video.Source { return video.NewTicker(l.FrameW, l.FrameH, 5, 3) },
+		"odd-pixel": func() video.Source { return oddPixelVideo(l, float32(p0.Delta)) },
+	}
+	for name, src := range sources {
+		for _, workers := range []int{1, 2, 8} {
+			p := p0
+			p.Workers = workers
+			hinted, err := NewRGBMultiplexer(p, video.Colorize{Src: src()}, NewRandomStream(l, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Embedding the interface hides every method but RGBSource's.
+			plain, err := NewRGBMultiplexer(p, struct{ video.RGBSource }{video.Colorize{Src: src()}}, NewRandomStream(l, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, op := range driveWalk(p.Tau) {
+				got, want := hinted.FrameRGB(op.k), plain.FrameRGB(op.k)
+				for c, pair := range [][2][]float32{{got.R, want.R}, {got.G, want.G}, {got.B, want.B}} {
+					for j, w := range pair[1] {
+						if math.Float32bits(pair[0][j]) != math.Float32bits(w) {
+							t.Fatalf("%s workers=%d call %d FrameRGB(%d) channel %c pixel %d: hinted %v, unhinted %v",
+								name, workers, i, op.k, "RGB"[c], j, pair[0][j], w)
+						}
+					}
+				}
+			}
+			if hinted.RenderStats().HeadroomSkipped == 0 {
+				t.Errorf("%s workers=%d: the hint skipped no headroom scan", name, workers)
+			}
+			if st := plain.RenderStats(); st.HeadroomSkipped != 0 || st.VideoSkipped != 0 {
+				t.Errorf("%s workers=%d: the unhinted source skipped work: %+v", name, workers, st)
+			}
+		}
 	}
 }

@@ -370,7 +370,7 @@ func referenceMeasureOn(r *Receiver, f *frame.Frame, t0 float64, warped bool) ([
 		// scan plane is the sensor; in projective mode each rectified row
 		// images from the sensor row the pose maps it to (taken at the
 		// Block's center column — row-timing varies slowly across a Block).
-		cxMid := float64(rect.x0) + float64(rect.w)/2
+		cxMid := float64(rect.x0) + float64(float64(rect.w)/2)
 		for y := rect.y0; y < rect.y0+rect.h; y++ {
 			rowW := 1.0
 			if weights != nil {
@@ -400,7 +400,7 @@ func referenceMeasureOn(r *Receiver, f *frame.Frame, t0 float64, warped bool) ([
 				// residual warp instead of cliffing, and the SNR-style
 				// Σw·m / Σw² estimator below stays unbiased for clean rows.
 				fr := float64(2*(y-rect.y0)+1)/float64(rect.h) - 1
-				rowW *= 1 - 0.5*math.Abs(fr)
+				rowW *= 1 - float64(0.5*math.Abs(fr))
 			}
 			base := y * f.W
 			var rowAcc float64
@@ -426,8 +426,8 @@ func referenceMeasureOn(r *Receiver, f *frame.Frame, t0 float64, warped bool) ([
 			}
 			// SNR weighting: estimate = Σ w·m / Σ w², which reduces to the
 			// plain mean when every row is clean (w = 1).
-			acc += rowAcc * rowW
-			n += float64(rect.w) * rowW * rowW
+			acc += float64(rowAcc * rowW)
+			n += float64(float64(rect.w) * rowW * rowW)
 		}
 		// n sums strictly positive terms (rect.w · rowW², rowW ≥ the
 		// attenuation floor), so it is exactly zero iff every row was

@@ -210,7 +210,7 @@ func TestStreamingDecisionMatchesBatchUnderPose(t *testing.T) {
 	if !(r.minGap < cfg.MinGap) {
 		t.Fatalf("projective pose did not attenuate the swing floor: %v vs MinGap %v", r.minGap, cfg.MinGap)
 	}
-	gap := (r.minGap + cfg.MinGap) / 2
+	gap := float64((r.minGap + cfg.MinGap) / 2)
 
 	// One capture per data frame: Blocks alternate between two levels gap
 	// apart, and every third Block has a degraded link quality, which widens
@@ -269,7 +269,7 @@ func TestStreamingMinCaptureQualityGating(t *testing.T) {
 	at := 7*p.Tau + p.Tau/2 // first capture past frame 7's steady window
 	garbage := frame.NewFilled(l.FrameW, l.FrameH, 0)
 	polluted := append(append(append([]*frame.Frame{}, caps[:at]...), garbage), caps[at:]...)
-	pollutedTimes := append(append(append([]float64{}, times[:at]...), times[7*p.Tau]+exp/4), times[at:]...)
+	pollutedTimes := append(append(append([]float64{}, times[:at]...), times[7*p.Tau]+float64(exp/4)), times[at:]...)
 
 	run := func(gate float64, caps []*frame.Frame, times []float64) []*FrameDecode {
 		cfg := DefaultReceiverConfig(p, l.FrameW, l.FrameH)

@@ -19,11 +19,11 @@ func TestEstimatePhaseRecoversOffset(t *testing.T) {
 
 	nData := 12
 	frames := m.Render(nData * p.Tau)
-	truePhase := 0.375 * period
+	truePhase := float64(0.375 * period)
 	// Captures at ~31 FPS (sampling many phases), shifted by truePhase.
 	var caps []*frame.Frame
 	var times []float64
-	for t0 := 0.0; t0 < float64(nData)*period-0.02; t0 += 1.0 / 31 {
+	for t0 := 0.0; t0 < float64(float64(nData)*period)-0.02; t0 += 1.0 / 31 {
 		k := int((t0) * 120)
 		if k >= len(frames) {
 			break

@@ -85,7 +85,7 @@ func TestGammaMapsDriveToLuminance(t *testing.T) {
 	if err := d.Push(frame.NewFilled(2, 2, 127)); err != nil {
 		t.Fatal(err)
 	}
-	want := 255 * math.Pow(127.0/255, 2.2)
+	want := float64(255 * math.Pow(127.0/255, 2.2))
 	got := float64(d.Luminance(0).At(0, 0))
 	if math.Abs(got-want) > 1e-3 {
 		t.Fatalf("luminance = %v, want %v", got, want)
@@ -138,7 +138,7 @@ func TestWindowAverageSpansFrames(t *testing.T) {
 		t.Fatalf("two-frame average = %v, want 150", avg.At(0, 0))
 	}
 	// 75/25 split.
-	avg2 := d.WindowAverage(0.5*T, T+0.5*T+1e-12)
+	avg2 := d.WindowAverage(0.5*T, T+float64(0.5*T)+1e-12)
 	if math.Abs(float64(avg2.At(0, 0))-150) > 1e-3 {
 		t.Fatalf("half-offset average = %v, want 150", avg2.At(0, 0))
 	}
@@ -164,10 +164,10 @@ func TestWindowAverageHoldsBeyondEnds(t *testing.T) {
 	// 2⁴⁰ and 2⁵⁰ refresh intervals out: past where a 32-bit interval
 	// index wraps, inside maxInterval.
 	for _, k := range []float64{1 << 40, 1 << 50} {
-		if v := d.WindowAverage(-k*T, -k*T+2*T).At(0, 0); math.Abs(float64(v)-60) > 1e-3 {
+		if v := d.WindowAverage(-k*T, float64(-k*T)+float64(2*T)).At(0, 0); math.Abs(float64(v)-60) > 1e-3 {
 			t.Errorf("hold %v intervals before the start = %v, want 60", k, v)
 		}
-		if v := d.WindowAverage(k*T, k*T+2*T).At(1, 1); math.Abs(float64(v)-200) > 1e-3 {
+		if v := d.WindowAverage(k*T, float64(k*T)+float64(2*T)).At(1, 1); math.Abs(float64(v)-200) > 1e-3 {
 			t.Errorf("hold %v intervals past the end = %v, want 200", k, v)
 		}
 	}
@@ -430,11 +430,11 @@ func TestRetireMatchesUnretired(t *testing.T) {
 			}
 			full.Push(f)
 			bounded.Push(f)
-			t0 := (float64(k) - 1.7) * T
+			t0 := float64((float64(k) - 1.7) * T)
 			bounded.Retire(t0)
 			for y := 0; y < 2; y++ {
-				full.RowAverage(y, t0, t0+1.3*T, want)
-				bounded.RowAverage(y, t0, t0+1.3*T, got)
+				full.RowAverage(y, t0, t0+float64(1.3*T), want)
+				bounded.RowAverage(y, t0, t0+float64(1.3*T), got)
 				for x := range want {
 					if math.Float32bits(got[x]) != math.Float32bits(want[x]) {
 						t.Fatalf("%+v frame %d row %d px %d: bounded %v, full %v", cfg, k, y, x, got[x], want[x])

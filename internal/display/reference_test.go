@@ -53,7 +53,7 @@ func refRowAverage(d *Display, y int, t0, t1 float64, dst []float32) {
 			target := d.driveFrame(k)[y*w : y*w+w]
 			wgt := float32((b-a)/total) * boost
 			for x := 0; x < w; x++ {
-				dst[x] += d.lut[target[x]] * wgt
+				dst[x] += float32(d.lut[target[x]] * wgt)
 			}
 		}
 		return
@@ -74,13 +74,13 @@ func refRowAverage(d *Display, y int, t0, t1 float64, dst []float32) {
 			// Settled (held) frame or ideal pixels: constant luminance.
 			wgt := float32((b - a) / total)
 			for x := 0; x < w; x++ {
-				dst[x] += d.lut[target[x]] * wgt
+				dst[x] += float32(d.lut[target[x]] * wgt)
 			}
 			continue
 		}
 		// Exponential approach from the interval-start state:
 		// ∫ target + (s−target)·e^{−(t−tk)/τ} dt over [a,b].
-		tk := float64(k) * T
+		tk := float64(float64(k) * T)
 		ea := math.Exp(-(a - tk) / tauR)
 		eb := math.Exp(-(b - tk) / tauR)
 		cLin := float32((b - a) / total)
@@ -88,7 +88,7 @@ func refRowAverage(d *Display, y int, t0, t1 float64, dst []float32) {
 		st := d.state[k-d.base].Pix[y*w : y*w+w]
 		for x := 0; x < w; x++ {
 			tg := d.lut[target[x]]
-			dst[x] += tg*cLin + (st[x]-tg)*cExp
+			dst[x] += float32(tg*cLin) + float32((st[x]-tg)*cExp)
 		}
 	}
 }

@@ -264,8 +264,8 @@ func TestThresholdSweepTradeoff(t *testing.T) {
 	// The unconditional error mass (erroneous GOBs per transmitted GOB)
 	// falls as the band widens; the *conditional* rate can drift either
 	// way because the surviving population changes.
-	first := rows[0].ErrorRate * rows[0].AvailableRatio
-	last := rows[len(rows)-1].ErrorRate * rows[len(rows)-1].AvailableRatio
+	first := float64(rows[0].ErrorRate * rows[0].AvailableRatio)
+	last := float64(rows[len(rows)-1].ErrorRate * rows[len(rows)-1].AvailableRatio)
 	if last > first+0.01 {
 		t.Errorf("unconditional errors rose with band: %.3f -> %.3f", first, last)
 	}

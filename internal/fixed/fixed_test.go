@@ -434,9 +434,9 @@ func TestRowAbsEnergy8MatchesNaive(t *testing.T) {
 func TestBilinearQ16MatchesFloat(t *testing.T) {
 	const qOne = 1 << qBits
 	ref := func(v00, v01, v10, v11 uint8, wx, wy float64) float64 {
-		top := float64(v00) + (float64(v01)-float64(v00))*wx
-		bot := float64(v10) + (float64(v11)-float64(v10))*wx
-		return top + (bot-top)*wy
+		top := float64(v00) + float64((float64(v01)-float64(v00))*wx)
+		bot := float64(v10) + float64((float64(v11)-float64(v10))*wx)
+		return top + float64((bot-top)*wy)
 	}
 	// Corner weights select taps exactly.
 	corners := []struct {
@@ -462,7 +462,7 @@ func TestBilinearQ16MatchesFloat(t *testing.T) {
 		v00, v01 := uint8(rng.Intn(256)), uint8(rng.Intn(256))
 		v10, v11 := uint8(rng.Intn(256)), uint8(rng.Intn(256))
 		wx, wy := int32(rng.Intn(qOne+1)), int32(rng.Intn(qOne+1))
-		got := float64(BilinearQ16(v00, v01, v10, v11, wx, wy)) / qOne
+		got := float64(float64(BilinearQ16(v00, v01, v10, v11, wx, wy)) / qOne)
 		want := ref(v00, v01, v10, v11, float64(wx)/qOne, float64(wy)/qOne)
 		if math.Abs(got-want) > 1.0/(1<<12) {
 			t.Fatalf("taps (%d,%d,%d,%d) weights (%d,%d): got %v, want %v",

@@ -139,7 +139,7 @@ func (f *Frame) AddScaled(g *Frame, k float32) error {
 		return ErrSizeMismatch
 	}
 	for i, v := range g.Pix {
-		f.Pix[i] += k * v
+		f.Pix[i] += float32(k * v)
 	}
 	return nil
 }

@@ -392,10 +392,10 @@ func refAreaResample(f *Frame, w, h int) *Frame {
 	sx := float64(f.W) / float64(w)
 	sy := float64(f.H) / float64(h)
 	for oy := 0; oy < h; oy++ {
-		by0 := float64(oy) * sy
+		by0 := float64(float64(oy) * sy)
 		by1 := by0 + sy
 		for ox := 0; ox < w; ox++ {
-			bx0 := float64(ox) * sx
+			bx0 := float64(float64(ox) * sx)
 			bx1 := bx0 + sx
 			var sum, area float64
 			for iy := int(by0); iy < int(math.Ceil(by1)) && iy < f.H; iy++ {
@@ -408,8 +408,8 @@ func refAreaResample(f *Frame, w, h int) *Frame {
 					if fx <= 0 {
 						continue
 					}
-					wgt := fx * fy
-					sum += wgt * float64(f.Pix[iy*f.W+ix])
+					wgt := float64(fx * fy)
+					sum += float64(wgt * float64(f.Pix[iy*f.W+ix]))
 					area += wgt
 				}
 			}
@@ -428,7 +428,7 @@ func refBilinearResample(f *Frame, w, h int) *Frame {
 	sx := float64(f.W-1) / float64(max(w-1, 1))
 	sy := float64(f.H-1) / float64(max(h-1, 1))
 	for oy := 0; oy < h; oy++ {
-		fy := float64(oy) * sy
+		fy := float64(float64(oy) * sy)
 		y0 := int(fy)
 		y1 := min(y0+1, f.H-1)
 		wy := float32(fy - float64(y0))
@@ -436,7 +436,7 @@ func refBilinearResample(f *Frame, w, h int) *Frame {
 		row1 := f.Pix[y1*f.W : (y1+1)*f.W]
 		orow := out.Pix[oy*w : (oy+1)*w]
 		for ox := 0; ox < w; ox++ {
-			fx := float64(ox) * sx
+			fx := float64(float64(ox) * sx)
 			x0 := int(fx)
 			x1 := min(x0+1, f.W-1)
 			wx := float32(fx - float64(x0))
@@ -444,9 +444,9 @@ func refBilinearResample(f *Frame, w, h int) *Frame {
 			v01 := row0[x1]
 			v10 := row1[x0]
 			v11 := row1[x1]
-			top := v00 + (v01-v00)*wx
-			bot := v10 + (v11-v10)*wx
-			orow[ox] = top + (bot-top)*wy
+			top := v00 + float32((v01-v00)*wx)
+			bot := v10 + float32((v11-v10)*wx)
+			orow[ox] = top + float32((bot-top)*wy)
 		}
 	}
 	return out
@@ -568,7 +568,7 @@ func TestMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 10 * math.Log10(255*255/16.0)
+	want := float64(10 * math.Log10(255*255/16.0))
 	if math.Abs(psnr-want) > 1e-9 {
 		t.Fatalf("PSNR = %v, want %v", psnr, want)
 	}

@@ -17,8 +17,8 @@ func randQuad(rng *rand.Rand, w, h float64) [4][2]float64 {
 	j := 0.24 * math.Min(w, h)
 	base := [4][2]float64{{0, 0}, {w, 0}, {w, h}, {0, h}}
 	for i := range base {
-		base[i][0] += (2*rng.Float64() - 1) * j
-		base[i][1] += (2*rng.Float64() - 1) * j
+		base[i][0] += float64((2*float64(rng.Float64()) - 1) * j)
+		base[i][1] += float64((2*float64(rng.Float64()) - 1) * j)
 	}
 	return base
 }
@@ -27,9 +27,9 @@ func randQuad(rng *rand.Rand, w, h float64) [4][2]float64 {
 // axis-aligned core with mild rotation/shear and small perspective terms.
 func randHomography(rng *rand.Rand) Homography {
 	return Homography{M: [9]float64{
-		0.5 + rng.Float64(), (rng.Float64() - 0.5) * 0.2, (rng.Float64() - 0.5) * 40,
-		(rng.Float64() - 0.5) * 0.2, 0.5 + rng.Float64(), (rng.Float64() - 0.5) * 40,
-		(rng.Float64() - 0.5) * 1e-3, (rng.Float64() - 0.5) * 1e-3, 1,
+		0.5 + float64(rng.Float64()), (float64(rng.Float64()) - 0.5) * 0.2, (float64(rng.Float64()) - 0.5) * 40,
+		(float64(rng.Float64()) - 0.5) * 0.2, 0.5 + float64(rng.Float64()), (float64(rng.Float64()) - 0.5) * 40,
+		(float64(rng.Float64()) - 0.5) * 1e-3, (float64(rng.Float64()) - 0.5) * 1e-3, 1,
 	}}
 }
 
@@ -274,7 +274,7 @@ func FuzzWarpInto(f *testing.F) {
 			if integral {
 				src.Pix[i] = float32(rng.Intn(256))
 			} else {
-				src.Pix[i] = float32(rng.Float64()*300 - 20)
+				src.Pix[i] = float32(float64(rng.Float64()*300) - 20)
 			}
 		}
 		if integral && seed < 0 {
@@ -347,20 +347,20 @@ func referenceWarpInto(src, dst *Frame, h Homography) {
 	const qOne = 1 << 16
 	for y := 0; y < dst.H; y++ {
 		fy := float64(y)
-		nx0 := m1*fy + m2
-		ny0 := m4*fy + m5
-		d0 := m7*fy + m8
+		nx0 := float64(m1*fy) + m2
+		ny0 := float64(m4*fy) + m5
+		d0 := float64(m7*fy) + m8
 		orow := dst.Pix[y*dst.W : (y+1)*dst.W]
 		for x := 0; x < dst.W; x++ {
 			fx := float64(x)
-			d := m6*fx + d0
+			d := float64(m6*fx) + d0
 			if !(math.Abs(d) > 1e-12) {
 				orow[x] = 0
 				continue
 			}
 			inv := 1 / d
-			sx := (m0*fx + nx0) * inv
-			sy := (m3*fx + ny0) * inv
+			sx := float64((float64(m0*fx) + nx0) * inv)
+			sy := float64((float64(m3*fx) + ny0) * inv)
 			if !(sx >= 0 && sx <= maxX && sy >= 0 && sy <= maxY) {
 				orow[x] = 0
 				continue

@@ -81,7 +81,7 @@ func source(w, h int, integral bool, seed int64) *frame.Frame {
 		if integral {
 			f.Pix[i] = float32(rng.Intn(256))
 		} else {
-			f.Pix[i] = float32(rng.Float64()*300 - 20)
+			f.Pix[i] = float32(float64(rng.Float64()*300) - 20)
 		}
 	}
 	return f

@@ -269,7 +269,10 @@ func (o Observer) ArtifactAmplitude(samples, reference []float64) float64 {
 		b += s
 	}
 	b /= float64(len(reference))
-	return math.Abs(a - b)
+	// A caller whose lengths are constant may turn the divisions into
+	// products; the conversions keep either from fusing with the
+	// subtraction.
+	return math.Abs(float64(a) - float64(b))
 }
 
 // ScoreWaveformRef scores a pixel waveform against the reference
@@ -342,7 +345,9 @@ func MeanStd(ratings []int) (mean, std float64) {
 	}
 	mean /= float64(len(ratings))
 	for _, r := range ratings {
-		d := float64(r) - mean
+		// As in ArtifactAmplitude: a constant length may make mean a
+		// product, which the conversion keeps from fusing.
+		d := float64(r) - float64(mean)
 		std += float64(d * d)
 	}
 	std = math.Sqrt(std / float64(len(ratings)))

@@ -112,8 +112,8 @@ func TestBrighterFlickersMore(t *testing.T) {
 	score := func(drive, delta float64) float64 {
 		hi := toLum(drive + delta)
 		lo := toLum(drive - delta)
-		base := (hi + lo) / 2
-		w := alternation(base, (hi-lo)/2, 240, 4)
+		base := float64((hi + lo) / 2)
+		w := alternation(base, float64((hi-lo)/2), 240, 4)
 		return o.Score(o.FlickerAmplitude(w, fs))
 	}
 	prev := -1.0
@@ -138,7 +138,7 @@ func TestFlickerAmplitudeIgnoresSlowContent(t *testing.T) {
 	n := 960
 	w := make([]float64, n)
 	for i := range w {
-		w[i] = 120 + 60*math.Sin(2*math.Pi*2*float64(i)/fs)
+		w[i] = 120 + float64(60*math.Sin(2*math.Pi*2*float64(i)/fs))
 	}
 	amp := o.FlickerAmplitude(w, fs)
 	if s := o.Score(amp); s > 0.5 {

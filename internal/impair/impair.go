@@ -25,7 +25,6 @@ package impair
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"inframe/internal/detrng"
 	"inframe/internal/frame"
@@ -260,12 +259,6 @@ func (c *Config) Validate() error {
 // Stack is an instantiated impairment pipeline.
 type Stack struct {
 	cfg Config
-	// posePlan is the camera-pose stage's warp plan for a fixed pose, built
-	// on the first posed capture for that capture's size (posePlanFor) and
-	// read-only afterwards; poseMu guards the pointer. A jittered pose warps
-	// each capture directly and never builds one.
-	poseMu   sync.Mutex
-	posePlan *frame.WarpPlan
 }
 
 // New builds a stack. The configuration must have passed Validate.

@@ -108,11 +108,11 @@ func TestPeriodDrift(t *testing.T) {
 	s := New(Config{ClockDriftPPM: 500})
 	base := 1.0 / 30
 	got := s.Period(base)
-	want := base * 1.0005
-	if math.Abs(got-want) > 1e-12 {
+	want := float64(base * 1.0005)
+	if math.Abs(float64(got)-want) > 1e-12 {
 		t.Errorf("Period = %v, want %v", got, want)
 	}
-	if p := New(Config{}).Period(base); math.Abs(p-base) > 0 {
+	if p := New(Config{}).Period(base); math.Abs(float64(p)-base) > 0 {
 		t.Errorf("zero drift changed the period: %v != %v", p, base)
 	}
 }
@@ -122,7 +122,7 @@ func TestCaptureTimeJitterBoundedAndDeterministic(t *testing.T) {
 	s := New(Config{Seed: 11, StartJitter: jitter})
 	period := 1.0 / 30
 	for i := 0; i < 50; i++ {
-		nominal := 0.01 + float64(i)*period
+		nominal := 0.01 + float64(float64(i)*period)
 		got := s.CaptureTime(i, 0.01, period)
 		if math.Abs(got-nominal) > jitter {
 			t.Fatalf("capture %d: time %v is %v off nominal, want within %v",
@@ -250,8 +250,8 @@ func TestApplySequenceDropAndDup(t *testing.T) {
 	const jitter, start, period = 2e-4, 0.01, 0.1
 	js := New(Config{Seed: seed, StartJitter: jitter})
 	for i := 0; i < n; i++ {
-		want := start + float64(i)*period
-		want += (2*detrng.Rand(seed, detrng.ImpairJitter, i).Float64() - 1) * jitter
+		want := start + float64(float64(i)*period)
+		want += float64((2*float64(detrng.Rand(seed, detrng.ImpairJitter, i).Float64()) - 1) * jitter)
 		if got := js.CaptureTime(i, start, period); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("capture %d: CaptureTime = %v, the math/rand draw gives %v", i, got, want)
 		}
@@ -265,8 +265,8 @@ func TestApplySequenceDropAndDup(t *testing.T) {
 		}
 		want := f.Clone()
 		rng := detrng.Rand(seed, detrng.ImpairPose, i)
-		tilt := pcfg.TiltDeg + (2*rng.Float64()-1)*pcfg.PoseJitterDeg
-		roll := pcfg.RotateDeg + (2*rng.Float64()-1)*pcfg.PoseJitterDeg
+		tilt := pcfg.TiltDeg + float64((2*float64(rng.Float64())-1)*pcfg.PoseJitterDeg)
+		roll := pcfg.RotateDeg + float64((2*float64(rng.Float64())-1)*pcfg.PoseJitterDeg)
 		frame.WarpInto(f, want, poseInverse(f.W, f.H, tilt, roll, pcfg.Distance))
 		want.Quantize()
 		ps.ApplyFrame(f, i, 0.1, 0.001)
@@ -358,7 +358,7 @@ func TestFlickerIntegral(t *testing.T) {
 	}
 	// A very short exposure approaches the instantaneous sinusoid.
 	t0 := 0.0013
-	inst := 10 * math.Sin(2*math.Pi*100*t0)
+	inst := float64(10 * math.Sin(2*math.Pi*100*t0))
 	if lvl := s.flickerLevel(t0, 1e-7); math.Abs(lvl-inst) > 1e-2 {
 		t.Errorf("short-exposure flicker = %v, want ~%v", lvl, inst)
 	}

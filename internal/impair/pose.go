@@ -3,6 +3,7 @@ package impair
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"inframe/internal/detrng"
 	"inframe/internal/frame"
@@ -61,9 +62,9 @@ func PoseHomography(w, h int, tiltDeg, rollDeg, dist float64) frame.Homography {
 // 8-bit codes ApplyFrame's re-quantize would (frame.WarpInto8), so the
 // caller skips that pass. The jitter stream is keyed by (Seed, ImpairPose,
 // capture index), so whether and how capture i shakes never depends on any
-// other capture or on worker identity. A fixed pose warps through the
-// Stack's plan, which is WarpInto through the same inverse bit for bit; a
-// jittered pose is a new map per capture and warps directly.
+// other capture or on worker identity. A fixed pose warps through a
+// memoized plan (posePlanFor), which is WarpInto through the same inverse
+// bit for bit; a jittered pose is a new map per capture and warps directly.
 func (s *Stack) applyPose(f *frame.Frame, index int, round bool) {
 	if s.cfg.PoseJitterDeg > 0 {
 		tilt, roll := s.jitteredPose(index)
@@ -93,17 +94,39 @@ func (s *Stack) jitteredPose(index int) (tilt, roll float64) {
 	return tilt, roll
 }
 
-// posePlanFor returns the Stack's warp plan of its fixed pose for w×h
-// captures, building it on first use and again whenever the capture size
-// changes. The mutex makes concurrent first captures build it once; the
-// plan itself is read-only, so callers gather through it outside the lock.
+// poseKey identifies a fixed-pose warp plan: the capture size and the
+// bits of the pose's tilt, roll and distance.
+type poseKey struct {
+	w, h             int
+	tilt, roll, dist uint64
+}
+
+// poseMemo holds the last fixed-pose warp plan built, for every Stack. A
+// plan depends only on its key and costs 8 bytes per capture pixel (7.4 MB
+// and a few milliseconds at 1280×720), while channel.NewSchedule builds a
+// new Stack for every Simulate, so an episode loop over one configuration
+// builds the plan once instead of once per episode. Gathers only read a
+// plan, so concurrent captures share it outside the lock; mu guards the
+// entry. Stacks that alternate between poses or sizes rebuild on every
+// switch: correct, only slower.
+var poseMemo struct {
+	mu   sync.Mutex
+	key  poseKey
+	plan *frame.WarpPlan
+}
+
+// posePlanFor returns the warp plan of the Stack's fixed pose for w×h
+// captures: the memo's when it was built for the same size and pose, else a
+// new one, which replaces it.
 func (s *Stack) posePlanFor(w, h int) *frame.WarpPlan {
-	s.poseMu.Lock()
-	defer s.poseMu.Unlock()
-	if s.posePlan == nil || !s.posePlan.Fits(w, h, w, h) {
-		s.posePlan = frame.NewWarpPlan(poseInverse(w, h, s.cfg.TiltDeg, s.cfg.RotateDeg, s.cfg.Distance), w, h, w, h)
+	key := poseKey{w, h, math.Float64bits(s.cfg.TiltDeg), math.Float64bits(s.cfg.RotateDeg), math.Float64bits(s.cfg.Distance)}
+	poseMemo.mu.Lock()
+	defer poseMemo.mu.Unlock()
+	if poseMemo.plan == nil || poseMemo.key != key {
+		poseMemo.key = key
+		poseMemo.plan = frame.NewWarpPlan(poseInverse(w, h, s.cfg.TiltDeg, s.cfg.RotateDeg, s.cfg.Distance), w, h, w, h)
 	}
-	return s.posePlan
+	return poseMemo.plan
 }
 
 // poseInverse is the capture→frontal map of a w×h capture at the given

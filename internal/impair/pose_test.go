@@ -187,7 +187,7 @@ func TestApplyPoseWarpsContent(t *testing.T) {
 }
 
 // TestApplyPosePlanMatchesDirectWarp: a fixed pose warps through the
-// Stack's plan, which must give the capture the direct inverse warp gives
+// memoized plan, which must give the capture the direct inverse warp gives
 // it, bit for bit — on the first capture (which builds the plan), on later
 // ones, after a change of capture size (which rebuilds it), and from
 // concurrent captures sharing it.
@@ -233,6 +233,70 @@ func TestApplyPosePlanMatchesDirectWarp(t *testing.T) {
 	}
 }
 
+// TestPosePlanSharedAcrossStacks: the fixed-pose warp plan is memoized for
+// the package, not per Stack. Two Stacks built from one config — as two
+// channel.Simulate calls build them — warp a capture bit for bit alike, and
+// the second gets the first's plan instead of building one. Another capture
+// size, tilt, roll or distance builds its own plan, and coming back to the
+// first configuration builds again. Captures of several Stacks sharing one
+// plan from eight goroutines each equal a lone Stack's (run it under -race).
+func TestPosePlanSharedAcrossStacks(t *testing.T) {
+	const w, h = 64, 48
+	cfg := Config{Seed: 3, TiltDeg: 30}
+	same := func(a, b *frame.Frame) bool {
+		for i := range a.Pix {
+			if math.Float32bits(a.Pix[i]) != math.Float32bits(b.Pix[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	first, second := New(cfg), New(cfg)
+	a, b := poseCapture(w, h, true, 1), poseCapture(w, h, true, 1)
+	first.ApplyFrame(a, 0, 0.1, 0.001)
+	plan := first.posePlanFor(w, h)
+	second.ApplyFrame(b, 0, 0.1, 0.001)
+	if !same(a, b) {
+		t.Error("two Stacks of one config warp a capture differently")
+	}
+	if second.posePlanFor(w, h) != plan {
+		t.Error("the second Stack of one config built its own plan")
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		w, h int
+	}{
+		{"size", cfg, 40, 30},
+		{"tilt", Config{Seed: 3, TiltDeg: 31}, w, h},
+		{"roll", Config{Seed: 3, TiltDeg: 30, RotateDeg: 2}, w, h},
+		{"distance", Config{Seed: 3, TiltDeg: 30, Distance: 1.5}, w, h},
+	} {
+		if got := New(c.cfg).posePlanFor(c.w, c.h); got == plan || !got.Fits(c.w, c.h, c.w, c.h) {
+			t.Errorf("another %s reused the plan, or got one that does not fit %dx%d", c.name, c.w, c.h)
+		}
+	}
+	if first.posePlanFor(w, h) == plan {
+		t.Error("the first configuration's plan survived four others in a one-entry memo")
+	}
+	want := make([]*frame.Frame, 8)
+	for k := range want {
+		want[k] = poseCapture(w, h, true, int64(k))
+		New(cfg).ApplyFrame(want[k], k, 0.1, 0.001)
+	}
+	stacks := []*Stack{New(cfg), New(cfg), New(cfg)}
+	got := make([]*frame.Frame, len(want))
+	parallel.For(len(got), len(got), func(k int) {
+		got[k] = poseCapture(w, h, true, int64(k))
+		stacks[k%len(stacks)].ApplyFrame(got[k], k, 0.1, 0.001)
+	})
+	for k := range got {
+		if !same(got[k], want[k]) {
+			t.Errorf("concurrent capture %d differs from a lone Stack's", k)
+		}
+	}
+}
+
 // poseCapture returns a seeded w×h capture holding both 8-bit extremes:
 // a band of code 0 along the top, a band of 255 down the left, and random
 // codes elsewhere, or, when not integral, values off the integer lattice
@@ -251,7 +315,7 @@ func poseCapture(w, h int, integral bool, seed int64) *frame.Frame {
 				v = 255
 			}
 			if !integral {
-				v += float32(rng.Float64()*1.5 - 0.6)
+				v += float32(float64(rng.Float64()*1.5) - 0.6)
 			}
 			f.Set(x, y, v)
 		}

@@ -285,7 +285,7 @@ func (s *Series) Std() float64 {
 	var acc float64
 	for _, x := range s.xs {
 		d := x - m
-		acc += d * d
+		acc += float64(d * d)
 	}
 	return math.Sqrt(acc / float64(n))
 }
@@ -302,7 +302,7 @@ func (s *Series) CI95() float64 {
 	var acc float64
 	for _, x := range s.xs {
 		d := x - m
-		acc += d * d
+		acc += float64(d * d)
 	}
 	sd := math.Sqrt(acc / float64(n-1))
 	return 1.96 * sd / math.Sqrt(float64(n))

@@ -185,7 +185,7 @@ func TestDegradationStats(t *testing.T) {
 	if d.GapFrames != 4 || d.Resyncs != 2 || d.ExcludedCaptures != 2 {
 		t.Fatalf("gaps=%d resyncs=%d excluded=%d", d.GapFrames, d.Resyncs, d.ExcludedCaptures)
 	}
-	if d.Quality.N() != 4 || math.Abs(d.Quality.Mean()-0.5) > 1e-12 {
+	if d.Quality.N() != 4 || math.Abs(float64(d.Quality.Mean())-0.5) > 1e-12 {
 		t.Fatalf("quality N=%d mean=%v", d.Quality.N(), d.Quality.Mean())
 	}
 	s := d.String()

@@ -178,7 +178,7 @@ func referenceDiffIntegrals(caps []*frame.Frame) []*integralImage {
 	inv := 1 / float32(len(caps))
 	for _, c := range caps {
 		for i, v := range c.Pix {
-			mean.Pix[i] += v * inv
+			mean.Pix[i] += float32(v * inv)
 		}
 	}
 	n := len(caps)

@@ -36,7 +36,7 @@ func TestEnergyMapHighlightsChessboard(t *testing.T) {
 	e := EnergyMap(f, 1)
 	inside := e.Region(24, 24, 16, 16).Mean()
 	outside := e.Region(0, 0, 12, 12).Mean()
-	if inside < 4*outside+1 {
+	if inside < float64(4*outside)+1 {
 		t.Fatalf("energy inside %.2f not well above outside %.2f", inside, outside)
 	}
 }

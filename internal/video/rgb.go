@@ -44,6 +44,16 @@ func (c Colorize) Size() (int, int) { return c.Src.Size() }
 // FPS implements RGBSource.
 func (c Colorize) FPS() float64 { return c.Src.FPS() }
 
+// DirtyRegion forwards the grayscale source's dirty-region hint
+// (RegionSource), so a color consumer can skip what the gray one skips;
+// ok is false when the source gives no hint.
+func (c Colorize) DirtyRegion(i int) (Region, bool) {
+	if rs, ok := c.Src.(RegionSource); ok {
+		return rs.DirtyRegion(i)
+	}
+	return Region{}, false
+}
+
 // RGBClip is a fixed, looping sequence of color frames — the adapter for
 // footage loaded from Y4M files.
 type RGBClip struct {

@@ -16,10 +16,10 @@ func refSunRiseFrameInto(s *SunRise, i int, f *frame.Frame) {
 	t := math.Mod(float64(i)/s.Rate, 20) / 20 // progress 0..1
 	w, h := float64(s.W), float64(s.H)
 	horizon := 0.65 * h
-	sunX := w * (0.25 + 0.5*t)
-	sunY := horizon - (0.05+0.45*t)*horizon
+	sunX := w * (0.25 + float64(0.5*t))
+	sunY := float64(horizon) - float64((0.05+float64(0.45*t))*horizon)
 	sunR := 0.09 * w
-	skyBase := 90 + 80*t
+	skyBase := 90 + float64(80*t)
 	glareH := 0.10 * h // saturated glare band above the horizon
 	for y := 0; y < s.H; y++ {
 		fy := float64(y)
@@ -28,18 +28,18 @@ func refSunRiseFrameInto(s *SunRise, i int, f *frame.Frame) {
 			var v float64
 			if fy < horizon {
 				// Sky: vertical gradient brightening towards the horizon.
-				v = skyBase + 120*(fy/horizon)
+				v = skyBase + float64(120*(fy/horizon))
 				// Glare band hugging the horizon: effectively saturated.
-				if fy > horizon-glareH {
+				if fy > float64(horizon)-float64(glareH) {
 					v = 250
 				}
 				// Sun disc and halo.
-				d := math.Hypot(fx-sunX, fy-sunY)
+				d := math.Hypot(fx-float64(sunX), fy-sunY)
 				switch {
 				case d < sunR:
 					v = 252
 				case d < 3*sunR:
-					v += (252 - v) * math.Exp(-(d-sunR)/(1.1*sunR))
+					v += float64((252 - v) * math.Exp(-(d-float64(sunR))/(1.1*sunR)))
 				}
 			} else {
 				// Ground: dark with patchy texture that drifts slowly
@@ -47,11 +47,11 @@ func refSunRiseFrameInto(s *SunRise, i int, f *frame.Frame) {
 				// The drift matters to the secondary channel: moving
 				// texture defeats temporal background subtraction the way
 				// real footage does.
-				base := 55 + 18*math.Sin(fx/17+3*t*2*math.Pi)
+				base := 55 + float64(18*math.Sin(fx/17+float64(float64(3*t)*2*math.Pi)))
 				drift := int(float64(i) / s.Rate * 45) // 1.5 px per frame
 				tx := ((x+drift)%s.W + s.W) % s.W
 				idx := y*s.W + tx
-				v = base + float64(s.strength[y*s.W+x])*float64(s.texture[idx])
+				v = base + float64(float64(s.strength[y*s.W+x])*float64(s.texture[idx]))
 			}
 			if v > 255 {
 				v = 255

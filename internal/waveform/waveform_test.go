@@ -57,7 +57,7 @@ func TestSRRCPowerComplementary(t *testing.T) {
 		u = math.Abs(math.Mod(u, 1))
 		d := SqrtRaisedCosine.Down(u)
 		up := SqrtRaisedCosine.Up(u)
-		return math.Abs(d*d+up*up-1) < 1e-9
+		return math.Abs(float64(d*d)+float64(up*up)-1) < 1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,9 @@
 # vet and short tests of the separately moduled cmd/inframe-perf benchmark
 # (which `go build ./...` never compiles) plus its bit-identity check of the
 # blind pose solve on the benchmark's own captures, an arm64 cross-compile
-# of every command and example checked free of fused multiply-adds (which
-# round differently from amd64's separate instructions), the complete test suite
+# of every command, example and test binary checked free of fused
+# multiply-adds (which round differently from amd64's separate
+# instructions), the complete test suite
 # under the race detector (the worker pools in internal/parallel make data
 # races a correctness class, not a theoretical one), a coverage floor on
 # internal/analysis (the lint gate's own engine), the steady-state
@@ -104,15 +105,18 @@ run_arm64_fma() {
 	# unless the code forbids fusion with explicit float64(x*y) (or
 	# float32(x*y)) conversions. Every pinned output — goldens, digests,
 	# robustness windows, the pose fixture, the Y4M export — must hold on
-	# both: cross-compile every command and example for arm64 and fail on
-	# any FMADD/FMSUB/FNMADD/FNMSUB in a function of this module one of
-	# them links.
+	# both, and so must the bit-identity pins, whose references live in
+	# test files: cross-compile every command, every example and every
+	# package's test binary for arm64 and fail on any
+	# FMADD/FMSUB/FNMADD/FNMSUB in a function of this module (the root
+	# package, internal/..., a command's main package) one of them links.
 	local dir dis fused fn bin
 	dir=$(mktemp -d)
-	GOARCH=arm64 go build -o "$dir/" ./cmd/... ./examples/...
+	GOARCH=arm64 go build -o "$dir/bin/" ./cmd/... ./examples/...
+	GOARCH=arm64 go test -c -o "$dir/test/" ./... >/dev/null
 	dis=""
-	for bin in "$dir"/*; do
-		dis+=$(go tool objdump -s '^inframe/' "$bin")$'\n'
+	for bin in "$dir"/bin/* "$dir"/test/*; do
+		dis+=$(go tool objdump -s '^(inframe(/|\.|_test\.)|main\.)' "$bin")$'\n'
 	done
 	rm -rf "$dir"
 	# An empty or partial listing (a renamed package or function, a
@@ -120,7 +124,8 @@ run_arm64_fma() {
 	# clean.
 	for fn in 'register.mfScoreStride' 'frame.areaRow2' 'impair.(*Stack).ApplyFrame' \
 		'video.(*SunRise).FrameInto' 'core.(*Receiver).scanCodes' \
-		'frame.(*RGB).YCbCr' 'video.(*ColorSunRise).FrameRGB'; do
+		'frame.(*RGB).YCbCr' 'video.(*ColorSunRise).FrameRGB' \
+		'video.refSunRiseFrameInto' 'frame.referenceWarpInto'; do
 		if ! grep -qF "TEXT inframe/internal/$fn(SB)" <<<"$dis"; then
 			echo "arm64 disassembly lacks $fn; fix the objdump pattern" >&2
 			return 1
@@ -174,8 +179,9 @@ run_alloc_tests() {
 	# borrows (no display-resolution plane); TestSunRiseFrameIntoAllocs pins
 	# the clip's allocation-free render and skips under -race.
 	# TestPoseStageAllocs pins the camera-pose stage's heap: one warp plan
-	# per Stack, and a warm posed capture, warped in place, allocates
-	# nothing and takes no plane from any pool; it skips under -race. TestSimulateReusesDriveSlots pins the drive-slot
+	# per capture size and pose, shared by every Stack, and a warm posed
+	# capture, warped in place, allocates nothing and takes no plane from
+	# any pool; it skips under -race. TestSimulateReusesDriveSlots pins the drive-slot
 	# recycling of closed displays: a second Simulate of the same panel
 	# allocates no slot; it skips under -race. TestCaptureNoiseAllocs pins
 	# the sensor noise's pooled generator state: a warm noisy capture
@@ -196,10 +202,13 @@ run_kernels() {
 	# the int32 kernels' bit-identity/error-bound pins (internal/fixed), the
 	# fused pair-aware renderer's equivalence to the direct clone+add+clamp
 	# formulation at several worker counts (DESIGN.md §5j), gray and color
-	# (each channel, the headroom taken over R, G and B), and the fused
+	# (each channel, the headroom taken over R, G and B; the color render
+	# with the source's dirty-region hint equal to one without it, and its
+	# skips equal to the grayscale multiplexer's), and the fused
 	# drive path's: PushFrame's drive codes equal Push(Frame) and, under any
 	# mix and order of Frame and PushFrame calls, Quant8 of the direct
-	# reference render (the per-sign drive planes, §5j), and the
+	# reference render (the per-sign drive planes and the flat-Block byte
+	# patterns, §5j), and the
 	# bounded, retiring Simulate equals Transmit + CaptureAll (§5l). The
 	# row-streamed capture and the hoisted sun-rise clip are pinned against
 	# verbatim copies of the plane-based and per-pixel code they replaced,
@@ -209,7 +218,8 @@ run_kernels() {
 	# one plan; the 8-bit warps against WarpInto then Quantize (and the Q16
 	# rounding against Round8 on every sample), the in-place warps against
 	# a separate destination, the camera-pose stage against copy, warp and
-	# Quantize, and the tabulated enlargement taps against the whole-plane
+	# Quantize (and its memoized plan shared by concurrent Stacks), and the
+	# tabulated enlargement taps against the whole-plane
 	# resample. The sensor's read noise generator is pinned against
 	# math/rand's own stream, and the shutter integral without its clear
 	# pass against a verbatim copy of the clear-then-accumulate form. The
@@ -222,13 +232,13 @@ run_kernels() {
 		-run 'TestFixedPointBitIdentity|TestRoundQ16MatchesRound8|TestGammaErrorBound|TestEncodeRowMatchesEncode8|TestNarrow8MatchesIsIntegral8|TestWindowRowsMatchesNaive|TestWindowRowsThinPlanes|TestWindowRowsRowOrder|TestRowAbsEnergy8MatchesNaive' \
 		./internal/fixed/
 	go test -race -count=1 \
-		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBRenderMatchesReference|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush|TestDriveMatchesReference|TestEnergyScanMatchesReference' \
+		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBRenderMatchesReference|TestRGBDirtyHintMatchesUnhinted|TestRGBRenderStatsMatchGray|TestDeltaCacheFrozenPool|TestPushFrameMatchesPush|TestDriveMatchesReference|TestEnergyScanMatchesReference' \
 		./internal/core/
 	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
 		-run 'TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto|TestWarpInto8MatchesQuantize|TestWarpInPlaceMatchesWarpInto' \
 		./internal/frame/
-	go test -race -count=1 -run 'TestPoseStageMatchesReference' ./internal/impair/
+	go test -race -count=1 -run 'TestPoseStageMatchesReference|TestPosePlanSharedAcrossStacks' ./internal/impair/
 	go test -race -count=1 -run 'TestCaptureMatchesReference' ./internal/camera/
 	go test -race -count=1 -run 'TestNormalMatchesMathRand' ./internal/detrng/
 	go test -race -count=1 -run 'TestRowAverageMatchesReference' ./internal/display/
