@@ -5,9 +5,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"inframe/internal/camera"
 	"inframe/internal/display"
+	"inframe/internal/fixed"
 	"inframe/internal/fleet"
 	"inframe/internal/frame"
 	"inframe/internal/impair"
@@ -620,6 +622,34 @@ func TestCaptureNoiseAllocs(t *testing.T) {
 	t.Logf("warm capture: %d B without noise, %d B with", quiet, noisy)
 	if noisy != quiet {
 		t.Errorf("a warm noisy capture allocated %d B, the same capture without noise %d B: the noise draws allocate", noisy, quiet)
+	}
+}
+
+// TestCameraNewAllocs: cameras of one exponent share one gamma encode
+// table, so a second camera.New of the same exponent allocates less than
+// one table; a camera that built its own would allocate 64 KB. It measures
+// the heap, so it runs uninstrumented (verify.sh's alloc stage, CI's
+// allocs job) and skips under the race detector.
+func TestCameraNewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate: runs uninstrumented in the alloc stage")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := camera.DefaultConfig(160, 90)
+	cfg.Pool = frame.NewPool()
+	if _, err := camera.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := camera.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, table := after.TotalAlloc-before.TotalAlloc, uint64(unsafe.Sizeof(fixed.Gamma{}))
+	t.Logf("second camera.New: %d B (one gamma table is %d B)", got, table)
+	if got >= table {
+		t.Errorf("a second camera of one exponent allocated %d B, at least a gamma table's %d B: the table is not shared", got, table)
 	}
 }
 

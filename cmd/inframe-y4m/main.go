@@ -89,8 +89,12 @@ func render(args []string) {
 	})
 	fatalIf(err)
 	n := *cycles * tx.DisplayFramesPerCycle()
+	// Each frame is written before the next renders, so one frame serves
+	// them all.
+	f := frame.NewRGB(l.FrameW, l.FrameH)
 	for k := 0; k < n; k++ {
-		fatalIf(wr.WriteFrame(cm.FrameRGB(k)))
+		cm.FrameRGBInto(k, f)
+		fatalIf(wr.WriteFrame(f))
 	}
 	fatalIf(wr.Flush())
 	fatalIf(fh.Close())

@@ -83,8 +83,12 @@ func main() {
 		log.Fatal(err)
 	}
 	n := 16 * tx.DisplayFramesPerCycle()
+	// Each frame is written before the next renders, so one frame serves
+	// them all.
+	f := frame.NewRGB(layout.FrameW, layout.FrameH)
 	for k := 0; k < n; k++ {
-		if err := wr.WriteFrame(cm.FrameRGB(k)); err != nil {
+		cm.FrameRGBInto(k, f)
+		if err := wr.WriteFrame(f); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@ package camera
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"inframe/internal/detrng"
@@ -137,8 +138,9 @@ type Camera struct {
 	cfg  Config
 	pool *frame.Pool
 	// gamma is the ISP's encode curve as a Q16 fixed-point lookup table,
-	// built once per camera: the per-pixel math.Pow it replaces was the
-	// single largest EndToEnd profile entry (see DESIGN.md §5j).
+	// shared read-only by every camera of its exponent (gammaFor): the
+	// per-pixel math.Pow it replaces was the single largest EndToEnd
+	// profile entry (see DESIGN.md §5j).
 	gamma *fixed.Gamma
 	// rs is the area-resample table from the last source size (display or
 	// crop window) to the sensor, built on first use and shared read-only
@@ -156,7 +158,33 @@ func New(cfg Config) (*Camera, error) {
 	if pool == nil {
 		pool = frame.NewPool()
 	}
-	return &Camera{cfg: cfg, pool: pool, gamma: fixed.NewGamma(cfg.Gamma)}, nil
+	return &Camera{cfg: cfg, pool: pool, gamma: gammaFor(cfg.Gamma)}, nil
+}
+
+// gammaMemo holds the last encode table built, for every camera. A table
+// costs 8,194 math.Pow calls and 64 KB, while fleet.Run builds a camera
+// per receiver and channel.Simulate one per run, all of one exponent, so
+// an episode loop builds the table once. Encodes only read a table, so
+// cameras share it outside the lock; mu guards the entry. Cameras that
+// alternate between exponents rebuild on every switch: correct, only
+// slower.
+var gammaMemo struct {
+	mu    sync.Mutex
+	bits  uint64
+	table *fixed.Gamma
+}
+
+// gammaFor returns the encode table of exponent gamma: the memo's when it
+// was built for the same exponent bits, else a new one, which replaces it.
+func gammaFor(gamma float64) *fixed.Gamma {
+	bits := math.Float64bits(gamma)
+	gammaMemo.mu.Lock()
+	defer gammaMemo.mu.Unlock()
+	if gammaMemo.table == nil || gammaMemo.bits != bits {
+		gammaMemo.bits = bits
+		gammaMemo.table = fixed.NewGamma(gamma)
+	}
+	return gammaMemo.table
 }
 
 // Config returns the camera configuration.

@@ -2,9 +2,11 @@ package camera
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"inframe/internal/display"
+	"inframe/internal/fixed"
 	"inframe/internal/frame"
 	"inframe/internal/parallel"
 )
@@ -292,4 +294,59 @@ func TestSharedResamplerWorkerInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGammaTableShared: cameras of one exponent share one encode table,
+// a camera of another exponent builds its own, and concurrent New calls
+// of two exponents (run under -race) each get a table of their own
+// exponent.
+func TestGammaTableShared(t *testing.T) {
+	newCam := func(gamma float64) *Camera {
+		t.Helper()
+		cfg := DefaultConfig(16, 9)
+		cfg.Gamma = gamma
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// encodes reports whether g is exponent gamma's curve, by the encode of
+	// a sample the three exponents below map apart.
+	encodes := func(g *fixed.Gamma, gamma float64) bool {
+		return g.Encode8(100) == fixed.NewGamma(gamma).Encode8(100)
+	}
+	a, b := newCam(2.2), newCam(2.2)
+	if a.gamma != b.gamma {
+		t.Error("two cameras of exponent 2.2 built two tables")
+	}
+	c := newCam(1.8)
+	if c.gamma == a.gamma || !encodes(c.gamma, 1.8) {
+		t.Error("a camera of exponent 1.8 did not get its own table")
+	}
+	if !encodes(a.gamma, 2.2) {
+		t.Error("the first camera's table changed when another exponent was built")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		gamma := []float64{2.2, 2.4}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				cfg := DefaultConfig(16, 9)
+				cfg.Gamma = gamma
+				cam, err := New(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !encodes(cam.gamma, gamma) {
+					t.Errorf("a concurrent camera of exponent %v got another exponent's table", gamma)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

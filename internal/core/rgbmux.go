@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"inframe/internal/frame"
 	"inframe/internal/video"
 )
@@ -30,22 +32,33 @@ func NewRGBMultiplexer(p Params, src video.RGBSource, data Stream) (*RGBMultiple
 	return &RGBMultiplexer{modulator: mod, video: src}, nil
 }
 
-// FrameRGB renders the multiplexed color frame k: on a new video frame it
-// loads the frame and rescans the headroom across its R, G and B planes —
-// skipping both when the source's dirty-region hint certifies the frame
-// unchanged, and rescanning only the Blocks a partial hint touches — then
-// runs the amplitude step and renders each channel from the cached frame.
-// The caller owns the returned frame.
+// FrameRGB renders the multiplexed color frame k into a new frame, which
+// the caller owns: FrameRGBInto on a fresh panel-sized frame.
 func (m *RGBMultiplexer) FrameRGB(k int) *frame.RGB {
+	out := frame.NewRGB(m.p.Layout.FrameW, m.p.Layout.FrameH)
+	m.FrameRGBInto(k, out)
+	return out
+}
+
+// FrameRGBInto renders the multiplexed color frame k into dst, which must
+// be panel-sized (it panics otherwise) and whose every pixel it writes: on
+// a new video frame it loads the frame and rescans the headroom across its
+// R, G and B planes — skipping both when the source's dirty-region hint
+// certifies the frame unchanged, and rescanning only the Blocks a partial
+// hint touches — then runs the amplitude step and renders each channel
+// from the cached frame. An exporter that writes each frame before the
+// next renders through one dst allocates no frame per display frame.
+func (m *RGBMultiplexer) FrameRGBInto(k int, dst *frame.RGB) {
+	if w, h := m.p.Layout.FrameW, m.p.Layout.FrameH; dst.W != w || dst.H != h {
+		panic(fmt.Sprintf("core: FrameRGBInto given a %dx%d frame for a %dx%d panel", dst.W, dst.H, w, h))
+	}
 	if vi, dirty, dirtyOK, reload := m.nextVideo(k, m.video); reload {
 		m.vframe = m.video.FrameRGB(vi)
 		m.scanHeadroom(dirty, dirtyOK, m.vframe.R, m.vframe.G, m.vframe.B)
 	}
 	sign := m.step(k)
 	m.fillChess()
-	out := frame.NewRGB(m.p.Layout.FrameW, m.p.Layout.FrameH)
-	m.render(out.R, m.vframe.R, sign)
-	m.render(out.G, m.vframe.G, sign)
-	m.render(out.B, m.vframe.B, sign)
-	return out
+	m.render(dst.R, m.vframe.R, sign)
+	m.render(dst.G, m.vframe.G, sign)
+	m.render(dst.B, m.vframe.B, sign)
 }

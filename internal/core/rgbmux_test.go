@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"inframe/internal/frame"
@@ -256,4 +257,73 @@ func TestRGBDirtyHintMatchesUnhinted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFrameRGBIntoAllocs: FrameRGBInto renders what FrameRGB renders, and
+// a warm FrameRGBInto over a colorized gray source, whose hint certifies
+// every video frame after the first unchanged, writes into the caller's
+// frame and allocates no plane. What it still allocates, at Workers 1, is
+// one row fan-out closure per parallel pass (the amplitude step, the chess
+// rows and the three channel renders), as the grayscale Frame path does:
+// five per frame, a few hundred bytes against FrameRGB's three planes.
+func TestFrameRGBIntoAllocs(t *testing.T) {
+	l, err := ScaledPaperLayout(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams(l)
+	p.Workers = 1
+	// Two data frames on a loop: the stream allocates nothing per frame.
+	rs := NewRandomStream(l, 6)
+	data := &FixedStream{Frames: []*DataFrame{rs.DataFrame(0), rs.DataFrame(1)}}
+	mux := func() *RGBMultiplexer {
+		m, err := NewRGBMultiplexer(p, video.Colorize{Src: video.Gray(l.FrameW, l.FrameH)}, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	into, fresh := mux(), mux()
+	dst := frame.NewRGB(l.FrameW, l.FrameH)
+	// One data cycle checked against FrameRGB; only its first video frame
+	// loads.
+	cycle := 2 * p.Tau
+	k := 0
+	for ; k < cycle; k++ {
+		into.FrameRGBInto(k, dst)
+		want := fresh.FrameRGB(k)
+		for c, pair := range [][2][]float32{{dst.R, want.R}, {dst.G, want.G}, {dst.B, want.B}} {
+			for j, w := range pair[1] {
+				if math.Float32bits(pair[0][j]) != math.Float32bits(w) {
+					t.Fatalf("frame %d channel %c pixel %d: FrameRGBInto %v, FrameRGB %v", k, "RGB"[c], j, pair[0][j], w)
+				}
+			}
+		}
+	}
+	render := func() {
+		into.FrameRGBInto(k, dst)
+		k++
+	}
+	runs := 2 * cycle
+	if allocs := testing.AllocsPerRun(runs, render); allocs > 5 {
+		t.Errorf("a warm FrameRGBInto performs %.1f allocs per frame, want <= 5 (its fan-out closures)", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		render()
+	}
+	runtime.ReadMemStats(&after)
+	plane := uint64(4 * l.FrameW * l.FrameH)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+	t.Logf("warm FrameRGBInto: %.2f allocs, %d B per frame", float64(after.Mallocs-before.Mallocs)/float64(runs), perRun)
+	if perRun > plane/64 {
+		t.Errorf("a warm FrameRGBInto allocates %d B per frame, want < %d (one plane is %d B)", perRun, plane/64, plane)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FrameRGBInto accepted a frame of the wrong size")
+		}
+	}()
+	into.FrameRGBInto(k, frame.NewRGB(l.FrameW+1, l.FrameH))
 }

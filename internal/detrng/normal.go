@@ -1,7 +1,8 @@
 // The ziggurat tables kn, wn and fn, the constant rn, absInt32 and the
 // body of NormFloat64 (but for three conversions that forbid fused
-// multiply-adds) are copied verbatim from the Go standard library's
-// math/rand/normal.go, which carries this notice:
+// multiply-adds and the wedge bracket before its math.Exp) are copied
+// verbatim from the Go standard library's math/rand/normal.go, which
+// carries this notice:
 //
 // Copyright 2009 The Go Authors.
 //
@@ -131,16 +132,19 @@ func (s *Stream) Float64() float64 {
 // NormFloat64 returns the next value of rand.Rand.NormFloat64, a standard
 // normal draw by Marsaglia and Tsang's ziggurat: math/rand's code,
 // verbatim but for three explicit conversions that keep a compiler from
-// fusing a multiply-add. math/rand's own code may be fused where the target
-// fuses (arm64 does), so the bit-for-bit match with math/rand that
-// TestNormalMatchesMathRand pins is an amd64 fact, where nothing fuses;
-// this code's values are the same on every target.
+// fusing a multiply-add, and for the wedge bracket, which settles most
+// wedge tests without math.Exp and each as math.Exp would. math/rand's
+// own code may be fused where the target fuses (arm64 does), so the
+// bit-for-bit match with math/rand that TestNormalMatchesMathRand pins is
+// an amd64 fact, where nothing fuses; this code's values are the same on
+// every target.
 func (s *Stream) NormFloat64() float64 {
 	for {
 		j := s.int32() // Possibly negative
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
-		if absInt32(j) < kn[i] {
+		aj := absInt32(j)
+		if aj < kn[i] {
 			// This case should be hit better than 99% of the time.
 			return x
 		}
@@ -159,10 +163,105 @@ func (s *Stream) NormFloat64() float64 {
 			}
 			return -rn - float64(x)
 		}
-		if fn[i]+float32(float32(s.Float64())*(fn[i-1]-fn[i])) < float32(math.Exp(-.5*x*x)) {
+		l := fn[i] + float32(float32(s.Float64())*(fn[i-1]-fn[i]))
+		if accept, ok := decideWedge(i, aj, l); ok {
+			if accept {
+				return x
+			}
+			continue
+		}
+		if l < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
 	}
+}
+
+// The wedge bracket settles most of NormFloat64's wedge tests, l <
+// float32(math.Exp(-.5*x*x)) for a draw x = j·wn[i] of strip i ≥ 1,
+// without calling math.Exp, and takes the branch the test would take, so
+// every value stays math/rand's. Strip i's wedge |j| range [kn[i], 2³¹)
+// splits into wedgeIntervals intervals of 2^wedgeShift[i] values each,
+// the least power of two that covers it; interval k runs from node
+// J_k = kn[i] + k·2^wedgeShift[i] to J_{k+1}. At node J_k, with X_k =
+// J_k·wn[i] rounded as the test rounds x, lo_k and hi_k are the float32
+// of math.Exp(−.5·X_k·X_k) scaled by 1 ∓ wedgeMargin. For J_k ≤ |j| ≤
+// J_{k+1}:
+//
+//   - |x| = |j|·wn[i] rounds monotonically in |j|, so X_k ≤ |x| ≤ X_{k+1};
+//   - −.5·x·x, rounded as the test rounds it, is monotone in |x|, and so
+//     are e^t and the float32 conversion;
+//   - math.Exp is assumed within wedgeMargin = 2⁻⁴⁰ of e^t, relative. Go's
+//     portable Exp is within 1 ulp (2⁻⁵²), and its amd64 and arm64
+//     kernels within a few; the margin is 4096 ulps.
+//
+// So the test's exponential lies in [lo_{k+1}, hi_k]: l < lo_{k+1} accepts
+// and l ≥ hi_k rejects, whatever math.Exp's last bits, and only l between
+// the two calls it. The interval is |j|'s offset from kn[i] shifted
+// right, exact integer arithmetic, so a wedge test reads one 8-byte
+// entry.
+const (
+	wedgeIntervals = 32
+	wedgeMargin    = 0x1p-40
+)
+
+// wedgeBounds is interval k's decision pair: accept below lo = lo_{k+1},
+// reject at or above hi = hi_k.
+type wedgeBounds struct {
+	lo, hi float32
+}
+
+// wedgeShift[i] is log2 of strip i's interval width in |j|, and
+// wedgeBound[i][k] its interval k's bounds; strip 0, whose slow path is
+// the tail algorithm, has none.
+var (
+	wedgeShift [128]uint8
+	wedgeBound [128][wedgeIntervals]wedgeBounds
+)
+
+func init() {
+	for i := 1; i < 128; i++ {
+		// A strip i ≥ 1 has |j| < 2³¹ (j = −2³¹ is strip 0), so its
+		// wedge tests have offsets |j| − kn[i] in [0, 2³¹ − 1 − kn[i]].
+		s := uint8(0)
+		for (1<<31-1-kn[i])>>s >= wedgeIntervals {
+			s++
+		}
+		wedgeShift[i] = s
+		// bound returns node k's bracket; X_k is the test's own product.
+		bound := func(k int) (lo, hi float32) {
+			x := float64(uint64(kn[i])+uint64(k)<<s) * float64(wn[i])
+			return bracketExp(math.Exp(-.5 * x * x))
+		}
+		for k := range wedgeBound[i] {
+			_, hi := bound(k)
+			lo, _ := bound(k + 1)
+			wedgeBound[i][k] = wedgeBounds{lo: lo, hi: hi}
+		}
+	}
+}
+
+// bracketExp returns the float32 bracket of any value within wedgeMargin
+// of e, relative: float32(e·(1 − wedgeMargin)) and float32(e·(1 +
+// wedgeMargin)).
+func bracketExp(e float64) (lo, hi float32) {
+	return float32(e * (1 - wedgeMargin)), float32(e * (1 + wedgeMargin))
+}
+
+// decideWedge settles strip i's wedge test for a draw of |j| = aj and
+// level l when the bracket of aj's interval does: ok reports whether it
+// did, accept the outcome l < float32(math.Exp(-.5*x*x)) then has. aj
+// must lie in the strip's wedge range [kn[i], 2³¹), where the shifted
+// offset is below wedgeIntervals: the mask cuts nothing and drops the
+// bounds check.
+func decideWedge(i int32, aj uint32, l float32) (accept, ok bool) {
+	b := &wedgeBound[i][((aj-kn[i])>>wedgeShift[i])&(wedgeIntervals-1)]
+	if l < b.lo {
+		return true, true
+	}
+	if l >= b.hi {
+		return false, true
+	}
+	return false, false
 }
 
 // AddNormal adds sigma-scaled normal draws to dst in order: dst[i] +=

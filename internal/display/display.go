@@ -450,8 +450,9 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 			}
 			target := d.driveFrame(k)[y*w : y*w+w]
 			wgt := float32((b-a)/total) * boost
-			for x := 0; x < w; x++ {
-				dst[x] += float32(d.lut[target[x]] * wgt)
+			out := dst[:len(target)]
+			for x, c := range target {
+				out[x] += float32(d.lut[c] * wgt)
 			}
 		}
 		return
@@ -480,15 +481,16 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		if !useResp || k < 0 || k >= n {
 			// Settled (held) frame or ideal pixels: constant luminance.
 			wgt := float32((b - a) / total)
+			out := dst[:len(target)]
 			if !filled {
-				for x := 0; x < w; x++ {
-					dst[x] = d.lut[target[x]] * wgt
+				for x, c := range target {
+					out[x] = d.lut[c] * wgt
 				}
 				filled = true
 				continue
 			}
-			for x := 0; x < w; x++ {
-				dst[x] += float32(d.lut[target[x]] * wgt)
+			for x, c := range target {
+				out[x] += float32(d.lut[c] * wgt)
 			}
 			continue
 		}
@@ -499,10 +501,11 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		eb := math.Exp(-(b - tk) / tauR)
 		cLin := float32((b - a) / total)
 		cExp := float32(tauR * (ea - eb) / total)
-		st := d.state[k-d.base].Pix[y*w : y*w+w]
-		for x := 0; x < w; x++ {
-			tg := d.lut[target[x]]
-			dst[x] += float32(tg*cLin) + float32((st[x]-tg)*cExp)
+		st := d.state[k-d.base].Pix[y*w : y*w+w][:len(target)]
+		out := dst[:len(target)]
+		for x, c := range target {
+			tg := d.lut[c]
+			out[x] += float32(tg*cLin) + float32((st[x]-tg)*cExp)
 		}
 	}
 	if !filled {

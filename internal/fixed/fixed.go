@@ -102,10 +102,12 @@ const gammaFineMax = 16
 // is a re-pin, not a bit-identical cutover.
 type Gamma struct {
 	invG float64
-	// coarse[i] is Q16 of encode(i/16), i in [0, 4096].
-	coarse [1<<gammaTableBits + 1]int32
-	// fine[i] is Q16 of encode(i/256), i in [0, 4096].
-	fine [1<<gammaTableBits + 1]int32
+	// coarse[j] is interval j of the coarse table, nodes encode(j/16) and
+	// encode((j+1)/16), as the Q16 pair {first node, second − first}.
+	coarse [1 << gammaTableBits][2]int32
+	// fine[j] is interval j of the fine table, nodes encode(j/256) and
+	// encode((j+1)/256), as the same pair.
+	fine [1 << gammaTableBits][2]int32
 }
 
 // NewGamma builds the encode table for exponent gamma (> 0).
@@ -113,14 +115,19 @@ func NewGamma(gamma float64) *Gamma {
 	g := &Gamma{invG: 1 / gamma}
 	// The encode curve maps [0, 255] onto [0, 255], so every Q16 node lies
 	// in [0, 255·2^16] and fits int32.
-	for i := range g.coarse {
-		v := float64(i) / 16
-		g.coarse[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits)))
+	node := func(v float64) int32 {
+		return int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits)))
 	}
-	for i := range g.fine {
-		v := float64(i) / 256
-		g.fine[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits)))
+	pairs := func(t *[1 << gammaTableBits][2]int32, step float64) {
+		next := node(0)
+		for j := range t {
+			l0 := next
+			next = node(float64(j+1) / step)
+			t[j] = [2]int32{l0, next - l0}
+		}
 	}
+	pairs(&g.coarse, 16)
+	pairs(&g.fine, 256)
 	return g
 }
 
@@ -163,21 +170,19 @@ func (g *Gamma) EncodeRow(row []float32) {
 		// v < 255 ⇒ x < 255·2^16 < 2^24: exact int32, truncated to Q16.
 		// Table nodes lie in [0, 255·2^16] and adjacent nodes differ by
 		// less than 2^16, so each interpolation product stays below 2^24
-		// (fine) or 2^28 (coarse).
+		// (fine) or 2^28 (coarse). Each interval index is below 4096
+		// (x>>8 < 2^12 under the fine bound, x>>12 < 255·16), so masking it
+		// to 12 bits changes no index and drops the bounds check.
 		x := int32(v * (1 << qBits))
 		var q int32
 		if x < gammaFineMax<<qBits {
 			// Fine table: node step 1/256 = 2^8 in Q16.
-			j := x >> 8
-			f := x & (1<<8 - 1)
-			l0 := g.fine[j]
-			q = l0 + ((g.fine[j+1]-l0)*f)>>8
+			p := &g.fine[(x>>8)&(1<<gammaTableBits-1)]
+			q = p[0] + (p[1]*(x&(1<<8-1)))>>8
 		} else {
 			// Coarse table: node step 1/16 = 2^12 in Q16.
-			j := x >> gammaTableBits
-			f := x & (1<<gammaTableBits - 1)
-			l0 := g.coarse[j]
-			q = l0 + ((g.coarse[j+1]-l0)*f)>>gammaTableBits
+			p := &g.coarse[(x>>gammaTableBits)&(1<<gammaTableBits-1)]
+			q = p[0] + (p[1]*(x&(1<<gammaTableBits-1)))>>gammaTableBits
 		}
 		row[i] = float32(q) * (1.0 / (1 << qBits))
 	}

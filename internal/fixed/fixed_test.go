@@ -121,9 +121,33 @@ func TestGammaErrorBound(t *testing.T) {
 	}
 }
 
+// refNodes are the two node tables Gamma kept before it stored each
+// interval as a (node, slope) pair, built by NewGamma's expression of the
+// time, verbatim but for the receiver turned parameter.
+type refNodes struct {
+	// coarse[i] is Q16 of encode(i/16), i in [0, 4096].
+	coarse [1<<gammaTableBits + 1]int32
+	// fine[i] is Q16 of encode(i/256), i in [0, 4096].
+	fine [1<<gammaTableBits + 1]int32
+}
+
+func newRefNodes(g *Gamma) *refNodes {
+	n := &refNodes{}
+	for i := range n.coarse {
+		v := float64(i) / 16
+		n.coarse[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits)))
+	}
+	for i := range n.fine {
+		v := float64(i) / 256
+		n.fine[i] = int32(math.Round(255 * math.Pow(v/255, g.invG) * (1 << qBits)))
+	}
+	return n
+}
+
 // refEncode8 is the per-sample Encode8 that EncodeRow replaced, verbatim
-// but for the receiver turned parameter and the dropped lint directives.
-func refEncode8(g *Gamma, v float32) float32 {
+// but for the receiver and the node tables turned parameters and the
+// dropped lint directives.
+func refEncode8(g *Gamma, n *refNodes, v float32) float32 {
 	if !(v > 0) {
 		return 0
 	}
@@ -140,14 +164,14 @@ func refEncode8(g *Gamma, v float32) float32 {
 		// Fine table: node step 1/256 = 2^8 in Q16.
 		i := x >> 8
 		f := x & (1<<8 - 1)
-		l0 := g.fine[i]
-		q = l0 + ((g.fine[i+1]-l0)*f)>>8
+		l0 := n.fine[i]
+		q = l0 + ((n.fine[i+1]-l0)*f)>>8
 	} else {
 		// Coarse table: node step 1/16 = 2^12 in Q16.
 		i := x >> gammaTableBits
 		f := x & (1<<gammaTableBits - 1)
-		l0 := g.coarse[i]
-		q = l0 + ((g.coarse[i+1]-l0)*f)>>gammaTableBits
+		l0 := n.coarse[i]
+		q = l0 + ((n.coarse[i+1]-l0)*f)>>gammaTableBits
 	}
 	return float32(q) * (1.0 / (1 << qBits))
 }
@@ -167,17 +191,18 @@ func TestEncodeRowMatchesEncode8(t *testing.T) {
 	}
 	for _, gamma := range []float64{1.8, 2.2, 2.4} {
 		g := NewGamma(gamma)
+		n := newRefNodes(g)
 		check := func(in []float32) {
 			t.Helper()
 			row := append([]float32(nil), in...)
 			g.EncodeRow(row)
 			for i, v := range in {
-				want := math.Float32bits(refEncode8(g, v))
+				want := math.Float32bits(refEncode8(g, n, v))
 				if got := math.Float32bits(row[i]); got != want {
-					t.Fatalf("gamma %.1f: EncodeRow(%v) = %v, reference %v", gamma, v, row[i], refEncode8(g, v))
+					t.Fatalf("gamma %.1f: EncodeRow(%v) = %v, reference %v", gamma, v, row[i], refEncode8(g, n, v))
 				}
 				if got := math.Float32bits(g.Encode8(v)); got != want {
-					t.Fatalf("gamma %.1f: Encode8(%v) = %v, reference %v", gamma, v, g.Encode8(v), refEncode8(g, v))
+					t.Fatalf("gamma %.1f: Encode8(%v) = %v, reference %v", gamma, v, g.Encode8(v), refEncode8(g, n, v))
 				}
 			}
 		}

@@ -471,6 +471,9 @@ func TestResamplerMatchesReference(t *testing.T) {
 		{960, 540, 640, 360},
 		{960, 540, 480, 270},
 		{960, 540, 320, 180},
+		{962, 54, 481, 27},   // 2× at an odd destination width
+		{963, 45, 642, 30},   // 1.5× at odd source sizes
+		{961, 54, 640, 36},   // near-periodic: areaRow
 		{701, 397, 640, 360}, // crop window onto the sensor
 		{97, 61, 1, 1},
 		{960, 540, 1280, 720}, // enlargement
@@ -551,6 +554,45 @@ func TestResamplerMatchesReference(t *testing.T) {
 	mustPanic("a ring shorter than Span", func() {
 		NewResampler(9, 9, 3, 3).RowsInto(New(3, 3), 0, 3, make([]float32, 2*9+8), func(int, []float32) {}, nil)
 	})
+}
+
+// TestResamplerPeriodicKernels: the 2× and 1.5× reductions (the sensors'
+// and the fleet's) take their periodic kernels, and every other table,
+// the 3× reduction, the overscan crop onto the sensor and the
+// near-periodic 961 → 640 among them, takes areaRow. A table that differs
+// from a periodic one in one weight of one column, by an ulp, is not
+// periodic.
+func TestResamplerPeriodicKernels(t *testing.T) {
+	for _, c := range []struct {
+		sw, dw int
+		want   periodKind
+	}{
+		{960, 640, period3},
+		{963, 642, period3},
+		{960, 480, period2},
+		{962, 481, period2},
+		{960, 320, periodNone},
+		{1104, 640, periodNone},
+		{961, 640, periodNone},
+	} {
+		if got := NewResampler(c.sw, 8, c.dw, 4).period; got != c.want {
+			t.Errorf("%d → %d columns take kernel %d, want %d", c.sw, c.dw, got, c.want)
+		}
+	}
+	for _, c := range []struct{ sw, dw int }{{960, 640}, {960, 480}} {
+		xt := buildAxisTaps(c.sw, c.dw, float64(c.sw)/float64(c.dw))
+		for _, o := range []int{0, 1, 2, c.dw/2 + 1, c.dw - 1} {
+			for tap := 0; tap < 2; tap++ {
+				i := xt.off[o] + tap
+				w := xt.wgt[i]
+				xt.wgt[i] = math.Nextafter(w, 2)
+				if got, _ := periodicTaps(xt, c.dw); got != periodNone {
+					t.Errorf("%d → %d: column %d tap %d one ulp off still takes kernel %d", c.sw, c.dw, o, tap, got)
+				}
+				xt.wgt[i] = w
+			}
+		}
+	}
 }
 
 func TestMetrics(t *testing.T) {

@@ -133,10 +133,11 @@ type Resampler struct {
 	xt, yt axisTaps
 	// span is the most source rows any output row reads.
 	span int
-	// x2, when not nil, holds every output column's two adjacent source
-	// taps (the 1.5× and 2× reductions), so two-row output rows take the
-	// unrolled areaRow2.
-	x2 []pairTap
+	// period names the kernel of a periodic x table (the 2× and 1.5×
+	// reductions), whose two-row output rows skip the table; wx holds its
+	// weight pair per phase (phase 0 alone at 2×).
+	period periodKind
+	wx     [2][2]float64
 	// lerp holds every output column's taps for the bilinear enlargement
 	// (and mixed-axis) path; nil otherwise.
 	lerp []lerpTap
@@ -147,14 +148,6 @@ type Resampler struct {
 type lerpTap struct {
 	x0, x1 int32
 	wx     float32
-}
-
-// pairTap is one output column of a two-tap area reduction: source columns
-// i and i+1 with their overlap weights w0 and w1, axisTaps' entries for
-// that column in one record.
-type pairTap struct {
-	i      int
-	w0, w1 float64
 }
 
 // NewResampler returns the resampler from srcW×srcH to dstW×dstH.
@@ -168,7 +161,7 @@ func NewResampler(srcW, srcH, dstW, dstH int) *Resampler {
 		for o := 0; o < dstH; o++ {
 			r.span = max(r.span, r.yt.off[o+1]-r.yt.off[o])
 		}
-		r.x2 = pairTaps(r.xt, dstW)
+		r.period, r.wx = periodicTaps(r.xt, dstW)
 	case dstW == srcW && dstH == srcH:
 		// Output row y is source row y: RowsInto needs no ring.
 	default:
@@ -268,15 +261,13 @@ func (r *Resampler) rows(dst *Frame, lo, hi int, src func(y int) []float32, done
 		case r.area:
 			ys, ye := r.yt.off[oy], r.yt.off[oy+1]
 			wy := r.yt.wgt[ys:ye]
-			if len(wy) == 2 && r.x2 != nil {
-				areaRow2(out, src(r.yt.idx[ys]), src(r.yt.idx[ys+1]), wy[0], wy[1], r.x2)
-				break
-			}
 			rowsY := taps[:len(wy)]
 			for k := range rowsY {
 				rowsY[k] = src(r.yt.idx[ys+k])
 			}
-			areaRow(out, rowsY, wy, r.xt)
+			if len(wy) != 2 || !r.periodicRow(out, rowsY[0], rowsY[1], wy[0], wy[1]) {
+				areaRow(out, rowsY, wy, r.xt)
+			}
 		case r.srcW == r.dstW && r.srcH == r.dstH:
 			copy(out, src(oy))
 		default:
@@ -351,44 +342,138 @@ func areaRow(out []float32, rowsY [][]float32, wy []float64, xt axisTaps) {
 	}
 }
 
-// pairTaps returns the n output columns of xt as pairTaps when every
-// column reads exactly two adjacent source columns, else nil.
-func pairTaps(xt axisTaps, n int) []pairTap {
-	taps := make([]pairTap, n)
-	for o := range taps {
-		xs := xt.off[o]
-		if xt.off[o+1]-xs != 2 || xt.idx[xs+1] != xt.idx[xs]+1 {
-			return nil
+// periodKind names the dedicated kernel of a periodic area table.
+type periodKind uint8
+
+const (
+	// periodNone: the table takes areaRow.
+	periodNone periodKind = iota
+	// period2: output column o reads source columns 2o and 2o+1 with one
+	// weight pair (areaRow2x).
+	period2
+	// period3: output columns 2m and 2m+1 read source columns 3m, 3m+1 and
+	// 3m+1, 3m+2, with one weight pair per parity (areaRow3to2).
+	period3
+)
+
+// periodicTaps classifies the n output columns of xt: period2 or period3
+// when every column's two taps follow that pattern with the weight bits of
+// the first period, returned per phase; periodNone otherwise. The 2× and
+// 1.5× reductions are the periodic tables: their overlaps are exact
+// multiples of ½, so every period carries the same bits.
+func periodicTaps(xt axisTaps, n int) (periodKind, [2][2]float64) {
+	// matches reports whether every column o has the two taps
+	// stride·(o/phases) + o%phases + {0, 1} with column o%phases's weights.
+	matches := func(stride, phases int) bool {
+		if n < phases || n%phases != 0 {
+			return false
 		}
-		taps[o] = pairTap{i: xt.idx[xs], w0: xt.wgt[xs], w1: xt.wgt[xs+1]}
+		for o := 0; o < n; o++ {
+			xs, p := xt.off[o], xt.off[o%phases]
+			i := stride*(o/phases) + o%phases
+			if xt.off[o+1]-xs != 2 || xt.idx[xs] != i || xt.idx[xs+1] != i+1 ||
+				math.Float64bits(xt.wgt[xs]) != math.Float64bits(xt.wgt[p]) ||
+				math.Float64bits(xt.wgt[xs+1]) != math.Float64bits(xt.wgt[p+1]) {
+				return false
+			}
+		}
+		return true
 	}
-	return taps
+	var wx [2][2]float64
+	kind := periodNone
+	switch {
+	case matches(2, 1):
+		kind = period2
+	case matches(3, 2):
+		kind = period3
+		wx[1] = [2]float64{xt.wgt[xt.off[1]], xt.wgt[xt.off[1]+1]}
+	default:
+		return periodNone, wx
+	}
+	wx[0] = [2]float64{xt.wgt[0], xt.wgt[1]}
+	return kind, wx
 }
 
-// areaRow2 is areaRow unrolled for the 1.5× and 2× reductions, where
-// every output pixel reads two adjacent source columns of two source rows:
-// the same four taps, accumulated in the same order.
-func areaRow2(out, row0, row1 []float32, fy0, fy1 float64, x2 []pairTap) {
-	x2 = x2[:len(out)]
-	for ox, t := range x2 {
-		i0, i1 := t.i, t.i+1
-		var sum, area float64
-		wgt := float64(t.w0 * fy0)
-		sum += float64(wgt * float64(row0[i0]))
-		area += wgt
-		wgt = float64(t.w1 * fy0)
-		sum += float64(wgt * float64(row0[i1]))
-		area += wgt
-		wgt = float64(t.w0 * fy1)
-		sum += float64(wgt * float64(row1[i0]))
-		area += wgt
-		wgt = float64(t.w1 * fy1)
-		sum += float64(wgt * float64(row1[i1]))
-		area += wgt
-		if area > 0 {
-			out[ox] = float32(sum / area)
-		}
+// periodicRow writes output row out from its two source rows through the
+// table's periodic kernel. It reports false, writing nothing, when the
+// table is not periodic or a phase's area is not positive; the caller then
+// takes areaRow, which leaves such pixels unwritten as before.
+func (r *Resampler) periodicRow(out, row0, row1 []float32, fy0, fy1 float64) bool {
+	switch r.period {
+	case period2:
+		return areaRow2x(out, row0, row1, fy0, fy1, r.wx[0])
+	case period3:
+		return areaRow3to2(out, row0, row1, fy0, fy1, r.wx)
 	}
+	return false
+}
+
+// pairArea returns the four tap weights of a two-row, two-column output
+// pixel, x weights wx times y weights fy0, fy1, in tap order, and their
+// area summed from 0 in that order: areaRow's products and area.
+func pairArea(wx [2]float64, fy0, fy1 float64) (w00, w01, w10, w11, area float64) {
+	w00, w01 = float64(wx[0]*fy0), float64(wx[1]*fy0)
+	w10, w11 = float64(wx[0]*fy1), float64(wx[1]*fy1)
+	area += w00
+	area += w01
+	area += w10
+	area += w11
+	return w00, w01, w10, w11, area
+}
+
+// areaRow2x is areaRow for a period2 table: every output pixel reads the
+// same four weights, so the row forms them and their area once. Each
+// pixel accumulates the same four products from 0 in areaRow's order and
+// divides by the area, so the row is bit for bit areaRow's. It reports
+// false, writing nothing, when the area is not positive.
+func areaRow2x(out, row0, row1 []float32, fy0, fy1 float64, wx [2]float64) bool {
+	w00, w01, w10, w11, area := pairArea(wx, fy0, fy1)
+	if !(area > 0) {
+		return false
+	}
+	for o := range out {
+		a := row0[2*o : 2*o+2 : 2*o+2]
+		b := row1[2*o : 2*o+2 : 2*o+2]
+		var sum float64
+		sum += float64(w00 * float64(a[0]))
+		sum += float64(w01 * float64(a[1]))
+		sum += float64(w10 * float64(b[0]))
+		sum += float64(w11 * float64(b[1]))
+		out[o] = float32(sum / area)
+	}
+	return true
+}
+
+// areaRow3to2 is areaRow for a period3 table: output pixels 2m and 2m+1
+// read the three source columns 3m…3m+2 of both rows with their phase's
+// weights, formed with their areas once per row. Each pixel accumulates
+// the same four products from 0 in areaRow's order and divides by its
+// phase's area, so the row is bit for bit areaRow's. It reports false,
+// writing nothing, when either phase's area is not positive.
+func areaRow3to2(out, row0, row1 []float32, fy0, fy1 float64, wx [2][2]float64) bool {
+	e00, e01, e10, e11, areaE := pairArea(wx[0], fy0, fy1)
+	d00, d01, d10, d11, areaD := pairArea(wx[1], fy0, fy1)
+	if !(areaE > 0 && areaD > 0) {
+		return false
+	}
+	for m := range len(out) / 2 {
+		a := row0[3*m : 3*m+3 : 3*m+3]
+		b := row1[3*m : 3*m+3 : 3*m+3]
+		o := out[2*m : 2*m+2 : 2*m+2]
+		var sum float64
+		sum += float64(e00 * float64(a[0]))
+		sum += float64(e01 * float64(a[1]))
+		sum += float64(e10 * float64(b[0]))
+		sum += float64(e11 * float64(b[1]))
+		o[0] = float32(sum / areaE)
+		sum = 0
+		sum += float64(d00 * float64(a[1]))
+		sum += float64(d01 * float64(a[2]))
+		sum += float64(d10 * float64(b[1]))
+		sum += float64(d11 * float64(b[2]))
+		o[1] = float32(sum / areaD)
+	}
+	return true
 }
 
 func overlap(a0, a1, b0, b1 float64) float64 {

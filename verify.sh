@@ -122,7 +122,8 @@ run_arm64_fma() {
 	# An empty or partial listing (a renamed package or function, a
 	# pattern that no longer matches, a binary left out) must not pass as
 	# clean.
-	for fn in 'register.mfScoreStride' 'frame.areaRow2' 'impair.(*Stack).ApplyFrame' \
+	for fn in 'register.mfScoreStride' 'frame.areaRow2x' 'frame.areaRow3to2' \
+		'detrng.(*Stream).NormFloat64' 'impair.(*Stack).ApplyFrame' \
 		'video.(*SunRise).FrameInto' 'core.(*Receiver).scanCodes' \
 		'frame.(*RGB).YCbCr' 'video.(*ColorSunRise).FrameRGB' \
 		'video.refSunRiseFrameInto' 'frame.referenceWarpInto'; do
@@ -191,10 +192,12 @@ run_alloc_tests() {
 	# receiver measurement allocates only its two result slices, and
 	# TestWarpPlanAllocs that a warm plan warp of an integral capture
 	# allocates nothing: both keep their 8-bit scratch pooled and skip under
-	# -race. TestWorkerCountInvariancePooled checks pooled output is
+	# -race. TestCameraNewAllocs pins the shared gamma encode table: a
+	# second camera of one exponent builds no table; it skips under -race.
+	# TestWorkerCountInvariancePooled checks pooled output is
 	# bit-identical to unpooled. CI's allocs job runs the same list: change
 	# both together.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestWorkerCountInvariancePooled|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots|TestCaptureNoiseAllocs|TestImpairDrawAllocs|TestEnergyScanAllocs|TestWarpPlanAllocs' -count=1 .
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestWorkerCountInvariancePooled|TestSimulateDisplayMemoryFlat|TestFleetMemoryFlat|TestCaptureDrawsNoDisplayPlane|TestSunRiseFrameIntoAllocs|TestPoseStageAllocs|TestSimulateReusesDriveSlots|TestCaptureNoiseAllocs|TestImpairDrawAllocs|TestEnergyScanAllocs|TestWarpPlanAllocs|TestCameraNewAllocs' -count=1 .
 }
 
 run_kernels() {
@@ -220,9 +223,13 @@ run_kernels() {
 	# a separate destination, the camera-pose stage against copy, warp and
 	# Quantize (and its memoized plan shared by concurrent Stacks), and the
 	# tabulated enlargement taps against the whole-plane
-	# resample. The sensor's read noise generator is pinned against
-	# math/rand's own stream, and the shutter integral without its clear
-	# pass against a verbatim copy of the clear-then-accumulate form. The
+	# resample; the 2× and 1.5× reductions must take their periodic
+	# kernels and every other table areaRow. The sensor's read noise
+	# generator is pinned against math/rand's own stream, its wedge
+	# bracket never contradicts the math.Exp test it settles, and the
+	# shutter integral without its clear pass against a verbatim copy of
+	# the clear-then-accumulate form. Cameras of one exponent share one
+	# gamma table, also when built concurrently. The
 	# 8-bit narrowing, the gamma encode row and the streamed window sums
 	# are pinned against verbatim copies of the integrality scan and the
 	# per-sample encode and against direct window sums, and the receiver's
@@ -236,11 +243,11 @@ run_kernels() {
 		./internal/core/
 	go test -race -count=1 -run 'TestSimulateMatchesTransmitCaptureAll' ./internal/channel/
 	go test -race -count=1 \
-		-run 'TestResamplerMatchesReference|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto|TestWarpInto8MatchesQuantize|TestWarpInPlaceMatchesWarpInto' \
+		-run 'TestResamplerMatchesReference|TestResamplerPeriodicKernels|TestBoxBlurMatchesColumnReference|TestWarpPlanMatchesWarpInto|TestWarpInto8MatchesQuantize|TestWarpInPlaceMatchesWarpInto' \
 		./internal/frame/
 	go test -race -count=1 -run 'TestPoseStageMatchesReference|TestPosePlanSharedAcrossStacks' ./internal/impair/
-	go test -race -count=1 -run 'TestCaptureMatchesReference' ./internal/camera/
-	go test -race -count=1 -run 'TestNormalMatchesMathRand' ./internal/detrng/
+	go test -race -count=1 -run 'TestCaptureMatchesReference|TestGammaTableShared' ./internal/camera/
+	go test -race -count=1 -run 'TestNormalMatchesMathRand|TestWedgeBracketMatchesExp|TestBracketExpCoversExpError' ./internal/detrng/
 	go test -race -count=1 -run 'TestRowAverageMatchesReference' ./internal/display/
 	go test -race -count=1 -run 'TestSunRiseMatchesReference' ./internal/video/
 }
